@@ -25,8 +25,8 @@ width the run ACTUALLY used (ml::kernels::effective_threads), not the
 requested --threads value; a record claiming threads it did not have is
 malformed.
 
-Correctness gates (prediction agreement, quantized agreement, verdict
-mismatches) always apply: a record whose speedup changed answers is
+Correctness gates (prediction agreement, verdict mismatches) always
+apply: a record whose speedup changed answers is
 malformed, not fast.
 """
 import json
@@ -38,18 +38,13 @@ REQUIRED_PHASES = (
     "train_batched",
     "infer_baseline",
     "infer_batched",
-    "infer_quantized",
 )
 
-# The quantized serving path's tolerance contract (docs/PERFORMANCE.md):
-# int8 weights + bf16 activations may move probabilities this far from
-# full precision, never further — and never across the argmax.
-QUANT_PROBA_TOLERANCE = 0.05
-
-# The per-op profiling counter names perf_gnn emits (ml/kernels.hpp).
+# The per-op profiling counter names perf_gnn emits (ml/kernels.hpp),
+# one row each.
 OP_NAMES = (
     "matmul", "matmul_nt", "matmul_tn", "bias_elu", "gatv2_scores",
-    "scatter_add_scaled", "gather_rows", "segment_softmax", "qmatmul",
+    "scatter_add_scaled", "gather_rows", "segment_softmax",
 )
 
 
@@ -72,10 +67,10 @@ def check_file(path, require_win=False, require_multithread=False):
     if not isinstance(doc, dict):
         return fail(path, "top level is not an object")
     kind = doc.get("benchmark")
-    # gnn_perf moved to schema 2 when it grew the quantized phase,
-    # effective-thread honesty and op counters; the other records are
-    # still at 1.
-    expected_schema = 2 if kind == "gnn_perf" else 1
+    # gnn_perf is at schema 3: schema 2 added effective-thread honesty
+    # and op counters, schema 3 removed the int8 inference phase and its op row.
+    # The other records are still at 1.
+    expected_schema = 3 if kind == "gnn_perf" else 1
     if doc.get("schema_version") != expected_schema:
         return fail(path, f"unknown schema_version {doc.get('schema_version')!r}"
                           f" for {kind!r} (expected {expected_schema})")
@@ -171,27 +166,9 @@ def check_gnn_perf(path, doc, require_multithread):
     if diff > 1e-6:
         return fail(path, f"max_abs_proba_diff {diff} > 1e-6")
 
-    # Quantized serving path: probabilities agree within tolerance,
-    # predictions agree exactly. Same correctness-not-speed discipline.
-    quantized = doc.get("quantized")
-    if not isinstance(quantized, dict):
-        return fail(path, "quantized missing")
-    qdiff = quantized.get("max_abs_proba_diff")
-    if not is_number(qdiff):
-        return fail(path, "quantized.max_abs_proba_diff missing")
-    qagree = quantized.get("prediction_agreement")
-    if not (is_number(qagree) and 0.0 <= qagree <= 1.0):
-        return fail(path, "quantized.prediction_agreement outside [0, 1]")
-    if qagree < 1.0:
-        return fail(path, f"quantized.prediction_agreement {qagree} < 1.0 — "
-                          "int8/bf16 inference changed predictions")
-    if qdiff > QUANT_PROBA_TOLERANCE:
-        return fail(path, f"quantized.max_abs_proba_diff {qdiff} > "
-                          f"{QUANT_PROBA_TOLERANCE} (tolerance contract)")
-
     counters = doc.get("op_counters")
-    if not isinstance(counters, list) or not counters:
-        return fail(path, "op_counters missing or empty")
+    if not isinstance(counters, list) or len(counters) != len(OP_NAMES):
+        return fail(path, f"op_counters missing or not {len(OP_NAMES)} rows")
     seen_ops = set()
     for i, c in enumerate(counters):
         if not isinstance(c, dict) or not isinstance(c.get("op"), str):
@@ -203,17 +180,11 @@ def check_gnn_perf(path, doc, require_multithread):
     for name in OP_NAMES:
         if name not in seen_ops:
             return fail(path, f"op_counters missing op '{name}'")
-    # A record with a quantized phase but zero qmatmul calls timed a
-    # path that never ran.
-    qmatmul = next(c for c in counters if c["op"] == "qmatmul")
-    if qmatmul["calls"] == 0:
-        return fail(path, "op_counters: qmatmul.calls == 0 but the "
-                          "infer_quantized phase was timed")
 
     print(
         f"{path}: OK ({dataset['name']}, {dataset['cases']} cases, "
         f"train {speedup['train']:.2f}x, infer {speedup['infer']:.2f}x, "
-        f"agreement {agreement:.3f}, quantized |dp| {qdiff:.4f}, "
+        f"agreement {agreement:.3f}, "
         f"{eff:.0f} effective thread(s), simd {config['simd']})"
     )
     return 0

@@ -1,10 +1,10 @@
 #include "core/detector.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "corpus/corpus.hpp"
 #include "ml/kernels.hpp"
-#include "ml/quant.hpp"
 #include "support/check.hpp"
 #include "support/threads.hpp"
 
@@ -299,21 +299,20 @@ const TrainedIr2vec* Ir2vecDetector::model() const {
 
 // ---- GnnDetector ------------------------------------------------------------
 
-namespace {
-
-/// The GNN's probabilities-to-verdict mapping, shared by the per-case
-/// evaluate() and the batched run() so the two can never diverge.
-Verdict gnn_verdict(const std::vector<double>& proba) {
+Verdict gnn_verdict(std::span<const double> proba) {
+  Verdict v;
+  if (!std::all_of(proba.begin(), proba.end(),
+                   [](double p) { return std::isfinite(p); })) {
+    v.outcome = Verdict::Outcome::RuntimeErr;
+    return v;
+  }
   const std::size_t pred = static_cast<std::size_t>(
       std::max_element(proba.begin(), proba.end()) - proba.begin());
-  Verdict v;
   v.outcome =
       pred == 1 ? Verdict::Outcome::Incorrect : Verdict::Outcome::Correct;
   v.confidence = proba[pred];
   return v;
 }
-
-}  // namespace
 
 GnnDetector::GnnDetector(DetectorConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.cache) cfg_.cache = std::make_shared<EncodingCache>();
@@ -322,20 +321,7 @@ GnnDetector::GnnDetector(DetectorConfig cfg) : cfg_(std::move(cfg)) {
 GnnDetector::~GnnDetector() = default;
 
 std::unique_ptr<Detector> GnnDetector::clone() const {
-  auto det = std::make_unique<GnnDetector>(cfg_);
-  det->quantized_ = quantized_;
-  return det;
-}
-
-void GnnDetector::set_quantized_inference(bool on) {
-  quantized_ = on;
-  if (!on) qmodel_.reset();
-}
-
-const ml::QuantizedGnnModel& GnnDetector::qmodel() {
-  MPIDETECT_EXPECTS(model_ != nullptr);
-  if (!qmodel_) qmodel_ = std::make_unique<ml::QuantizedGnnModel>(*model_);
-  return *qmodel_;
+  return std::make_unique<GnnDetector>(cfg_);
 }
 
 EvalOptions GnnDetector::eval_defaults() const {
@@ -390,7 +376,6 @@ void GnnDetector::fit(const datasets::Dataset& ds,
   cfg.seed = spec.fold.has_value() ? cfg_.gnn.seed * 97 + *spec.fold
                                    : cfg_.gnn.seed;
   model_ = std::make_unique<ml::GnnModel>(cfg);
-  qmodel_.reset();
   // A forced thread budget (EvalEngine pins folds that train in
   // parallel to one thread each) also caps the matmul/scatter kernels.
   ml::kernels::ScopedKernelThreads kernel_scope(
@@ -412,7 +397,6 @@ void GnnDetector::fit_stream(const corpus::CaseSource& src,
   cfg.seed = spec.fold.has_value() ? cfg_.gnn.seed * 97 + *spec.fold
                                    : cfg_.gnn.seed;
   model_ = std::make_unique<ml::GnnModel>(cfg);
-  qmodel_.reset();
   ml::kernels::ScopedKernelThreads kernel_scope(
       spec.threads != 0 ? spec.threads : ml::kernels::kernel_threads());
   StreamGraphSource graphs(src, train_idx, cfg_.graph_opt);
@@ -440,9 +424,7 @@ std::vector<Verdict> GnnDetector::run(std::span<const datasets::Case> cases) {
   batch.cases.assign(cases.begin(), cases.end());
   const GraphSet gs = extract_graphs(batch, cfg_.graph_opt);
   const std::span<const programl::ProgramGraph> span(gs.graphs);
-  const auto probas = quantized_
-                          ? ml::predict_proba_guarded(qmodel(), *model_, span)
-                          : model_->predict_proba(span);
+  const auto probas = model_->predict_proba(span);
   std::vector<Verdict> out;
   out.reserve(probas.size());
   for (const auto& proba : probas) out.push_back(gnn_verdict(proba));
@@ -466,9 +448,7 @@ std::vector<Verdict> GnnDetector::run_indexed(
     selected.push_back(gs.graphs[i]);
   }
   const std::span<const programl::ProgramGraph> span(selected);
-  const auto probas = quantized_
-                          ? ml::predict_proba_guarded(qmodel(), *model_, span)
-                          : model_->predict_proba(span);
+  const auto probas = model_->predict_proba(span);
   std::vector<Verdict> out;
   out.reserve(probas.size());
   for (const auto& proba : probas) out.push_back(gnn_verdict(proba));

@@ -30,10 +30,6 @@ namespace mpidetect::corpus {
 class CaseSource;
 }  // namespace mpidetect::corpus
 
-namespace mpidetect::ml {
-class QuantizedGnnModel;
-}  // namespace mpidetect::ml
-
 namespace mpidetect::core {
 
 enum class DetectorKind : std::uint8_t {
@@ -295,6 +291,12 @@ class Ir2vecDetector final : public Detector {
   const FeatureSet* bound_fs_ = nullptr;
 };
 
+/// The GNN's probabilities-to-verdict mapping, shared by the per-case
+/// evaluate() and the batched run() so the two can never diverge. A
+/// non-finite probability means the model's numbers are broken, so it
+/// maps to RuntimeErr rather than to whichever class max_element picks.
+Verdict gnn_verdict(std::span<const double> proba);
+
 /// The ProGraML + GATv2 detector (Figure 5) as a Detector.
 class GnnDetector final : public Detector {
  public:
@@ -343,22 +345,11 @@ class GnnDetector final : public Detector {
 
   const DetectorConfig& config() const { return cfg_; }
 
-  /// Routes the serving entry points run()/run_indexed() through the
-  /// int8/bf16 quantized image of the fitted model (ml/quant.hpp). The
-  /// protocol path — evaluate() — always stays full precision, so CV
-  /// numbers are never affected. The image is built lazily from the
-  /// fitted weights and invalidated by fit()/fit_stream()/load_state().
-  void set_quantized_inference(bool on);
-  bool quantized_inference() const { return quantized_; }
-
  private:
   const GraphSet& graphs(const datasets::Dataset& ds, unsigned threads);
-  const ml::QuantizedGnnModel& qmodel();
 
   DetectorConfig cfg_;
   std::unique_ptr<ml::GnnModel> model_;
-  bool quantized_ = false;
-  std::unique_ptr<ml::QuantizedGnnModel> qmodel_;
   const datasets::Dataset* bound_ds_ = nullptr;
   const GraphSet* bound_gs_ = nullptr;
 };

@@ -13,7 +13,6 @@
 #include "core/detector.hpp"
 
 #include "io/model_io.hpp"
-#include "ml/quant.hpp"
 #include "io/serialize.hpp"
 #include "support/check.hpp"
 
@@ -107,7 +106,6 @@ void GnnDetector::load_state(io::Reader& r) {
   cfg_.gnn.seed = r.u64();
   model_ = io::load_gnn_model(r);
   cfg_.gnn.cfg = model_->config();
-  qmodel_.reset();
   bound_ds_ = nullptr;
   bound_gs_ = nullptr;
 }

@@ -11,7 +11,6 @@
 #include "core/features.hpp"
 #include "io/serialize.hpp"
 #include "ml/kernels.hpp"
-#include "ml/quant.hpp"
 #include "support/check.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
@@ -176,23 +175,6 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
   r.phases.push_back(std::move(infer_baseline));
   r.phases.push_back(std::move(infer_batched));
 
-  // ---- infer: the int8/bf16 quantized serving image of the same model -----
-  // (image built once outside the timed region — the serving path
-  // quantizes once per loaded model, not per batch).
-  PerfPhase infer_quantized{"infer_quantized", {}};
-  const ml::QuantizedGnnModel qmodel(*model);
-  std::vector<std::vector<double>> quant_probas;
-  for (int i = 0; i < opts.warmup + opts.reps; ++i) {
-    const bool measured = i >= opts.warmup;
-    ml::kernels::ScopedKernelThreads budget(opts.threads);
-    const auto t0 = Clock::now();
-    // The serving entry point: borderline quantized verdicts recompute
-    // in full precision inside the timed region (ml/quant.hpp).
-    quant_probas = ml::predict_proba_guarded(qmodel, *model, graphs);
-    if (measured) infer_quantized.samples_ms.push_back(ms_since(t0));
-  }
-  r.phases.push_back(std::move(infer_quantized));
-
   // ---- equivalence + speedups ---------------------------------------------
   std::size_t agree = 0;
   for (std::size_t i = 0; i < gs.size(); ++i) {
@@ -208,21 +190,6 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
   }
   r.prediction_agreement =
       static_cast<double>(agree) / static_cast<double>(gs.size());
-
-  std::size_t quant_agree = 0;
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    const auto& a = batched_probas[i];
-    const auto& q = quant_probas[i];
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      r.quant_max_abs_proba_diff =
-          std::max(r.quant_max_abs_proba_diff, std::abs(a[j] - q[j]));
-    }
-    const auto amax = std::max_element(a.begin(), a.end()) - a.begin();
-    const auto qmax = std::max_element(q.begin(), q.end()) - q.begin();
-    quant_agree += (amax == qmax);
-  }
-  r.quant_prediction_agreement =
-      static_cast<double>(quant_agree) / static_cast<double>(gs.size());
 
   r.op_counters = ml::kernels::op_counters();
 
@@ -240,7 +207,7 @@ std::string GnnPerfReport::to_json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"benchmark\": \"gnn_perf\",\n";
-  os << "  \"schema_version\": 2,\n";
+  os << "  \"schema_version\": 3,\n";
   os << "  \"dataset\": {\"name\": \"" << dataset << "\", \"cases\": " << cases
      << ", \"nodes\": " << nodes << ", \"edges\": " << edges << "},\n";
   os << "  \"config\": {\"warmup\": " << options.warmup
@@ -284,11 +251,6 @@ std::string GnnPerfReport::to_json() const {
   os << ", \"prediction_agreement\": ";
   append_number(os, prediction_agreement);
   os << "},\n";
-  os << "  \"quantized\": {\"max_abs_proba_diff\": ";
-  append_number(os, quant_max_abs_proba_diff);
-  os << ", \"prediction_agreement\": ";
-  append_number(os, quant_prediction_agreement);
-  os << "},\n";
   os << "  \"op_counters\": [\n";
   for (std::size_t i = 0; i < op_counters.size(); ++i) {
     const ml::kernels::OpStats& s = op_counters[i];
@@ -320,9 +282,6 @@ int report_and_write(const GnnPerfReport& report, const std::string& json_path,
      << "equivalence: max |dp| "
      << fmt_double(report.max_abs_proba_diff, 12) << ", agreement "
      << fmt_double(report.prediction_agreement * 100.0, 1) << "%\n"
-     << "quantized: max |dp| "
-     << fmt_double(report.quant_max_abs_proba_diff, 6) << ", agreement "
-     << fmt_double(report.quant_prediction_agreement * 100.0, 1) << "%\n"
      << "threads: effective " << report.effective_threads << ", simd "
      << report.simd << "\n";
   write_text_file(json_path, report.to_json());
@@ -330,12 +289,6 @@ int report_and_write(const GnnPerfReport& report, const std::string& json_path,
   if (report.prediction_agreement < 1.0) {
     os << "FAIL: batched inference disagreed with the baseline on "
        << fmt_double((1.0 - report.prediction_agreement) * 100.0, 2)
-       << "% of cases\n";
-    return 2;
-  }
-  if (report.quant_prediction_agreement < 1.0) {
-    os << "FAIL: quantized inference disagreed with full precision on "
-       << fmt_double((1.0 - report.quant_prediction_agreement) * 100.0, 2)
        << "% of cases\n";
     return 2;
   }

@@ -64,7 +64,7 @@ struct GnnPerfReport {
   std::string simd;
 
   /// encode, train_baseline, train_batched, infer_baseline,
-  /// infer_batched, infer_quantized — in that order.
+  /// infer_batched — in that order.
   std::vector<PerfPhase> phases;
 
   double train_speedup = 0.0;  // baseline median / batched median
@@ -75,12 +75,6 @@ struct GnnPerfReport {
   /// argmax predictions (must be 1.0 — batching never changes logits).
   double max_abs_proba_diff = 0.0;
   double prediction_agreement = 0.0;
-
-  /// Quantized (int8/bf16, ml/quant.hpp) vs full-precision batched
-  /// inference on the same model: probabilities agree within tolerance,
-  /// argmax predictions must agree exactly (1.0) on the corpus.
-  double quant_max_abs_proba_diff = 0.0;
-  double quant_prediction_agreement = 0.0;
 
   /// Per-op profiling counters accumulated across the whole run
   /// (ml/kernels.hpp; reset at harness entry).
@@ -101,9 +95,8 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
 /// speedup/equivalence summary to `os`, writes the JSON record to
 /// `json_path`.
 /// \return the process exit code — 0, or 2 when batched inference
-/// disagreed with the baseline or quantized inference disagreed with
-/// full precision (the record is still written first so the
-/// disagreement can be inspected).
+/// disagreed with the baseline (the record is still written first so
+/// the disagreement can be inspected).
 int report_and_write(const GnnPerfReport& report, const std::string& json_path,
                      std::ostream& os);
 

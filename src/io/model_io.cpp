@@ -1,5 +1,8 @@
 #include "io/model_io.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "support/check.hpp"
 
 namespace mpidetect::io {
@@ -142,6 +145,12 @@ std::unique_ptr<ml::GnnModel> load_gnn_model(Reader& r) {
     m.data() = r.f64_vec();
     if (m.data().size() != rows * cols) {
       r.fail("GNN tensor " + std::to_string(i) + " element count mismatch");
+    }
+    // A NaN or infinite weight makes every verdict meaningless; refuse
+    // the model here rather than serve confident answers from it.
+    if (!std::all_of(m.data().begin(), m.data().end(),
+                     [](double x) { return std::isfinite(x); })) {
+      r.fail("GNN tensor " + std::to_string(i) + " holds a non-finite weight");
     }
     values.push_back(std::move(m));
   }

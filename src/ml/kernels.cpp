@@ -228,21 +228,10 @@ void gatv2_scores4_scalar(const double* const* l, const double* const* r,
   }
 }
 
-void qmatmul_row_scalar(float* o, const float* a, const std::int8_t* w,
-                        std::size_t K, std::size_t M) {
-  for (std::size_t j = 0; j < M; ++j) {
-    float s = 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      s += a[k] * static_cast<float>(w[k * M + j]);
-    }
-    o[j] = s;
-  }
-}
-
 constexpr KernelFns kScalarFns = {
     axpy8_scalar,    axpy4_scalar,         axpy4x2_scalar,
     axpy1_scalar,    add1_scalar,          dot4_scalar,
-    bias_elu_row_scalar, gatv2_scores4_scalar, qmatmul_row_scalar,
+    bias_elu_row_scalar, gatv2_scores4_scalar,
 };
 
 struct Detected {
@@ -272,7 +261,6 @@ const char* isa_name(Isa isa) {
     case Isa::Scalar: return "scalar";
     case Isa::Avx2: return "avx2";
     case Isa::Neon: return "neon";
-    case Isa::Avx512: return "avx512";
   }
   MPIDETECT_UNREACHABLE("bad Isa");
 }
@@ -327,7 +315,6 @@ const char* op_name(Op op) {
     case Op::ScatterAddScaled: return "scatter_add_scaled";
     case Op::GatherRows: return "gather_rows";
     case Op::SegmentSoftmax: return "segment_softmax";
-    case Op::QMatmul: return "qmatmul";
   }
   MPIDETECT_UNREACHABLE("bad Op");
 }

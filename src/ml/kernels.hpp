@@ -57,7 +57,7 @@ inline constexpr std::size_t kParallelMinElems = std::size_t{1} << 16;
 /// The instruction-set target a kernel call runs on. Detected once per
 /// process; Scalar is always available and is what every other target
 /// is tested against for bit-identity.
-enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2, Avx512 = 3 };
+enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
 
 const char* isa_name(Isa isa);
 
@@ -103,9 +103,7 @@ class ScopedForceScalar {
 /// independent k-ascending chains (the matmul_nt micro-kernel).
 /// bias_elu_row: dst[j] = elu(src[j] + bias[j]) with the scalar
 /// std::expm1 on negative lanes. gatv2_scores4: four edges' attention
-/// scores, lanes independent, k-ascending. qmatmul_row: one activation
-/// row times an int8 weight panel, float accumulation, j-independent —
-/// the quantized serving path (ml/quant.hpp).
+/// scores, lanes independent, k-ascending.
 struct KernelFns {
   void (*axpy8)(double* o, const double* const* b, const double* a,
                 std::size_t n);
@@ -122,8 +120,6 @@ struct KernelFns {
   void (*gatv2_scores4)(const double* const* l, const double* const* r,
                         const double* av, double slope, std::size_t d,
                         double* out);
-  void (*qmatmul_row)(float* o, const float* a, const std::int8_t* w,
-                      std::size_t K, std::size_t M);
 };
 
 /// The kernel table for active_isa() (honors force-scalar overrides).
@@ -135,20 +131,17 @@ const KernelFns& fns_for(Isa isa);
 
 namespace detail {
 /// The best SIMD table this build carries for the running CPU (AVX2 on
-/// x86-64 with CPU support — deliberately ahead of AVX-512, see the
-/// comment in kernels_simd.cpp — NEON on aarch64), or nullptr when only
-/// the scalar path is available. Implemented in kernels_simd.cpp.
+/// x86-64 with CPU support, NEON on aarch64), or nullptr when only the
+/// scalar path is available. Implemented in kernels_simd.cpp.
 const KernelFns* simd_table(Isa* isa);
 /// The table for one specific SIMD target, or nullptr when this
-/// build/CPU cannot run it (fns_for's lookup: on an AVX-512 machine the
-/// AVX2 table is still individually addressable for the equivalence
-/// tests).
+/// build/CPU cannot run it (fns_for's lookup).
 const KernelFns* simd_table_for(Isa isa);
 }  // namespace detail
 
 // ---- per-op profiling counters ----------------------------------------------
 
-/// The profiled operation classes of the autograd tape + serving path.
+/// The profiled operation classes of the autograd tape.
 /// Nested ops (matmul_tn packs through matmul; backward fused ops call
 /// matmul) are attributed to the OUTERMOST op only.
 enum class Op : std::uint8_t {
@@ -160,9 +153,8 @@ enum class Op : std::uint8_t {
   ScatterAddScaled,
   GatherRows,
   SegmentSoftmax,
-  QMatmul,
 };
-inline constexpr std::size_t kNumOps = 9;
+inline constexpr std::size_t kNumOps = 8;
 
 const char* op_name(Op op);
 

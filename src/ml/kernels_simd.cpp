@@ -6,23 +6,21 @@
 //
 // Bit-identity discipline (the contract tests/batched_gnn_test.cpp
 // enforces): every kernel vectorizes ONLY across independent output
-// elements — lanes are distinct j (axpy/bias_elu/qmatmul), distinct
-// output columns (dot4), or distinct edges (gatv2_scores4) — and each
-// lane performs exactly the scalar reference's operations in the same
-// order, as separate multiply and add instructions. FMA is never used
-// (it rounds once where mul+add round twice, which would change bits;
-// target("avx2") does not enable it — but target("avx512f") DOES bring
-// FMA encodings into scope, which is why CMake compiles this file with
-// -ffp-contract=off: without it GCC fuses the AVX-512 intrinsic
-// mul+add pairs into vfmadd). All memory accesses are unaligned
+// elements — lanes are distinct j (axpy/bias_elu), distinct output
+// columns (dot4), or distinct edges (gatv2_scores4) — and each lane
+// performs exactly the scalar reference's operations in the same order,
+// as separate multiply and add instructions. FMA is never used: it
+// rounds once where mul+add round twice, which would change bits. CMake
+// compiles this file with -ffp-contract=off so that no compiler, target
+// attribute or future kernel can contract a mul+add pair into an FMA
+// and silently break bit-identity. All memory accesses are unaligned
 // (loadu/storeu): Matrix data lives in std::vector<double> storage with
 // 16-byte, not 32-byte, alignment, and callers may hand arbitrarily
 // offset row slices (docs/PERFORMANCE.md, "Alignment").
 //
-// An AVX-512F table exists but is never auto-selected (see simd_table
-// below for why); NEON (aarch64): float64x2_t covers the axpy family,
-// add1 and qmatmul_row; dot4 / bias_elu_row / gatv2_scores4 fall back
-// to scalar (gather-heavy lane packing does not pay at 2-wide).
+// NEON (aarch64): float64x2_t covers the axpy family and add1; dot4 /
+// bias_elu_row / gatv2_scores4 fall back to scalar (gather-heavy lane
+// packing does not pay at 2-wide).
 #include "ml/kernels.hpp"
 
 #include <cmath>
@@ -314,225 +312,20 @@ __attribute__((target("avx2"))) void gatv2_scores4_avx2(
   _mm256_storeu_pd(out, acc);
 }
 
-__attribute__((target("avx2"))) void qmatmul_row_avx2(float* o, const float* a,
-                                                      const std::int8_t* w,
-                                                      std::size_t K,
-                                                      std::size_t M) {
-  std::size_t j = 0;
-  for (; j + 8 <= M; j += 8) {
-    const std::int8_t* wj = w + j;
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m128i bytes = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(wj + k * M));
-      const __m256 wf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes));
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[k]), wf));
-    }
-    _mm256_storeu_ps(o + j, acc);
-  }
-  for (; j < M; ++j) {
-    float s = 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      s += a[k] * static_cast<float>(w[k * M + j]);
-    }
-    o[j] = s;
-  }
-}
-
 constexpr KernelFns kAvx2Fns = {
-    axpy8_avx2,   axpy4_avx2,        axpy4x2_avx2,       axpy1_avx2,
-    add1_avx2,    dot4_avx2,         bias_elu_row_avx2,  gatv2_scores4_avx2,
-    qmatmul_row_avx2,
-};
-
-// ---- AVX-512F tier ---------------------------------------------------------
-//
-// Same discipline at twice the width: 8 doubles per vector, separate
-// mul/add, unaligned accesses, lanes = independent output elements.
-// Only the width-scaling kernels get 512-bit bodies; dot4 /
-// gatv2_scores4 / bias_elu_row keep their AVX2 implementations in the
-// table (4 outputs / expm1-bound — wider vectors buy nothing there).
-
-__attribute__((target("avx512f"))) void axpy8_avx512(double* o,
-                                                     const double* const* b,
-                                                     const double* a,
-                                                     std::size_t n) {
-  const __m512d a0 = _mm512_set1_pd(a[0]), a1 = _mm512_set1_pd(a[1]);
-  const __m512d a2 = _mm512_set1_pd(a[2]), a3 = _mm512_set1_pd(a[3]);
-  const __m512d a4 = _mm512_set1_pd(a[4]), a5 = _mm512_set1_pd(a[5]);
-  const __m512d a6 = _mm512_set1_pd(a[6]), a7 = _mm512_set1_pd(a[7]);
-  const double *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
-  const double *b4 = b[4], *b5 = b[5], *b6 = b[6], *b7 = b[7];
-  std::size_t j = 0;
-  // Two independent 8-wide chains in flight (see axpy8_avx2).
-  for (; j + 16 <= n; j += 16) {
-    __m512d acc = _mm512_loadu_pd(o + j);
-    __m512d acc2 = _mm512_loadu_pd(o + j + 8);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a0, _mm512_loadu_pd(b0 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a0, _mm512_loadu_pd(b0 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a1, _mm512_loadu_pd(b1 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a1, _mm512_loadu_pd(b1 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a2, _mm512_loadu_pd(b2 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a2, _mm512_loadu_pd(b2 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a3, _mm512_loadu_pd(b3 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a3, _mm512_loadu_pd(b3 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a4, _mm512_loadu_pd(b4 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a4, _mm512_loadu_pd(b4 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a5, _mm512_loadu_pd(b5 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a5, _mm512_loadu_pd(b5 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a6, _mm512_loadu_pd(b6 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a6, _mm512_loadu_pd(b6 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a7, _mm512_loadu_pd(b7 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a7, _mm512_loadu_pd(b7 + j + 8)));
-    _mm512_storeu_pd(o + j, acc);
-    _mm512_storeu_pd(o + j + 8, acc2);
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m512d acc = _mm512_loadu_pd(o + j);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a0, _mm512_loadu_pd(b0 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a1, _mm512_loadu_pd(b1 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a2, _mm512_loadu_pd(b2 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a3, _mm512_loadu_pd(b3 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a4, _mm512_loadu_pd(b4 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a5, _mm512_loadu_pd(b5 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a6, _mm512_loadu_pd(b6 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a7, _mm512_loadu_pd(b7 + j)));
-    _mm512_storeu_pd(o + j, acc);
-  }
-  for (; j < n; ++j) {
-    double acc = o[j];
-    acc += a[0] * b0[j];
-    acc += a[1] * b1[j];
-    acc += a[2] * b2[j];
-    acc += a[3] * b3[j];
-    acc += a[4] * b4[j];
-    acc += a[5] * b5[j];
-    acc += a[6] * b6[j];
-    acc += a[7] * b7[j];
-    o[j] = acc;
-  }
-}
-
-__attribute__((target("avx512f"))) void axpy4_avx512(double* o,
-                                                     const double* const* b,
-                                                     const double* a,
-                                                     std::size_t n) {
-  const __m512d a0 = _mm512_set1_pd(a[0]), a1 = _mm512_set1_pd(a[1]);
-  const __m512d a2 = _mm512_set1_pd(a[2]), a3 = _mm512_set1_pd(a[3]);
-  const double *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m512d acc = _mm512_loadu_pd(o + j);
-    __m512d acc2 = _mm512_loadu_pd(o + j + 8);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a0, _mm512_loadu_pd(b0 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a0, _mm512_loadu_pd(b0 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a1, _mm512_loadu_pd(b1 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a1, _mm512_loadu_pd(b1 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a2, _mm512_loadu_pd(b2 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a2, _mm512_loadu_pd(b2 + j + 8)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a3, _mm512_loadu_pd(b3 + j)));
-    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(a3, _mm512_loadu_pd(b3 + j + 8)));
-    _mm512_storeu_pd(o + j, acc);
-    _mm512_storeu_pd(o + j + 8, acc2);
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m512d acc = _mm512_loadu_pd(o + j);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a0, _mm512_loadu_pd(b0 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a1, _mm512_loadu_pd(b1 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a2, _mm512_loadu_pd(b2 + j)));
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(a3, _mm512_loadu_pd(b3 + j)));
-    _mm512_storeu_pd(o + j, acc);
-  }
-  for (; j < n; ++j) {
-    double acc = o[j];
-    acc += a[0] * b0[j];
-    acc += a[1] * b1[j];
-    acc += a[2] * b2[j];
-    acc += a[3] * b3[j];
-    o[j] = acc;
-  }
-}
-
-__attribute__((target("avx512f"))) void axpy1_avx512(double* o, const double* b,
-                                                     double a, std::size_t n) {
-  const __m512d va = _mm512_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d acc = _mm512_add_pd(
-        _mm512_loadu_pd(o + j), _mm512_mul_pd(va, _mm512_loadu_pd(b + j)));
-    _mm512_storeu_pd(o + j, acc);
-  }
-  for (; j < n; ++j) o[j] += a * b[j];
-}
-
-__attribute__((target("avx512f"))) void add1_avx512(double* o, const double* b,
-                                                    std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm512_storeu_pd(
-        o + j, _mm512_add_pd(_mm512_loadu_pd(o + j), _mm512_loadu_pd(b + j)));
-  }
-  for (; j < n; ++j) o[j] += b[j];
-}
-
-__attribute__((target("avx512f"))) void qmatmul_row_avx512(
-    float* o, const float* a, const std::int8_t* w, std::size_t K,
-    std::size_t M) {
-  std::size_t j = 0;
-  for (; j + 16 <= M; j += 16) {
-    const std::int8_t* wj = w + j;
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m128i bytes =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(wj + k * M));
-      const __m512 wf = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(bytes));
-      acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(a[k]), wf));
-    }
-    _mm512_storeu_ps(o + j, acc);
-  }
-  for (; j < M; ++j) {
-    float s = 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      s += a[k] * static_cast<float>(w[k * M + j]);
-    }
-    o[j] = s;
-  }
-}
-
-// Composed, not fused: this tier is not the default dispatch target
-// (see simd_table below), so it keeps the simple form.
-void axpy4x2_avx512(double* o0, double* o1, const double* const* b,
-                    const double* a0, const double* a1, std::size_t n) {
-  axpy4_avx512(o0, b, a0, n);
-  axpy4_avx512(o1, b, a1, n);
-}
-
-constexpr KernelFns kAvx512Fns = {
-    axpy8_avx512, axpy4_avx512,      axpy4x2_avx512,     axpy1_avx512,
-    add1_avx512,  dot4_avx2,         bias_elu_row_avx2,  gatv2_scores4_avx2,
-    qmatmul_row_avx512,
+    axpy8_avx2, axpy4_avx2,        axpy4x2_avx2,       axpy1_avx2,
+    add1_avx2,  dot4_avx2,         bias_elu_row_avx2,  gatv2_scores4_avx2,
 };
 
 }  // namespace
 
 const KernelFns* simd_table(Isa* isa) {
-  // AVX2 is preferred over AVX-512 even where both are supported: the
-  // axpy kernels issue two loads per mul+add, so they are bound by load
-  // throughput rather than vector width, and 512-bit instructions cost
-  // license-based frequency reduction on the server parts that have
-  // them (measured: the AVX-512 tier is ~25% slower on the batched GNN
-  // inference path here). The AVX-512 table stays reachable through
-  // simd_table_for for the bit-identity tests and for callers that
-  // want it explicitly.
   if (!__builtin_cpu_supports("avx2")) return nullptr;
   *isa = Isa::Avx2;
   return &kAvx2Fns;
 }
 
 const KernelFns* simd_table_for(Isa isa) {
-  if (isa == Isa::Avx512 && __builtin_cpu_supports("avx512f")) {
-    return &kAvx512Fns;
-  }
   if (isa == Isa::Avx2 && __builtin_cpu_supports("avx2")) return &kAvx2Fns;
   return nullptr;
 }
@@ -659,31 +452,6 @@ void gatv2_scores4_scalar_ref(const double* const* l, const double* const* r,
   }
 }
 
-void qmatmul_row_neon(float* o, const float* a, const std::int8_t* w,
-                      std::size_t K, std::size_t M) {
-  std::size_t j = 0;
-  // The 8-byte int8 load uses only its low half; bounding the tile at
-  // j + 8 keeps the tail bytes inside the weight buffer.
-  for (; j + 8 <= M; j += 4) {
-    const std::int8_t* wj = w + j;
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    for (std::size_t k = 0; k < K; ++k) {
-      const int8x8_t bytes = vld1_s8(wj + k * M);
-      const int32x4_t wi = vmovl_s16(vget_low_s16(vmovl_s8(bytes)));
-      acc = vaddq_f32(acc,
-                      vmulq_f32(vdupq_n_f32(a[k]), vcvtq_f32_s32(wi)));
-    }
-    vst1q_f32(o + j, acc);
-  }
-  for (; j < M; ++j) {
-    float s = 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      s += a[k] * static_cast<float>(w[k * M + j]);
-    }
-    o[j] = s;
-  }
-}
-
 void axpy4x2_neon(double* o0, double* o1, const double* const* b,
                   const double* a0, const double* a1, std::size_t n) {
   axpy4_neon(o0, b, a0, n);
@@ -693,7 +461,7 @@ void axpy4x2_neon(double* o0, double* o1, const double* const* b,
 constexpr KernelFns kNeonFns = {
     axpy8_neon, axpy4_neon,              axpy4x2_neon,
     axpy1_neon, add1_neon,               dot4_scalar_ref,
-    bias_elu_row_scalar_ref, gatv2_scores4_scalar_ref, qmatmul_row_neon,
+    bias_elu_row_scalar_ref, gatv2_scores4_scalar_ref,
 };
 
 }  // namespace

@@ -76,13 +76,6 @@ Server::Server(ServerOptions opts) : opts_(std::move(opts)) {
       }
     }
     m.detector = registry.load_bundle(path, cfg);
-    if (opts_.quantized) {
-      // Only GNN detectors have a quantized image; others serve fp as
-      // before (the flag asks for quantized *where it exists*).
-      if (auto* gnn = dynamic_cast<core::GnnDetector*>(m.detector.get())) {
-        gnn->set_quantized_inference(true);
-      }
-    }
     models_.push_back(std::move(m));
   }
 

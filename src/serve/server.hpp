@@ -82,12 +82,6 @@ struct ServerOptions {
   /// corrupt shared state, so the daemon surfaces the stall in STATS
   /// and lets the operator decide. 0 disables the watchdog thread.
   int watchdog_ms = 30000;
-  /// Route every loaded GNN bundle's serving inference through the
-  /// int8-weight / bf16-activation image (ml/quant.hpp). Verdicts then
-  /// carry the agreement-within-tolerance contract instead of fp
-  /// bit-identity; non-GNN detectors are unaffected. Training and
-  /// evaluate() never quantize regardless of this flag.
-  bool quantized = false;
 };
 
 class Server {

@@ -28,7 +28,6 @@ void ThreadPool::worker_loop() {
     seen = generation_;
     const auto* job = job_;
     const std::size_t n = job_n_;
-    ++working_;
     lock.unlock();
     while (true) {
       const std::size_t i = next_.fetch_add(1);
@@ -36,7 +35,7 @@ void ThreadPool::worker_loop() {
       (*job)(i);
     }
     lock.lock();
-    if (--working_ == 0) done_cv_.notify_all();
+    if (--pending_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -52,18 +51,20 @@ void ThreadPool::parallel_for(std::size_t n,
     job_ = &fn;
     job_n_ = n;
     next_.store(0);
+    pending_ = workers_.size();
     ++generation_;
   }
   wake_cv_.notify_all();
-  // Participate; the index counter is monotonic, so once this loop exits
-  // any late-waking worker immediately sees an exhausted range.
+  // Participate. Returning before every worker has acknowledged this
+  // generation would let a late waker read this job_ and then take an
+  // index of the next call after next_ resets, so wait for all of them.
   while (true) {
     const std::size_t i = next_.fetch_add(1);
     if (i >= n) break;
     fn(i);
   }
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return working_ == 0; });
+  done_cv_.wait(lock, [&] { return pending_ == 0; });
 }
 
 }  // namespace mpidetect

@@ -75,7 +75,7 @@ class ThreadPool {
   std::size_t job_n_ = 0;
   std::uint64_t generation_ = 0;
   std::atomic<std::size_t> next_{0};
-  std::size_t working_ = 0;
+  std::size_t pending_ = 0;  // workers yet to finish the current generation
   bool stop_ = false;
 };
 

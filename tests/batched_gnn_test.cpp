@@ -12,7 +12,6 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
-#include <limits>
 
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
@@ -20,7 +19,6 @@
 #include "datasets/mbi.hpp"
 #include "ml/gnn.hpp"
 #include "ml/kernels.hpp"
-#include "ml/quant.hpp"
 #include "progmodel/lower.hpp"
 #include "programl/graph.hpp"
 
@@ -511,18 +509,11 @@ std::uint64_t double_bits(double x) {
   return b;
 }
 
-std::uint32_t float_bits(float x) {
-  std::uint32_t b;
-  std::memcpy(&b, &x, sizeof(b));
-  return b;
-}
-
 /// The targets worth comparing on this machine: scalar plus whatever
 /// fns_for resolves the others to (unsupported targets fall back to the
 /// scalar table, which makes the comparison trivially true, not wrong).
-const std::array<kernels::Isa, 4> kAllTargets = {
-    kernels::Isa::Scalar, kernels::Isa::Avx2, kernels::Isa::Neon,
-    kernels::Isa::Avx512};
+const std::array<kernels::Isa, 3> kAllTargets = {
+    kernels::Isa::Scalar, kernels::Isa::Avx2, kernels::Isa::Neon};
 
 /// Fills `n` doubles with a mix of ordinary, denormal, tiny and huge
 /// magnitudes — the inputs where a reassociated or FMA-contracted
@@ -642,42 +633,6 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
   }
 }
 
-TEST(SimdDispatch, QmatmulRowBitIdenticalAcrossTargetsMisaligned) {
-  Rng rng(13);
-  for (const std::size_t K : {std::size_t{1}, std::size_t{5}, std::size_t{16},
-                              std::size_t{33}}) {
-    for (const std::size_t M : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                                std::size_t{9}, std::size_t{24},
-                                std::size_t{65}}) {
-      // Misaligned float buffers (data()+1: 4-byte aligned only) and an
-      // activation row mixing denormals and large magnitudes.
-      std::vector<float> a(K + 1), out_ref(M + 1), out_tgt(M + 1);
-      std::vector<std::int8_t> w(K * M);
-      for (std::size_t k = 0; k < K; ++k) {
-        const double v = rng.normal();
-        a[k + 1] = static_cast<float>(k % 4 == 0   ? v * 1e30
-                                      : k % 4 == 1 ? v * 1e-42
-                                                   : v);
-      }
-      for (auto& x : w) {
-        x = static_cast<std::int8_t>(
-            static_cast<int>(rng.uniform() * 255.0) - 127);
-      }
-      const kernels::KernelFns& ref = kernels::fns_for(kernels::Isa::Scalar);
-      for (const kernels::Isa isa : kAllTargets) {
-        kernels::fns_for(isa).qmatmul_row(out_tgt.data() + 1, a.data() + 1,
-                                          w.data(), K, M);
-        ref.qmatmul_row(out_ref.data() + 1, a.data() + 1, w.data(), K, M);
-        for (std::size_t j = 0; j < M; ++j) {
-          ASSERT_EQ(float_bits(out_ref[j + 1]), float_bits(out_tgt[j + 1]))
-              << "qmatmul_row isa=" << kernels::isa_name(isa) << " K=" << K
-              << " M=" << M << " j=" << j;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdDispatch, ForcedScalarFullModelBitIdentical) {
   // The whole-model wall: predict_proba under the live dispatch target
   // must equal the forced-scalar run bit for bit (not NEAR — the SIMD
@@ -725,202 +680,6 @@ TEST(SimdDispatch, ThreadCountInvariantFullModel) {
       ASSERT_EQ(double_bits(serial[i][j]), double_bits(wide[i][j]));
     }
   }
-}
-
-// ---- quantized serving image (ml/quant.hpp) --------------------------------
-
-TEST(QuantizedInference, Bf16RoundIsRoundToNearestEven) {
-  EXPECT_EQ(bf16_round(0.0f), 0.0f);
-  EXPECT_EQ(bf16_round(1.0f), 1.0f);
-  // 1 + 2^-7 is exactly representable in bf16 (7 mantissa bits).
-  EXPECT_EQ(bf16_round(1.0078125f), 1.0078125f);
-  // 1 + 2^-8 is the exact halfway point: ties-to-even keeps 1.0.
-  EXPECT_EQ(bf16_round(1.00390625f), 1.0f);
-  // Just above halfway rounds up to the next representable step.
-  EXPECT_EQ(bf16_round(1.004f), 1.0078125f);
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(bf16_round(inf), inf);
-  EXPECT_EQ(bf16_round(-inf), -inf);
-  EXPECT_TRUE(std::isnan(bf16_round(std::numeric_limits<float>::quiet_NaN())));
-  // Denormal floats survive (flushed toward bf16's coarser grid, never
-  // to garbage).
-  const float denorm = 1e-42f;
-  const float r = bf16_round(denorm);
-  EXPECT_TRUE(std::isfinite(r));
-  EXPECT_GE(r, 0.0f);
-}
-
-TEST(QuantizedInference, QuantizeMatrixPerColumnSymmetric) {
-  Matrix w(3, 2);
-  w.at(0, 0) = 2.54;
-  w.at(1, 0) = -1.27;
-  w.at(2, 0) = 0.0;
-  // Column 1 all zeros: scale must be the safe 1.0, codes all 0.
-  const QuantizedMatrix q = QuantizedMatrix::quantize(w);
-  ASSERT_EQ(q.rows, 3u);
-  ASSERT_EQ(q.cols, 2u);
-  EXPECT_FLOAT_EQ(q.scale[0], static_cast<float>(2.54 / 127.0));
-  EXPECT_EQ(q.data[0 * 2 + 0], 127);  // the column max hits +127
-  EXPECT_EQ(q.data[1 * 2 + 0], -64);  // -1.27 / (2.54/127) = -63.5 -> -64
-  EXPECT_EQ(q.data[2 * 2 + 0], 0);
-  EXPECT_EQ(q.scale[1], 1.0f);
-  for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(q.data[k * 2 + 1], 0);
-}
-
-TEST(QuantizedInference, TrainedModelToleranceAndAgreement) {
-  GnnConfig cfg = tiny_config();
-  cfg.batch_size = 4;
-  cfg.epochs = 30;
-  GnnModel model(cfg);
-  std::vector<programl::ProgramGraph> graphs;
-  std::vector<std::size_t> labels;
-  for (int i = 0; i < 8; ++i) {
-    graphs.push_back(tiny_graph(10, 11));
-    labels.push_back(0);
-    graphs.push_back(tiny_graph(20, 21));
-    labels.push_back(1);
-  }
-  model.fit(graphs, labels);
-
-  const QuantizedGnnModel qmodel(model);
-  const auto fp =
-      model.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  const auto quant =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  ASSERT_EQ(fp.size(), quant.size());
-  for (std::size_t i = 0; i < fp.size(); ++i) {
-    ASSERT_EQ(fp[i].size(), quant[i].size());
-    double sum = 0.0;
-    std::size_t fp_arg = 0, q_arg = 0;
-    for (std::size_t j = 0; j < fp[i].size(); ++j) {
-      // The documented tolerance contract (docs/PERFORMANCE.md):
-      // probabilities within 0.05, argmax identical.
-      EXPECT_NEAR(fp[i][j], quant[i][j], 0.05) << "graph " << i;
-      sum += quant[i][j];
-      if (fp[i][j] > fp[i][fp_arg]) fp_arg = j;
-      if (quant[i][j] > quant[i][q_arg]) q_arg = j;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-    EXPECT_EQ(fp_arg, q_arg) << "prediction disagreement on graph " << i;
-    EXPECT_EQ(q_arg, labels[i]);
-  }
-}
-
-TEST(QuantizedInference, GuardedFallbackIsExactPartition) {
-  // predict_proba_guarded's contract, characterized exactly: a graph
-  // whose quantized argmax gap (top minus runner-up) is at most
-  // 2 x kQuantProbaTolerance comes back bit-equal to the fp path (the
-  // fallback fired); every other graph comes back bit-equal to the raw
-  // quantized path (no needless fp work). Because any fp/quantized
-  // argmax disagreement forces the quantized gap under that threshold,
-  // agreement with fp is structural — assert it for every graph too.
-  GnnConfig cfg = tiny_config();
-  cfg.batch_size = 4;
-  cfg.epochs = 30;
-  GnnModel model(cfg);
-  std::vector<programl::ProgramGraph> graphs;
-  std::vector<std::size_t> labels;
-  for (int i = 0; i < 8; ++i) {
-    graphs.push_back(tiny_graph(10, 11));
-    labels.push_back(0);
-    graphs.push_back(tiny_graph(20, 21));
-    labels.push_back(1);
-  }
-  const std::span<const programl::ProgramGraph> span(graphs);
-
-  // Both an untrained model (weak, possibly borderline margins) and a
-  // trained one (wide margins) must satisfy the partition.
-  for (const bool trained : {false, true}) {
-    if (trained) model.fit(graphs, labels);
-    const QuantizedGnnModel qmodel(model);
-    const auto fp = model.predict_proba(span);
-    const auto raw = qmodel.predict_proba(span);
-    const auto guarded = predict_proba_guarded(qmodel, model, span);
-    ASSERT_EQ(guarded.size(), graphs.size());
-    for (std::size_t i = 0; i < guarded.size(); ++i) {
-      double top = -1.0, second = -1.0;
-      std::size_t raw_arg = 0, fp_arg = 0, g_arg = 0;
-      for (std::size_t j = 0; j < raw[i].size(); ++j) {
-        if (raw[i][j] > top) {
-          second = top;
-          top = raw[i][j];
-          raw_arg = j;
-        } else if (raw[i][j] > second) {
-          second = raw[i][j];
-        }
-        if (fp[i][j] > fp[i][fp_arg]) fp_arg = j;
-        if (guarded[i][j] > guarded[i][g_arg]) g_arg = j;
-      }
-      const bool fell_back = top - second <= 2.0 * kQuantProbaTolerance;
-      const auto& expected = fell_back ? fp[i] : raw[i];
-      for (std::size_t j = 0; j < expected.size(); ++j) {
-        ASSERT_EQ(double_bits(guarded[i][j]), double_bits(expected[j]))
-            << (trained ? "trained" : "untrained") << " graph " << i;
-      }
-      EXPECT_EQ(g_arg, fp_arg)
-          << (trained ? "trained" : "untrained") << " graph " << i;
-      (void)raw_arg;
-    }
-  }
-}
-
-TEST(QuantizedInference, CrossDispatchBitIdentical) {
-  // Within the quantized path, scalar and SIMD targets are ALSO
-  // bit-identical (same k-ascending float accumulation): the tolerance
-  // contract is fp-vs-quantized only, never target-vs-target.
-  GnnModel model(tiny_config());
-  std::vector<programl::ProgramGraph> graphs{
-      tiny_graph(1, 2), tiny_graph(9, 10, true), tiny_graph(20, 21)};
-  const QuantizedGnnModel qmodel(model);
-  const auto live =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  kernels::ScopedForceScalar scalar(true);
-  const auto forced =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  ASSERT_EQ(live.size(), forced.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    for (std::size_t j = 0; j < live[i].size(); ++j) {
-      ASSERT_EQ(double_bits(live[i][j]), double_bits(forced[i][j]))
-          << "graph " << i << " class " << j;
-    }
-  }
-}
-
-TEST(QuantizedInference, SingleGraphMatchesBatchedEntryPoint) {
-  GnnModel model(tiny_config());
-  const programl::ProgramGraph g = tiny_graph(6, 7, true);
-  const QuantizedGnnModel qmodel(model);
-  const auto single = qmodel.predict_proba(g);
-  const auto batched =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(&g, 1));
-  ASSERT_EQ(batched.size(), 1u);
-  ASSERT_EQ(single.size(), batched[0].size());
-  for (std::size_t j = 0; j < single.size(); ++j) {
-    EXPECT_EQ(double_bits(single[j]), double_bits(batched[0][j]));
-  }
-}
-
-TEST(QuantizedInference, ExtremeLogitSoftmaxIsFinite) {
-  // A model whose weights are scaled far up produces extreme logits;
-  // the quantized softmax (double, max-subtracted) must stay finite,
-  // normalized, and argmax-stable.
-  GnnModel model(tiny_config());
-  std::vector<Matrix> scaled;
-  for (const Matrix* p : model.parameters()) {
-    Matrix m = *p;
-    for (double& x : m.data()) x *= 200.0;
-    scaled.push_back(std::move(m));
-  }
-  model.set_parameters(std::move(scaled));
-  const QuantizedGnnModel qmodel(model);
-  const auto proba = qmodel.predict_proba(tiny_graph(2, 3));
-  double sum = 0.0;
-  for (const double p : proba) {
-    EXPECT_TRUE(std::isfinite(p));
-    EXPECT_GE(p, 0.0);
-    sum += p;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "core/detector.hpp"
 #include "core/gnn_detector.hpp"
 #include "core/hypre_study.hpp"
 #include "core/ir2vec_detector.hpp"
@@ -176,6 +180,37 @@ TEST(GnnDetector, CrossRuns) {
   o.cfg.fc_hidden = 16;
   const auto c = gnn_cross(gs_m, gs_c, o);
   EXPECT_EQ(c.population(), gs_c.size());
+}
+
+TEST(GnnVerdict, FiniteProbabilitiesPickTheArgmax) {
+  const std::vector<double> incorrect{0.25, 0.75};
+  const Verdict v = gnn_verdict(incorrect);
+  EXPECT_EQ(v.outcome, Verdict::Outcome::Incorrect);
+  EXPECT_EQ(v.confidence, 0.75);
+  const std::vector<double> correct{0.75, 0.25};
+  EXPECT_EQ(gnn_verdict(correct).outcome, Verdict::Outcome::Correct);
+}
+
+TEST(GnnVerdict, NaNWeightGivesRuntimeErrNotCorrect) {
+  // max_element over a NaN vector returns index 0, which used to read
+  // as a confident Correct verdict.
+  const auto gs = extract_graphs(small_mbi());
+  ml::GnnConfig cfg;
+  cfg.embed_dim = 8;
+  cfg.layers = {8};
+  cfg.fc_hidden = 8;
+  ml::GnnModel model(cfg);
+  std::vector<ml::Matrix> params;
+  for (const ml::Matrix* p : model.parameters()) params.push_back(*p);
+  params.back().data()[0] = std::numeric_limits<double>::quiet_NaN();
+  model.set_parameters(std::move(params));
+
+  const auto proba = model.predict_proba(gs.graphs[0]);
+  ASSERT_TRUE(std::isnan(proba[0]));
+  const Verdict v = gnn_verdict(proba);
+  EXPECT_EQ(v.outcome, Verdict::Outcome::RuntimeErr);
+  EXPECT_FALSE(v.conclusive());
+  EXPECT_FALSE(v.confidence.has_value());
 }
 
 TEST(HypreStudy, ProducesFourRowsOfSixCells) {

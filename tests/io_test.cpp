@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/detector.hpp"
@@ -278,6 +280,38 @@ TEST(BundleTest, GnnRoundTripReproducesEngineVerdictsExactly) {
   core::EvalEngine engine2(2);
   const auto after = engine2.sweep(*loaded, ds);
   expect_identical_verdicts(before.verdicts, after.verdicts);
+}
+
+TEST(BundleTest, GnnBundleWithNonFiniteWeightRejected) {
+  TempDir tmp;
+  const auto ds = small_mbi(0.02);
+  auto& registry = core::DetectorRegistry::global();
+  auto det = registry.create("gnn", tiny_config());
+  core::EvalEngine(2).fit_full(*det, ds);
+  const std::string path = tmp.file("gnn.mpib");
+  registry.save_bundle("gnn", *det, path);
+
+  // A GNN bundle ends with its last weight tensor, so the final eight
+  // bytes are one weight (little-endian IEEE-754). Make it a NaN.
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)), {});
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &nan, sizeof(bits));
+    for (std::size_t b = 0; b < 8; ++b) {
+      bytes[bytes.size() - 8 + b] = static_cast<char>((bits >> (8 * b)) & 0xff);
+    }
+    std::ofstream out(tmp.file("nan.mpib"), std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    registry.load_bundle(tmp.file("nan.mpib"));
+    FAIL() << "expected FormatError";
+  } catch (const io::FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BundleTest, StatelessToolBundleRoundTrips) {

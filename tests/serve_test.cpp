@@ -504,10 +504,16 @@ TEST(ServerTest, FullQueueAnswersBusy) {
   EXPECT_EQ(server.snapshot_stats().busy_rejected, 1u);
 
   // Draining the queue frees the slots and the rejected request can be
-  // resubmitted successfully.
+  // resubmitted successfully. The worker frees a slot before it sends
+  // that slot's verdict, so resubmit only once both verdicts are back:
+  // resubmitting right after start() races the worker and may be BUSY.
   server.start();
-  serve::write_frame(*conn.client, serve::Submit{3, "gnn", kSpec, 3});
   std::map<std::uint64_t, serve::WireVerdict> got;
+  while (got.size() < 2) {
+    const auto v = std::get<serve::WireVerdict>(conn.read());
+    got.emplace(v.request_id, v);
+  }
+  serve::write_frame(*conn.client, serve::Submit{3, "gnn", kSpec, 3});
   while (got.size() < 3) {
     const auto v = std::get<serve::WireVerdict>(conn.read());
     got.emplace(v.request_id, v);

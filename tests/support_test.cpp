@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
 #include <set>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
+#include "support/threads.hpp"
 
 namespace mpidetect {
 namespace {
@@ -263,6 +267,43 @@ TEST(Stats, HistogramSingleValueGoesToOneBin) {
 TEST(Stats, SparklineNonEmpty) {
   const std::vector<double> xs{1, 2, 2, 3, 3, 3};
   EXPECT_FALSE(sparkline(xs, 8).empty());
+}
+
+// Back-to-back jobs of a few items each: a worker that wakes late for one
+// call must never run an index of the next call with the old job. Every
+// job stays alive for the whole test, so a stale job shows up as a double
+// hit on the old call and a missed index on the new one, not as a crash.
+TEST(ThreadPool, BackToBackCallsRunEachIndexOnceWithTheirOwnJob) {
+  constexpr std::size_t kCalls = 10000;
+  constexpr std::size_t kMaxN = 6;
+  const auto size_of = [](std::size_t c) { return 2 + c % (kMaxN - 1); };
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(kCalls * kMaxN);
+  std::vector<std::atomic<int>> out_of_range(kCalls);
+  std::vector<std::function<void(std::size_t)>> jobs;
+  jobs.reserve(kCalls);
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    const std::size_t n = size_of(c);
+    jobs.emplace_back([&, c, n](std::size_t i) {
+      if (i >= n) {
+        out_of_range[c].fetch_add(1);
+        return;
+      }
+      hits[c * kMaxN + i].fetch_add(1);
+    });
+  }
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    pool.parallel_for(size_of(c), jobs[c]);
+  }
+  std::size_t stale = 0;
+  for (std::size_t c = 0; c < kCalls; ++c) {
+    const std::size_t n = size_of(c);
+    stale += static_cast<std::size_t>(out_of_range[c].load());
+    for (std::size_t i = 0; i < n; ++i) {
+      stale += static_cast<std::size_t>(hits[c * kMaxN + i].load() != 1);
+    }
+  }
+  EXPECT_EQ(stale, 0u);
 }
 
 }  // namespace

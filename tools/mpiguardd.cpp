@@ -45,10 +45,6 @@ options:
   --max-scale X     largest dataset scale a SUBMIT may request
                     (default 2.0)
   --max-cases N     largest generated corpus held warm (default 8192)
-  --quantized       serve GNN bundles through the int8/bf16 quantized
-                    image (docs/PERFORMANCE.md): verdicts carry the
-                    agreement-within-tolerance contract instead of fp
-                    bit-identity; training/eval paths are unaffected
 
 robustness (docs/SERVING.md, "Failure model"):
   --io-timeout MS   per-read/write inactivity deadline once a frame has
@@ -130,7 +126,6 @@ int run(int argc, char** argv) {
                                     "--max-scale");
     else if (f == "--max-cases")
       opts.max_cases = parse_u64(need_value(i, "--max-cases"), "--max-cases");
-    else if (f == "--quantized") opts.quantized = true;
     else if (f == "--io-timeout")
       opts.io_timeout_ms = static_cast<int>(
           parse_u64(need_value(i, "--io-timeout"), "--io-timeout"));
