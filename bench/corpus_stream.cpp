@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
 
   auto stream_det = registry.create(args.detector);
   const auto t_stream = Clock::now();
-  const auto streamed = engine.sweep_stream(*stream_det, eval_src, sopts);
+  const auto streamed = engine.sweep(*stream_det, eval_src, sopts);
   const double stream_s = seconds_since(t_stream);
 
   bool identical = in_memory.verdicts.size() == streamed.verdicts.size();

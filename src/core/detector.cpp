@@ -10,21 +10,6 @@
 
 namespace mpidetect::core {
 
-namespace {
-
-/// Materializes the cases at `idx` (in order) as an ad-hoc dataset —
-/// the unit of work of every streamed fit/eval path.
-datasets::Dataset load_window(const corpus::CaseSource& src,
-                              std::span<const std::size_t> idx) {
-  datasets::Dataset ds;
-  ds.name = src.name() + ":window";
-  ds.cases.reserve(idx.size());
-  for (const std::size_t i : idx) ds.cases.push_back(src.load(i));
-  return ds;
-}
-
-}  // namespace
-
 std::string_view detector_kind_name(DetectorKind k) {
   switch (k) {
     case DetectorKind::Static: return "static";
@@ -48,8 +33,8 @@ std::string_view outcome_name(Verdict::Outcome o) {
 namespace {
 
 /// ml::GraphSource over a streaming case source: each fetch materializes
-/// just the requested training rows and extracts their graphs — the
-/// whole corpus never becomes resident.
+/// just the requested training rows and extracts their graphs into the
+/// source's own buffer — the whole corpus never becomes resident.
 class StreamGraphSource final : public ml::GraphSource {
  public:
   StreamGraphSource(const corpus::CaseSource& src,
@@ -60,11 +45,12 @@ class StreamGraphSource final : public ml::GraphSource {
   std::size_t size() const override { return idx_.size(); }
 
   void fetch(std::span<const std::size_t> pos,
-             std::vector<programl::ProgramGraph>& out) override {
+             std::vector<const programl::ProgramGraph*>& out) override {
     sel_.clear();
     for (const std::size_t p : pos) sel_.push_back(idx_[p]);
-    GraphSet gs = extract_graphs(load_window(src_, sel_), opt_);
-    out = std::move(gs.graphs);
+    step_ = extract_graphs(corpus::load_window(src_, sel_), opt_);
+    out.clear();
+    for (const auto& g : step_.graphs) out.push_back(&g);
   }
 
  private:
@@ -72,6 +58,7 @@ class StreamGraphSource final : public ml::GraphSource {
   std::span<const std::size_t> idx_;
   passes::OptLevel opt_;
   std::vector<std::size_t> sel_;
+  GraphSet step_;  // the graphs of the step last fetched
 };
 
 }  // namespace
@@ -115,7 +102,7 @@ void Detector::fit_stream(const corpus::CaseSource& src,
   if (!trainable()) return;
   // Fallback: materialize the whole training selection. Correct for any
   // detector; the learned detectors override with windowed paths.
-  const datasets::Dataset ds = load_window(src, train_idx);
+  const datasets::Dataset ds = corpus::load_window(src, train_idx);
   std::vector<std::size_t> all_idx(ds.size());
   for (std::size_t i = 0; i < ds.size(); ++i) all_idx[i] = i;
   fit(ds, all_idx, y, spec);
@@ -219,15 +206,7 @@ void Ir2vecDetector::fit(const datasets::Dataset& ds,
   std::vector<std::vector<double>> X;
   X.reserve(train_idx.size());
   for (const std::size_t i : train_idx) X.push_back(fs.X[i]);
-
-  Ir2vecOptions o = cfg_.ir2vec;
-  if (spec.fold.has_value()) o.seed = cfg_.ir2vec.seed + *spec.fold;
-  if (spec.threads != 0) {
-    o.threads = spec.threads;
-    o.ga.threads = spec.threads;
-  }
-  model_ = train_ir2vec(X, {y.begin(), y.end()}, o);
-  multiclass_ = spec.multiclass;
+  train(X, y, spec);
 }
 
 void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
@@ -253,13 +232,20 @@ void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
   for (std::size_t b = 0; b < train_idx.size(); b += window) {
     const std::size_t end = std::min(train_idx.size(), b + window);
     const datasets::Dataset win =
-        load_window(src, train_idx.subspan(b, end - b));
+        corpus::load_window(src, train_idx.subspan(b, end - b));
     FeatureSet fs = extract_features(win, cfg_.feature_opt,
                                      cfg_.normalization, cfg_.vocab_seed,
                                      spec.threads);
     for (auto& row : fs.X) X.push_back(std::move(row));
   }
+  train(X, y, spec);
+  bound_ds_ = nullptr;
+  bound_fs_ = nullptr;
+}
 
+void Ir2vecDetector::train(const std::vector<std::vector<double>>& X,
+                           std::span<const std::size_t> y,
+                           const FitSpec& spec) {
   Ir2vecOptions o = cfg_.ir2vec;
   if (spec.fold.has_value()) o.seed = cfg_.ir2vec.seed + *spec.fold;
   if (spec.threads != 0) {
@@ -267,9 +253,7 @@ void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
     o.ga.threads = spec.threads;
   }
   model_ = train_ir2vec(X, {y.begin(), y.end()}, o);
-  multiclass_ = false;
-  bound_ds_ = nullptr;
-  bound_fs_ = nullptr;
+  multiclass_ = spec.multiclass;
 }
 
 Verdict Ir2vecDetector::evaluate(const datasets::Dataset& ds,
@@ -362,15 +346,26 @@ void GnnDetector::fit(const datasets::Dataset& ds,
                       std::span<const std::size_t> train_idx,
                       std::span<const std::size_t> y, const FitSpec& spec) {
   MPIDETECT_EXPECTS(train_idx.size() == y.size());
+  prepare(ds, spec.threads);
+  ml::ResidentGraphSource graphs(bound_gs_->graphs, train_idx);
+  train(graphs, y, spec);
+}
+
+void GnnDetector::fit_stream(const corpus::CaseSource& src,
+                             std::span<const std::size_t> train_idx,
+                             std::span<const std::size_t> y,
+                             const FitSpec& spec, std::size_t window) {
+  MPIDETECT_EXPECTS(train_idx.size() == y.size());
+  (void)window;  // the step size here is the model's own batch_size
+  StreamGraphSource graphs(src, train_idx, cfg_.graph_opt);
+  train(graphs, y, spec);
+}
+
+void GnnDetector::train(ml::GraphSource& graphs,
+                        std::span<const std::size_t> y, const FitSpec& spec) {
   if (spec.multiclass) {
     throw ContractViolation("GnnDetector: multi-class training unsupported");
   }
-  prepare(ds, spec.threads);
-  const GraphSet& gs = *bound_gs_;
-  std::vector<programl::ProgramGraph> graphs;
-  graphs.reserve(train_idx.size());
-  for (const std::size_t i : train_idx) graphs.push_back(gs.graphs[i]);
-
   ml::GnnConfig cfg = cfg_.gnn.cfg;
   cfg.classes = 2;
   cfg.seed = spec.fold.has_value() ? cfg_.gnn.seed * 97 + *spec.fold
@@ -380,26 +375,6 @@ void GnnDetector::fit(const datasets::Dataset& ds,
   // parallel to one thread each) also caps the matmul/scatter kernels.
   ml::kernels::ScopedKernelThreads kernel_scope(
       spec.threads != 0 ? spec.threads : ml::kernels::kernel_threads());
-  model_->fit(graphs, {y.begin(), y.end()});
-}
-
-void GnnDetector::fit_stream(const corpus::CaseSource& src,
-                             std::span<const std::size_t> train_idx,
-                             std::span<const std::size_t> y,
-                             const FitSpec& spec, std::size_t window) {
-  MPIDETECT_EXPECTS(train_idx.size() == y.size());
-  (void)window;  // the step size here is the model's own batch_size
-  if (spec.multiclass) {
-    throw ContractViolation("GnnDetector: multi-class training unsupported");
-  }
-  ml::GnnConfig cfg = cfg_.gnn.cfg;
-  cfg.classes = 2;
-  cfg.seed = spec.fold.has_value() ? cfg_.gnn.seed * 97 + *spec.fold
-                                   : cfg_.gnn.seed;
-  model_ = std::make_unique<ml::GnnModel>(cfg);
-  ml::kernels::ScopedKernelThreads kernel_scope(
-      spec.threads != 0 ? spec.threads : ml::kernels::kernel_threads());
-  StreamGraphSource graphs(src, train_idx, cfg_.graph_opt);
   model_->fit(graphs, y);
 }
 

@@ -91,13 +91,6 @@ struct EvalOptions {
   std::uint64_t seed = 1;   // fold assignment (keep equal to the
                             // detector's own seed for the paper protocol)
   bool multiclass = false;  // per-label protocol (Figure 6)
-  /// Assign folds by hashed case id (corpus::fold_of) instead of the
-  /// stratified shuffle. This is what the streamed k-fold uses — the
-  /// fold of a case depends only on its name, never on the rest of the
-  /// corpus, so assignment needs no materialized set. Setting it here
-  /// makes the in-memory protocol use the identical assignment, which
-  /// is how the streamed path is checked for bit-identity.
-  bool hash_folds = false;
 };
 
 /// \brief The unified detector interface: expert verification tools and
@@ -280,6 +273,10 @@ class Ir2vecDetector final : public Detector {
 
  private:
   const FeatureSet& features(const datasets::Dataset& ds, unsigned threads);
+  /// Shared tail of fit() and fit_stream(): the spec's seed and thread
+  /// options, then the tree (GA-selected when enabled) on `X`.
+  void train(const std::vector<std::vector<double>>& X,
+             std::span<const std::size_t> y, const FitSpec& spec);
 
   DetectorConfig cfg_;
   std::optional<TrainedIr2vec> model_;
@@ -315,11 +312,12 @@ class GnnDetector final : public Detector {
   void fit(const datasets::Dataset& ds,
            std::span<const std::size_t> train_idx,
            std::span<const std::size_t> y, const FitSpec& spec) override;
-  /// Out-of-core GNN training via ml::GraphSource: each optimisation
-  /// step's graphs are re-extracted from the source on demand (graphs
-  /// for a training epoch are visited in shuffled order, so there is
-  /// nothing to batch up — the trade is recompute for residency). Peak
-  /// graph memory is one mini-batch. Rejects multiclass, like fit().
+  /// Out-of-core GNN training: the same training loop as fit(), but
+  /// each optimisation step's graphs are re-extracted from the source on
+  /// demand (graphs for a training epoch are visited in shuffled order,
+  /// so there is nothing to batch up — the trade is recompute for
+  /// residency). Peak graph memory is one mini-batch. Rejects
+  /// multiclass, like fit().
   void fit_stream(const corpus::CaseSource& src,
                   std::span<const std::size_t> train_idx,
                   std::span<const std::size_t> y, const FitSpec& spec,
@@ -347,6 +345,10 @@ class GnnDetector final : public Detector {
 
  private:
   const GraphSet& graphs(const datasets::Dataset& ds, unsigned threads);
+  /// Shared tail of fit() and fit_stream(): a fresh model seeded for
+  /// the spec's fold, trained on `graphs` under its thread budget.
+  void train(ml::GraphSource& graphs, std::span<const std::size_t> y,
+             const FitSpec& spec);
 
   DetectorConfig cfg_;
   std::unique_ptr<ml::GnnModel> model_;

@@ -258,18 +258,6 @@ void EncodingCache::put_features(const datasets::Dataset& ds,
   }
 }
 
-void EncodingCache::put_graphs(const datasets::Dataset& ds,
-                               passes::OptLevel opt, GraphSet gs) {
-  MPIDETECT_EXPECTS(gs.size() == ds.size());
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = graphs_.emplace(
-      graph_key(ds, opt), std::make_unique<GraphSet>(std::move(gs)));
-  if (!inserted) {
-    throw ContractViolation("EncodingCache::put_graphs: slot occupied for "
-                            "dataset '" + ds.name + "'");
-  }
-}
-
 void EncodingCache::erase(const datasets::Dataset& ds) {
   const std::uint64_t fp = fingerprint(ds);
   std::lock_guard<std::mutex> lock(mu_);
@@ -350,19 +338,6 @@ datasets::Dataset skeleton_dataset(const FeatureSet& fs) {
     c.name = fs.case_names[i];
     c.incorrect = fs.incorrect[i];
     set_case_label(c, fs.label_names[fs.y_label[i]]);
-  }
-  return ds;
-}
-
-datasets::Dataset skeleton_dataset(const GraphSet& gs) {
-  datasets::Dataset ds;
-  ds.name = "graphs";
-  ds.cases.resize(gs.size());
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    // GraphSet carries no per-label taxonomy; binary protocols only read
-    // the correctness flag.
-    ds.cases[i].name = gs.case_names[i];
-    ds.cases[i].incorrect = gs.incorrect[i];
   }
   return ds;
 }

@@ -37,16 +37,14 @@ class EncodingCache {
                          unsigned threads = 0);
 
   /// Pre-seeds the cache with an externally computed encoding. Used by
-  /// the legacy FeatureSet / GraphSet entry points (and by benches that
-  /// synthesise ablated feature matrices) to route pre-encoded data
-  /// through EvalEngine. Throws ContractViolation when the slot is
+  /// benches that synthesise feature matrices (other normalizations or
+  /// ablated embeddings) to route pre-encoded data through EvalEngine
+  /// (see skeleton_dataset). Throws ContractViolation when the slot is
   /// already occupied — overwriting would invalidate references handed
   /// out earlier; give synthesised datasets distinct names instead.
   void put_features(const datasets::Dataset& ds, passes::OptLevel opt,
                     ir2vec::Normalization norm, std::uint64_t vocab_seed,
                     FeatureSet fs);
-  void put_graphs(const datasets::Dataset& ds, passes::OptLevel opt,
-                  GraphSet gs);
 
   /// Drops every encoding held for `ds` (all options/normalizations).
   /// References previously returned for `ds` become dangling; callers
@@ -105,11 +103,10 @@ class EncodingCache {
   std::atomic<std::size_t> disk_writes_{0};
 };
 
-/// Builds a label/flag-only skeleton dataset around a pre-encoded set
-/// (case names, suite labels and correctness flags, but no programs) so
-/// the legacy FeatureSet / GraphSet entry points can run through
-/// EvalEngine with the cache pre-seeded via put_features / put_graphs.
+/// Builds a label/flag-only skeleton dataset around a pre-encoded
+/// feature set (case names, suite labels and correctness flags, but no
+/// programs) so embeddings computed outside a detector can run through
+/// EvalEngine with the cache pre-seeded via put_features.
 datasets::Dataset skeleton_dataset(const FeatureSet& fs);
-datasets::Dataset skeleton_dataset(const GraphSet& gs);
 
 }  // namespace mpidetect::core

@@ -53,7 +53,7 @@ struct AblationReport {
   }
 };
 
-/// Knobs of the streamed (out-of-core) protocol variants.
+/// Knobs of the on-disk protocol path (ignored for a resident source).
 struct StreamOptions {
   /// Cases materialized at a time during evaluation and windowed
   /// feature extraction. Peak resident cases per protocol stage is one
@@ -61,6 +61,20 @@ struct StreamOptions {
   std::size_t window = 256;
 };
 
+/// Every protocol has one implementation, over corpus::CaseSource. What
+/// the source is decides only how cases are reached, never what is
+/// computed:
+///  - resident (CaseSource::resident(), e.g. a DatasetSource — what the
+///    Dataset overloads wrap): the dataset is encoded once, detectors
+///    train through Detector::fit, and binary k-fold folds run in
+///    parallel on the pool;
+///  - on disk (a CorpusReader): cases are materialized
+///    StreamOptions::window at a time, detectors train through
+///    Detector::fit_stream, and folds run serially (the reader maps
+///    shards lazily and is not thread-safe). This is the path that runs
+///    on corpora larger than RAM.
+/// Over the same cases in the same order both give identical reports
+/// (tests/corpus_eval_test.cpp).
 class EvalEngine {
  public:
   /// \brief Builds the engine with its shared worker pool and cache.
@@ -76,71 +90,49 @@ class EvalEngine {
   const std::shared_ptr<EncodingCache>& cache() const { return cache_; }
   unsigned threads() const { return pool_.size(); }
 
-  /// \brief Straight dataset sweep: every case through the detector
-  /// once (the expert-tool protocol; also what `mpiguard predict` runs
-  /// against a loaded bundle).
+  /// \brief Straight sweep: every case through the detector once (the
+  /// expert-tool protocol; also what `mpiguard predict` runs against a
+  /// loaded bundle).
   /// \pre a Learned detector must be fitted — or restored via
   ///      DetectorRegistry::load_bundle — first.
-  /// \return per-case verdicts in dataset order plus aggregates.
+  /// \return per-case verdicts in source order plus aggregates.
+  EvalReport sweep(Detector& det, const corpus::CaseSource& src,
+                   const StreamOptions& sopts = {});
   EvalReport sweep(Detector& det, const datasets::Dataset& ds);
 
   /// \brief Stratified k-fold cross-validation (the Intra and Mix
   /// protocols of Table II; Figure 6 when `opts.multiclass`).
   ///
+  /// Folds are stratified over labels read from source metadata.
   /// Trainable detectors are cloned per fold and trained on the fold
-  /// complement (folds run in parallel on the shared pool, each capped
-  /// at one training thread); untrainable detectors degenerate to a
-  /// sweep. The overload without options uses the detector's
-  /// eval_defaults() (the paper's fold count and seed).
+  /// complement; untrainable detectors degenerate to a sweep. Binary
+  /// folds train at one thread each; the per-label protocol trains
+  /// folds serially with the detector's own thread budget. The Dataset
+  /// overload without options uses the detector's eval_defaults() (the
+  /// paper's fold count and seed).
+  /// \throws ContractViolation for `opts.multiclass` over a source that
+  ///         is not resident (a window's label table is not the
+  ///         corpus's).
+  EvalReport kfold(Detector& det, const corpus::CaseSource& src,
+                   const EvalOptions& opts, const StreamOptions& sopts = {});
   EvalReport kfold(Detector& det, const datasets::Dataset& ds,
                    const EvalOptions& opts);
   EvalReport kfold(Detector& det, const datasets::Dataset& ds);
 
-  /// \brief Streamed dataset sweep: like sweep(), but cases come from a
-  /// CaseSource (typically an on-disk .mpcs corpus) and are materialized
-  /// StreamOptions::window at a time — evaluate, tally, discard. For a
-  /// source yielding the same cases in the same order, verdicts and
-  /// confusion matrices are bit-identical to sweep()'s
-  /// (tests/corpus_eval_test.cpp); peak case residency is one window
-  /// regardless of corpus size.
-  EvalReport sweep_stream(Detector& det, const corpus::CaseSource& src,
-                          const StreamOptions& sopts = {});
-
-  /// \brief Streamed stratified-free k-fold over a CaseSource: folds are
-  /// assigned by hashed case id (corpus::fold_of — the assignment reads
-  /// only per-case metadata, so no fold ever materializes the corpus),
-  /// trainable detectors are cloned per fold and trained through
-  /// Detector::fit_stream, and validation runs window at a time.
-  ///
-  /// Bit-identical to the in-memory kfold() with opts.hash_folds set,
-  /// over the same cases in the same order. Binary protocol only
-  /// (multiclass needs the global label table up front); folds run
-  /// serially — out-of-core corpora trade wall-clock for residency.
-  /// \throws ContractViolation when opts.multiclass is set.
-  EvalReport kfold_stream(Detector& det, const corpus::CaseSource& src,
-                          const EvalOptions& opts,
-                          const StreamOptions& sopts = {});
-
   /// \brief Suite transfer (the Cross protocol of §V-C): train on all
-  /// of `train`, validate on all of `valid`.
+  /// of `train` with binary labels, validate on all of `valid`.
   /// \post `det` is left fitted — follow with save_bundle to persist
   ///       the transferred model.
-  EvalReport cross(Detector& det, const datasets::Dataset& train,
-                   const datasets::Dataset& valid, const EvalOptions& opts);
+  EvalReport cross(Detector& det, const corpus::CaseSource& train,
+                   const corpus::CaseSource& valid,
+                   const StreamOptions& sopts = {});
   EvalReport cross(Detector& det, const datasets::Dataset& train,
                    const datasets::Dataset& valid);
 
-  /// \brief Streamed suite transfer: train on all of `train` through
-  /// Detector::fit_stream, validate over `valid` window at a time.
-  /// Bit-identical to cross() over the same cases in the same order;
-  /// binary labels only (like the in-memory protocol).
-  /// \post `det` is left fitted, as with cross().
-  EvalReport cross_stream(Detector& det, const corpus::CaseSource& train,
-                          const corpus::CaseSource& valid,
-                          const StreamOptions& sopts = {});
-
-  /// \brief Trains `det` on the full dataset with binary labels (the
+  /// \brief Trains `det` on the whole source with binary labels (the
   /// front half of cross(); what `mpiguard train` runs before saving).
+  void fit_full(Detector& det, const corpus::CaseSource& src,
+                const StreamOptions& sopts = {});
   void fit_full(Detector& det, const datasets::Dataset& ds);
 
   /// \brief Label-exclusion ablation (Figures 8, 9): k-fold CV never
@@ -149,7 +141,12 @@ class EvalEngine {
   ///        (all excluded labels when nullopt).
   /// \return how many excluded-label samples the binary model still
   ///         flags at validation, over how many were evaluated.
-  /// \throws ContractViolation for labels absent from the dataset.
+  /// \throws ContractViolation for labels absent from the source.
+  AblationReport ablation(Detector& det, const corpus::CaseSource& src,
+                          const std::vector<std::string>& excluded,
+                          const std::optional<std::string>& measured,
+                          const EvalOptions& opts,
+                          const StreamOptions& sopts = {});
   AblationReport ablation(Detector& det, const datasets::Dataset& ds,
                           const std::vector<std::string>& excluded,
                           const std::optional<std::string>& measured,
@@ -161,30 +158,39 @@ class EvalEngine {
     std::vector<std::size_t> index_per_case;  // case -> names index
     std::size_t index_of(const std::string& name) const;
   };
-  static LabelTable label_table(const datasets::Dataset& ds);
-  static std::vector<std::size_t> binary_labels(const datasets::Dataset& ds);
+  static LabelTable label_table(const corpus::CaseSource& src);
+  static std::vector<std::size_t> binary_labels(const corpus::CaseSource& src);
 
-  /// Evaluates `det` over the index range [0, n) of `ds`, in parallel
-  /// when the detector allows it, into `verdicts` (indexed by case).
-  void evaluate_all(Detector& det, const datasets::Dataset& ds,
-                    std::vector<Verdict>& verdicts);
+  /// Shares the engine cache with `det` and, for a resident source,
+  /// encodes it once for the whole protocol (an on-disk source is
+  /// encoded window by window in evaluate()).
+  void prepare(Detector& det, const corpus::CaseSource& src);
 
+  /// Writes `det`'s verdicts for the cases at `idx` to verdicts[idx[k]].
+  /// A resident source is evaluated in place (`det` prepared on or
+  /// fitted to it); an on-disk one `window` cases at a time — prepare,
+  /// evaluate, discard. Cases run on the pool when `parallel` and the
+  /// detector allow it (never from inside a pool task).
+  void evaluate(Detector& det, const corpus::CaseSource& src,
+                std::span<const std::size_t> idx, std::size_t window,
+                bool parallel, std::vector<Verdict>& verdicts);
+
+  /// One fold: clones `det`, trains the clone on `train_idx` (labels
+  /// `train_y`, parallel to it) and evaluates it on `val_idx`.
+  void run_fold(Detector& det, const corpus::CaseSource& src,
+                std::span<const std::size_t> train_idx,
+                std::span<const std::size_t> train_y,
+                std::span<const std::size_t> val_idx, const FitSpec& spec,
+                std::size_t window, bool parallel_eval,
+                std::vector<Verdict>& verdicts);
+
+  /// Aggregates `verdicts` (one per case of `valid`) from source
+  /// metadata: labels and ground truth are never read from decoded
+  /// cases.
   EvalReport make_report(Detector& det, std::string protocol,
-                         const datasets::Dataset& train,
-                         const datasets::Dataset& valid,
+                         const corpus::CaseSource& train,
+                         const corpus::CaseSource& valid,
                          std::vector<Verdict> verdicts, bool multiclass);
-
-  /// make_report over source metadata (labels and ground truth read
-  /// from the index, never from decoded cases).
-  EvalReport make_report_stream(Detector& det, std::string protocol,
-                                const corpus::CaseSource& src,
-                                std::vector<Verdict> verdicts);
-
-  /// Evaluates `det` over the cases at `idx`, materialized `window` at
-  /// a time, into `verdicts` (indexed by position in `idx`).
-  void evaluate_stream(Detector& det, const corpus::CaseSource& src,
-                       std::span<const std::size_t> idx, std::size_t window,
-                       std::vector<Verdict>& verdicts);
 
   ThreadPool pool_;
   std::shared_ptr<EncodingCache> cache_;

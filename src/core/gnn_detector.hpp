@@ -1,12 +1,12 @@
-// The GNN detector (Figure 5) under the paper's evaluation protocols:
-// Intra / Mix 10-fold cross-validation and Cross suite-transfer, all on
-// binary correct/incorrect labels. Folds train in parallel (each fold
-// owns an independent model).
+// Options of the GNN detector (Figure 5): the model configuration plus
+// the paper's fold count and seed for its evaluation protocols, which
+// live in core::EvalEngine.
 #pragma once
+
+#include <cstdint>
 
 #include "core/features.hpp"
 #include "ml/gnn.hpp"
-#include "ml/metrics.hpp"
 
 namespace mpidetect::core {
 
@@ -14,15 +14,6 @@ struct GnnOptions {
   ml::GnnConfig cfg;       // classes is overwritten per protocol
   int folds = 10;
   std::uint64_t seed = 2;
-  unsigned threads = 0;    // folds in parallel
 };
-
-/// Deprecated shims over core::EvalEngine (kfold / cross); new code
-/// should construct a GnnDetector via core::DetectorRegistry and use
-/// the engine directly (core/eval_engine.hpp).
-ml::Confusion gnn_intra(const GraphSet& gs, const GnnOptions& opts);
-
-ml::Confusion gnn_cross(const GraphSet& train, const GraphSet& valid,
-                        const GnnOptions& opts);
 
 }  // namespace mpidetect::core

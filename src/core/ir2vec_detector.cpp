@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/detector.hpp"
-#include "core/eval_engine.hpp"
 #include "ml/kfold.hpp"
 #include "support/check.hpp"
 
@@ -67,31 +65,6 @@ std::vector<std::size_t> run_ga(const std::vector<std::vector<double>>& X,
       .best_features;
 }
 
-/// Shared scaffolding for the deprecated FeatureSet entry points: wraps
-/// the pre-encoded rows in a skeleton dataset, pre-seeds a cache under
-/// the detector's encoding key, and hands everything to EvalEngine.
-struct ShimContext {
-  datasets::Dataset skeleton;
-  Ir2vecDetector detector;
-  EvalEngine engine;
-
-  ShimContext(const FeatureSet& fs, const Ir2vecOptions& opts)
-      : skeleton(skeleton_dataset(fs)),
-        detector(make_config(opts)),
-        engine(opts.threads, detector.config().cache) {
-    const DetectorConfig& cfg = detector.config();
-    cfg.cache->put_features(skeleton, cfg.feature_opt, cfg.normalization,
-                            cfg.vocab_seed, fs);
-  }
-
-  static DetectorConfig make_config(const Ir2vecOptions& opts) {
-    DetectorConfig cfg;
-    cfg.ir2vec = opts;
-    cfg.cache = std::make_shared<EncodingCache>();
-    return cfg;
-  }
-};
-
 }  // namespace
 
 std::size_t TrainedIr2vec::predict(const std::vector<double>& row) const {
@@ -110,54 +83,6 @@ TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
   model.tree = ml::DecisionTree(cfg);
   model.tree.fit(X, y);
   return model;
-}
-
-ml::Confusion ir2vec_intra(const FeatureSet& fs, const Ir2vecOptions& opts) {
-  ShimContext shim(fs, opts);
-  return shim.engine.kfold(shim.detector, shim.skeleton).confusion;
-}
-
-ml::Confusion ir2vec_cross(const FeatureSet& train, const FeatureSet& valid,
-                           const Ir2vecOptions& opts) {
-  ShimContext shim(train, opts);
-  datasets::Dataset valid_skel = skeleton_dataset(valid);
-  // Distinct name: `valid` may cover the same cases as `train` under a
-  // different embedding (the table5 seed study), and the cache keys by
-  // dataset content — which includes the name.
-  valid_skel.name = "features-valid";
-  const DetectorConfig& cfg = shim.detector.config();
-  cfg.cache->put_features(valid_skel, cfg.feature_opt, cfg.normalization,
-                          cfg.vocab_seed, valid);
-  return shim.engine.cross(shim.detector, shim.skeleton, valid_skel).confusion;
-}
-
-std::map<std::string, std::pair<std::size_t, std::size_t>> ir2vec_per_label(
-    const FeatureSet& fs, const Ir2vecOptions& opts) {
-  ShimContext shim(fs, opts);
-  EvalOptions eval = shim.detector.eval_defaults();
-  eval.multiclass = true;
-  return shim.engine.kfold(shim.detector, shim.skeleton, eval).per_label;
-}
-
-std::pair<std::size_t, std::size_t> ir2vec_ablation(
-    const FeatureSet& fs, const std::vector<std::string>& excluded,
-    const Ir2vecOptions& opts) {
-  ShimContext shim(fs, opts);
-  const auto r = shim.engine.ablation(shim.detector, shim.skeleton, excluded,
-                                      std::nullopt,
-                                      shim.detector.eval_defaults());
-  return {r.detected, r.total};
-}
-
-std::pair<std::size_t, std::size_t> ir2vec_ablation_counted(
-    const FeatureSet& fs, const std::vector<std::string>& excluded,
-    const std::string& measured, const Ir2vecOptions& opts) {
-  MPIDETECT_EXPECTS(std::find(excluded.begin(), excluded.end(), measured) !=
-                    excluded.end());
-  ShimContext shim(fs, opts);
-  const auto r = shim.engine.ablation(shim.detector, shim.skeleton, excluded,
-                                      measured, shim.detector.eval_defaults());
-  return {r.detected, r.total};
 }
 
 }  // namespace mpidetect::core

@@ -1,20 +1,16 @@
-// The IR2vec + decision-tree detector (Figure 4) and every evaluation
-// protocol the paper runs it through: Intra / Mix (10-fold CV, §V-A,
-// §V-B), Cross (train on one suite, validate on the other, §V-C),
-// per-label multi-class prediction (Figure 6), and the one/two-label
-// ablation study (§V-E, Figures 8 and 9). GA feature selection (§IV-A)
-// is applied per training set when enabled.
+// The IR2vec + decision-tree model of Figure 4: its options and the
+// training routine core::Ir2vecDetector runs on every training set. GA
+// feature selection (§IV-A) is applied per training set when enabled.
+// The evaluation protocols the paper runs it through (Intra / Mix /
+// Cross, per-label, ablations) live in core::EvalEngine.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <string>
+#include <vector>
 
 #include "core/features.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/genetic.hpp"
-#include "ml/metrics.hpp"
 
 namespace mpidetect::core {
 
@@ -37,43 +33,5 @@ struct TrainedIr2vec {
 TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
                            const std::vector<std::size_t>& y,
                            const Ir2vecOptions& opts);
-
-// ---------------------------------------------------------------------------
-// Deprecated evaluation entry points. Each of the functions below is a
-// thin shim over core::EvalEngine (see core/eval_engine.hpp) kept for
-// source compatibility; new code should construct an Ir2vecDetector via
-// core::DetectorRegistry and run the engine's kfold / cross / ablation
-// protocols directly.
-// ---------------------------------------------------------------------------
-
-/// 10-fold cross-validated binary prediction (Intra and Mix rows of
-/// Table II); the confusion aggregates all validation folds.
-/// Deprecated shim: delegates to EvalEngine::kfold.
-ml::Confusion ir2vec_intra(const FeatureSet& fs, const Ir2vecOptions& opts);
-
-/// Train on one suite, validate on another (Cross rows of Table II).
-/// Labels are collapsed to correct/incorrect as in the paper.
-ml::Confusion ir2vec_cross(const FeatureSet& train, const FeatureSet& valid,
-                           const Ir2vecOptions& opts);
-
-/// Multi-class per-label accuracy (Figure 6): a DT trained on the error
-/// labels directly; returns label -> (correctly predicted, total).
-std::map<std::string, std::pair<std::size_t, std::size_t>>
-ir2vec_per_label(const FeatureSet& fs, const Ir2vecOptions& opts);
-
-/// Ablation (Figures 8, 9): removes all samples of `excluded` labels
-/// from every training fold and reports how many of those samples the
-/// binary model still predicts as incorrect at validation.
-/// Returns (detected, total) over the excluded samples.
-std::pair<std::size_t, std::size_t> ir2vec_ablation(
-    const FeatureSet& fs, const std::vector<std::string>& excluded,
-    const Ir2vecOptions& opts);
-
-/// Two-label variant (Figure 9): excludes every `excluded` label from
-/// training but counts detection only over samples of `measured`
-/// (which must be one of the excluded labels).
-std::pair<std::size_t, std::size_t> ir2vec_ablation_counted(
-    const FeatureSet& fs, const std::vector<std::string>& excluded,
-    const std::string& measured, const Ir2vecOptions& opts);
 
 }  // namespace mpidetect::core

@@ -65,10 +65,13 @@ std::string label_from_meta(datasets::Suite suite, std::uint8_t mbi,
 
 }  // namespace
 
-std::size_t fold_of(std::uint64_t case_id, std::size_t folds,
-                    std::uint64_t seed) {
-  MPIDETECT_EXPECTS(folds > 0);
-  return static_cast<std::size_t>(mix64(case_id ^ mix64(seed)) % folds);
+datasets::Dataset load_window(const CaseSource& src,
+                              std::span<const std::size_t> idx) {
+  datasets::Dataset ds;
+  ds.name = src.name() + ":window";
+  ds.cases.reserve(idx.size());
+  for (const std::size_t i : idx) ds.cases.push_back(src.load(i));
+  return ds;
 }
 
 // ---------------------------------------------------------------------------

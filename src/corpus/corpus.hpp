@@ -11,8 +11,8 @@
 // fixed-width index table mapping ordinal → (offset, length, labels,
 // hashed case id, record checksum). Fixed sector alignment makes every
 // record directly addressable from the index and mmap-friendly; the
-// index carries enough metadata (labels + hashed case id) that fold
-// assignment, stratification and report construction never decode a
+// index carries enough metadata (labels + hashed case id) that
+// stratified fold assignment and report construction never decode a
 // record. Byte-level layout tables live in docs/CORPUS.md.
 //
 // Integrity model: CorpusReader::open validates every shard up front —
@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,21 +51,15 @@ inline constexpr std::size_t kIndexEntrySize = 32;
 inline constexpr std::uint64_t kDefaultMaxShardBytes = 64ull << 20;
 inline constexpr std::uint64_t kDefaultMaxCasesPerShard = 1ull << 16;
 
-/// Deterministic fold assignment from a hashed case id — the reason
-/// streamed k-fold never materializes the whole corpus: the fold of a
-/// case depends only on its name hash, the fold count and the seed.
-std::size_t fold_of(std::uint64_t case_id, std::size_t folds,
-                    std::uint64_t seed);
-
 // ---------------------------------------------------------------------------
 // Streaming case sources
 // ---------------------------------------------------------------------------
 
-/// Abstract source of labeled cases that the streaming eval/training
-/// paths (EvalEngine::sweep_stream / kfold_stream, Detector::fit_stream)
-/// consume. Label metadata is available without decoding a case so
-/// stratification and report construction stay O(metadata); only load()
-/// touches case payloads. Implementations need not be thread-safe.
+/// Abstract source of labeled cases: what every EvalEngine protocol and
+/// Detector::fit_stream consume. Label metadata is available without
+/// decoding a case, so fold assignment and report construction stay
+/// O(metadata); only load() touches case payloads. Implementations need
+/// not be thread-safe.
 class CaseSource {
  public:
   virtual ~CaseSource() = default;
@@ -77,18 +72,28 @@ class CaseSource {
   virtual bool incorrect(std::size_t i) const = 0;
   /// Unified label string of case i ("Correct", "Call Ordering", ...).
   virtual std::string label_name(std::size_t i) const = 0;
-  /// Stable hashed id of case i (fnv1a64 of the case name) — input to
-  /// fold_of().
+  /// Stable hashed id of case i (fnv1a64 of the case name).
   virtual std::uint64_t case_id(std::size_t i) const = 0;
 
   /// Materializes case i. May throw io::FormatError on a source whose
   /// backing bytes changed since open.
   virtual datasets::Case load(std::size_t i) const = 0;
+
+  /// The whole source as one in-memory dataset when it already is one
+  /// (DatasetSource), else null (an on-disk corpus). The protocols pick
+  /// their residency from this: a resident source is encoded once and
+  /// its folds run in parallel; any other is windowed.
+  virtual const datasets::Dataset* resident() const { return nullptr; }
 };
 
-/// In-memory adapter: presents a datasets::Dataset as a CaseSource, so
-/// the streamed protocols can be checked bit-for-bit against in-memory
-/// inputs (tests/corpus_eval_test.cpp) and small corpora skip the disk.
+/// Materializes the cases at `idx` (in order) as an ad-hoc dataset named
+/// "<source>:window" — the unit of work of every windowed path.
+datasets::Dataset load_window(const CaseSource& src,
+                              std::span<const std::size_t> idx);
+
+/// In-memory adapter: presents a datasets::Dataset as a resident
+/// CaseSource, which is how the Dataset overloads of EvalEngine reach
+/// the one protocol implementation.
 class DatasetSource final : public CaseSource {
  public:
   explicit DatasetSource(const datasets::Dataset& ds);
@@ -99,6 +104,7 @@ class DatasetSource final : public CaseSource {
   std::string label_name(std::size_t i) const override;
   std::uint64_t case_id(std::size_t i) const override;
   datasets::Case load(std::size_t i) const override;
+  const datasets::Dataset* resident() const override { return ds_; }
 
  private:
   const datasets::Dataset* ds_;

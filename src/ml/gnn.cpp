@@ -1,7 +1,9 @@
 #include "ml/gnn.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -197,36 +199,19 @@ double GnnModel::train_step(const programl::GraphBatch& batch,
   return value;
 }
 
+void ResidentGraphSource::fetch(
+    std::span<const std::size_t> idx,
+    std::vector<const programl::ProgramGraph*>& out) {
+  out.clear();
+  for (const std::size_t p : idx) out.push_back(&graphs_[rows_[p]]);
+}
+
 void GnnModel::fit(std::span<const programl::ProgramGraph> graphs,
                    std::span<const std::size_t> labels) {
-  MPIDETECT_EXPECTS(graphs.size() == labels.size());
-  std::vector<std::size_t> order(graphs.size());
-  std::iota(order.begin(), order.end(), 0);
-  const std::size_t batch = std::max<std::size_t>(1, cfg_.batch_size);
-  std::vector<const programl::ProgramGraph*> members;
-  std::vector<std::size_t> member_labels;
-  for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
-    rng_.shuffle(order);
-    if (batch == 1) {
-      // The paper's protocol: one optimisation step per graph.
-      for (const std::size_t i : order) {
-        train_step(graphs[i], labels[i]);
-      }
-      continue;
-    }
-    for (std::size_t b = 0; b < order.size(); b += batch) {
-      const std::size_t end = std::min(order.size(), b + batch);
-      members.clear();
-      member_labels.clear();
-      for (std::size_t j = b; j < end; ++j) {
-        members.push_back(&graphs[order[j]]);
-        member_labels.push_back(labels[order[j]]);
-      }
-      const programl::GraphBatch gb = programl::make_batch(
-          std::span<const programl::ProgramGraph* const>(members));
-      train_step(gb, member_labels);
-    }
-  }
+  std::vector<std::size_t> rows(graphs.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  ResidentGraphSource src(graphs, rows);
+  fit(src, labels);
 }
 
 void GnnModel::fit(GraphSource& src, std::span<const std::size_t> labels) {
@@ -234,31 +219,33 @@ void GnnModel::fit(GraphSource& src, std::span<const std::size_t> labels) {
   std::vector<std::size_t> order(src.size());
   std::iota(order.begin(), order.end(), 0);
   const std::size_t batch = std::max<std::size_t>(1, cfg_.batch_size);
-  std::vector<programl::ProgramGraph> fetched;
   std::vector<const programl::ProgramGraph*> members;
   std::vector<std::size_t> member_labels;
-  // Same draw sequence as the in-memory fit: one shuffle per epoch,
-  // steps in shuffled order — only graph residency differs.
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     rng_.shuffle(order);
     for (std::size_t b = 0; b < order.size(); b += batch) {
-      const std::size_t end = std::min(order.size(), b + batch);
-      src.fetch(std::span<const std::size_t>(order).subspan(b, end - b),
-                fetched);
-      MPIDETECT_EXPECTS(fetched.size() == end - b);
-      if (batch == 1) {
-        train_step(fetched[0], labels[order[b]]);
-        continue;
-      }
-      members.clear();
+      const auto step =
+          std::span<const std::size_t>(order).subspan(
+              b, std::min(batch, order.size() - b));
+      src.fetch(step, members);
+      MPIDETECT_EXPECTS(members.size() == step.size());
       member_labels.clear();
-      for (std::size_t j = b; j < end; ++j) {
-        members.push_back(&fetched[j - b]);
-        member_labels.push_back(labels[order[j]]);
+      for (const std::size_t i : step) member_labels.push_back(labels[i]);
+      // batch_size 1 is the paper's protocol: one step per graph, on the
+      // single-graph path.
+      const double loss =
+          batch == 1
+              ? train_step(*members[0], member_labels[0])
+              : train_step(programl::make_batch(
+                               std::span<const programl::ProgramGraph* const>(
+                                   members)),
+                           member_labels);
+      if (!std::isfinite(loss)) {
+        throw ContractViolation(
+            "GnnModel::fit: non-finite loss " + std::to_string(loss) +
+            " at epoch " + std::to_string(epoch) + ", step " +
+            std::to_string(b / batch) + " (training diverged)");
       }
-      const programl::GraphBatch gb = programl::make_batch(
-          std::span<const programl::ProgramGraph* const>(members));
-      train_step(gb, member_labels);
     }
   }
 }

@@ -53,13 +53,13 @@ struct GnnConfig {
   std::size_t infer_batch = 8;
 };
 
-/// Random-access provider of training graphs for the out-of-core fit
-/// overload: the model asks for exactly the graphs of the next
-/// optimisation step, so an implementation backed by an on-disk corpus
-/// (core::GnnDetector::fit_stream) holds at most one mini-batch of
-/// graphs in memory instead of the whole training set. Implementations
-/// re-derive graphs deterministically (fetch(i) must always yield the
-/// same graph); they are called from one thread.
+/// Random-access provider of training graphs for GnnModel::fit: the
+/// model asks for exactly the graphs of the next optimisation step. A
+/// resident source hands out pointers into graphs it already holds; one
+/// backed by an on-disk corpus (core::GnnDetector::fit_stream)
+/// re-derives the step's graphs into its own buffer, so it holds at
+/// most one mini-batch. fetch(i) must always yield the same graph;
+/// calls come from one thread.
 class GraphSource {
  public:
   virtual ~GraphSource() = default;
@@ -67,8 +67,26 @@ class GraphSource {
   virtual std::size_t size() const = 0;
 
   /// Replaces `out` with the graphs at positions `idx` (same order).
+  /// The pointers stay valid until the next fetch.
   virtual void fetch(std::span<const std::size_t> idx,
-                     std::vector<programl::ProgramGraph>& out) = 0;
+                     std::vector<const programl::ProgramGraph*>& out) = 0;
+};
+
+/// Resident graphs, handed out without copies: position p of the source
+/// is graphs[rows[p]]. Both spans must outlive the source.
+class ResidentGraphSource final : public GraphSource {
+ public:
+  ResidentGraphSource(std::span<const programl::ProgramGraph> graphs,
+                      std::span<const std::size_t> rows)
+      : graphs_(graphs), rows_(rows) {}
+
+  std::size_t size() const override { return rows_.size(); }
+  void fetch(std::span<const std::size_t> idx,
+             std::vector<const programl::ProgramGraph*>& out) override;
+
+ private:
+  std::span<const programl::ProgramGraph> graphs_;
+  std::span<const std::size_t> rows_;
 };
 
 class GnnModel final {
@@ -89,17 +107,17 @@ class GnnModel final {
   double train_step(const programl::GraphBatch& batch,
                     std::span<const std::size_t> labels);
 
-  /// Full training run: `epochs` shuffled passes over the set,
-  /// cfg.batch_size graphs per optimisation step.
+  /// Full training run: `epochs` shuffled passes over the source,
+  /// cfg.batch_size graphs per optimisation step (labels parallel to
+  /// the source). Parameters depend only on the graphs the source
+  /// yields, never on where they live.
+  /// \throws ContractViolation naming the epoch and step when a step's
+  ///         loss is not finite (the run diverged).
+  void fit(GraphSource& src, std::span<const std::size_t> labels);
+
+  /// fit() over resident graphs.
   void fit(std::span<const programl::ProgramGraph> graphs,
            std::span<const std::size_t> labels);
-
-  /// Out-of-core training run: identical epoch/shuffle/step structure
-  /// (and, for a source yielding the same graphs, bit-identical
-  /// parameters — the RNG draw sequence is the same), but graphs are
-  /// fetched per optimisation step from `src` instead of resident
-  /// spans. Peak graph memory is one mini-batch.
-  void fit(GraphSource& src, std::span<const std::size_t> labels);
 
   std::size_t predict(const programl::ProgramGraph& g);
   std::vector<double> predict_proba(const programl::ProgramGraph& g);

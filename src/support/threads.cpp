@@ -1,5 +1,7 @@
 #include "support/threads.hpp"
 
+#include <utility>
+
 namespace mpidetect {
 
 ThreadPool::ThreadPool(unsigned threads) : size_(resolve_threads(threads)) {
@@ -29,13 +31,24 @@ void ThreadPool::worker_loop() {
     const auto* job = job_;
     const std::size_t n = job_n_;
     lock.unlock();
-    while (true) {
-      const std::size_t i = next_.fetch_add(1);
-      if (i >= n) break;
-      (*job)(i);
-    }
+    drain(*job, n);
     lock.lock();
     if (--pending_ == 0) done_cv_.notify_all();
+  }
+}
+
+void ThreadPool::drain(const std::function<void(std::size_t)>& fn,
+                       std::size_t n) {
+  while (true) {
+    const std::size_t i = next_.fetch_add(1);
+    if (i >= n) return;
+    try {
+      fn(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = std::current_exception();
+      next_.store(n);  // hand out no further indices
+    }
   }
 }
 
@@ -57,14 +70,12 @@ void ThreadPool::parallel_for(std::size_t n,
   wake_cv_.notify_all();
   // Participate. Returning before every worker has acknowledged this
   // generation would let a late waker read this job_ and then take an
-  // index of the next call after next_ resets, so wait for all of them.
-  while (true) {
-    const std::size_t i = next_.fetch_add(1);
-    if (i >= n) break;
-    fn(i);
-  }
+  // index of the next call after next_ resets, so wait for all of them
+  // — also when a task threw, since the workers may still be running fn.
+  drain(fn, n);
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return pending_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 }  // namespace mpidetect

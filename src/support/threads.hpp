@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -24,7 +25,9 @@ inline unsigned resolve_threads(unsigned requested) {
 
 /// Runs fn(0), ..., fn(n-1) on `threads` short-lived workers pulling
 /// indices from a shared counter. threads == 0 resolves to hardware
-/// concurrency; a resolved count of one runs inline.
+/// concurrency; a resolved count of one runs inline. If fn throws, no
+/// further indices are handed out and the first exception is rethrown
+/// on the caller once every worker has joined.
 template <typename Fn>
 void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
   const unsigned n_threads = resolve_threads(threads);
@@ -33,6 +36,8 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
     return;
   }
   std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
   std::vector<std::thread> workers;
   workers.reserve(n_threads);
   for (unsigned t = 0; t < n_threads; ++t) {
@@ -40,16 +45,26 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
       while (true) {
         const std::size_t i = next.fetch_add(1);
         if (i >= n) break;
-        fn(i);
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (!error) error = std::current_exception();
+          next.store(n);
+        }
       }
     });
   }
   for (auto& w : workers) w.join();
+  if (error) std::rethrow_exception(error);
 }
 
 /// Persistent worker pool. One instance serves many parallel_for calls
 /// without respawning threads; the calling thread participates, so a
-/// pool of size k runs k tasks concurrently. Not reentrant: only one
+/// pool of size k runs k tasks concurrently. A task that throws stops
+/// the job: no further indices are handed out, and parallel_for
+/// rethrows the first exception once every worker is done with the
+/// call, so the pool stays usable. Not reentrant: only one
 /// parallel_for may be in flight at a time (nested parallelism inside a
 /// task must use the one-shot helper above or run single-threaded).
 class ThreadPool {
@@ -65,6 +80,8 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Runs indices of the current job until it is exhausted or failed.
+  void drain(const std::function<void(std::size_t)>& fn, std::size_t n);
 
   unsigned size_ = 1;
   std::vector<std::thread> workers_;
@@ -76,6 +93,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   std::atomic<std::size_t> next_{0};
   std::size_t pending_ = 0;  // workers yet to finish the current generation
+  std::exception_ptr error_;  // first exception of the current job
   bool stop_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "verify/tool.hpp"
 
-#include "core/detector.hpp"
-#include "core/eval_engine.hpp"
+#include "support/check.hpp"
 
 namespace mpidetect::verify {
 
@@ -31,41 +30,6 @@ Diagnostic merge_schedule_diagnostics(const std::vector<Diagnostic>& per_run) {
   if (runtime_err) return Diagnostic::RuntimeErr;
   if (timeout) return Diagnostic::Timeout;
   return Diagnostic::Correct;
-}
-
-namespace {
-
-/// Non-owning Detector view of a caller-held tool, so the deprecated
-/// evaluate_tool entry point can delegate to EvalEngine. Tools are
-/// checked concurrently in both the legacy and the engine path, so
-/// clones may share the underlying instance.
-class BorrowedToolDetector final : public core::Detector {
- public:
-  explicit BorrowedToolDetector(VerificationTool* tool) : tool_(tool) {}
-
-  std::string_view name() const override { return tool_->name(); }
-  core::DetectorKind kind() const override {
-    return core::DetectorKind::Static;
-  }
-  std::unique_ptr<core::Detector> clone() const override {
-    return std::make_unique<BorrowedToolDetector>(tool_);
-  }
-  core::Verdict evaluate(const datasets::Dataset& ds,
-                         std::size_t idx) override {
-    return core::Verdict::from_diagnostic(tool_->check(ds.cases[idx]));
-  }
-
- private:
-  VerificationTool* tool_;
-};
-
-}  // namespace
-
-ml::Confusion evaluate_tool(VerificationTool& tool,
-                            const datasets::Dataset& ds, unsigned threads) {
-  BorrowedToolDetector det(&tool);
-  core::EvalEngine engine(threads);
-  return engine.sweep(det, ds).confusion;
 }
 
 }  // namespace mpidetect::verify

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "datasets/dataset.hpp"
-#include "ml/metrics.hpp"
 
 namespace mpidetect::verify {
 
@@ -69,15 +68,5 @@ std::unique_ptr<VerificationTool> make_must_lite(
     const DynamicToolOptions& opts);
 std::unique_ptr<VerificationTool> make_parcoach_lite();
 std::unique_ptr<VerificationTool> make_mpichecker_lite();
-
-/// Runs a tool over a dataset and accumulates the MBI-style confusion
-/// (TO/RE/CE feed the Errors column of Table III). Thread-parallel.
-///
-/// Deprecated shim: delegates to core::EvalEngine::sweep. New code
-/// should construct the tool via core::DetectorRegistry and use the
-/// engine directly (core/eval_engine.hpp).
-ml::Confusion evaluate_tool(VerificationTool& tool,
-                            const datasets::Dataset& ds,
-                            unsigned threads = 0);
 
 }  // namespace mpidetect::verify

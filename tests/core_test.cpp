@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 
 #include "core/detector.hpp"
+#include "core/eval_engine.hpp"
 #include "core/gnn_detector.hpp"
 #include "core/hypre_study.hpp"
 #include "core/ir2vec_detector.hpp"
@@ -33,6 +35,18 @@ Ir2vecOptions fast_opts() {
   o.use_ga = false;
   o.folds = 5;
   return o;
+}
+
+std::unique_ptr<Detector> fast_ir2vec() {
+  DetectorConfig cfg;
+  cfg.ir2vec = fast_opts();
+  return DetectorRegistry::global().create("ir2vec", cfg);
+}
+
+std::unique_ptr<Detector> small_gnn(const GnnOptions& o) {
+  DetectorConfig cfg;
+  cfg.gnn = o;
+  return DetectorRegistry::global().create("gnn", cfg);
 }
 
 TEST(Features, ShapesAndLabels) {
@@ -89,22 +103,21 @@ TEST(Features, GraphExtraction) {
 }
 
 TEST(Ir2vecDetector, IntraBeatsChance) {
-  const auto fs = extract_features(small_mbi(), passes::OptLevel::Os,
-                                   ir2vec::Normalization::Vector);
-  const auto c = ir2vec_intra(fs, fast_opts());
-  EXPECT_EQ(c.population(), fs.size());
+  const auto ds = small_mbi();
+  EvalEngine engine;
+  const auto c = engine.kfold(*fast_ir2vec(), ds).confusion;
+  EXPECT_EQ(c.population(), ds.size());
   EXPECT_GT(c.accuracy(), 0.7);
 }
 
 TEST(Ir2vecDetector, CrossRunsBothDirections) {
-  const auto fs_m = extract_features(small_mbi(), passes::OptLevel::Os,
-                                     ir2vec::Normalization::Vector);
-  const auto fs_c = extract_features(small_corr(), passes::OptLevel::Os,
-                                     ir2vec::Normalization::Vector);
-  const auto m2c = ir2vec_cross(fs_m, fs_c, fast_opts());
-  const auto c2m = ir2vec_cross(fs_c, fs_m, fast_opts());
-  EXPECT_EQ(m2c.population(), fs_c.size());
-  EXPECT_EQ(c2m.population(), fs_m.size());
+  const auto mbi = small_mbi();
+  const auto corr = small_corr();
+  EvalEngine engine;
+  const auto m2c = engine.cross(*fast_ir2vec(), mbi, corr).confusion;
+  const auto c2m = engine.cross(*fast_ir2vec(), corr, mbi).confusion;
+  EXPECT_EQ(m2c.population(), corr.size());
+  EXPECT_EQ(c2m.population(), mbi.size());
   EXPECT_GT(m2c.accuracy(), 0.5);
 }
 
@@ -123,41 +136,47 @@ TEST(Ir2vecDetector, GaSelectsSmallSubset) {
 }
 
 TEST(Ir2vecDetector, PerLabelCoversEveryLabel) {
-  const auto fs = extract_features(small_mbi(), passes::OptLevel::Os,
-                                   ir2vec::Normalization::Vector);
-  const auto per_label = ir2vec_per_label(fs, fast_opts());
-  EXPECT_EQ(per_label.size(), fs.label_names.size());
+  const auto ds = small_mbi();
+  std::set<std::string> labels;
+  for (const auto& c : ds.cases) labels.insert(c.label_name());
+  EvalEngine engine;
+  auto det = fast_ir2vec();
+  EvalOptions opts = det->eval_defaults();
+  opts.multiclass = true;
+  const auto per_label = engine.kfold(*det, ds, opts).per_label;
+  EXPECT_EQ(per_label.size(), labels.size());
   std::size_t total = 0;
   for (const auto& [name, counts] : per_label) {
     (void)name;
     total += counts.second;
   }
-  EXPECT_EQ(total, fs.size());
+  EXPECT_EQ(total, ds.size());
 }
 
 TEST(Ir2vecDetector, AblationExcludesLabelFromTraining) {
-  const auto fs = extract_features(small_mbi(), passes::OptLevel::Os,
-                                   ir2vec::Normalization::Vector);
-  const auto [detected, total] =
-      ir2vec_ablation(fs, {"Call Ordering"}, fast_opts());
+  const auto ds = small_mbi();
+  EvalEngine engine;
+  auto det = fast_ir2vec();
+  const auto r = engine.ablation(*det, ds, {"Call Ordering"}, std::nullopt,
+                                 det->eval_defaults());
   // Every Call Ordering sample is evaluated exactly once across folds.
   std::size_t expected = 0;
-  for (std::size_t i = 0; i < fs.size(); ++i) {
-    expected += (fs.label_names[fs.y_label[i]] == "Call Ordering");
-  }
-  EXPECT_EQ(total, expected);
-  EXPECT_LE(detected, total);
+  for (const auto& c : ds.cases) expected += (c.label_name() == "Call Ordering");
+  EXPECT_EQ(r.total, expected);
+  EXPECT_LE(r.detected, r.total);
 }
 
 TEST(Ir2vecDetector, AblationUnknownLabelThrows) {
-  const auto fs = extract_features(small_mbi(), passes::OptLevel::Os,
-                                   ir2vec::Normalization::Vector);
-  EXPECT_THROW(ir2vec_ablation(fs, {"No Such Label"}, fast_opts()),
+  const auto ds = small_mbi();
+  EvalEngine engine;
+  auto det = fast_ir2vec();
+  EXPECT_THROW(engine.ablation(*det, ds, {"No Such Label"}, std::nullopt,
+                               det->eval_defaults()),
                ContractViolation);
 }
 
 TEST(GnnDetector, IntraRunsAndBeatsChance) {
-  const auto gs = extract_graphs(small_mbi());
+  const auto ds = small_mbi();
   GnnOptions o;
   o.folds = 3;
   o.cfg.epochs = 6;
@@ -165,21 +184,23 @@ TEST(GnnDetector, IntraRunsAndBeatsChance) {
   o.cfg.layers = {32, 16};
   o.cfg.fc_hidden = 16;
   o.cfg.lr = 2e-3;
-  const auto c = gnn_intra(gs, o);
-  EXPECT_EQ(c.population(), gs.size());
+  EvalEngine engine;
+  const auto c = engine.kfold(*small_gnn(o), ds).confusion;
+  EXPECT_EQ(c.population(), ds.size());
   EXPECT_GT(c.accuracy(), 0.55);
 }
 
 TEST(GnnDetector, CrossRuns) {
-  const auto gs_m = extract_graphs(small_mbi());
-  const auto gs_c = extract_graphs(small_corr());
+  const auto mbi = small_mbi();
+  const auto corr = small_corr();
   GnnOptions o;
   o.cfg.epochs = 3;
   o.cfg.embed_dim = 16;
   o.cfg.layers = {32, 16};
   o.cfg.fc_hidden = 16;
-  const auto c = gnn_cross(gs_m, gs_c, o);
-  EXPECT_EQ(c.population(), gs_c.size());
+  EvalEngine engine;
+  const auto c = engine.cross(*small_gnn(o), mbi, corr).confusion;
+  EXPECT_EQ(c.population(), corr.size());
 }
 
 TEST(GnnVerdict, FiniteProbabilitiesPickTheArgmax) {

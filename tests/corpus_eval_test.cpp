@@ -1,10 +1,10 @@
-// Streamed-vs-in-memory equivalence properties: every streaming
-// protocol (sweep_stream, kfold_stream, cross_stream) must reproduce
-// its in-memory counterpart BIT-IDENTICALLY — same verdict outcomes,
-// predicted labels, IEEE-754-identical confidences, same confusion
-// matrices and per-label tallies — whether the cases come from a
-// wrapped in-memory dataset or from .mpcs shards on disk. Out-of-core
-// is a residency optimization, never a results change.
+// On-disk vs resident equivalence properties: every protocol run over
+// .mpcs shards on disk (cases windowed, detectors trained through
+// fit_stream, folds serial) must reproduce the same protocol over the
+// resident dataset BIT-IDENTICALLY — same verdict outcomes, predicted
+// labels, IEEE-754-identical confidences, same confusion matrices,
+// per-label and outcome tallies. Residency is a memory trade, never a
+// results change.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -75,6 +75,7 @@ void expect_identical_reports(const core::EvalReport& a,
   EXPECT_EQ(a.confusion.to, b.confusion.to) << what;
   EXPECT_EQ(a.confusion.re, b.confusion.re) << what;
   EXPECT_EQ(a.per_label, b.per_label) << what;
+  EXPECT_EQ(a.outcome_counts, b.outcome_counts) << what;
   ASSERT_EQ(a.verdicts.size(), b.verdicts.size()) << what;
   for (std::size_t i = 0; i < a.verdicts.size(); ++i) {
     EXPECT_EQ(a.verdicts[i].outcome, b.verdicts[i].outcome)
@@ -90,119 +91,122 @@ void expect_identical_reports(const core::EvalReport& a,
 
 // ---- sweep ------------------------------------------------------------------
 
-TEST(CorpusEval, StreamedSweepMatchesInMemory) {
+TEST(CorpusEval, OnDiskSweepMatchesInMemory) {
   TempDir tmp;
   const auto ds = datasets::make_dataset("mbi:0.05@17");
   const auto reader = shard(tmp.path / "c", ds);
-  const corpus::DatasetSource wrapped(ds);
+  // Tiny window to force many refill cycles.
+  core::StreamOptions sopts;
+  sopts.window = 5;
 
-  for (const char* key : {"parcoach", "mpi-checker", "itac"}) {
-    core::EvalEngine mem_engine(2), stream_engine(2);
-    auto det = core::DetectorRegistry::global().create(key);
+  auto& registry = core::DetectorRegistry::global();
+  for (const char* key : {"parcoach", "mpi-checker", "itac", "ir2vec", "gnn"}) {
+    core::EvalEngine mem_engine(2), disk_engine(2);
+    auto det = registry.create(key, tiny_config());
+    mem_engine.fit_full(*det, ds);  // no-op for the expert tools
     const auto in_memory = mem_engine.sweep(*det, ds);
-    // Tiny window to force many refill cycles; from a wrapped dataset
-    // and from real shards alike.
-    core::StreamOptions sopts;
-    sopts.window = 5;
-    const auto via_wrap = stream_engine.sweep_stream(*det, wrapped, sopts);
-    const auto via_disk = stream_engine.sweep_stream(*det, *reader, sopts);
-    expect_identical_reports(in_memory, via_wrap, key);
-    expect_identical_reports(in_memory, via_disk, key);
+    const auto on_disk = disk_engine.sweep(*det, *reader, sopts);
+    expect_identical_reports(in_memory, on_disk, key);
   }
 }
 
 // ---- k-fold -----------------------------------------------------------------
 
-void check_kfold_equivalence(const char* key, const core::DetectorConfig& cfg,
-                             int folds) {
+void check_kfold_equivalence(const char* key, int folds) {
   TempDir tmp;
   const auto ds = datasets::make_dataset("mbi:0.05@23");
   const auto reader = shard(tmp.path / "c", ds);
-  const corpus::DatasetSource wrapped(ds);
 
   auto& registry = core::DetectorRegistry::global();
-  core::EvalOptions opts = registry.create(key, cfg)->eval_defaults();
+  core::EvalOptions opts = registry.create(key, tiny_config())->eval_defaults();
   opts.folds = folds;
-  // The one knob that aligns the protocols: hashed fold assignment is
-  // available in-memory precisely so the streamed path is comparable.
-  opts.hash_folds = true;
 
   core::EvalEngine mem_engine(2);
-  auto mem_det = registry.create(key, cfg);
+  auto mem_det = registry.create(key, tiny_config());
   const auto in_memory = mem_engine.kfold(*mem_det, ds, opts);
 
   core::StreamOptions sopts;
   sopts.window = 7;
-  core::EvalEngine stream_engine(2);
-  auto wrap_det = registry.create(key, cfg);
-  const auto via_wrap =
-      stream_engine.kfold_stream(*wrap_det, wrapped, opts, sopts);
-  auto disk_det = registry.create(key, cfg);
-  const auto via_disk =
-      stream_engine.kfold_stream(*disk_det, *reader, opts, sopts);
+  core::EvalEngine disk_engine(2);
+  auto disk_det = registry.create(key, tiny_config());
+  const auto on_disk = disk_engine.kfold(*disk_det, *reader, opts, sopts);
 
-  expect_identical_reports(in_memory, via_wrap, key);
-  expect_identical_reports(in_memory, via_disk, key);
+  expect_identical_reports(in_memory, on_disk, key);
 }
 
-TEST(CorpusEval, StreamedKfoldMatchesHashedKfoldIr2vec) {
-  check_kfold_equivalence("ir2vec", tiny_config(), 4);
+TEST(CorpusEval, OnDiskKfoldMatchesInMemoryIr2vec) {
+  check_kfold_equivalence("ir2vec", 4);
 }
 
-TEST(CorpusEval, StreamedKfoldMatchesHashedKfoldGnn) {
-  check_kfold_equivalence("gnn", tiny_config(), 3);
+TEST(CorpusEval, OnDiskKfoldMatchesInMemoryGnn) {
+  check_kfold_equivalence("gnn", 3);
 }
 
-TEST(CorpusEval, StreamedKfoldOfUntrainableDegeneratesToSweep) {
+TEST(CorpusEval, OnDiskKfoldOfUntrainableDegeneratesToSweep) {
   TempDir tmp;
   const auto ds = datasets::make_dataset("mbi:0.05@29");
-  const corpus::DatasetSource wrapped(ds);
+  const auto reader = shard(tmp.path / "c", ds);
   core::EvalEngine engine(2);
   auto det = core::DetectorRegistry::global().create("parcoach");
-  const auto swept = engine.sweep_stream(*det, wrapped);
-  auto report = engine.kfold_stream(*det, wrapped, det->eval_defaults());
+  const auto swept = engine.sweep(*det, *reader);
+  auto report = engine.kfold(*det, *reader, det->eval_defaults());
   EXPECT_EQ(report.protocol, "kfold");
   expect_identical_reports(swept, report, "parcoach kfold degenerate");
 }
 
 // ---- cross ------------------------------------------------------------------
 
-TEST(CorpusEval, StreamedCrossMatchesInMemory) {
+TEST(CorpusEval, OnDiskCrossMatchesInMemory) {
   TempDir tmp;
   const auto train = datasets::make_dataset("mbi:0.05@31");
   const auto valid = datasets::make_dataset("corr:0.05@37");
   const auto train_reader = shard(tmp.path / "train", train);
   const auto valid_reader = shard(tmp.path / "valid", valid);
-
-  auto& registry = core::DetectorRegistry::global();
-  core::EvalEngine mem_engine(2);
-  auto mem_det = registry.create("ir2vec", tiny_config());
-  const auto in_memory = mem_engine.cross(*mem_det, train, valid);
-
   core::StreamOptions sopts;
   sopts.window = 9;
-  core::EvalEngine stream_engine(2);
-  auto disk_det = registry.create("ir2vec", tiny_config());
-  const auto via_disk = stream_engine.cross_stream(*disk_det, *train_reader,
-                                                   *valid_reader, sopts);
-  expect_identical_reports(in_memory, via_disk, "ir2vec cross");
+
+  auto& registry = core::DetectorRegistry::global();
+  for (const char* key : {"ir2vec", "gnn"}) {
+    core::EvalEngine mem_engine(2);
+    auto mem_det = registry.create(key, tiny_config());
+    const auto in_memory = mem_engine.cross(*mem_det, train, valid);
+
+    core::EvalEngine disk_engine(2);
+    auto disk_det = registry.create(key, tiny_config());
+    const auto on_disk =
+        disk_engine.cross(*disk_det, *train_reader, *valid_reader, sopts);
+    expect_identical_reports(in_memory, on_disk, key);
+  }
 }
 
 // ---- contract edges ---------------------------------------------------------
 
+TEST(CorpusEval, FailedOnDiskSweepLeavesNoWindowEncodings) {
+  TempDir tmp;
+  const auto ds = datasets::make_dataset("mbi:0.02@47");
+  const auto reader = shard(tmp.path / "c", ds);
+  core::EvalEngine engine(2);
+  // Unfitted: every verdict throws, on the pool's workers.
+  auto det = core::DetectorRegistry::global().create("ir2vec", tiny_config());
+  EXPECT_THROW(engine.sweep(*det, *reader), ContractViolation);
+  EXPECT_EQ(engine.cache()->feature_set_count(), 0u);
+}
+
 TEST(CorpusEval, MulticlassStreamingIsRejected) {
+  TempDir tmp;
   const auto ds = datasets::make_dataset("mbi:0.02@41");
-  const corpus::DatasetSource wrapped(ds);
+  const auto reader = shard(tmp.path / "c", ds);
   core::EvalEngine engine(2);
   auto det = core::DetectorRegistry::global().create("ir2vec", tiny_config());
   core::EvalOptions opts = det->eval_defaults();
   opts.multiclass = true;
-  EXPECT_THROW(engine.kfold_stream(*det, wrapped, opts), ContractViolation);
+  EXPECT_THROW(engine.kfold(*det, *reader, opts), ContractViolation);
 }
 
 TEST(CorpusEval, IndexNormalizationStreamingIsRejected) {
+  TempDir tmp;
   const auto ds = datasets::make_dataset("mbi:0.02@43");
-  const corpus::DatasetSource wrapped(ds);
+  const auto reader = shard(tmp.path / "c", ds);
   core::DetectorConfig cfg = tiny_config();
   // Index normalization standardizes over the WHOLE feature matrix —
   // inherently not streamable, and it must say so instead of silently
@@ -210,7 +214,7 @@ TEST(CorpusEval, IndexNormalizationStreamingIsRejected) {
   cfg.normalization = ir2vec::Normalization::Index;
   core::EvalEngine engine(2);
   auto det = core::DetectorRegistry::global().create("ir2vec", cfg);
-  EXPECT_THROW(engine.kfold_stream(*det, wrapped, det->eval_defaults()),
+  EXPECT_THROW(engine.kfold(*det, *reader, det->eval_defaults()),
                ContractViolation);
 }
 

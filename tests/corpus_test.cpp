@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -347,28 +346,6 @@ TEST(CorpusTorture, MissingAndEmptyDirectoriesAreRejected) {
                io::FormatError);
   fs::create_directories(tmp.dir("hollow"));
   EXPECT_THROW(corpus::CorpusReader r(tmp.dir("hollow")), io::FormatError);
-}
-
-// ---- fold assignment --------------------------------------------------------
-
-TEST(CorpusFold, HashedFoldsAreStableInRangeAndNonDegenerate) {
-  std::map<std::size_t, std::size_t> histogram;
-  for (std::uint64_t id = 1; id <= 1000; ++id) {
-    const std::size_t f = corpus::fold_of(id, 5, 42);
-    EXPECT_LT(f, 5u);
-    EXPECT_EQ(f, corpus::fold_of(id, 5, 42));  // pure function of inputs
-    ++histogram[f];
-  }
-  ASSERT_EQ(histogram.size(), 5u);  // every fold populated
-  for (const auto& [fold, n] : histogram) {
-    EXPECT_GT(n, 100u) << "fold " << fold << " is degenerate";
-  }
-  // The seed reshuffles assignments.
-  std::size_t moved = 0;
-  for (std::uint64_t id = 1; id <= 1000; ++id) {
-    moved += corpus::fold_of(id, 5, 42) != corpus::fold_of(id, 5, 43);
-  }
-  EXPECT_GT(moved, 500u);
 }
 
 // ---- fuzzer out-of-core guarantees -----------------------------------------

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
 #include "datasets/corrbench.hpp"
@@ -117,17 +122,15 @@ TEST(Verdict, OutcomeNamesMatchDiagnosticNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine vs independent reference implementations. The legacy free
-// functions now delegate to the engine, so comparing against them only
-// checks the shim contract; the tests below re-implement the original
-// evaluation loops by hand and prove the engine reproduces their
-// confusions exactly on a fixed-seed dataset.
+// Engine vs independent reference implementations: the tests below
+// re-implement the paper's evaluation loops by hand and prove the engine
+// reproduces their results exactly on a fixed-seed dataset.
 // ---------------------------------------------------------------------------
 
 TEST(EvalEngine, SweepMatchesHandRolledToolLoop) {
   const auto ds = small_mbi();
   // Reference: a serial loop over check(), accumulating the MBI-style
-  // confusion exactly as the original evaluate_tool did.
+  // confusion exactly as the original tool-evaluation loop did.
   auto tool = verify::make_parcoach_lite();
   ml::Confusion ref;
   for (const auto& c : ds.cases) {
@@ -141,11 +144,19 @@ TEST(EvalEngine, SweepMatchesHandRolledToolLoop) {
   }
   EvalEngine engine(4);
   auto det = DetectorRegistry::global().create("parcoach");
-  expect_equal(engine.sweep(*det, ds).confusion, ref);
+  const auto report = engine.sweep(*det, ds);
+  expect_equal(report.confusion, ref);
+  EXPECT_EQ(report.cases, ds.size());
+  EXPECT_EQ(report.verdicts.size(), ds.size());
+  EXPECT_EQ(report.confusion.population(), ds.size());
+  // The outcome tallies agree with the confusion's columns.
+  EXPECT_EQ(report.outcome_counts[static_cast<std::size_t>(
+                Verdict::Outcome::Incorrect)],
+            report.confusion.tp + report.confusion.fp);
 }
 
 TEST(EvalEngine, KfoldMatchesHandRolledLegacyIntraLoop) {
-  // Reference: the original ir2vec_intra protocol — stratified folds on
+  // Reference: the original IR2vec Intra protocol — stratified folds on
   // the binary labels, per-fold seed = base + fold, single-threaded
   // training on the fold complement, validation on the fold.
   const auto ds = small_mbi();
@@ -180,8 +191,9 @@ TEST(EvalEngine, KfoldMatchesHandRolledLegacyIntraLoop) {
 }
 
 TEST(EvalEngine, CrossMatchesHandRolledLegacyCrossLoop) {
-  // Reference: the original ir2vec_cross — one full-set training run,
-  // then a straight prediction pass over the validation embedding.
+  // Reference: the original IR2vec Cross protocol — one full-set
+  // training run, then a straight prediction pass over the validation
+  // embedding.
   const auto mbi = small_mbi();
   const auto corr = small_corr();
   const DetectorConfig cfg = fast_config();
@@ -201,28 +213,155 @@ TEST(EvalEngine, CrossMatchesHandRolledLegacyCrossLoop) {
   expect_equal(engine.cross(*det, mbi, corr).confusion, ref);
 }
 
-// ---------------------------------------------------------------------------
-// Shim contract: the deprecated free functions delegate to the engine
-// and must agree with it bit-for-bit.
-// ---------------------------------------------------------------------------
-
-TEST(EvalEngine, SweepMatchesLegacyEvaluateTool) {
+TEST(EvalEngine, CrossDistinguishesSameCasesDifferentEmbeddings) {
+  // Regression: train and validation sets covering the *same* cases
+  // under different embeddings (the table5 seed-study shape) must not
+  // collide in the encoding cache, whose key includes the dataset name.
   const auto ds = small_mbi();
-  // Legacy path: a hand-held tool through the deprecated entry point.
-  auto tool = verify::make_itac_lite();
-  const auto legacy = verify::evaluate_tool(*tool, ds, 4);
-  // Engine path: the registry detector through a sweep.
-  EvalEngine engine(4);
-  auto det = DetectorRegistry::global().create("itac");
-  const auto report = engine.sweep(*det, ds);
-  expect_equal(report.confusion, legacy);
-  EXPECT_EQ(report.cases, ds.size());
-  EXPECT_EQ(report.verdicts.size(), ds.size());
-  EXPECT_EQ(report.confusion.population(), ds.size());
-  // The outcome tallies agree with the confusion's error columns.
-  EXPECT_EQ(report.outcome_counts[static_cast<std::size_t>(
-                Verdict::Outcome::Timeout)],
-            report.confusion.to);
+  DetectorConfig cfg = fast_config();
+  cfg.cache = std::make_shared<EncodingCache>();
+  const auto fs_a = extract_features(ds, cfg.feature_opt, cfg.normalization,
+                                     cfg.vocab_seed);
+  const auto fs_b =
+      extract_features(ds, cfg.feature_opt, cfg.normalization, 0x9999);
+  const TrainedIr2vec model =
+      train_ir2vec(fs_a.X, fs_a.y_binary, cfg.ir2vec);
+  ml::Confusion ref;
+  for (std::size_t i = 0; i < fs_b.size(); ++i) {
+    ref.add(fs_b.incorrect[i], model.predict(fs_b.X[i]) == 1);
+  }
+
+  const auto train = skeleton_dataset(fs_a);
+  auto valid = skeleton_dataset(fs_b);
+  valid.name = "features-valid";
+  cfg.cache->put_features(train, cfg.feature_opt, cfg.normalization,
+                          cfg.vocab_seed, fs_a);
+  cfg.cache->put_features(valid, cfg.feature_opt, cfg.normalization,
+                          cfg.vocab_seed, fs_b);
+  EvalEngine engine(0, cfg.cache);
+  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  expect_equal(engine.cross(*det, train, valid).confusion, ref);
+}
+
+TEST(EvalEngine, GnnKfoldMatchesHandRolledLoop) {
+  // Reference: stratified folds on the binary labels with the GNN's
+  // seed, a fresh two-class model per fold seeded seed * 97 + fold,
+  // trained on the fold complement and validated on the fold.
+  const auto ds = small_mbi();
+  const DetectorConfig cfg = fast_config();
+  const auto gs = extract_graphs(ds, cfg.graph_opt);
+  const auto folds = ml::stratified_kfold(
+      gs.y_binary, static_cast<std::size_t>(cfg.gnn.folds), cfg.gnn.seed);
+  ml::Confusion ref;
+  for (std::size_t f = 0; f < folds.size(); ++f) {
+    std::vector<programl::ProgramGraph> graphs;
+    std::vector<std::size_t> y;
+    for (const std::size_t i : ml::fold_complement(folds[f], gs.size())) {
+      graphs.push_back(gs.graphs[i]);
+      y.push_back(gs.y_binary[i]);
+    }
+    ml::GnnConfig mc = cfg.gnn.cfg;
+    mc.classes = 2;
+    mc.seed = cfg.gnn.seed * 97 + f;
+    ml::GnnModel model(mc);
+    model.fit(graphs, y);
+    for (const std::size_t i : folds[f]) {
+      const Verdict v = gnn_verdict(model.predict_proba(gs.graphs[i]));
+      if (v.conclusive()) {
+        ref.add(gs.incorrect[i], v.flagged());
+      } else {
+        ++ref.re;
+      }
+    }
+  }
+
+  EvalEngine engine;
+  auto det = DetectorRegistry::global().create("gnn", cfg);
+  expect_equal(engine.kfold(*det, ds).confusion, ref);
+}
+
+TEST(EvalEngine, PerLabelMatchesHandRolledMulticlassLoop) {
+  // Reference: classes are the labels in first-occurrence order, folds
+  // are stratified over them, and a case counts as correct when the
+  // tree trained on its fold complement predicts its exact label.
+  const auto ds = small_mbi();
+  const DetectorConfig cfg = fast_config();
+  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
+                                   cfg.vocab_seed);
+  std::vector<std::string> names;
+  std::vector<std::size_t> y;
+  for (const auto& c : ds.cases) {
+    const auto it = std::find(names.begin(), names.end(), c.label_name());
+    y.push_back(static_cast<std::size_t>(it - names.begin()));
+    if (it == names.end()) names.push_back(c.label_name());
+  }
+  const auto folds = ml::stratified_kfold(
+      y, static_cast<std::size_t>(cfg.ir2vec.folds), cfg.ir2vec.seed);
+  std::map<std::string, std::pair<std::size_t, std::size_t>> ref;
+  for (std::size_t f = 0; f < folds.size(); ++f) {
+    std::vector<std::vector<double>> X;
+    std::vector<std::size_t> yt;
+    for (const std::size_t i : ml::fold_complement(folds[f], fs.size())) {
+      X.push_back(fs.X[i]);
+      yt.push_back(y[i]);
+    }
+    Ir2vecOptions o = cfg.ir2vec;
+    o.seed = cfg.ir2vec.seed + f;
+    const TrainedIr2vec model = train_ir2vec(X, yt, o);
+    for (const std::size_t i : folds[f]) {
+      auto& [correct, total] = ref[names[y[i]]];
+      ++total;
+      correct += model.predict(fs.X[i]) == y[i];
+    }
+  }
+
+  EvalEngine engine;
+  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  EvalOptions eval = det->eval_defaults();
+  eval.multiclass = true;
+  EXPECT_EQ(engine.kfold(*det, ds, eval).per_label, ref);
+}
+
+TEST(EvalEngine, AblationMatchesHandRolledExclusionLoop) {
+  // Reference: stratified binary folds whose training rows never
+  // include an excluded-label case; every excluded case is validated
+  // once and counts as detected when the binary tree flags it.
+  const auto ds = small_mbi();
+  const DetectorConfig cfg = fast_config();
+  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
+                                   cfg.vocab_seed);
+  const auto excluded = [&](std::size_t i) {
+    return ds.cases[i].label_name() == "Call Ordering";
+  };
+  const auto folds = ml::stratified_kfold(
+      fs.y_binary, static_cast<std::size_t>(cfg.ir2vec.folds),
+      cfg.ir2vec.seed);
+  std::size_t detected = 0, total = 0;
+  for (std::size_t f = 0; f < folds.size(); ++f) {
+    std::vector<std::vector<double>> X;
+    std::vector<std::size_t> y;
+    for (const std::size_t i : ml::fold_complement(folds[f], fs.size())) {
+      if (excluded(i)) continue;
+      X.push_back(fs.X[i]);
+      y.push_back(fs.y_binary[i]);
+    }
+    Ir2vecOptions o = cfg.ir2vec;
+    o.seed = cfg.ir2vec.seed + f;
+    const TrainedIr2vec model = train_ir2vec(X, y, o);
+    for (const std::size_t i : folds[f]) {
+      if (!excluded(i)) continue;
+      ++total;
+      detected += model.predict(fs.X[i]) == 1;
+    }
+  }
+  ASSERT_GT(total, 0u);
+
+  EvalEngine engine;
+  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  const auto r = engine.ablation(*det, ds, {"Call Ordering"}, std::nullopt,
+                                 det->eval_defaults());
+  EXPECT_EQ(r.detected, detected);
+  EXPECT_EQ(r.total, total);
 }
 
 TEST(EvalEngine, SweepIsSerialParallelInvariant) {
@@ -234,58 +373,13 @@ TEST(EvalEngine, SweepIsSerialParallelInvariant) {
                parallel.sweep(*det, ds).confusion);
 }
 
-TEST(EvalEngine, KfoldMatchesLegacyIr2vecIntra) {
+TEST(EvalEngine, SweepOfUnfittedLearnedDetectorThrows) {
+  // The throw happens on pool workers; it must reach the caller as the
+  // detector's ContractViolation instead of terminating the process.
   const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  // Legacy path: explicit feature extraction + the deprecated shim.
-  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                   cfg.vocab_seed);
-  const auto legacy = ir2vec_intra(fs, cfg.ir2vec);
-
-  // Engine path: registry detector + kfold on the raw dataset.
-  EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
-  const auto report = engine.kfold(*det, ds);
-  expect_equal(report.confusion, legacy);
-  EXPECT_EQ(report.confusion.population(), ds.size());
-}
-
-TEST(EvalEngine, CrossMatchesLegacyIr2vecCross) {
-  const auto mbi = small_mbi();
-  const auto corr = small_corr();
-  const DetectorConfig cfg = fast_config();
-
-  const auto fs_m = extract_features(mbi, cfg.feature_opt, cfg.normalization,
-                                     cfg.vocab_seed);
-  const auto fs_c = extract_features(corr, cfg.feature_opt, cfg.normalization,
-                                     cfg.vocab_seed);
-  const auto legacy = ir2vec_cross(fs_m, fs_c, cfg.ir2vec);
-
-  EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
-  const auto report = engine.cross(*det, mbi, corr);
-  expect_equal(report.confusion, legacy);
-  EXPECT_EQ(report.confusion.population(), corr.size());
-}
-
-TEST(EvalEngine, CrossShimDistinguishesSameCasesDifferentEmbeddings) {
-  // Regression: train and validation feature sets covering the *same*
-  // cases under different embeddings (the table5 seed-study shape) must
-  // not collide in the shim's cache seeding.
-  const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-  const auto fs_a = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                     cfg.vocab_seed);
-  const auto fs_b =
-      extract_features(ds, cfg.feature_opt, cfg.normalization, 0x9999);
-  const TrainedIr2vec model =
-      train_ir2vec(fs_a.X, fs_a.y_binary, cfg.ir2vec);
-  ml::Confusion ref;
-  for (std::size_t i = 0; i < fs_b.size(); ++i) {
-    ref.add(fs_b.incorrect[i], model.predict(fs_b.X[i]) == 1);
-  }
-  expect_equal(ir2vec_cross(fs_a, fs_b, cfg.ir2vec), ref);
+  EvalEngine engine(4);
+  auto det = DetectorRegistry::global().create("ir2vec", fast_config());
+  EXPECT_THROW(engine.sweep(*det, ds), ContractViolation);
 }
 
 TEST(Detector, BatchedRunDoesNotGrowCache) {
@@ -300,51 +394,6 @@ TEST(Detector, BatchedRunDoesNotGrowCache) {
     det->run(std::span(ds.cases.data(), 2));  // ad-hoc batches, discarded
   }
   EXPECT_EQ(cfg.cache->feature_set_count(), base);
-}
-
-TEST(EvalEngine, KfoldMatchesLegacyGnnIntra) {
-  const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  const auto gs = extract_graphs(ds, cfg.graph_opt);
-  const auto legacy = gnn_intra(gs, cfg.gnn);
-
-  EvalEngine engine;
-  auto det = DetectorRegistry::global().create("gnn", cfg);
-  const auto report = engine.kfold(*det, ds);
-  expect_equal(report.confusion, legacy);
-}
-
-TEST(EvalEngine, PerLabelMatchesLegacyIr2vecPerLabel) {
-  const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                   cfg.vocab_seed);
-  const auto legacy = ir2vec_per_label(fs, cfg.ir2vec);
-
-  EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
-  EvalOptions eval = det->eval_defaults();
-  eval.multiclass = true;
-  const auto report = engine.kfold(*det, ds, eval);
-  EXPECT_EQ(report.per_label, legacy);
-}
-
-TEST(EvalEngine, AblationMatchesLegacyIr2vecAblation) {
-  const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                   cfg.vocab_seed);
-  const auto legacy = ir2vec_ablation(fs, {"Call Ordering"}, cfg.ir2vec);
-
-  EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
-  const auto r = engine.ablation(*det, ds, {"Call Ordering"}, std::nullopt,
-                                 det->eval_defaults());
-  EXPECT_EQ(r.detected, legacy.first);
-  EXPECT_EQ(r.total, legacy.second);
 }
 
 TEST(EvalEngine, AblationUnknownLabelThrows) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "datasets/mbi.hpp"
 #include "ml/decision_tree.hpp"
@@ -10,6 +12,7 @@
 #include "ml/metrics.hpp"
 #include "programl/graph.hpp"
 #include "progmodel/lower.hpp"
+#include "support/check.hpp"
 
 namespace mpidetect::ml {
 namespace {
@@ -348,6 +351,27 @@ TEST(Gnn, LearnsToSeparateTokenPatterns) {
     correct += (model.predict(graphs[i]) == labels[i]);
   }
   EXPECT_EQ(correct, graphs.size());
+}
+
+TEST(Gnn, NonFiniteLossFailsTrainingNamingTheStep) {
+  // A diverged run must not finish as if it had trained: one NaN in the
+  // output bias makes the very first loss NaN.
+  GnnModel model(tiny_gnn_config());
+  std::vector<Matrix> params;
+  for (const Matrix* p : model.parameters()) params.push_back(*p);
+  params.back().data()[0] = std::numeric_limits<double>::quiet_NaN();
+  model.set_parameters(std::move(params));
+  const std::vector<programl::ProgramGraph> graphs{tiny_graph(1, 2),
+                                                   tiny_graph(3, 4)};
+  const std::vector<std::size_t> labels{0, 1};
+  try {
+    model.fit(graphs, labels);
+    ADD_FAILURE() << "fit returned normally on a NaN loss";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("epoch 0, step 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Gnn, ProbabilitiesSumToOne) {

@@ -306,5 +306,39 @@ TEST(ThreadPool, BackToBackCallsRunEachIndexOnceWithTheirOwnJob) {
   EXPECT_EQ(stale, 0u);
 }
 
+// A task that throws on a pool worker must not escape the thread (that
+// terminates the process): the exception comes back to the caller, and
+// the pool serves the next call normally.
+TEST(ThreadPool, ThrowingTaskIsRethrownOnTheCallerAndPoolStaysUsable) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    try {
+      pool.parallel_for(64, [](std::size_t i) {
+        if (i == 37) throw ContractViolation("task 37 failed");
+      });
+      ADD_FAILURE() << "parallel_for swallowed the exception";
+    } catch (const ContractViolation& e) {
+      EXPECT_STREQ(e.what(), "task 37 failed");
+    }
+    std::vector<std::atomic<int>> hits(50);
+    pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
+}
+
+TEST(ParallelFor, ThrowingTaskIsRethrownAfterEveryWorkerJoins) {
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(64, 4,
+                            [&](std::size_t i) {
+                              ran.fetch_add(1);
+                              if (i == 3) throw ContractViolation("task 3");
+                            }),
+               ContractViolation);
+  EXPECT_GE(ran.load(), 1);
+  EXPECT_LE(ran.load(), 64);
+}
+
 }  // namespace
 }  // namespace mpidetect

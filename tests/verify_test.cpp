@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "core/detector.hpp"
+#include "core/eval_engine.hpp"
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
 #include "verify/tool.hpp"
@@ -11,6 +13,14 @@ datasets::Dataset small_mbi() {
   datasets::MbiConfig cfg;
   cfg.scale = 0.08;
   return datasets::generate_mbi(cfg);
+}
+
+/// MBI-style confusion of one registry tool over `ds` (TO/RE/CE feed
+/// the Errors column of Table III), on a 4-wide engine pool.
+ml::Confusion sweep(const char* key, const datasets::Dataset& ds) {
+  core::EvalEngine engine(4);
+  auto det = core::DetectorRegistry::global().create(key);
+  return engine.sweep(*det, ds).confusion;
 }
 
 TEST(Tools, NamesMatchPaper) {
@@ -27,8 +37,7 @@ TEST(Tools, DiagnosticNames) {
 
 TEST(Tools, EvaluateCoversWholeDataset) {
   const auto ds = small_mbi();
-  auto tool = make_mpichecker_lite();
-  const auto c = evaluate_tool(*tool, ds, 4);
+  const auto c = sweep("mpi-checker", ds);
   EXPECT_EQ(c.population(), ds.size());
 }
 
@@ -36,8 +45,7 @@ TEST(ItacLite, HighPrecisionProfile) {
   // ITAC's hallmark in Table III: near-perfect precision/specificity and
   // a non-trivial number of inconclusive (TO) codes.
   const auto ds = small_mbi();
-  auto tool = make_itac_lite();
-  const auto c = evaluate_tool(*tool, ds, 4);
+  const auto c = sweep("itac", ds);
   EXPECT_GT(c.precision(), 0.9);
   EXPECT_GT(c.specificity(), 0.9);
   EXPECT_GT(c.recall(), 0.5);
@@ -47,10 +55,8 @@ TEST(ItacLite, HighPrecisionProfile) {
 
 TEST(MustLite, BroaderRecallThanItac) {
   const auto ds = small_mbi();
-  auto itac = make_itac_lite();
-  auto must = make_must_lite();
-  const auto ci = evaluate_tool(*itac, ds, 4);
-  const auto cm = evaluate_tool(*must, ds, 4);
+  const auto ci = sweep("itac", ds);
+  const auto cm = sweep("must", ds);
   // MUST additionally reports races / RMA / ownership errors.
   EXPECT_GE(cm.tp, ci.tp);
   EXPECT_GT(cm.conclusiveness(), ci.conclusiveness());
@@ -60,8 +66,7 @@ TEST(ParcoachLite, LowSpecificityHighCoverageProfile) {
   // PARCOACH floods correct codes with false positives (paper: S=0.088)
   // while never failing to ingest a code (coverage = conclusiveness = 1).
   const auto ds = small_mbi();
-  auto tool = make_parcoach_lite();
-  const auto c = evaluate_tool(*tool, ds, 4);
+  const auto c = sweep("parcoach", ds);
   EXPECT_DOUBLE_EQ(c.coverage(), 1.0);
   EXPECT_DOUBLE_EQ(c.conclusiveness(), 1.0);
   EXPECT_LT(c.specificity(), 0.6);
@@ -71,8 +76,7 @@ TEST(ParcoachLite, LowSpecificityHighCoverageProfile) {
 
 TEST(ParcoachLite, StaticToolNeverTimesOut) {
   const auto ds = small_mbi();
-  auto tool = make_parcoach_lite();
-  const auto c = evaluate_tool(*tool, ds, 4);
+  const auto c = sweep("parcoach", ds);
   EXPECT_EQ(c.to, 0u);
   EXPECT_EQ(c.re, 0u);
 }
@@ -96,8 +100,7 @@ TEST(MpiCheckerLite, CatchesLiteralArgErrors) {
 TEST(MpiCheckerLite, ModestOverallRecall) {
   // Cross-rank and dynamic error classes are invisible to AST checks.
   const auto ds = small_mbi();
-  auto tool = make_mpichecker_lite();
-  const auto c = evaluate_tool(*tool, ds, 4);
+  const auto c = sweep("mpi-checker", ds);
   EXPECT_LT(c.recall(), 0.7);
 }
 

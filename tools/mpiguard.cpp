@@ -79,8 +79,8 @@ common options:
 streamed eval (out-of-core .mpcs shards, see docs/CORPUS.md):
   --corpus DIR      evaluate over a sharded corpus directory instead of
                     a generated --dataset: sweep and kfold stream cases
-                    window-by-window with bounded memory; kfold assigns
-                    folds by hashed case id (binary detectors only)
+                    window-by-window with bounded memory, folds run
+                    serially (binary detectors only)
   --window N        cases materialized per streaming window (default 256)
 
 fuzz options (differential fuzz harness, see docs/TESTING.md):
@@ -413,52 +413,9 @@ int cmd_predict(const Args& a) {
   return 0;
 }
 
-/// eval --corpus DIR: the streamed protocols over .mpcs shards. Only
-/// sweep and (hash-fold, binary) kfold make sense out of core; cross
-/// needs a second corpus and stays in-memory for now.
-int cmd_eval_stream(const Args& a) {
-  Session session(a);
-  auto& registry = core::DetectorRegistry::global();
-  auto det = a.model_path.empty()
-                 ? registry.create(a.detector, session.config(a))
-                 : registry.load_bundle(a.model_path, session.config(a));
-
-  const corpus::CorpusReader src(a.corpus_path);
-  std::cout << "corpus " << a.corpus_path << ": " << src.size()
-            << " case(s) across " << src.shard_count() << " shard(s)\n";
-
-  std::string protocol = a.protocol;
-  if (protocol.empty()) {
-    protocol = (!a.model_path.empty() || !det->trainable()) ? "sweep" : "kfold";
-  }
-  core::StreamOptions sopts;
-  sopts.window = std::max<std::size_t>(1, a.window);
-
-  core::EvalReport report;
-  if (protocol == "sweep") {
-    if (det->trainable() && a.model_path.empty()) {
-      throw CliError("eval: a fresh " + std::string(det->name()) +
-                     " has no trained state to sweep; pass --model, or use "
-                     "--protocol kfold");
-    }
-    report = session.engine.sweep_stream(*det, src, sopts);
-  } else if (protocol == "kfold") {
-    if (a.multiclass) {
-      throw CliError("eval: --corpus streaming is binary-only (drop "
-                     "--multiclass or use --dataset)");
-    }
-    core::EvalOptions opts = det->eval_defaults();
-    if (a.folds) opts.folds = *a.folds;
-    report = session.engine.kfold_stream(*det, src, opts, sopts);
-  } else {
-    throw CliError("eval: protocol '" + protocol +
-                   "' is not streamable (use sweep or kfold with --corpus)");
-  }
-  print_report(report, a.quiet);
-  session.print_cache_stats();
-  return 0;
-}
-
+/// eval: one protocol dispatch over a case source — a generated
+/// --dataset (resident) or a .mpcs --corpus directory (windowed). Cross
+/// needs a second corpus and is resident-only for now.
 int cmd_eval(const Args& a) {
   if (a.dataset_spec.empty() && a.corpus_path.empty()) {
     throw CliError("eval: --dataset or --corpus is required");
@@ -469,14 +426,25 @@ int cmd_eval(const Args& a) {
   if (a.model_path.empty() == a.detector.empty()) {
     throw CliError("eval: exactly one of --model / --detector is required");
   }
-  if (!a.corpus_path.empty()) return cmd_eval_stream(a);
 
   Session session(a);
   auto& registry = core::DetectorRegistry::global();
   auto det = a.model_path.empty()
                  ? registry.create(a.detector, session.config(a))
                  : registry.load_bundle(a.model_path, session.config(a));
-  const auto ds = make_dataset(a.dataset_spec);
+
+  const bool on_disk = !a.corpus_path.empty();
+  datasets::Dataset ds;
+  std::unique_ptr<corpus::CaseSource> src;
+  if (on_disk) {
+    auto reader = std::make_unique<corpus::CorpusReader>(a.corpus_path);
+    std::cout << "corpus " << a.corpus_path << ": " << reader->size()
+              << " case(s) across " << reader->shard_count() << " shard(s)\n";
+    src = std::move(reader);
+  } else {
+    ds = make_dataset(a.dataset_spec);
+    src = std::make_unique<corpus::DatasetSource>(ds);
+  }
 
   std::string protocol = a.protocol;
   if (protocol.empty()) {
@@ -484,20 +452,29 @@ int cmd_eval(const Args& a) {
     // swept, a fresh trainable one cross-validates.
     protocol = (!a.model_path.empty() || !det->trainable()) ? "sweep" : "kfold";
   }
+  core::StreamOptions sopts;
+  sopts.window = std::max<std::size_t>(1, a.window);
 
   core::EvalReport report;
   if (protocol == "sweep") {
     if (det->trainable() && a.model_path.empty()) {
       throw CliError("eval: a fresh " + std::string(det->name()) +
                      " has no trained state to sweep; pass --model, or use "
-                     "--protocol kfold/cross");
+                     "--protocol " + (on_disk ? "kfold" : "kfold/cross"));
     }
-    report = session.engine.sweep(*det, ds);
+    report = session.engine.sweep(*det, *src, sopts);
   } else if (protocol == "kfold") {
+    if (a.multiclass && on_disk) {
+      throw CliError("eval: --corpus streaming is binary-only (drop "
+                     "--multiclass or use --dataset)");
+    }
     core::EvalOptions opts = det->eval_defaults();
     if (a.folds) opts.folds = *a.folds;
     opts.multiclass = a.multiclass;
-    report = session.engine.kfold(*det, ds, opts);
+    report = session.engine.kfold(*det, *src, opts, sopts);
+  } else if (on_disk) {
+    throw CliError("eval: protocol '" + protocol +
+                   "' is not streamable (use sweep or kfold with --corpus)");
   } else if (protocol == "cross") {
     if (a.valid_spec.empty()) {
       throw CliError("eval: --protocol cross requires --valid");
