@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
 
+#include "core/features.hpp"
 #include "datasets/mbi.hpp"
+#include "datasets/spec.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/genetic.hpp"
 #include "ml/gnn.hpp"
+#include "ml/kernels.hpp"
 #include "ml/kfold.hpp"
 #include "ml/metrics.hpp"
 #include "programl/graph.hpp"
@@ -406,6 +412,60 @@ TEST(Gnn, TrainsOnRealProgramGraphs) {
   EXPECT_NO_THROW(model.fit(graphs, labels));
   // Predictions are valid class ids.
   for (const auto& g : graphs) EXPECT_LT(model.predict(g), 2u);
+}
+
+// The paper protocol's training trajectory, pinned bit for bit: a
+// default-config fit (batch_size 1, GATv2 128/64/32) over the O0 graphs
+// of the fixed gnn-kfold corpus, digested over every trained parameter
+// and every predicted probability. Any kernel, fusion or optimizer
+// change that moves a single bit of that trajectory changes the digest.
+// The value was recorded from the seed pipeline; it must hold on the
+// detected SIMD target and on the scalar fallback alike.
+std::uint64_t fnv1a_doubles(std::uint64_t h, const double* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &p[i], sizeof(bits));
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::uint64_t paper_protocol_fit_digest() {
+  const core::GraphSet gs = core::extract_graphs(
+      datasets::make_dataset("mbi:0.015@1"), passes::OptLevel::O0, 1);
+  GnnConfig cfg;
+  cfg.epochs = 2;
+  GnnModel model(cfg);
+  model.fit(gs.graphs, gs.y_binary);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Matrix* p : model.parameters()) {
+    h = fnv1a_doubles(h, p->data().data(), p->size());
+  }
+  for (const auto& g : gs.graphs) {
+    const std::vector<double> p = model.predict_proba(g);
+    h = fnv1a_doubles(h, p.data(), p.size());
+  }
+  return h;
+}
+
+constexpr std::uint64_t kPaperProtocolFitDigest = 0x57c76bda8cc9a155ULL;
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(Gnn, PaperProtocolFitMatchesRecordedDigest) {
+  EXPECT_EQ(hex(paper_protocol_fit_digest()), hex(kPaperProtocolFitDigest))
+      << "isa=" << kernels::isa_name(kernels::active_isa());
+  kernels::ScopedForceScalar scalar(true);
+  EXPECT_EQ(hex(paper_protocol_fit_digest()), hex(kPaperProtocolFitDigest))
+      << "isa=scalar";
 }
 
 }  // namespace
