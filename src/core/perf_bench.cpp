@@ -118,11 +118,15 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
   for (int i = 0; i < opts.warmup + opts.reps; ++i) {
     const bool measured = i >= opts.warmup;
     {
-      // The baseline is the SEED's path, all of it: naive matmul,
-      // scalar dispatch for the fused ops, one thread. The v1 record
-      // was measured before the SIMD table existed — leaving SIMD live
+      // The baseline is the seed's kernels: naive matmul, scalar
+      // dispatch for the fused ops, one thread. The v1 record was
+      // measured before the SIMD table existed — leaving SIMD live
       // here would silently shrink the baseline and make speedups
-      // incomparable across records.
+      // incomparable across records. The op chain is not the seed's:
+      // single-graph training now runs the fused GATv2 ops over the
+      // gathered rows (ml/gnn.cpp), which train the same parameters bit
+      // for bit but skip the unfused chain's (E,d) intermediates, so
+      // this baseline is faster than the seed pipeline was.
       ml::kernels::ScopedNaiveMatmul naive(true);
       ml::kernels::ScopedForceScalar scalar(true);
       ml::kernels::ScopedKernelThreads serial(1);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "ml/kernels.hpp"
+
 namespace mpidetect::ml {
 
 Adam::Adam(std::vector<Var> params, double lr, double beta1, double beta2,
@@ -21,23 +23,19 @@ Adam::Adam(std::vector<Var> params, double lr, double beta1, double beta2,
 
 void Adam::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const kernels::AdamCoeffs c{
+      lr_, beta1_, beta2_, eps_,
+      1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      1.0 - std::pow(beta2_, static_cast<double>(t_))};
+  // One dispatched row kernel per tensor updates value, moments and
+  // zeroes the gradient in a single pass.
+  const kernels::KernelFns& fns = kernels::fns();
   for (std::size_t i = 0; i < params_.size(); ++i) {
     VarNode& p = *params_[i];
     Matrix& g = p.ensure_grad();
-    for (std::size_t k = 0; k < g.size(); ++k) {
-      const double grad = g.data()[k];
-      double& m = m_[i].data()[k];
-      double& v = v_[i].data()[k];
-      m = beta1_ * m + (1.0 - beta1_) * grad;
-      v = beta2_ * v + (1.0 - beta2_) * grad * grad;
-      const double mhat = m / bc1;
-      const double vhat = v / bc2;
-      p.value.data()[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    fns.adam_row(p.value.data().data(), m_[i].data().data(),
+                 v_[i].data().data(), g.data().data(), g.size(), c);
   }
-  zero_grad();
 }
 
 void Adam::zero_grad() {

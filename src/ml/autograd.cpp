@@ -292,6 +292,43 @@ Var gather_rows(const Var& a, std::vector<std::uint32_t> idx) {
       });
 }
 
+Var matmul_rows(const Var& a, const Var& b, std::vector<std::uint32_t> idx) {
+  MPIDETECT_EXPECTS(a->value.cols() == b->value.rows());
+  const std::size_t n = a->value.rows();
+  const std::size_t cols = b->value.cols();
+  // slot[i] = the row of the compact product holding (a b)[i].
+  std::vector<std::uint32_t> slot(n, UINT32_MAX);
+  std::vector<std::uint32_t> rows;
+  for (const std::uint32_t i : idx) {
+    MPIDETECT_EXPECTS(i < n);
+    if (slot[i] == UINT32_MAX) {
+      slot[i] = static_cast<std::uint32_t>(rows.size());
+      rows.push_back(i);
+    }
+  }
+  Matrix a_rows(rows.size(), a->value.cols());
+  for (std::size_t u = 0; u < rows.size(); ++u) {
+    const double* src = a->value.row(rows[u]);
+    std::copy(src, src + a->value.cols(), a_rows.row(u));
+  }
+  const Matrix product = a_rows.matmul(b->value);
+  Matrix out(idx.size(), cols);
+  {
+    kernels::OpTimer timer(kernels::Op::GatherRows, 0);
+    for (std::size_t e = 0; e < idx.size(); ++e) {
+      const double* src = product.row(slot[idx[e]]);
+      std::copy(src, src + cols, out.row(e));
+    }
+  }
+  return make_result(
+      std::move(out), {a, b}, [a, b, idx = std::move(idx)](VarNode& self) {
+        Matrix g(a->value.rows(), b->value.cols());
+        scatter_add_into(g, self.grad, idx);
+        if (a->requires_grad) accumulate_grad(*a, g.matmul_nt(b->value));
+        if (b->requires_grad) accumulate_grad(*b, a->value.matmul_tn(g));
+      });
+}
+
 Var scatter_add_rows(const Var& a, std::vector<std::uint32_t> idx,
                      std::size_t n_rows) {
   MPIDETECT_EXPECTS(idx.size() == a->value.rows());
@@ -425,6 +462,25 @@ Matrix gatv2_scores_value(const Var& hl, LeftIx li, const Var& hr, RightIx ri,
   return out;
 }
 
+/// One edge's share of the score backward when all three gradients are
+/// live and the two node gradients are distinct buffers. The k lanes are
+/// independent and the pointers cannot alias, so the compiler vectorizes
+/// this loop; every lane keeps the generic loop's operations and order.
+void gatv2_edge_backward(const double* __restrict l,
+                         const double* __restrict r,
+                         const double* __restrict av, double ge, double slope,
+                         std::size_t d, double* __restrict gl,
+                         double* __restrict gr, double* __restrict ga) {
+  for (std::size_t k = 0; k < d; ++k) {
+    const double t = l[k] + r[k];
+    const double dt = ge * av[k] * (t > 0 ? 1.0 : slope);
+    gl[k] += dt;
+    gr[k] += dt;
+    const double act = t > 0 ? t : slope * t;
+    ga[k] += act * ge;
+  }
+}
+
 template <typename LeftIx, typename RightIx>
 void gatv2_scores_backward(VarNode& self, const Var& hl, LeftIx li,
                            const Var& hr, RightIx ri, const Var& attn,
@@ -435,12 +491,18 @@ void gatv2_scores_backward(VarNode& self, const Var& hl, LeftIx li,
   Matrix* gl = hl->requires_grad ? &hl->ensure_grad() : nullptr;
   Matrix* gr = hr->requires_grad ? &hr->ensure_grad() : nullptr;
   Matrix* ga = attn->requires_grad ? &attn->ensure_grad() : nullptr;
+  const bool fast = gl != nullptr && gr != nullptr && ga != nullptr && gl != gr;
   for (std::size_t e = 0; e < e_rows; ++e) {
     const double ge = self.grad.at(e, 0);
     const double* l = hl->value.row(li(e));
     const double* r = hr->value.row(ri(e));
     double* glr = gl != nullptr ? gl->row(li(e)) : nullptr;
     double* grr = gr != nullptr ? gr->row(ri(e)) : nullptr;
+    if (fast) {
+      gatv2_edge_backward(l, r, av, ge, negative_slope, d, glr, grr,
+                          ga->data().data());
+      continue;
+    }
     for (std::size_t k = 0; k < d; ++k) {
       const double t = l[k] + r[k];  // recomputed pre-activation
       if (need_lr) {
@@ -485,6 +547,7 @@ void scatter_add_scaled_backward(VarNode& self, const Var& alpha, const Var& h,
   const std::size_t cols = h->value.cols();
   Matrix* ga = alpha->requires_grad ? &alpha->ensure_grad() : nullptr;
   Matrix* gh = h->requires_grad ? &h->ensure_grad() : nullptr;
+  const kernels::KernelFns& fns = kernels::fns();
   for (std::size_t e = 0; e < dst.size(); ++e) {
     const double* gout = self.grad.row(dst[e]);
     if (ga != nullptr) {
@@ -494,9 +557,7 @@ void scatter_add_scaled_backward(VarNode& self, const Var& alpha, const Var& h,
       ga->at(e, 0) += dot;
     }
     if (gh != nullptr) {
-      const double a = alpha->value.at(e, 0);
-      double* g = gh->row(si(e));
-      for (std::size_t j = 0; j < cols; ++j) g[j] += a * gout[j];
+      fns.axpy1(gh->row(si(e)), gout, alpha->value.at(e, 0), cols);
     }
   }
 }

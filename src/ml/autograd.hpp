@@ -85,6 +85,16 @@ Var relu(const Var& a);
 
 /// out[e] = a[idx[e]]  (rows).
 Var gather_rows(const Var& a, std::vector<std::uint32_t> idx);
+
+/// \brief gather_rows(matmul(a, b), idx) as one op: out[e] = (a b)[idx[e]].
+///
+/// Only the product rows idx reads are computed (each is the same
+/// k-ascending dot products, so values are bit-identical). The backward
+/// is the two-op chain's, step for step: the (E,d) gradient is scattered
+/// into an (N,d) buffer in edge order, then the matmul backward runs on
+/// it, so gradients are bit-identical too. GATv2 reads few of a
+/// relation's node transforms, so this skips most of the forward work.
+Var matmul_rows(const Var& a, const Var& b, std::vector<std::uint32_t> idx);
 /// out[idx[e]] += a[e]; result has n_rows rows. Forward and the
 /// gather backward parallelize over column ranges above a size
 /// threshold (order-preserving, see ml/kernels.hpp).
@@ -109,9 +119,11 @@ Var gatv2_scores(const Var& hl, const Var& hr, const Var& attn,
                  double negative_slope = 0.2);
 
 /// \brief Fused row-broadcast bias + ELU: out[i,j] = elu(a[i,j] +
-/// bias[0,j]). One pass instead of the add_row_broadcast -> elu chain
-/// (the pre-activation is recomputed in the backward); per-element
-/// operations match the unfused chain, so values are bit-identical.
+/// bias[0,j]). One pass instead of the add_row_broadcast -> elu chain;
+/// per-element operations match the unfused chain, so values are
+/// bit-identical. The backward takes elu'(t) = expm1(t) + 1 from the
+/// stored output where elu() computes exp(t), which can differ in the
+/// last bit.
 Var bias_elu(const Var& a, const Var& bias);
 
 /// \brief Fused attention-weighted message aggregation:
@@ -128,8 +140,11 @@ Var scatter_add_scaled(const Var& alpha, const Var& h,
 ///
 /// Like gatv2_scores but reading the node-level transforms through the
 /// edge indices on the fly, so the (E,d) gathered copies are never
-/// materialized either. Bit-identical to
-/// gatv2_scores(gather_rows(hl, dst), gather_rows(hr, src), attn).
+/// materialized either. Scores are bit-identical to
+/// gatv2_scores(gather_rows(hl, dst), gather_rows(hr, src), attn); the
+/// backward adds each edge's gradient straight into the node rows, a
+/// different grouping of the same sums, so gradients may differ in the
+/// last bit (single-graph training does not use it, see ml/gnn.cpp).
 Var gatv2_scores_gathered(const Var& hl, std::vector<std::uint32_t> dst,
                           const Var& hr, std::vector<std::uint32_t> src,
                           const Var& attn, double negative_slope = 0.2);
@@ -139,8 +154,9 @@ Var gatv2_scores_gathered(const Var& hl, std::vector<std::uint32_t> dst,
 ///
 /// Like scatter_add_scaled but reading the source rows through the edge
 /// indices, so the gathered (E,d) copy of h is never materialized.
-/// Bit-identical to scatter_add_scaled(alpha, gather_rows(h, src), dst,
-/// n_rows).
+/// Values are bit-identical to scatter_add_scaled(alpha,
+/// gather_rows(h, src), dst, n_rows); gradients into h are regrouped
+/// like gatv2_scores_gathered's.
 Var scatter_add_scaled_gathered(const Var& alpha, const Var& h,
                                 std::vector<std::uint32_t> src,
                                 std::vector<std::uint32_t> dst,

@@ -1,3 +1,27 @@
+// GnnModel: forward passes, training steps and inference.
+//
+// Single-graph training (batch_size 1, the paper protocol) must
+// reproduce the seed pipeline's parameters bit for bit, so it uses a
+// fused op only where every value and every gradient sum comes from the
+// same operations in the same order as the seed chain:
+//  - gatv2_scores and scatter_add_scaled on the gathered (E,d) copies
+//    hl_t / hr_s (the DirectIx form in ml/autograd.cpp). Forward, they
+//    apply the add -> LeakyReLU -> matmul and mul_rowwise ->
+//    scatter_add_rows chains' per-element operations in the chains'
+//    order. Backward, each edge's score and message gradients land in
+//    that edge's own (E,d) gradient row, as in the seed; gather_rows'
+//    backward then scatters those rows into the node gradients in edge
+//    order, unchanged.
+//  - add_n, which sums the terms left to right like the seed's add
+//    chain.
+// Two fused forms stay on the batched and inference paths only:
+//  - the gathered variants (GatherIx) add every edge's gradient
+//    straight into the node rows, interleaving score and message terms
+//    — a different grouping of the same sums than the seed's per-edge
+//    sum followed by the scatter;
+//  - bias_elu, whose backward takes elu'(t) from the stored output as
+//    expm1(t) + 1 where the seed computes exp(t); the two can differ in
+//    the last bit.
 #include "ml/gnn.hpp"
 
 #include <algorithm>
@@ -48,6 +72,7 @@ GnnModel::GnnModel(const GnnConfig& cfg)
   params_.push_back(fc2_b_);
 
   optimizer_ = Adam(params_, cfg.lr);
+  init_rng_ = rng_;
 }
 
 std::size_t GnnModel::parameter_count() const {
@@ -72,6 +97,11 @@ void GnnModel::set_parameters(std::vector<Matrix> values) {
     params_[i]->value = std::move(values[i]);
     params_[i]->zero_grad();
   }
+  // Training history must not leak into the next fit(): fresh Adam
+  // moments and step count, and the shuffle stream a freshly built
+  // model starts from.
+  optimizer_ = Adam(params_, cfg_.lr);
+  rng_ = init_rng_;
 }
 
 Var GnnModel::forward_impl(
@@ -82,17 +112,19 @@ Var GnnModel::forward_impl(
   MPIDETECT_EXPECTS(!tokens.empty());
   const std::size_t n = tokens.size();
 
+  // The batched engine and all inference may regroup gradient sums;
+  // single-graph training (the paper protocol) may not.
+  const bool fast_path = !grad_enabled() || segments != nullptr;
+
   // Token embedding lookup.
   Var x = gather_rows(embedding_, {tokens.begin(), tokens.end()});
 
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
-    // Self path (plays the role of GATv2's self loops). The fast path
-    // collects the self transform and the per-relation aggregates and
-    // sums them in one add_n (bit-identical to the seed's add chain).
-    Var out = matmul(x, layer.w_self);
-    std::vector<Var> terms{out};
-    // One GATv2 message-passing pass per relation, summed (HeteroConv).
+    // Self path (plays the role of GATv2's self loops), then one GATv2
+    // message-passing pass per relation; add_n sums the terms left to
+    // right, bit-identical to the seed's add chain (HeteroConv).
+    std::vector<Var> terms{matmul(x, layer.w_self)};
     for (std::size_t r = 0; r < programl::kNumEdgeTypes; ++r) {
       const auto& edges = all_edges[r];
       if (edges.empty()) continue;
@@ -103,56 +135,49 @@ Var GnnModel::forward_impl(
         dst[e] = edges[e].dst;
       }
       const RelationWeights& w = layer.rel[r];
-      // The batched engine (and all inference) takes the fused fast
-      // path: sparse-relation gather-first transforms, one-pass GATv2
-      // scoring that reads node transforms through the edge indices,
-      // and fused message aggregation — no (E,d) intermediate is ever
-      // materialized. Forward values are bit-identical to the unfused
-      // chain; the single-graph training path below stays exactly the
-      // seed pipeline so the paper protocol's training trajectory is
-      // untouched.
-      const bool fast_path = !grad_enabled() || segments != nullptr;
-      if (fast_path && 2 * edges.size() < n) {
-        // Sparse relation (e.g. call edges): transforming all N node
-        // rows to then read E of them wastes (N - E) rows' work.
-        // Gather the needed rows first and transform only those — each
-        // output element is the same dot product, so logits do not
-        // change. (Gradient summation order does, hence the guard.)
-        Var hl_t = matmul(gather_rows(x, dst), w.w_left);  // (E, d_out)
-        Var hr_s = matmul(gather_rows(x, src), w.w_right);
-        Var scores = gatv2_scores(hl_t, hr_s, w.attn);  // (E, 1)
-        Var alpha = segment_softmax(scores, dst, n);
-        terms.push_back(scatter_add_scaled(alpha, hr_s, dst, n));
-      } else if (fast_path) {
+      // Every path scores and aggregates with the fused GATv2 ops, so
+      // no (E,d) pre-activation or message matrix is materialized.
+      if (fast_path && 2 * edges.size() >= n) {
+        // The batched engine and all inference read the node transforms
+        // through the edge indices, so not even the gathered (E,d)
+        // copies exist.
         Var h_left = matmul(x, w.w_left);    // (N, d_out)
         Var h_right = matmul(x, w.w_right);  // (N, d_out)
-        // GATv2 scoring a^T LeakyReLU(W_l h_t + W_r h_s) and the
-        // alpha-weighted aggregation, both reading h_left/h_right
-        // through dst/src on the fly.
         Var scores = gatv2_scores_gathered(h_left, dst, h_right, src,
                                            w.attn);  // (E, 1)
         Var alpha = segment_softmax(scores, dst, n);
         terms.push_back(
             scatter_add_scaled_gathered(alpha, h_right, src, dst, n));
-      } else {
-        // The seed pipeline, op for op.
-        Var h_left = matmul(x, w.w_left);    // (N, d_out)
-        Var h_right = matmul(x, w.w_right);  // (N, d_out)
-        Var hl_t = gather_rows(h_left, dst);   // (E, d_out)
-        Var hr_s = gather_rows(h_right, src);  // (E, d_out)
-        // GATv2 scoring: a^T LeakyReLU(W_l h_t + W_r h_s)
-        Var scores = matmul(leaky_relu(add(hl_t, hr_s)), w.attn);  // (E,1)
-        Var alpha = segment_softmax(scores, dst, n);
-        Var messages = mul_rowwise(alpha, hr_s);
-        out = add(out, scatter_add_rows(messages, dst, n));
+        continue;
       }
+      Var hl_t, hr_s;  // (E, d_out): W_l h_t and W_r h_s per edge
+      if (fast_path) {
+        // Sparse relation (e.g. call edges): transforming all N node
+        // rows to then read E of them wastes (N - E) rows' work.
+        // Gather the needed rows first and transform only those — each
+        // output element is the same dot product, so logits do not
+        // change. (Gradient summation order does, hence the guard.)
+        hl_t = matmul(gather_rows(x, dst), w.w_left);
+        hr_s = matmul(gather_rows(x, src), w.w_right);
+      } else {
+        // Single-graph training: the seed's transform-then-gather. The
+        // gathered ops above would regroup the backward's gradient sums
+        // into h_left/h_right (see ml/autograd.hpp), and the paper
+        // protocol's training trajectory must not move by a bit.
+        hl_t = matmul_rows(x, w.w_left, dst);
+        hr_s = matmul_rows(x, w.w_right, src);
+      }
+      // GATv2 scoring: a^T LeakyReLU(W_l h_t + W_r h_s)
+      Var scores = gatv2_scores(hl_t, hr_s, w.attn);  // (E, 1)
+      Var alpha = segment_softmax(scores, dst, n);
+      terms.push_back(scatter_add_scaled(alpha, hr_s, dst, n));
     }
-    if (!grad_enabled() || segments != nullptr) {
-      x = bias_elu(add_n(std::move(terms)), layer.bias);
-    } else {
-      out = add_row_broadcast(out, layer.bias);
-      x = elu(out);
-    }
+    // bias_elu's backward derives elu' from the stored output as
+    // expm1(t) + 1, which can differ from the seed's exp(t) in the last
+    // bit, so single-graph training keeps the unfused bias + ELU.
+    Var sum = add_n(std::move(terms));
+    x = fast_path ? bias_elu(sum, layer.bias)
+                  : elu(add_row_broadcast(sum, layer.bias));
   }
 
   // Adaptive max pooling: one read-out row per graph. The segment form

@@ -142,9 +142,11 @@ class GnnModel final {
   std::vector<const Matrix*> parameters() const;
 
   /// Overwrites every parameter from `values` (same order and shapes as
-  /// parameters(); checked), consuming them. Optimizer state is NOT
-  /// restored: a loaded model predicts bit-identically but further
-  /// fit() calls start Adam from fresh moments.
+  /// parameters(); checked), consuming them, and resets the training
+  /// state: Adam restarts from fresh moments and step count, and the
+  /// epoch shuffle from the stream a newly constructed model starts
+  /// with. A model given `values` then behaves exactly like a fresh
+  /// model given `values`, whatever it was trained on before.
   void set_parameters(std::vector<Matrix> values);
 
  private:
@@ -171,7 +173,8 @@ class GnnModel final {
       const std::vector<std::uint32_t>* segments, std::size_t n_segments);
 
   GnnConfig cfg_;
-  Rng rng_;
+  Rng rng_;       // parameter init, then the epoch shuffles
+  Rng init_rng_;  // rng_ as construction left it (set_parameters)
   Var embedding_;  // vocab x embed_dim
   std::vector<Layer> layers_;
   Var fc1_w_, fc1_b_, fc2_w_, fc2_b_;

@@ -131,52 +131,26 @@ void parallel_ranges_impl(
 
 // ---- scalar reference kernels -----------------------------------------------
 //
-// These are byte-for-byte the loops the blocked kernels ran before the
-// dispatch layer existed; the SIMD tables are tested against them for
-// bit-identity (tests/batched_gnn_test.cpp, "SimdKernels").
+// The SIMD tables are tested against these for bit-identity
+// (tests/batched_gnn_test.cpp, "SimdDispatch"). They are plain loops
+// over independent outputs, so GCC vectorizes them for the baseline ISA
+// without changing a bit; -ffp-contract=off (CMakeLists.txt) keeps it
+// from fusing any multiply-add on targets with FMA.
 
 namespace {
 
-void axpy8_scalar(double* o, const double* const* b, const double* a,
-                  std::size_t n) {
-  const double a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
-  const double a4 = a[4], a5 = a[5], a6 = a[6], a7 = a[7];
-  const double *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
-  const double *b4 = b[4], *b5 = b[5], *b6 = b[6], *b7 = b[7];
-  for (std::size_t j = 0; j < n; ++j) {
-    double acc = o[j];
-    acc += a0 * b0[j];
-    acc += a1 * b1[j];
-    acc += a2 * b2[j];
-    acc += a3 * b3[j];
-    acc += a4 * b4[j];
-    acc += a5 * b5[j];
-    acc += a6 * b6[j];
-    acc += a7 * b7[j];
-    o[j] = acc;
+void gemm_tile_scalar(const double* ap, const double* bp, std::size_t K,
+                      double* c, std::size_t ldc) {
+  double acc[kMr][kNr] = {};
+  for (std::size_t k = 0; k < K; ++k, ap += kMr, bp += kNr) {
+    for (std::size_t r = 0; r < kMr; ++r) {
+      const double a = ap[r];
+      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += a * bp[j];
+    }
   }
-}
-
-void axpy4_scalar(double* o, const double* const* b, const double* a,
-                  std::size_t n) {
-  const double a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3];
-  const double *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
-  for (std::size_t j = 0; j < n; ++j) {
-    double acc = o[j];
-    acc += a0 * b0[j];
-    acc += a1 * b1[j];
-    acc += a2 * b2[j];
-    acc += a3 * b3[j];
-    o[j] = acc;
+  for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
   }
-}
-
-void axpy4x2_scalar(double* o0, double* o1, const double* const* b,
-                    const double* a0, const double* a1, std::size_t n) {
-  // The reference is literally two axpy4 passes: the rows are
-  // independent outputs, so cross-row order is bit-irrelevant.
-  axpy4_scalar(o0, b, a0, n);
-  axpy4_scalar(o1, b, a1, n);
 }
 
 void axpy1_scalar(double* o, const double* b, double a, std::size_t n) {
@@ -185,23 +159,6 @@ void axpy1_scalar(double* o, const double* b, double a, std::size_t n) {
 
 void add1_scalar(double* o, const double* b, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) o[j] += b[j];
-}
-
-void dot4_scalar(const double* a, const double* const* b, std::size_t K,
-                 double* out) {
-  const double *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  for (std::size_t k = 0; k < K; ++k) {
-    const double ak = a[k];
-    s0 += ak * b0[k];
-    s1 += ak * b1[k];
-    s2 += ak * b2[k];
-    s3 += ak * b3[k];
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
 }
 
 void bias_elu_row_scalar(double* dst, const double* src, const double* bias,
@@ -228,15 +185,31 @@ void gatv2_scores4_scalar(const double* const* l, const double* const* r,
   }
 }
 
-constexpr KernelFns kScalarFns = {
-    axpy8_scalar,    axpy4_scalar,         axpy4x2_scalar,
-    axpy1_scalar,    add1_scalar,          dot4_scalar,
-    bias_elu_row_scalar, gatv2_scores4_scalar,
+void adam_row_scalar(double* p, double* m, double* v, double* g,
+                     std::size_t n, const AdamCoeffs& c) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double grad = g[k];
+    m[k] = c.beta1 * m[k] + (1.0 - c.beta1) * grad;
+    v[k] = c.beta2 * v[k] + (1.0 - c.beta2) * grad * grad;
+    const double mhat = m[k] / c.bc1;
+    const double vhat = v[k] / c.bc2;
+    p[k] -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+    g[k] = 0.0;
+  }
+}
+
+}  // namespace
+
+constinit const KernelFns detail::kScalarFns = {
+    gemm_tile_scalar,     axpy1_scalar,         add1_scalar,
+    bias_elu_row_scalar,  gatv2_scores4_scalar, adam_row_scalar,
 };
+
+namespace {
 
 struct Detected {
   Isa isa = Isa::Scalar;
-  const KernelFns* fns = &kScalarFns;
+  const KernelFns* fns = &detail::kScalarFns;
 };
 
 const Detected& detect() {
@@ -280,13 +253,13 @@ ScopedForceScalar::ScopedForceScalar(bool on) : prev_(t_force_scalar) {
 ScopedForceScalar::~ScopedForceScalar() { t_force_scalar = prev_; }
 
 const KernelFns& fns() {
-  return t_force_scalar ? kScalarFns : *detect().fns;
+  return t_force_scalar ? detail::kScalarFns : *detect().fns;
 }
 
 const KernelFns& fns_for(Isa isa) {
-  if (isa == Isa::Scalar) return kScalarFns;
+  if (isa == Isa::Scalar) return detail::kScalarFns;
   if (const KernelFns* t = detail::simd_table_for(isa)) return *t;
-  return kScalarFns;
+  return detail::kScalarFns;
 }
 
 // ---- per-op profiling counters ----------------------------------------------

@@ -1,6 +1,6 @@
 // Kernel execution policy for the dense-math substrate (ml/matrix.hpp)
-// and the autograd gather/scatter ops: tuning constants for the blocked
-// kernels, a thread-local thread-count override so callers (EvalEngine
+// and the autograd gather/scatter ops: the matmul micro-kernel's tile
+// shape, a thread-local thread-count override so callers (EvalEngine
 // fold training, benchmarks) can pin kernels to one thread, a
 // process-shared worker pool the big kernels parallelize over, the
 // baseline switch that routes Matrix::matmul through the seed's naive
@@ -17,6 +17,14 @@
 // (never across a reduction) and use separate multiply and add
 // instructions (never FMA), so every dispatch target is bit-identical
 // to the scalar reference on the fp path.
+//
+// Bit-identity at the kernel level is what makes fusion safe one level
+// up: the fused GATv2 ops run in single-graph training only in the form
+// whose per-element operations and gradient groupings equal the seed
+// chain's (gatv2_scores / scatter_add_scaled over gathered (E,d)
+// rows). The gathered variants regroup gradient sums and bias_elu
+// derives the ELU derivative differently, so those stay off the
+// paper-protocol training path (ml/gnn.cpp explains both).
 #pragma once
 
 #include <array>
@@ -27,26 +35,16 @@
 
 namespace mpidetect::ml::kernels {
 
-/// Height of the k-panel the blocked matmul keeps hot in cache: one
-/// panel of the right-hand side (kKPanel x cols) is streamed over a
-/// stripe of output rows before moving on.
-inline constexpr std::size_t kKPanel = 64;
-
-/// Micro-kernel unroll factor: how many k-steps (matmul) or independent
-/// accumulator chains (matmul_nt) one pass of the inner loop fuses.
-/// Raising it increases instruction-level parallelism; the accumulation
-/// order per output element stays k-ascending, so results do not change.
-inline constexpr std::size_t kUnroll = 4;
+/// Register tile of the packed matmul micro-kernel (KernelFns::gemm_tile):
+/// kMr output rows x kNr output columns accumulate in registers while
+/// the reduction streams through packed panels of both operands. One
+/// tile shape for every dispatch target keeps one packing layout.
+inline constexpr std::size_t kMr = 4;
+inline constexpr std::size_t kNr = 8;
 
 /// Below this many multiply-adds a matmul never tries to parallelize —
 /// the pool handoff costs more than the arithmetic.
 inline constexpr std::size_t kParallelMinFlops = std::size_t{1} << 18;
-
-/// Below this many multiply-adds the blocked kernels dispatch to the
-/// reference implementations: at tiny shapes (the GNN's 1-row FC
-/// matmuls) the simplest loop wins, and naive and blocked kernels are
-/// bit-identical anyway.
-inline constexpr std::size_t kSmallFlops = 2048;
 
 /// Below this many touched elements the gather/scatter kernels stay
 /// serial.
@@ -86,40 +84,42 @@ class ScopedForceScalar {
   bool prev_;
 };
 
+/// The per-step scalars of one Adam update (ml/adam.hpp): bc1/bc2 are
+/// the bias corrections 1 - beta^t.
+struct AdamCoeffs {
+  double lr, beta1, beta2, eps, bc1, bc2;
+};
+
 /// \brief The dispatched inner-kernel table. Every function preserves
-/// the scalar reference's per-output-element accumulation order and
-/// uses unaligned loads/stores — Matrix buffers are std::vector<double>
+/// the scalar reference's per-output-element operation order and uses
+/// unaligned loads/stores — Matrix buffers are std::vector<double>
 /// storage with no 32-byte alignment guarantee (see docs/PERFORMANCE.md,
 /// "Alignment").
 ///
-/// axpyN: o[j] += a[0]*b[0][j] + ... + a[N-1]*b[N-1][j], the terms
-/// added k-ascending per element (the blocked matmul's micro-kernel).
-/// axpy4x2: the axpy4 update applied to TWO independent output rows
-/// sharing the same four b streams — each b element is loaded once and
-/// feeds both rows, cutting the kernel's load traffic by ~25% (it is
-/// load-bound, not ALU-bound). Per-row accumulation order is exactly
-/// axpy4's, so bits cannot differ from two axpy4 calls.
-/// add1: o[j] += b[j]. dot4: out[c] = sum_k a[k]*b[c][k] as four
-/// independent k-ascending chains (the matmul_nt micro-kernel).
-/// bias_elu_row: dst[j] = elu(src[j] + bias[j]) with the scalar
-/// std::expm1 on negative lanes. gatv2_scores4: four edges' attention
-/// scores, lanes independent, k-ascending.
+/// gemm_tile: the matmul micro-kernel. `ap` is a packed A panel
+/// (ap[k*kMr + r] = A[r][k]), `bp` a packed B panel (bp[k*kNr + j] =
+/// B[k][j]); it writes c[r*ldc + j] = sum_k A[r][k]*B[k][j] for the whole
+/// kMr x kNr tile, each element accumulated k-ascending from 0.0 with
+/// separate multiply and add — matmul_naive's order, so bit-identical to
+/// it on finite inputs. axpy1: o[j] += a*b[j] (the fused aggregation).
+/// add1: o[j] += b[j]. bias_elu_row: dst[j] = elu(src[j] + bias[j])
+/// with the scalar std::expm1 on negative lanes. gatv2_scores4: four
+/// edges' attention scores, lanes independent, k-ascending. adam_row:
+/// one Adam update of n parameters from their gradients, which it then
+/// zeroes; division and square root are correctly rounded on every
+/// target, so lanes match the scalar loop exactly.
 struct KernelFns {
-  void (*axpy8)(double* o, const double* const* b, const double* a,
-                std::size_t n);
-  void (*axpy4)(double* o, const double* const* b, const double* a,
-                std::size_t n);
-  void (*axpy4x2)(double* o0, double* o1, const double* const* b,
-                  const double* a0, const double* a1, std::size_t n);
+  void (*gemm_tile)(const double* ap, const double* bp, std::size_t K,
+                    double* c, std::size_t ldc);
   void (*axpy1)(double* o, const double* b, double a, std::size_t n);
   void (*add1)(double* o, const double* b, std::size_t n);
-  void (*dot4)(const double* a, const double* const* b, std::size_t K,
-               double* out);
   void (*bias_elu_row)(double* dst, const double* src, const double* bias,
                        std::size_t n);
   void (*gatv2_scores4)(const double* const* l, const double* const* r,
                         const double* av, double slope, std::size_t d,
                         double* out);
+  void (*adam_row)(double* p, double* m, double* v, double* g,
+                   std::size_t n, const AdamCoeffs& c);
 };
 
 /// The kernel table for active_isa() (honors force-scalar overrides).
@@ -137,6 +137,9 @@ const KernelFns* simd_table(Isa* isa);
 /// The table for one specific SIMD target, or nullptr when this
 /// build/CPU cannot run it (fns_for's lookup).
 const KernelFns* simd_table_for(Isa isa);
+/// The scalar reference table (implemented in kernels.cpp); SIMD tables
+/// borrow its entries where a target has no kernel of its own.
+extern const KernelFns kScalarFns;
 }  // namespace detail
 
 // ---- per-op profiling counters ----------------------------------------------

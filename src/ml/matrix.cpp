@@ -56,124 +56,136 @@ Matrix Matrix::matmul_naive(const Matrix& o) const {
   return out;
 }
 
+namespace {
+
+/// A read-only operand addressed through strides: element (i, k) is
+/// p[i * rs + k * cs]. The transposed products read their operands in
+/// place through swapped strides instead of materializing a transpose.
+struct Strided {
+  const double* p;
+  std::size_t rs, cs;
+};
+
+/// Per-thread scratch, grown on demand and reused by every later
+/// product on that thread: the packed panels and the kept k indices.
+template <typename T, int Slot>
+std::vector<T>& scratch(std::size_t n) {
+  thread_local std::vector<T> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf;
+}
+
+/// out (M x N) = A (M x K) * B (K x N) through the packed micro-kernel.
+///
+/// B is packed once into column panels of kNr; then rows of A are
+/// packed kMr at a time into a row panel and swept across every column
+/// panel, one kMr x kNr register tile at a time. Every output element
+/// accumulates its products k-ascending from 0.0 with separate multiply
+/// and add, like matmul_naive. Two kinds of term are left out, and both
+/// are exact zeros, which cannot change a finite sum that starts at
+/// +0.0: reduction steps whose B row is all zero, and rows of A that
+/// are all zero (their output row stays +0.0, as matmul_naive leaves
+/// it). Backward gradients are mostly such rows — nodes a relation
+/// never reaches — so this skips most of their work. The result is
+/// bit-identical to matmul_naive on finite inputs, at any thread count
+/// and on every dispatch target.
+Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
+                     Strided b) {
+  using kernels::kMr;
+  using kernels::kNr;
+  Matrix out(M, N);
+  std::vector<std::size_t>& ks = scratch<std::size_t, 0>(K);
+  std::size_t kc = 0;
+  for (std::size_t k = 0; k < K; ++k) {
+    const double* s = b.p + k * b.rs;
+    std::size_t j = 0;
+    while (j < N && s[j * b.cs] == 0.0) ++j;
+    if (j < N) ks[kc++] = k;
+  }
+  if (M == 0 || N == 0 || kc == 0) return out;
+
+  const std::size_t col_panels = (N + kNr - 1) / kNr;
+  std::vector<double>& bp = scratch<double, 1>(col_panels * kc * kNr);
+  for (std::size_t p = 0; p < col_panels; ++p) {
+    const std::size_t j0 = p * kNr;
+    const std::size_t nc = std::min(kNr, N - j0);
+    double* d = bp.data() + p * kc * kNr;
+    for (std::size_t kk = 0; kk < kc; ++kk, d += kNr) {
+      const double* s = b.p + ks[kk] * b.rs + j0 * b.cs;
+      if (b.cs == 1) {
+        std::copy(s, s + nc, d);
+      } else {
+        for (std::size_t j = 0; j < nc; ++j) d[j] = s[j * b.cs];
+      }
+      std::fill(d + nc, d + kNr, 0.0);
+    }
+  }
+
+  // Resolved on the calling thread: the force-scalar override is
+  // thread-local, and pool workers must run the caller's target.
+  const kernels::KernelFns& fns = kernels::fns();
+  const bool parallel = M * K * N >= kernels::kParallelMinFlops;
+  kernels::parallel_ranges(
+      (M + kMr - 1) / kMr, parallel, [&](std::size_t p0, std::size_t p1) {
+        double* ap = scratch<double, 2>(kc * kMr).data();
+        std::size_t rows[kMr];
+        std::size_t mr = 0;  // rows packed into the current panel
+        const auto flush = [&] {
+          for (std::size_t kk = 0; kk < kc; ++kk) {
+            std::fill(ap + kk * kMr + mr, ap + (kk + 1) * kMr, 0.0);
+          }
+          const bool dense = mr == kMr && rows[kMr - 1] == rows[0] + kMr - 1;
+          double tile[kMr * kNr];
+          for (std::size_t p = 0; p < col_panels; ++p) {
+            const std::size_t j0 = p * kNr;
+            const std::size_t nc = std::min(kNr, N - j0);
+            const double* panel = bp.data() + p * kc * kNr;
+            if (dense && nc == kNr) {
+              fns.gemm_tile(ap, panel, kc, out.row(rows[0]) + j0, N);
+              continue;
+            }
+            fns.gemm_tile(ap, panel, kc, tile, kNr);
+            for (std::size_t r = 0; r < mr; ++r) {
+              std::copy(tile + r * kNr, tile + r * kNr + nc,
+                        out.row(rows[r]) + j0);
+            }
+          }
+          mr = 0;
+        };
+        for (std::size_t i = p0 * kMr; i < std::min(M, p1 * kMr); ++i) {
+          const double* s = a.p + i * a.rs;
+          double* d = ap + mr;
+          bool nonzero = false;
+          if (kc == K && a.cs == 1) {  // every k kept, row contiguous
+            for (std::size_t k = 0; k < K; ++k) {
+              d[k * kMr] = s[k];
+              nonzero |= s[k] != 0.0;
+            }
+          } else {
+            for (std::size_t kk = 0; kk < kc; ++kk) {
+              const double v = s[ks[kk] * a.cs];
+              d[kk * kMr] = v;
+              nonzero |= v != 0.0;
+            }
+          }
+          if (!nonzero) continue;  // the next row reuses the slot
+          rows[mr++] = i;
+          if (mr == kMr) flush();
+        }
+        if (mr > 0) flush();
+      });
+  return out;
+}
+
+}  // namespace
+
 Matrix Matrix::matmul(const Matrix& o) const {
   MPIDETECT_EXPECTS(cols_ == o.rows_);
   kernels::OpTimer timer(kernels::Op::Matmul,
                          2 * rows_ * cols_ * o.cols_);
   if (kernels::naive_matmul()) return matmul_naive(o);
-  // Tiny products (the 1-row FC matmuls): the reference loop is already
-  // optimal and bit-identical.
-  if (rows_ * cols_ * o.cols_ < kernels::kSmallFlops) return matmul_naive(o);
-  Matrix out(rows_, o.cols_);
-  const std::size_t K = cols_;
-  const std::size_t N = o.cols_;
-  const bool parallel = rows_ * K * N >= kernels::kParallelMinFlops;
-  const kernels::KernelFns& fns = kernels::fns();
-  if (N == 1) {
-    // Matrix-vector product (the GATv2 attention scores): one register
-    // accumulator per output element, k-ascending — bit-identical to the
-    // reference loop but without its per-k load/store of the output.
-    const double* bcol = o.data().data();
-    kernels::parallel_ranges(rows_, parallel, [&](std::size_t i0,
-                                                  std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double* arow = row(i);
-        double acc = 0.0;
-        for (std::size_t k = 0; k < K; ++k) {
-          if (arow[k] == 0.0) continue;  // naive's zero skip, same bits
-          acc += arow[k] * bcol[k];
-        }
-        out.at(i, 0) = acc;
-      }
-    });
-    return out;
-  }
-  kernels::parallel_ranges(rows_, parallel, [&](std::size_t i0,
-                                                std::size_t i1) {
-    // One k-panel of the RHS is streamed over the whole row stripe
-    // before moving to the next, keeping the panel hot in cache. Rows
-    // advance in PAIRS through the axpy4x2 kernel so each b element
-    // loaded from the panel feeds two output rows — the kernels are
-    // bound by load traffic, and pairing cuts it by ~20%. Each
-    // out[i][j] still accumulates in k-ascending order (bit-identical
-    // to matmul_naive); a k-block enters a row's chain only when that
-    // row has a nonzero coefficient in it, same as the single-row path.
-    for (std::size_t kk = 0; kk < K; kk += kernels::kKPanel) {
-      const std::size_t kend = std::min(K, kk + kernels::kKPanel);
-      std::size_t i = i0;
-      for (; i + 2 <= i1; i += 2) {
-        const double* arow0 = row(i);
-        const double* arow1 = row(i + 1);
-        double* orow0 = out.row(i);
-        double* orow1 = out.row(i + 1);
-        std::size_t k = kk;
-        for (; k + kernels::kUnroll <= kend; k += kernels::kUnroll) {
-          const bool z0 = arow0[k] == 0.0 && arow0[k + 1] == 0.0 &&
-                          arow0[k + 2] == 0.0 && arow0[k + 3] == 0.0;
-          const bool z1 = arow1[k] == 0.0 && arow1[k + 1] == 0.0 &&
-                          arow1[k + 2] == 0.0 && arow1[k + 3] == 0.0;
-          if (z0 && z1) continue;
-          const double* b[4] = {o.row(k), o.row(k + 1), o.row(k + 2),
-                                o.row(k + 3)};
-          if (!z0 && !z1) {
-            fns.axpy4x2(orow0, orow1, b, arow0 + k, arow1 + k, N);
-          } else if (!z0) {
-            fns.axpy4(orow0, b, arow0 + k, N);
-          } else {
-            fns.axpy4(orow1, b, arow1 + k, N);
-          }
-        }
-        for (; k < kend; ++k) {
-          if (arow0[k] != 0.0) fns.axpy1(orow0, o.row(k), arow0[k], N);
-          if (arow1[k] != 0.0) fns.axpy1(orow1, o.row(k), arow1[k], N);
-        }
-      }
-      for (; i < i1; ++i) {
-        const double* arow = row(i);
-        double* orow = out.row(i);
-        std::size_t k = kk;
-        for (; k + 2 * kernels::kUnroll <= kend; k += 2 * kernels::kUnroll) {
-          const double a0 = arow[k];
-          const double a1 = arow[k + 1];
-          const double a2 = arow[k + 2];
-          const double a3 = arow[k + 3];
-          const double a4 = arow[k + 4];
-          const double a5 = arow[k + 5];
-          const double a6 = arow[k + 6];
-          const double a7 = arow[k + 7];
-          // Backward passes multiply gradient matrices with whole zero
-          // rows (nodes a relation never reaches); skipping them costs
-          // eight compares and keeps the bits (adding a*0 never changes
-          // a finite accumulator's magnitude) — the same skip the
-          // reference kernel does per k.
-          if (a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 &&
-              a4 == 0.0 && a5 == 0.0 && a6 == 0.0 && a7 == 0.0) {
-            continue;
-          }
-          const double* b[8] = {o.row(k),     o.row(k + 1), o.row(k + 2),
-                                o.row(k + 3), o.row(k + 4), o.row(k + 5),
-                                o.row(k + 6), o.row(k + 7)};
-          fns.axpy8(orow, b, arow + k, N);
-        }
-        for (; k + kernels::kUnroll <= kend; k += kernels::kUnroll) {
-          const double a0 = arow[k];
-          const double a1 = arow[k + 1];
-          const double a2 = arow[k + 2];
-          const double a3 = arow[k + 3];
-          if (a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0) continue;
-          const double* b[4] = {o.row(k), o.row(k + 1), o.row(k + 2),
-                                o.row(k + 3)};
-          fns.axpy4(orow, b, arow + k, N);
-        }
-        for (; k < kend; ++k) {
-          const double a = arow[k];
-          if (a == 0.0) continue;
-          fns.axpy1(orow, o.row(k), a, N);
-        }
-      }
-    }
-  });
-  return out;
+  return packed_matmul(rows_, o.cols_, cols_, {data_.data(), cols_, 1},
+                       {o.data_.data(), o.cols_, 1});
 }
 
 Matrix Matrix::matmul_nt(const Matrix& o) const {
@@ -183,66 +195,17 @@ Matrix Matrix::matmul_nt(const Matrix& o) const {
   // Baseline mode reproduces the seed's backward exactly: materialized
   // transpose + naive kernel.
   if (kernels::naive_matmul()) return matmul_naive(o.transpose());
-  // Short reductions (e.g. the attention-score backward, K == 1) and
-  // tiny products: the transposed copy is cheap and the axpy-form
-  // reference kernel beats a stunted dot kernel.
-  if (cols_ < 2 * kernels::kUnroll ||
-      rows_ * cols_ * o.rows_ < kernels::kSmallFlops) {
-    return matmul_naive(o.transpose());
-  }
-  // Small RHS (e.g. the weight matrices in the matmul backward):
-  // transposing it costs a few KB of copying once, after which the
-  // cache-blocked streaming kernel beats a latency-bound dot kernel.
-  // matmul(o^T) accumulates k-ascending too, so bits do not change.
-  if (o.rows_ * o.cols_ <= kernels::kKPanel * 256) {
-    return matmul(o.transpose());
-  }
-  Matrix out(rows_, o.rows_);
-  const std::size_t K = cols_;
-  const std::size_t N = o.rows_;
-  const bool parallel = rows_ * K * N >= kernels::kParallelMinFlops;
-  const kernels::KernelFns& fns = kernels::fns();
-  kernels::parallel_ranges(rows_, parallel, [&](std::size_t i0,
-                                                std::size_t i1) {
-    // Dot-product kernel over rows of both operands. kUnroll output
-    // columns advance together as independent accumulator chains (ILP);
-    // each chain sums in k-ascending order, so every element matches
-    // matmul_naive(o.transpose()) bit for bit.
-    for (std::size_t i = i0; i < i1; ++i) {
-      const double* arow = row(i);
-      double* orow = out.row(i);
-      std::size_t j = 0;
-      for (; j + kernels::kUnroll <= N; j += kernels::kUnroll) {
-        const double* b[4] = {o.row(j), o.row(j + 1), o.row(j + 2),
-                              o.row(j + 3)};
-        fns.dot4(arow, b, K, orow + j);
-      }
-      for (; j < N; ++j) {
-        const double* brow = o.row(j);
-        double s = 0.0;
-        for (std::size_t k = 0; k < K; ++k) s += arow[k] * brow[k];
-        orow[j] = s;
-      }
-    }
-  });
-  return out;
+  return packed_matmul(rows_, o.rows_, cols_, {data_.data(), cols_, 1},
+                       {o.data_.data(), 1, o.cols_});
 }
 
 Matrix Matrix::matmul_tn(const Matrix& o) const {
   MPIDETECT_EXPECTS(rows_ == o.rows_);
   kernels::OpTimer timer(kernels::Op::MatmulTn,
                          2 * rows_ * cols_ * o.cols_);
-  if (kernels::naive_matmul() ||
-      rows_ * cols_ * o.cols_ < kernels::kSmallFlops) {
-    return transpose().matmul_naive(o);
-  }
-  // Packing the left operand transposed costs one O(M*K) copy, after
-  // which the reduction dimension is contiguous and the blocked
-  // streaming kernel applies. An in-place kernel needs strided
-  // coefficient loads and loses to the packed form at every shape the
-  // GNN produces. matmul accumulates the (former) row index ascending,
-  // so bits match transpose().matmul_naive(o) exactly.
-  return transpose().matmul(o);
+  if (kernels::naive_matmul()) return transpose().matmul_naive(o);
+  return packed_matmul(cols_, o.cols_, rows_, {data_.data(), 1, cols_},
+                       {o.data_.data(), o.cols_, 1});
 }
 
 Matrix Matrix::transpose() const {

@@ -2,12 +2,23 @@
 // Double precision throughout so finite-difference gradient checks in
 // the test suite are meaningful.
 //
-// matmul runs a cache-blocked, k-unrolled kernel that parallelizes over
-// row stripes on the shared kernel pool above a size threshold
-// (ml/kernels.hpp); it is bit-identical to the reference triple loop
-// (matmul_naive), which is kept for tests and the perf-bench baseline.
-// The _nt/_tn variants fuse the transposes the autograd backward needs
-// so no transposed temporary is ever materialized.
+// matmul, matmul_nt and matmul_tn run one packed, register-tiled
+// micro-kernel (KernelFns::gemm_tile, ml/kernels.hpp): B is packed into
+// kNr-column panels, A into kMr-row panels, and each kMr x kNr output
+// tile accumulates in registers. The transposed variants only swap the
+// strides the packing reads through, so no transposed temporary is
+// ever materialized. Each output element accumulates k-ascending from
+// 0.0 with separate multiply and add, exactly like the reference
+// triple loop (matmul_naive, kept for tests and the perf-bench
+// baseline), so the kernel is bit-identical to it on finite inputs at
+// any thread count and on every dispatch target. That is what lets the
+// paper protocol's training trajectory survive kernel changes
+// unchanged.
+//
+// The autograd ops built on top keep the same rule one level up: a
+// fused op may replace a chain of ops in single-graph training only if
+// every value and every gradient sum is formed by the same operations
+// in the same order (see ml/gnn.cpp).
 #pragma once
 
 #include <algorithm>
@@ -65,11 +76,12 @@ class Matrix {
 
   /// \brief this (m x k) times `o` (k x n) -> (m x n).
   ///
-  /// Cache-blocked (kernels::kKPanel), k-unrolled (kernels::kUnroll) and
-  /// parallelized over row stripes above kernels::kParallelMinFlops.
-  /// Per-element accumulation order is k-ascending exactly like
-  /// matmul_naive, so the result is bit-identical to the reference
-  /// kernel on finite inputs at any thread count.
+  /// The packed micro-kernel, parallelized over row panels above
+  /// kernels::kParallelMinFlops. Terms that are exact zeros (all-zero
+  /// rows of either operand, as backward gradients carry for nodes a
+  /// relation never reaches) are skipped, which cannot change a finite
+  /// sum starting at +0.0: bit-identical to matmul_naive on finite
+  /// inputs.
   Matrix matmul(const Matrix& o) const;
 
   /// Reference triple-loop kernel (the seed implementation): the
@@ -77,17 +89,12 @@ class Matrix {
   /// harness times (kernels::ScopedNaiveMatmul routes matmul here).
   Matrix matmul_naive(const Matrix& o) const;
 
-  /// this (m x k) times `o`^T (n x k) -> (m x n). Small right-hand
-  /// sides (the weight matrices of the autograd backward) are packed
-  /// transposed once and streamed through the blocked kernel; large
-  /// ones take a transpose-free dot kernel. Bit-identical to
-  /// matmul_naive(o.transpose()).
+  /// this (m x k) times `o`^T (n x k) -> (m x n), reading `o` through
+  /// swapped strides. Bit-identical to matmul_naive(o.transpose()).
   Matrix matmul_nt(const Matrix& o) const;
 
-  /// this^T (k x m) times `o` (m x n) -> (k x n). Packs the left
-  /// operand transposed (one O(m*k) copy) so the reduction dimension is
-  /// contiguous for the blocked kernel. Bit-identical to
-  /// transpose().matmul_naive(o).
+  /// this^T (k x m) times `o` (m x n) -> (k x n), reading this through
+  /// swapped strides. Bit-identical to transpose().matmul_naive(o).
   Matrix matmul_tn(const Matrix& o) const;
 
   Matrix transpose() const;

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <string>
 
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
@@ -36,8 +37,11 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
 void expect_bit_identical(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
+  // Bits, not values: -0.0 must not pass for +0.0, and a NaN (an
+  // overflowed adversarial sum) must match the reference NaN.
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << "element " << i;
+    ASSERT_EQ(std::memcmp(&a.data()[i], &b.data()[i], sizeof(double)), 0)
+        << "element " << i << ": " << a.data()[i] << " vs " << b.data()[i];
   }
 }
 
@@ -541,7 +545,7 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
                               std::size_t{31}, std::size_t{64},
                               std::size_t{65}}) {
     std::vector<double> src_buf(8 * (n + 1)), coef(8), out_ref(n + 1),
-        out_tgt(n + 1), out2_ref(n + 1), out2_tgt(n + 1), bias_buf(n + 1);
+        out_tgt(n + 1), bias_buf(n + 1);
     std::array<const double*, 8> rows{};
     for (std::size_t r = 0; r < 8; ++r) {
       double* row = src_buf.data() + r * (n + 1) + 1;
@@ -567,33 +571,6 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
       };
 
       reset();
-      ref.axpy8(out_ref.data() + 1, rows.data(), coef.data(), n);
-      fns.axpy8(out_tgt.data() + 1, rows.data(), coef.data(), n);
-      compare("axpy8");
-
-      reset();
-      ref.axpy4(out_ref.data() + 1, rows.data(), coef.data(), n);
-      fns.axpy4(out_tgt.data() + 1, rows.data(), coef.data(), n);
-      compare("axpy4");
-
-      reset();
-      {
-        Rng r3(29);
-        fill_adversarial(out2_ref.data() + 1, n, r3);
-        std::copy(out2_ref.begin(), out2_ref.end(), out2_tgt.begin());
-        ref.axpy4x2(out_ref.data() + 1, out2_ref.data() + 1, rows.data(),
-                    coef.data(), coef.data() + 4, n);
-        fns.axpy4x2(out_tgt.data() + 1, out2_tgt.data() + 1, rows.data(),
-                    coef.data(), coef.data() + 4, n);
-        compare("axpy4x2 row0");
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(double_bits(out2_ref[j + 1]), double_bits(out2_tgt[j + 1]))
-              << "axpy4x2 row1 isa=" << kernels::isa_name(isa) << " n=" << n
-              << " j=" << j;
-        }
-      }
-
-      reset();
       ref.axpy1(out_ref.data() + 1, rows[0], coef[0], n);
       fns.axpy1(out_tgt.data() + 1, rows[0], coef[0], n);
       compare("axpy1");
@@ -608,19 +585,10 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
       fns.bias_elu_row(out_tgt.data() + 1, rows[2], bias_buf.data() + 1, n);
       compare("bias_elu_row");
 
-      // dot4 / gatv2_scores4: reductions over misaligned K-length rows.
+      // gatv2_scores4: four reductions over misaligned K-length rows.
       std::array<const double*, 4> quad{rows[0], rows[1], rows[2], rows[3]};
       std::array<const double*, 4> quad_r{rows[4], rows[5], rows[6], rows[7]};
       std::array<double, 4> dr{}, dt{};
-      ref.dot4(rows[4], quad.data(), n, dr.data());
-      fns.dot4(rows[4], quad.data(), n, dt.data());
-      for (std::size_t c = 0; c < 4; ++c) {
-        ASSERT_EQ(double_bits(dr[c]), double_bits(dt[c]))
-            << "dot4 isa=" << kernels::isa_name(isa) << " n=" << n;
-      }
-
-      dr.fill(0.0);
-      dt.fill(0.0);
       ref.gatv2_scores4(quad.data(), quad_r.data(), bias_buf.data() + 1, 0.2,
                         n, dr.data());
       fns.gatv2_scores4(quad.data(), quad_r.data(), bias_buf.data() + 1, 0.2,
@@ -630,6 +598,110 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
             << "gatv2_scores4 isa=" << kernels::isa_name(isa) << " n=" << n;
       }
     }
+  }
+}
+
+TEST(SimdDispatch, GemmTileBitIdenticalAcrossTargetsMisaligned) {
+  // The micro-kernel itself on packed panels: every target against the
+  // scalar tile, written through a misaligned output with an odd
+  // leading dimension.
+  Rng rng(13);
+  constexpr std::size_t kMr = kernels::kMr, kNr = kernels::kNr;
+  const kernels::KernelFns& ref = kernels::fns_for(kernels::Isa::Scalar);
+  for (const std::size_t K : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{7}, std::size_t{64},
+                              std::size_t{129}}) {
+    std::vector<double> ap(K * kMr + 1), bp(K * kNr + 1);
+    fill_adversarial(ap.data(), ap.size(), rng);
+    fill_adversarial(bp.data(), bp.size(), rng);
+    const std::size_t ldc = kNr + 3;
+    std::vector<double> c_ref(kMr * ldc + 1), c_tgt(kMr * ldc + 1);
+    ref.gemm_tile(ap.data() + 1, bp.data() + 1, K, c_ref.data() + 1, ldc);
+    for (const kernels::Isa isa : kAllTargets) {
+      std::fill(c_tgt.begin(), c_tgt.end(), 0.0);
+      kernels::fns_for(isa).gemm_tile(ap.data() + 1, bp.data() + 1, K,
+                                      c_tgt.data() + 1, ldc);
+      for (std::size_t r = 0; r < kMr; ++r) {
+        for (std::size_t j = 0; j < kNr; ++j) {
+          ASSERT_EQ(double_bits(c_ref[1 + r * ldc + j]),
+                    double_bits(c_tgt[1 + r * ldc + j]))
+              << "gemm_tile isa=" << kernels::isa_name(isa) << " K=" << K
+              << " r=" << r << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+/// nn, nt and tn products of `a` (m x k) with a right operand built from
+/// `b` (k x n) equal matmul_naive bit for bit, on the live target and
+/// under forced scalar.
+void expect_packed_products_match_naive(const Matrix& a, const Matrix& b) {
+  const Matrix nn = a.matmul_naive(b);
+  const Matrix bt = b.transpose();  // (n x k): nt's right operand
+  const Matrix at = a.transpose();  // (k x m): tn's left operand
+  for (const bool scalar : {false, true}) {
+    kernels::ScopedForceScalar force(scalar);
+    SCOPED_TRACE(std::string("isa=") +
+                 kernels::isa_name(kernels::active_isa()) + " m=" +
+                 std::to_string(a.rows()) + " k=" + std::to_string(a.cols()) +
+                 " n=" + std::to_string(b.cols()));
+    expect_bit_identical(a.matmul(b), nn);
+    expect_bit_identical(a.matmul_nt(bt), nn);
+    expect_bit_identical(at.matmul_tn(b), nn);
+  }
+}
+
+TEST(SimdDispatch, PackedMatmulEdgeTilesMatchNaive) {
+  // M and N off the 4x8 tile, K = 1 and N = 1; adversarial magnitudes.
+  Rng rng(17);
+  for (const std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                              std::size_t{5}, std::size_t{11}}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                                std::size_t{9}, std::size_t{33}}) {
+      for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{9},
+                                  std::size_t{19}}) {
+        Matrix a(m, k), b(k, n);
+        fill_adversarial(a.data().data(), a.size(), rng);
+        fill_adversarial(b.data().data(), b.size(), rng);
+        expect_packed_products_match_naive(a, b);
+      }
+    }
+  }
+}
+
+TEST(SimdDispatch, PackedMatmulZeroRowsMatchNaive) {
+  // All-zero rows of either operand: whole zero row panels are skipped,
+  // partial ones run through the tile and must still give matmul_naive's
+  // +0.0 and unchanged sums.
+  Rng rng(19);
+  Matrix a = random_matrix(13, 21, rng);
+  Matrix b = random_matrix(21, 17, rng);
+  for (const std::size_t i : {0, 1, 2, 3, 6, 12}) {
+    for (std::size_t k = 0; k < a.cols(); ++k) a.at(i, k) = 0.0;
+  }
+  for (const std::size_t k : {0, 5, 20}) {
+    for (std::size_t j = 0; j < b.cols(); ++j) b.at(k, j) = -0.0;
+  }
+  expect_packed_products_match_naive(a, b);
+  expect_packed_products_match_naive(Matrix(9, 5), random_matrix(5, 10, rng));
+}
+
+TEST(SimdDispatch, PackedMatmulMisalignedRowsMatchNaive) {
+  // Odd row lengths put every row after the first at an odd multiple of
+  // 8 bytes from the buffer start, so no row start is 32-byte aligned;
+  // the paper GNN's shapes ride along.
+  Rng rng(23);
+  const std::size_t shapes[][3] = {{7, 13, 9},    {31, 5, 3},
+                                   {108, 32, 128}, {108, 128, 64},
+                                   {97, 64, 32},  {1, 32, 32},
+                                   {1, 32, 2}};
+  for (const auto& s : shapes) {
+    Matrix a(s[0], s[1]), b(s[1], s[2]);
+    fill_adversarial(a.data().data(), a.size(), rng);
+    fill_adversarial(b.data().data(), b.size(), rng);
+    expect_packed_products_match_naive(a, b);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/features.hpp"
 #include "datasets/mbi.hpp"
 #include "datasets/spec.hpp"
+#include "ml/adam.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/genetic.hpp"
 #include "ml/gnn.hpp"
@@ -380,6 +381,44 @@ TEST(Gnn, NonFiniteLossFailsTrainingNamingTheStep) {
   }
 }
 
+TEST(Gnn, SetParametersResetsTrainingState) {
+  // A model given P must train exactly like a fresh model given P: no
+  // Adam moments, step count or shuffle position may survive from the
+  // training it did before.
+  GnnConfig cfg = tiny_gnn_config();
+  cfg.epochs = 3;
+  std::vector<programl::ProgramGraph> graphs;
+  std::vector<std::size_t> labels;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    graphs.push_back(tiny_graph(i + 1, 2 * i + 7));
+    labels.push_back(i % 2);
+  }
+  std::vector<Matrix> p;
+  {
+    cfg.seed = 99;
+    GnnModel source(cfg);
+    source.fit(graphs, labels);
+    for (const Matrix* m : source.parameters()) p.push_back(*m);
+  }
+  cfg.seed = 7;
+  GnnModel trained(cfg);
+  trained.fit(graphs, labels);
+  trained.set_parameters(p);
+  trained.fit(graphs, labels);
+  GnnModel fresh(cfg);
+  fresh.set_parameters(p);
+  fresh.fit(graphs, labels);
+  const auto a = trained.parameters();
+  const auto b = fresh.parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::memcmp(a[i]->data().data(), b[i]->data().data(),
+                          a[i]->size() * sizeof(double)),
+              0)
+        << "parameter tensor " << i;
+  }
+}
+
 TEST(Gnn, ProbabilitiesSumToOne) {
   GnnModel model(tiny_gnn_config());
   const auto p = model.predict_proba(tiny_graph(1, 2));
@@ -412,6 +451,47 @@ TEST(Gnn, TrainsOnRealProgramGraphs) {
   EXPECT_NO_THROW(model.fit(graphs, labels));
   // Predictions are valid class ids.
   for (const auto& g : graphs) EXPECT_LT(model.predict(g), 2u);
+}
+
+// ------------------------------------------------------------------ adam
+
+TEST(Adam, DispatchedStepBitIdenticalToScalar) {
+  // The dispatched update (SIMD lanes plus the scalar tail) against the
+  // forced-scalar loop, step after step, from identical parameters and
+  // gradients. Lengths 1-9 cover every tail; 110,562 is the paper GNN's
+  // parameter count.
+  std::vector<std::size_t> lengths{1, 2, 3, 4, 5, 6, 7, 8, 9, 110562};
+  for (const std::size_t n : lengths) {
+    Rng rng(n);
+    Matrix init(1, n);
+    for (double& x : init.data()) x = rng.normal();
+    Var live = make_param(init);
+    Var scalar = make_param(init);
+    Adam live_opt({live}, 4e-4);
+    Adam scalar_opt({scalar}, 4e-4);
+    for (int step = 0; step < 4; ++step) {
+      Matrix g(1, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        // Mixed magnitudes, plus exact zeros (the embedding rows a graph
+        // does not touch).
+        g.data()[k] = k % 3 == 0 ? 0.0 : rng.normal() * (k % 2 ? 1e-6 : 1.0);
+      }
+      live->ensure_grad() = g;
+      scalar->ensure_grad() = g;
+      live_opt.step();
+      {
+        kernels::ScopedForceScalar force(true);
+        scalar_opt.step();
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(std::memcmp(&live->value.data()[k],
+                              &scalar->value.data()[k], sizeof(double)),
+                  0)
+            << "n=" << n << " step=" << step << " k=" << k;
+        ASSERT_EQ(live->grad.data()[k], 0.0);
+      }
+    }
+  }
 }
 
 // The paper protocol's training trajectory, pinned bit for bit: a
