@@ -462,25 +462,6 @@ Matrix gatv2_scores_value(const Var& hl, LeftIx li, const Var& hr, RightIx ri,
   return out;
 }
 
-/// One edge's share of the score backward when all three gradients are
-/// live and the two node gradients are distinct buffers. The k lanes are
-/// independent and the pointers cannot alias, so the compiler vectorizes
-/// this loop; every lane keeps the generic loop's operations and order.
-void gatv2_edge_backward(const double* __restrict l,
-                         const double* __restrict r,
-                         const double* __restrict av, double ge, double slope,
-                         std::size_t d, double* __restrict gl,
-                         double* __restrict gr, double* __restrict ga) {
-  for (std::size_t k = 0; k < d; ++k) {
-    const double t = l[k] + r[k];
-    const double dt = ge * av[k] * (t > 0 ? 1.0 : slope);
-    gl[k] += dt;
-    gr[k] += dt;
-    const double act = t > 0 ? t : slope * t;
-    ga[k] += act * ge;
-  }
-}
-
 template <typename LeftIx, typename RightIx>
 void gatv2_scores_backward(VarNode& self, const Var& hl, LeftIx li,
                            const Var& hr, RightIx ri, const Var& attn,
@@ -491,7 +472,10 @@ void gatv2_scores_backward(VarNode& self, const Var& hl, LeftIx li,
   Matrix* gl = hl->requires_grad ? &hl->ensure_grad() : nullptr;
   Matrix* gr = hr->requires_grad ? &hr->ensure_grad() : nullptr;
   Matrix* ga = attn->requires_grad ? &attn->ensure_grad() : nullptr;
+  // With all three gradients live in distinct buffers (every training
+  // step), each edge's update is one dispatched row kernel.
   const bool fast = gl != nullptr && gr != nullptr && ga != nullptr && gl != gr;
+  const kernels::KernelFns& fns = kernels::fns();
   for (std::size_t e = 0; e < e_rows; ++e) {
     const double ge = self.grad.at(e, 0);
     const double* l = hl->value.row(li(e));
@@ -499,8 +483,8 @@ void gatv2_scores_backward(VarNode& self, const Var& hl, LeftIx li,
     double* glr = gl != nullptr ? gl->row(li(e)) : nullptr;
     double* grr = gr != nullptr ? gr->row(ri(e)) : nullptr;
     if (fast) {
-      gatv2_edge_backward(l, r, av, ge, negative_slope, d, glr, grr,
-                          ga->data().data());
+      fns.gatv2_backward_row(l, r, av, ge, negative_slope, d, glr, grr,
+                             ga->data().data());
       continue;
     }
     for (std::size_t k = 0; k < d; ++k) {

@@ -185,6 +185,20 @@ void gatv2_scores4_scalar(const double* const* l, const double* const* r,
   }
 }
 
+void gatv2_backward_row_scalar(const double* l, const double* r,
+                               const double* av, double ge, double slope,
+                               std::size_t d, double* gl, double* gr,
+                               double* ga) {
+  for (std::size_t k = 0; k < d; ++k) {
+    const double t = l[k] + r[k];
+    const double dt = ge * av[k] * (t > 0 ? 1.0 : slope);
+    gl[k] += dt;
+    gr[k] += dt;
+    const double act = t > 0 ? t : slope * t;
+    ga[k] += act * ge;
+  }
+}
+
 void adam_row_scalar(double* p, double* m, double* v, double* g,
                      std::size_t n, const AdamCoeffs& c) {
   for (std::size_t k = 0; k < n; ++k) {
@@ -201,8 +215,10 @@ void adam_row_scalar(double* p, double* m, double* v, double* g,
 }  // namespace
 
 constinit const KernelFns detail::kScalarFns = {
-    gemm_tile_scalar,     axpy1_scalar,         add1_scalar,
-    bias_elu_row_scalar,  gatv2_scores4_scalar, adam_row_scalar,
+    gemm_tile_scalar,     axpy1_scalar,
+    add1_scalar,          bias_elu_row_scalar,
+    gatv2_scores4_scalar, gatv2_backward_row_scalar,
+    adam_row_scalar,
 };
 
 namespace {

@@ -104,7 +104,11 @@ struct AdamCoeffs {
 /// it on finite inputs. axpy1: o[j] += a*b[j] (the fused aggregation).
 /// add1: o[j] += b[j]. bias_elu_row: dst[j] = elu(src[j] + bias[j])
 /// with the scalar std::expm1 on negative lanes. gatv2_scores4: four
-/// edges' attention scores, lanes independent, k-ascending. adam_row:
+/// edges' attention scores, lanes independent, k-ascending.
+/// gatv2_backward_row: one edge's share of the score backward over its
+/// d features, gl[k] += dt and gr[k] += dt with dt = ge*av[k]*lrelu'(t),
+/// ga[k] += lrelu(t)*ge for t = l[k] + r[k]; gl, gr and ga must not
+/// overlap. adam_row:
 /// one Adam update of n parameters from their gradients, which it then
 /// zeroes; division and square root are correctly rounded on every
 /// target, so lanes match the scalar loop exactly.
@@ -118,6 +122,10 @@ struct KernelFns {
   void (*gatv2_scores4)(const double* const* l, const double* const* r,
                         const double* av, double slope, std::size_t d,
                         double* out);
+  void (*gatv2_backward_row)(const double* l, const double* r,
+                             const double* av, double ge, double slope,
+                             std::size_t d, double* gl, double* gr,
+                             double* ga);
   void (*adam_row)(double* p, double* m, double* v, double* g,
                    std::size_t n, const AdamCoeffs& c);
 };

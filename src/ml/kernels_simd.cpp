@@ -7,8 +7,8 @@
 // Bit-identity discipline (the contract tests/batched_gnn_test.cpp
 // enforces): every kernel vectorizes ONLY across independent output
 // elements — lanes are distinct output columns (gemm_tile, axpy1,
-// bias_elu_row), distinct edges (gatv2_scores4) or distinct parameters
-// (adam_row) — and each lane performs exactly the scalar reference's
+// bias_elu_row), distinct features (gatv2_backward_row), distinct edges
+// (gatv2_scores4) or distinct parameters (adam_row) — and each lane performs exactly the scalar reference's
 // operations in the same order, as separate multiply and add
 // instructions. FMA is never used: it rounds once where mul+add round
 // twice, which would change bits. The whole library is compiled with
@@ -149,6 +149,33 @@ __attribute__((target("avx2"))) void gatv2_scores4_avx2(
   _mm256_storeu_pd(out, acc);
 }
 
+__attribute__((target("avx2"))) void gatv2_backward_row_avx2(
+    const double* l, const double* r, const double* av, double ge,
+    double slope, std::size_t d, double* gl, double* gr, double* ga) {
+  // Lanes are four features k; each takes the scalar loop's operations
+  // in its order, the LeakyReLU branches as blends on the same compare.
+  const __m256d vge = _mm256_set1_pd(ge);
+  const __m256d vslope = _mm256_set1_pd(slope);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t k = 0;
+  for (; k + 4 <= d; k += 4) {
+    const __m256d t =
+        _mm256_add_pd(_mm256_loadu_pd(l + k), _mm256_loadu_pd(r + k));
+    const __m256d pos = _mm256_cmp_pd(t, zero, _CMP_GT_OQ);
+    const __m256d dt =
+        _mm256_mul_pd(_mm256_mul_pd(vge, _mm256_loadu_pd(av + k)),
+                      _mm256_blendv_pd(vslope, one, pos));
+    _mm256_storeu_pd(gl + k, _mm256_add_pd(_mm256_loadu_pd(gl + k), dt));
+    _mm256_storeu_pd(gr + k, _mm256_add_pd(_mm256_loadu_pd(gr + k), dt));
+    const __m256d act = _mm256_blendv_pd(_mm256_mul_pd(vslope, t), t, pos);
+    _mm256_storeu_pd(ga + k, _mm256_add_pd(_mm256_loadu_pd(ga + k),
+                                           _mm256_mul_pd(act, vge)));
+  }
+  kScalarFns.gatv2_backward_row(l + k, r + k, av + k, ge, slope, d - k,
+                                gl + k, gr + k, ga + k);
+}
+
 __attribute__((target("avx2"))) void adam_row_avx2(double* p, double* m,
                                                    double* v, double* g,
                                                    std::size_t n,
@@ -182,8 +209,9 @@ __attribute__((target("avx2"))) void adam_row_avx2(double* p, double* m,
 }
 
 constexpr KernelFns kAvx2Fns = {
-    gemm_tile_avx2,    axpy1_avx2,         add1_avx2,
-    bias_elu_row_avx2, gatv2_scores4_avx2, adam_row_avx2,
+    gemm_tile_avx2,          axpy1_avx2,    add1_avx2,
+    bias_elu_row_avx2,       gatv2_scores4_avx2,
+    gatv2_backward_row_avx2, adam_row_avx2,
 };
 
 }  // namespace

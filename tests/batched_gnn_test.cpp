@@ -597,6 +597,28 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
         ASSERT_EQ(double_bits(dr[c]), double_bits(dt[c]))
             << "gatv2_scores4 isa=" << kernels::isa_name(isa) << " n=" << n;
       }
+
+      // gatv2_backward_row: three accumulators updated in place; the
+      // reference runs on copies of the same starting values.
+      std::vector<double> g_ref(3 * (n + 1)), g_tgt;
+      {
+        Rng r4(31);
+        fill_adversarial(g_ref.data(), g_ref.size(), r4);
+        g_tgt = g_ref;
+      }
+      const auto backward_row = [&](const kernels::KernelFns& k,
+                                    std::vector<double>& g) {
+        k.gatv2_backward_row(rows[5], rows[6], bias_buf.data() + 1, coef[1],
+                             0.2, n, g.data() + 1, g.data() + n + 2,
+                             g.data() + 2 * n + 3);
+      };
+      backward_row(ref, g_ref);
+      backward_row(fns, g_tgt);
+      for (std::size_t j = 0; j < g_ref.size(); ++j) {
+        ASSERT_EQ(double_bits(g_ref[j]), double_bits(g_tgt[j]))
+            << "gatv2_backward_row isa=" << kernels::isa_name(isa)
+            << " n=" << n << " j=" << j;
+      }
     }
   }
 }
