@@ -12,6 +12,9 @@
 //    that edge's own (E,d) gradient row, as in the seed; gather_rows'
 //    backward then scatters those rows into the node gradients in edge
 //    order, unchanged.
+//  - matmul_rows for the seed's gather_rows(matmul(x, W), idx): it
+//    computes only the product rows some edge reads (most nodes have no
+//    edge of a given relation) and runs the chain's backward unchanged.
 //  - add_n, which sums the terms left to right like the seed's add
 //    chain.
 // Two fused forms stay on the batched and inference paths only:
@@ -160,9 +163,9 @@ Var GnnModel::forward_impl(
         hl_t = matmul(gather_rows(x, dst), w.w_left);
         hr_s = matmul(gather_rows(x, src), w.w_right);
       } else {
-        // Single-graph training: the seed's transform-then-gather. The
-        // gathered ops above would regroup the backward's gradient sums
-        // into h_left/h_right (see ml/autograd.hpp), and the paper
+        // Single-graph training: the seed's transform-then-gather,
+        // computing only the rows the edges read. Both forms above
+        // would regroup the backward's gradient sums, and the paper
         // protocol's training trajectory must not move by a bit.
         hl_t = matmul_rows(x, w.w_left, dst);
         hr_s = matmul_rows(x, w.w_right, src);

@@ -8,10 +8,10 @@
 // enforces): every kernel vectorizes ONLY across independent output
 // elements — lanes are distinct output columns (gemm_tile, axpy1,
 // bias_elu_row), distinct features (gatv2_backward_row), distinct edges
-// (gatv2_scores4) or distinct parameters (adam_row) — and each lane performs exactly the scalar reference's
-// operations in the same order, as separate multiply and add
-// instructions. FMA is never used: it rounds once where mul+add round
-// twice, which would change bits. The whole library is compiled with
+// (gatv2_scores4) or distinct parameters (adam_row) — and each lane
+// performs exactly the scalar reference's operations in the same order,
+// as separate multiply and add instructions. FMA is never used: it
+// rounds once where mul+add round twice, which would change bits. The whole library is compiled with
 // -ffp-contract=off (CMakeLists.txt), so no compiler, target attribute
 // or future kernel can contract a mul+add pair into an FMA. All memory
 // accesses are unaligned (loadu/storeu): Matrix data lives in
