@@ -38,10 +38,4 @@ void Adam::step() {
   }
 }
 
-void Adam::zero_grad() {
-  for (const Var& p : params_) {
-    p->ensure_grad().fill(0.0);
-  }
-}
-
 }  // namespace mpidetect::ml

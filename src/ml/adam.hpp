@@ -17,9 +17,6 @@ class Adam final {
   /// Applies one update from the accumulated gradients, then zeroes them.
   void step();
 
-  /// Zeroes gradients without updating (e.g. after a skipped batch).
-  void zero_grad();
-
   double learning_rate() const { return lr_; }
 
  private:

@@ -108,10 +108,10 @@ struct AdamCoeffs {
 /// gatv2_backward_row: one edge's share of the score backward over its
 /// d features, gl[k] += dt and gr[k] += dt with dt = ge*av[k]*lrelu'(t),
 /// ga[k] += lrelu(t)*ge for t = l[k] + r[k]; gl, gr and ga must not
-/// overlap. adam_row:
-/// one Adam update of n parameters from their gradients, which it then
-/// zeroes; division and square root are correctly rounded on every
-/// target, so lanes match the scalar loop exactly.
+/// overlap. adam_row: one Adam update of n parameters from their
+/// gradients, which it then zeroes; division and square root are
+/// correctly rounded on every target, so lanes match the scalar loop
+/// exactly.
 struct KernelFns {
   void (*gemm_tile)(const double* ap, const double* bp, std::size_t K,
                     double* c, std::size_t ldc);

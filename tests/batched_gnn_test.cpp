@@ -694,9 +694,9 @@ TEST(SimdDispatch, PackedMatmulEdgeTilesMatchNaive) {
 }
 
 TEST(SimdDispatch, PackedMatmulZeroRowsMatchNaive) {
-  // All-zero rows of either operand: whole zero row panels are skipped,
-  // partial ones run through the tile and must still give matmul_naive's
-  // +0.0 and unchanged sums.
+  // All-zero rows of A are left out of the packed panels and all-zero
+  // (here -0.0) rows of B out of the reduction; the products must still
+  // be matmul_naive's bits: +0.0 rows and unchanged sums.
   Rng rng(19);
   Matrix a = random_matrix(13, 21, rng);
   Matrix b = random_matrix(21, 17, rng);

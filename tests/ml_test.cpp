@@ -499,8 +499,9 @@ TEST(Adam, DispatchedStepBitIdenticalToScalar) {
 // of the fixed gnn-kfold corpus, digested over every trained parameter
 // and every predicted probability. Any kernel, fusion or optimizer
 // change that moves a single bit of that trajectory changes the digest.
-// The value was recorded from the seed pipeline; it must hold on the
-// detected SIMD target and on the scalar fallback alike.
+// The value was recorded from the unfused seed pipeline with the
+// axpy-form kernels; it must hold on the detected SIMD target and on
+// the scalar fallback alike.
 std::uint64_t fnv1a_doubles(std::uint64_t h, const double* p, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t bits;
