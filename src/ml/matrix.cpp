@@ -66,10 +66,10 @@ struct Strided {
   std::size_t rs, cs;
 };
 
-/// Per-thread scratch, grown on demand and reused by every later
+/// Per-thread buffers, grown on demand and reused by every later
 /// product on that thread: the packed panels and the kept k indices.
 template <typename T, int Slot>
-std::vector<T>& scratch(std::size_t n) {
+std::vector<T>& thread_buffer(std::size_t n) {
   thread_local std::vector<T> buf;
   if (buf.size() < n) buf.resize(n);
   return buf;
@@ -94,7 +94,7 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
   using kernels::kMr;
   using kernels::kNr;
   Matrix out(M, N);
-  std::vector<std::size_t>& ks = scratch<std::size_t, 0>(K);
+  std::vector<std::size_t>& ks = thread_buffer<std::size_t, 0>(K);
   std::size_t kc = 0;
   for (std::size_t k = 0; k < K; ++k) {
     const double* s = b.p + k * b.rs;
@@ -105,7 +105,7 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
   if (M == 0 || N == 0 || kc == 0) return out;
 
   const std::size_t col_panels = (N + kNr - 1) / kNr;
-  std::vector<double>& bp = scratch<double, 1>(col_panels * kc * kNr);
+  std::vector<double>& bp = thread_buffer<double, 1>(col_panels * kc * kNr);
   for (std::size_t p = 0; p < col_panels; ++p) {
     const std::size_t j0 = p * kNr;
     const std::size_t nc = std::min(kNr, N - j0);
@@ -127,7 +127,7 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
   const bool parallel = M * K * N >= kernels::kParallelMinFlops;
   kernels::parallel_ranges(
       (M + kMr - 1) / kMr, parallel, [&](std::size_t p0, std::size_t p1) {
-        double* ap = scratch<double, 2>(kc * kMr).data();
+        double* ap = thread_buffer<double, 2>(kc * kMr).data();
         std::size_t rows[kMr];
         std::size_t mr = 0;  // rows packed into the current panel
         const auto flush = [&] {
