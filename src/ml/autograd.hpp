@@ -140,11 +140,13 @@ Var scatter_add_scaled(const Var& alpha, const Var& h,
 ///
 /// Like gatv2_scores but reading the node-level transforms through the
 /// edge indices on the fly, so the (E,d) gathered copies are never
-/// materialized either. Scores are bit-identical to
-/// gatv2_scores(gather_rows(hl, dst), gather_rows(hr, src), attn); the
-/// backward adds each edge's gradient straight into the node rows, a
-/// different grouping of the same sums, so gradients may differ in the
-/// last bit (single-graph training does not use it, see ml/gnn.cpp).
+/// materialized either. Bit-identical to
+/// gatv2_scores(gather_rows(hl, dst), gather_rows(hr, src), attn),
+/// gradients included. Paired with scatter_add_scaled_gathered over the
+/// same hr, though, hr's gradient sums group per op, where the
+/// gathered-copy chain first sums each edge's two contributions and
+/// then scatters; the last bit can differ, so single-graph training
+/// does not use the pair (ml/gnn.cpp).
 Var gatv2_scores_gathered(const Var& hl, std::vector<std::uint32_t> dst,
                           const Var& hr, std::vector<std::uint32_t> src,
                           const Var& attn, double negative_slope = 0.2);
@@ -154,9 +156,9 @@ Var gatv2_scores_gathered(const Var& hl, std::vector<std::uint32_t> dst,
 ///
 /// Like scatter_add_scaled but reading the source rows through the edge
 /// indices, so the gathered (E,d) copy of h is never materialized.
-/// Values are bit-identical to scatter_add_scaled(alpha,
-/// gather_rows(h, src), dst, n_rows); gradients into h are regrouped
-/// like gatv2_scores_gathered's.
+/// Bit-identical to scatter_add_scaled(alpha, gather_rows(h, src), dst,
+/// n_rows), gradients included (but see gatv2_scores_gathered on using
+/// the two together).
 Var scatter_add_scaled_gathered(const Var& alpha, const Var& h,
                                 std::vector<std::uint32_t> src,
                                 std::vector<std::uint32_t> dst,

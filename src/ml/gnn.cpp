@@ -18,10 +18,11 @@
 //  - add_n, which sums the terms left to right like the seed's add
 //    chain.
 // Two fused forms stay on the batched and inference paths only:
-//  - the gathered variants (GatherIx) add every edge's gradient
-//    straight into the node rows, interleaving score and message terms
-//    — a different grouping of the same sums than the seed's per-edge
-//    sum followed by the scatter;
+//  - the gathered variants (GatherIx) add each op's edge gradients
+//    straight into the node rows, one op after the other, where the
+//    seed first sums an edge's score and message gradients in its
+//    (E,d) row and then scatters — a different grouping of the same
+//    terms;
 //  - bias_elu, whose backward takes elu'(t) from the stored output as
 //    expm1(t) + 1 where the seed computes exp(t); the two can differ in
 //    the last bit.

@@ -283,6 +283,24 @@ TEST(BatchedOps, GatheredScatterAddScaledMatchesGatherThenScatter) {
   expect_bit_identical(h1->grad, h2->grad);
 }
 
+TEST(BatchedOps, MatmulRowsMatchesGatherOfMatmul) {
+  // Repeated and unread rows: only rows 1, 3 and 4 of the product are
+  // computed, and the backward must still equal the two-op chain's.
+  Rng rng(20);
+  Matrix x = random_matrix(6, 5, rng);
+  Matrix w = random_matrix(5, 9, rng);
+  const std::vector<std::uint32_t> idx{3, 1, 3, 4, 1, 3};
+  Var x1 = make_param(x), w1 = make_param(w);
+  Var x2 = make_param(x), w2 = make_param(w);
+  Var chain = gather_rows(matmul(x1, w1), idx);
+  Var fused = matmul_rows(x2, w2, idx);
+  expect_bit_identical(chain->value, fused->value);
+  backward(sum_all(chain));
+  backward(sum_all(fused));
+  expect_bit_identical(x1->grad, x2->grad);
+  expect_bit_identical(w1->grad, w2->grad);
+}
+
 TEST(BatchedOps, FusedBiasEluMatchesUnfusedChain) {
   Rng rng(14);
   Matrix a = random_matrix(9, 4, rng);
