@@ -468,37 +468,21 @@ void gatv2_scores_backward(VarNode& self, const Var& hl, LeftIx li,
                            double negative_slope, std::size_t e_rows) {
   const std::size_t d = hl->value.cols();
   const double* av = attn->value.data().data();
-  const bool need_lr = hl->requires_grad || hr->requires_grad;
+  // One dispatched row kernel per edge. A gradient nobody needs goes to
+  // a scratch row that is never read.
+  std::vector<double> scratch_lr, scratch_a;
+  if (!hl->requires_grad || !hr->requires_grad) scratch_lr.assign(d, 0.0);
+  if (!attn->requires_grad) scratch_a.assign(d, 0.0);
   Matrix* gl = hl->requires_grad ? &hl->ensure_grad() : nullptr;
   Matrix* gr = hr->requires_grad ? &hr->ensure_grad() : nullptr;
-  Matrix* ga = attn->requires_grad ? &attn->ensure_grad() : nullptr;
-  // With all three gradients live in distinct buffers (every training
-  // step), each edge's update is one dispatched row kernel.
-  const bool fast = gl != nullptr && gr != nullptr && ga != nullptr && gl != gr;
+  double* ga = attn->requires_grad ? attn->ensure_grad().data().data()
+                                   : scratch_a.data();
   const kernels::KernelFns& fns = kernels::fns();
   for (std::size_t e = 0; e < e_rows; ++e) {
-    const double ge = self.grad.at(e, 0);
-    const double* l = hl->value.row(li(e));
-    const double* r = hr->value.row(ri(e));
-    double* glr = gl != nullptr ? gl->row(li(e)) : nullptr;
-    double* grr = gr != nullptr ? gr->row(ri(e)) : nullptr;
-    if (fast) {
-      fns.gatv2_backward_row(l, r, av, ge, negative_slope, d, glr, grr,
-                             ga->data().data());
-      continue;
-    }
-    for (std::size_t k = 0; k < d; ++k) {
-      const double t = l[k] + r[k];  // recomputed pre-activation
-      if (need_lr) {
-        const double dt = ge * av[k] * (t > 0 ? 1.0 : negative_slope);
-        if (glr != nullptr) glr[k] += dt;
-        if (grr != nullptr) grr[k] += dt;
-      }
-      if (ga != nullptr) {
-        const double act = t > 0 ? t : negative_slope * t;
-        ga->at(k, 0) += act * ge;
-      }
-    }
+    fns.gatv2_backward_row(
+        hl->value.row(li(e)), hr->value.row(ri(e)), av, self.grad.at(e, 0),
+        negative_slope, d, gl != nullptr ? gl->row(li(e)) : scratch_lr.data(),
+        gr != nullptr ? gr->row(ri(e)) : scratch_lr.data(), ga);
   }
 }
 

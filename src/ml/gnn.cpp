@@ -154,23 +154,11 @@ Var GnnModel::forward_impl(
             scatter_add_scaled_gathered(alpha, h_right, src, dst, n));
         continue;
       }
-      Var hl_t, hr_s;  // (E, d_out): W_l h_t and W_r h_s per edge
-      if (fast_path) {
-        // Sparse relation (e.g. call edges): transforming all N node
-        // rows to then read E of them wastes (N - E) rows' work.
-        // Gather the needed rows first and transform only those — each
-        // output element is the same dot product, so logits do not
-        // change. (Gradient summation order does, hence the guard.)
-        hl_t = matmul(gather_rows(x, dst), w.w_left);
-        hr_s = matmul(gather_rows(x, src), w.w_right);
-      } else {
-        // Single-graph training: the seed's transform-then-gather,
-        // computing only the rows the edges read. Both forms above
-        // would regroup the backward's gradient sums, and the paper
-        // protocol's training trajectory must not move by a bit.
-        hl_t = matmul_rows(x, w.w_left, dst);
-        hr_s = matmul_rows(x, w.w_right, src);
-      }
+      // (E, d_out): W_l h_t and W_r h_s per edge. The seed's
+      // transform-then-gather, computing only the node rows the edges
+      // read (sparse relations such as call edges touch few nodes).
+      Var hl_t = matmul_rows(x, w.w_left, dst);
+      Var hr_s = matmul_rows(x, w.w_right, src);
       // GATv2 scoring: a^T LeakyReLU(W_l h_t + W_r h_s)
       Var scores = gatv2_scores(hl_t, hr_s, w.attn);  // (E, 1)
       Var alpha = segment_softmax(scores, dst, n);

@@ -107,7 +107,8 @@ struct AdamCoeffs {
 /// edges' attention scores, lanes independent, k-ascending.
 /// gatv2_backward_row: one edge's share of the score backward over its
 /// d features, gl[k] += dt and gr[k] += dt with dt = ge*av[k]*lrelu'(t),
-/// ga[k] += lrelu(t)*ge for t = l[k] + r[k]; gl, gr and ga must not
+/// ga[k] += lrelu(t)*ge for t = l[k] + r[k]; gl and gr may be the same
+/// row (it then takes dt twice), otherwise gl, gr and ga must not
 /// overlap. adam_row: one Adam update of n parameters from their
 /// gradients, which it then zeroes; division and square root are
 /// correctly rounded on every target, so lanes match the scalar loop
@@ -244,7 +245,7 @@ class ScopedKernelThreads {
 ///
 /// The switch exists so the perf harness can time the pre-optimization
 /// path in the same binary; it is not a correctness knob — naive and
-/// blocked kernels are bit-identical on finite inputs.
+/// packed products are bit-identical on every input.
 bool naive_matmul();
 
 /// Sets the calling thread's naive-matmul flag (see naive_matmul).

@@ -1,6 +1,7 @@
 #include "ml/matrix.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "ml/kernels.hpp"
 
@@ -75,7 +76,17 @@ std::vector<T>& thread_buffer(std::size_t n) {
   return buf;
 }
 
+/// True when none of the n doubles at p is an Inf or a NaN.
+bool all_finite(const double* p, std::size_t n) {
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    ok &= std::fabs(p[i]) <= std::numeric_limits<double>::max();
+  }
+  return ok;
+}
+
 /// out (M x N) = A (M x K) * B (K x N) through the packed micro-kernel.
+/// Both views cover a whole dense matrix (M*K and K*N doubles from p).
 ///
 /// B is packed once into column panels of kNr; then rows of A are
 /// packed kMr at a time into a row panel and swept across every column
@@ -86,14 +97,29 @@ std::vector<T>& thread_buffer(std::size_t n) {
 /// +0.0: reduction steps whose B row is all zero, and rows of A that
 /// are all zero (their output row stays +0.0, as matmul_naive leaves
 /// it). Backward gradients are mostly such rows — nodes a relation
-/// never reaches — so this skips most of their work. The result is
-/// bit-identical to matmul_naive on finite inputs, at any thread count
-/// and on every dispatch target.
+/// never reaches — so this skips most of their work. With an Inf or a
+/// NaN in either operand a left-out term (or a zero A coefficient the
+/// tile does multiply) could change the result, so such operands take
+/// matmul_naive's own loop. The result is bit-identical to
+/// matmul_naive on every input, at any thread count and on every
+/// dispatch target.
 Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
                      Strided b) {
   using kernels::kMr;
   using kernels::kNr;
   Matrix out(M, N);
+  if (!all_finite(a.p, M * K) || !all_finite(b.p, K * N)) {
+    for (std::size_t i = 0; i < M; ++i) {
+      double* o = out.row(i);
+      for (std::size_t k = 0; k < K; ++k) {
+        const double av = a.p[i * a.rs + k * a.cs];
+        if (av == 0.0) continue;
+        const double* s = b.p + k * b.rs;
+        for (std::size_t j = 0; j < N; ++j) o[j] += av * s[j * b.cs];
+      }
+    }
+    return out;
+  }
   std::vector<std::size_t>& ks = thread_buffer<std::size_t, 0>(K);
   std::size_t kc = 0;
   for (std::size_t k = 0; k < K; ++k) {

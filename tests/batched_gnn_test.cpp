@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "core/detector.hpp"
@@ -228,6 +229,33 @@ TEST(BatchedOps, FusedGatv2ScoresMatchesUnfusedChain) {
   expect_bit_identical(hl1->grad, hl2->grad);
   expect_bit_identical(hr1->grad, hr2->grad);
   expect_bit_identical(at1->grad, at2->grad);
+}
+
+TEST(BatchedOps, FusedGatv2ScoresPartialAndSharedGradients) {
+  // Inputs that need no gradient, and one matrix on both sides: the
+  // backward must still equal the unfused chain's for every input that
+  // has a gradient.
+  Rng rng(14);
+  Matrix h = random_matrix(11, 6, rng);
+  Matrix at = random_matrix(6, 1, rng);
+  Var h1 = make_param(h), at1 = make_input(at);
+  Var h2 = make_param(h), at2 = make_input(at);
+  Var unfused = matmul(leaky_relu(add(h1, h1)), at1);
+  Var fused = gatv2_scores(h2, h2, at2);
+  expect_bit_identical(unfused->value, fused->value);
+  backward(sum_all(unfused));
+  backward(sum_all(fused));
+  expect_bit_identical(h1->grad, h2->grad);
+
+  Matrix hr = random_matrix(11, 6, rng);
+  Var hl3 = make_input(h), hr3 = make_param(hr), at3 = make_param(at);
+  Var hl4 = make_input(h), hr4 = make_param(hr), at4 = make_param(at);
+  Var unfused2 = matmul(leaky_relu(add(hl3, hr3)), at3);
+  Var fused2 = gatv2_scores(hl4, hr4, at4);
+  backward(sum_all(unfused2));
+  backward(sum_all(fused2));
+  expect_bit_identical(hr3->grad, hr4->grad);
+  expect_bit_identical(at3->grad, at4->grad);
 }
 
 TEST(BatchedOps, FusedScatterAddScaledMatchesUnfusedChain) {
@@ -637,6 +665,21 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
             << "gatv2_backward_row isa=" << kernels::isa_name(isa)
             << " n=" << n << " j=" << j;
       }
+      // gl and gr the same row (an edge from a node to itself when both
+      // sides read one matrix): dt lands twice, in order.
+      const auto shared_row = [&](const kernels::KernelFns& k,
+                                  std::vector<double>& g) {
+        k.gatv2_backward_row(rows[5], rows[6], bias_buf.data() + 1, coef[1],
+                             0.2, n, g.data() + 1, g.data() + 1,
+                             g.data() + n + 2);
+      };
+      shared_row(ref, g_ref);
+      shared_row(fns, g_tgt);
+      for (std::size_t j = 0; j < g_ref.size(); ++j) {
+        ASSERT_EQ(double_bits(g_ref[j]), double_bits(g_tgt[j]))
+            << "gatv2_backward_row shared isa=" << kernels::isa_name(isa)
+            << " n=" << n << " j=" << j;
+      }
     }
   }
 }
@@ -726,6 +769,31 @@ TEST(SimdDispatch, PackedMatmulZeroRowsMatchNaive) {
   }
   expect_packed_products_match_naive(a, b);
   expect_packed_products_match_naive(Matrix(9, 5), random_matrix(5, 10, rng));
+}
+
+TEST(SimdDispatch, PackedMatmulNonFiniteMatchesNaive) {
+  // An Inf or NaN in A facing an all-zero B row gives NaN in
+  // matmul_naive (Inf * 0), and one in B facing a zero A coefficient is
+  // skipped there; the packed products must keep both.
+  Rng rng(29);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    Matrix a = random_matrix(9, 12, rng);
+    Matrix b = random_matrix(12, 10, rng);
+    for (std::size_t j = 0; j < b.cols(); ++j) b.at(4, j) = 0.0;
+    a.at(2, 4) = bad;  // against the zero B row
+    for (std::size_t k = 0; k < a.cols(); ++k) a.at(5, k) = 0.0;
+    a.at(5, 4) = bad;  // the row's only nonzero faces the zero B row
+    expect_packed_products_match_naive(a, b);
+
+    Matrix a2 = random_matrix(9, 12, rng);
+    Matrix b2 = random_matrix(12, 10, rng);
+    a2.at(3, 7) = 0.0;
+    b2.at(7, 2) = bad;  // faced only by a zero coefficient in row 3
+    for (std::size_t k = 0; k < a2.cols(); ++k) a2.at(6, k) = 0.0;
+    expect_packed_products_match_naive(a2, b2);
+  }
 }
 
 TEST(SimdDispatch, PackedMatmulMisalignedRowsMatchNaive) {
