@@ -15,6 +15,7 @@
 //  - matmul_rows for the seed's gather_rows(matmul(x, W), idx): it
 //    computes only the product rows some edge reads (most nodes have no
 //    edge of a given relation) and runs the chain's backward unchanged.
+//    Every path transforms its sparse relations this way.
 //  - add_n, which sums the terms left to right like the seed's add
 //    chain.
 // Two fused forms stay on the batched and inference paths only:

@@ -139,7 +139,7 @@ void parallel_ranges_impl(
 
 namespace {
 
-void gemm_tile_scalar(const double* ap, const double* bp, std::size_t K,
+bool gemm_tile_scalar(const double* ap, const double* bp, std::size_t K,
                       double* c, std::size_t ldc) {
   double acc[kMr][kNr] = {};
   for (std::size_t k = 0; k < K; ++k, ap += kMr, bp += kNr) {
@@ -148,9 +148,14 @@ void gemm_tile_scalar(const double* ap, const double* bp, std::size_t K,
       for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += a * bp[j];
     }
   }
+  bool finite = true;
   for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
+    for (std::size_t j = 0; j < kNr; ++j) {
+      c[r * ldc + j] = acc[r][j];
+      finite &= std::isfinite(acc[r][j]);
+    }
   }
+  return finite;
 }
 
 void axpy1_scalar(double* o, const double* b, double a, std::size_t n) {

@@ -101,7 +101,8 @@ struct AdamCoeffs {
 /// B[k][j]); it writes c[r*ldc + j] = sum_k A[r][k]*B[k][j] for the whole
 /// kMr x kNr tile, each element accumulated k-ascending from 0.0 with
 /// separate multiply and add — matmul_naive's order, so bit-identical to
-/// it on finite inputs. axpy1: o[j] += a*b[j] (the fused aggregation).
+/// it on finite inputs — and returns whether every element of the tile
+/// is finite. axpy1: o[j] += a*b[j] (the fused aggregation).
 /// add1: o[j] += b[j]. bias_elu_row: dst[j] = elu(src[j] + bias[j])
 /// with the scalar std::expm1 on negative lanes. gatv2_scores4: four
 /// edges' attention scores, lanes independent, k-ascending.
@@ -114,7 +115,7 @@ struct AdamCoeffs {
 /// correctly rounded on every target, so lanes match the scalar loop
 /// exactly.
 struct KernelFns {
-  void (*gemm_tile)(const double* ap, const double* bp, std::size_t K,
+  bool (*gemm_tile)(const double* ap, const double* bp, std::size_t K,
                     double* c, std::size_t ldc);
   void (*axpy1)(double* o, const double* b, double a, std::size_t n);
   void (*add1)(double* o, const double* b, std::size_t n);

@@ -39,7 +39,7 @@ namespace mpidetect::ml::kernels::detail {
 
 namespace {
 
-__attribute__((target("avx2"))) void gemm_tile_avx2(const double* ap,
+__attribute__((target("avx2"))) bool gemm_tile_avx2(const double* ap,
                                                     const double* bp,
                                                     std::size_t K, double* c,
                                                     std::size_t ldc) {
@@ -77,6 +77,18 @@ __attribute__((target("avx2"))) void gemm_tile_avx2(const double* ap,
   _mm256_storeu_pd(c + 2 * ldc + 4, c21);
   _mm256_storeu_pd(c + 3 * ldc, c30);
   _mm256_storeu_pd(c + 3 * ldc + 4, c31);
+  // x - x is +0.0 for every finite x and NaN otherwise.
+  const __m256d r0 = _mm256_or_pd(_mm256_sub_pd(c00, c00),
+                                  _mm256_sub_pd(c01, c01));
+  const __m256d r1 = _mm256_or_pd(_mm256_sub_pd(c10, c10),
+                                  _mm256_sub_pd(c11, c11));
+  const __m256d r2 = _mm256_or_pd(_mm256_sub_pd(c20, c20),
+                                  _mm256_sub_pd(c21, c21));
+  const __m256d r3 = _mm256_or_pd(_mm256_sub_pd(c30, c30),
+                                  _mm256_sub_pd(c31, c31));
+  const __m256i bits = _mm256_castpd_si256(
+      _mm256_or_pd(_mm256_or_pd(r0, r1), _mm256_or_pd(r2, r3)));
+  return _mm256_testz_si256(bits, bits) != 0;
 }
 
 __attribute__((target("avx2"))) void axpy1_avx2(double* o, const double* b,

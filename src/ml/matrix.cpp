@@ -1,7 +1,9 @@
 #include "ml/matrix.hpp"
 
+#include <atomic>
 #include <cmath>
-#include <limits>
+#include <cstdint>
+#include <cstring>
 
 #include "ml/kernels.hpp"
 
@@ -76,17 +78,38 @@ std::vector<T>& thread_buffer(std::size_t n) {
   return buf;
 }
 
-/// True when none of the n doubles at p is an Inf or a NaN.
-bool all_finite(const double* p, std::size_t n) {
-  bool ok = true;
+/// Zero exactly when every x[i * stride], i < n, is finite: x - x is
+/// +0.0 for a finite x and NaN for an Inf or a NaN.
+std::uint64_t nonfinite_bits(const double* x, std::size_t n,
+                             std::size_t stride) {
+  std::uint64_t bits = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    ok &= std::fabs(p[i]) <= std::numeric_limits<double>::max();
+    const double z = x[i * stride] - x[i * stride];
+    std::uint64_t b;
+    std::memcpy(&b, &z, sizeof b);
+    bits |= b;
   }
-  return ok;
+  return bits;
+}
+
+/// matmul_naive's loop over strided operands: out (M x N) = A * B,
+/// skipping zero A coefficients.
+Matrix naive_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
+                    Strided b) {
+  Matrix out(M, N);
+  for (std::size_t i = 0; i < M; ++i) {
+    double* o = out.row(i);
+    for (std::size_t k = 0; k < K; ++k) {
+      const double av = a.p[i * a.rs + k * a.cs];
+      if (av == 0.0) continue;
+      const double* s = b.p + k * b.rs;
+      for (std::size_t j = 0; j < N; ++j) o[j] += av * s[j * b.cs];
+    }
+  }
+  return out;
 }
 
 /// out (M x N) = A (M x K) * B (K x N) through the packed micro-kernel.
-/// Both views cover a whole dense matrix (M*K and K*N doubles from p).
 ///
 /// B is packed once into column panels of kNr; then rows of A are
 /// packed kMr at a time into a row panel and swept across every column
@@ -97,37 +120,35 @@ bool all_finite(const double* p, std::size_t n) {
 /// +0.0: reduction steps whose B row is all zero, and rows of A that
 /// are all zero (their output row stays +0.0, as matmul_naive leaves
 /// it). Backward gradients are mostly such rows — nodes a relation
-/// never reaches — so this skips most of their work. With an Inf or a
-/// NaN in either operand a left-out term (or a zero A coefficient the
-/// tile does multiply) could change the result, so such operands take
-/// matmul_naive's own loop. The result is bit-identical to
-/// matmul_naive on every input, at any thread count and on every
-/// dispatch target.
+/// never reaches — so this skips most of their work.
+///
+/// Inf and NaN break that argument in two places: an A coefficient met
+/// only by a left-out zero B row (Inf * 0 is NaN in matmul_naive), and
+/// a B value met by a zero A coefficient, which matmul_naive skips and
+/// the tile multiplies. The first is checked directly; the second makes
+/// its tile non-finite (once a sum is non-finite it stays so), which
+/// gemm_tile reports. Either sends the product through matmul_naive's
+/// own loop, so the result is bit-identical to matmul_naive on every
+/// input, at any thread count and on every dispatch target.
 Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
                      Strided b) {
   using kernels::kMr;
   using kernels::kNr;
   Matrix out(M, N);
-  if (!all_finite(a.p, M * K) || !all_finite(b.p, K * N)) {
-    for (std::size_t i = 0; i < M; ++i) {
-      double* o = out.row(i);
-      for (std::size_t k = 0; k < K; ++k) {
-        const double av = a.p[i * a.rs + k * a.cs];
-        if (av == 0.0) continue;
-        const double* s = b.p + k * b.rs;
-        for (std::size_t j = 0; j < N; ++j) o[j] += av * s[j * b.cs];
-      }
-    }
-    return out;
-  }
   std::vector<std::size_t>& ks = thread_buffer<std::size_t, 0>(K);
   std::size_t kc = 0;
+  std::uint64_t dropped_bits = 0;  // A's coefficients at left-out steps
   for (std::size_t k = 0; k < K; ++k) {
     const double* s = b.p + k * b.rs;
     std::size_t j = 0;
     while (j < N && s[j * b.cs] == 0.0) ++j;
-    if (j < N) ks[kc++] = k;
+    if (j < N) {
+      ks[kc++] = k;
+      continue;
+    }
+    dropped_bits |= nonfinite_bits(a.p + k * a.cs, M, a.rs);
   }
+  if (dropped_bits != 0) return naive_matmul(M, N, K, a, b);
   if (M == 0 || N == 0 || kc == 0) return out;
 
   const std::size_t col_panels = (N + kNr - 1) / kNr;
@@ -151,6 +172,7 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
   // thread-local, and pool workers must run the caller's target.
   const kernels::KernelFns& fns = kernels::fns();
   const bool parallel = M * K * N >= kernels::kParallelMinFlops;
+  std::atomic<bool> tiles_finite{true};
   kernels::parallel_ranges(
       (M + kMr - 1) / kMr, parallel, [&](std::size_t p0, std::size_t p1) {
         double* ap = thread_buffer<double, 2>(kc * kMr).data();
@@ -162,20 +184,22 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
           }
           const bool dense = mr == kMr && rows[kMr - 1] == rows[0] + kMr - 1;
           double tile[kMr * kNr];
+          bool finite = true;
           for (std::size_t p = 0; p < col_panels; ++p) {
             const std::size_t j0 = p * kNr;
             const std::size_t nc = std::min(kNr, N - j0);
             const double* panel = bp.data() + p * kc * kNr;
             if (dense && nc == kNr) {
-              fns.gemm_tile(ap, panel, kc, out.row(rows[0]) + j0, N);
+              finite &= fns.gemm_tile(ap, panel, kc, out.row(rows[0]) + j0, N);
               continue;
             }
-            fns.gemm_tile(ap, panel, kc, tile, kNr);
+            finite &= fns.gemm_tile(ap, panel, kc, tile, kNr);
             for (std::size_t r = 0; r < mr; ++r) {
               std::copy(tile + r * kNr, tile + r * kNr + nc,
                         out.row(rows[r]) + j0);
             }
           }
+          if (!finite) tiles_finite.store(false, std::memory_order_relaxed);
           mr = 0;
         };
         for (std::size_t i = p0 * kMr; i < std::min(M, p1 * kMr); ++i) {
@@ -200,6 +224,9 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
         }
         if (mr > 0) flush();
       });
+  if (!tiles_finite.load(std::memory_order_relaxed)) {
+    return naive_matmul(M, N, K, a, b);
+  }
   return out;
 }
 

@@ -699,11 +699,15 @@ TEST(SimdDispatch, GemmTileBitIdenticalAcrossTargetsMisaligned) {
     fill_adversarial(bp.data(), bp.size(), rng);
     const std::size_t ldc = kNr + 3;
     std::vector<double> c_ref(kMr * ldc + 1), c_tgt(kMr * ldc + 1);
-    ref.gemm_tile(ap.data() + 1, bp.data() + 1, K, c_ref.data() + 1, ldc);
+    const bool finite_ref = ref.gemm_tile(ap.data() + 1, bp.data() + 1, K,
+                                          c_ref.data() + 1, ldc);
     for (const kernels::Isa isa : kAllTargets) {
       std::fill(c_tgt.begin(), c_tgt.end(), 0.0);
-      kernels::fns_for(isa).gemm_tile(ap.data() + 1, bp.data() + 1, K,
-                                      c_tgt.data() + 1, ldc);
+      EXPECT_EQ(finite_ref,
+                kernels::fns_for(isa).gemm_tile(ap.data() + 1, bp.data() + 1,
+                                                K, c_tgt.data() + 1, ldc))
+          << "gemm_tile finiteness isa=" << kernels::isa_name(isa)
+          << " K=" << K;
       for (std::size_t r = 0; r < kMr; ++r) {
         for (std::size_t j = 0; j < kNr; ++j) {
           ASSERT_EQ(double_bits(c_ref[1 + r * ldc + j]),
@@ -793,6 +797,8 @@ TEST(SimdDispatch, PackedMatmulNonFiniteMatchesNaive) {
     b2.at(7, 2) = bad;  // faced only by a zero coefficient in row 3
     for (std::size_t k = 0; k < a2.cols(); ++k) a2.at(6, k) = 0.0;
     expect_packed_products_match_naive(a2, b2);
+    // No row of A is packed at all: every output stays +0.0.
+    expect_packed_products_match_naive(Matrix(5, 12), b2);
   }
 }
 
