@@ -11,9 +11,9 @@
 // 0.0 with separate multiply and add, exactly like the reference
 // triple loop (matmul_naive, kept for tests and the perf-bench
 // baseline), so the kernel is bit-identical to it on finite inputs at
-// any thread count and on every dispatch target; operands holding an
-// Inf or a NaN run matmul_naive's own loop, so non-finite values
-// propagate exactly as there. That is what lets the paper protocol's
+// any thread count and on every dispatch target; a product that meets
+// an Inf or a NaN is redone with matmul_naive's own loop, so non-finite
+// values propagate exactly as there. That is what lets the paper protocol's
 // training trajectory survive kernel changes unchanged.
 //
 // The autograd ops built on top keep the same rule one level up: a
@@ -81,8 +81,9 @@ class Matrix {
   /// kernels::kParallelMinFlops. Terms that are exact zeros (all-zero
   /// rows of either operand, as backward gradients carry for nodes a
   /// relation never reaches) are skipped, which cannot change a finite
-  /// sum starting at +0.0; operands holding an Inf or a NaN take
-  /// matmul_naive's loop. Bit-identical to matmul_naive on every input.
+  /// sum starting at +0.0; a product that meets an Inf or a NaN is
+  /// redone with matmul_naive's loop. Bit-identical to matmul_naive on
+  /// every input.
   Matrix matmul(const Matrix& o) const;
 
   /// Reference triple-loop kernel (the seed implementation): the
