@@ -53,6 +53,21 @@ for c in 1 2 3; do
   [ "$served" -eq 6 ] || { echo "client $c served $served/6"; cat "$WORK/client$c.out"; exit 1; }
 done
 
+echo "== alternating corpora (two concurrent clients, one corpus each)"
+pids=()
+for spec in mbi:0.05@7 corr:0.1@7; do
+  "$BUILD/mpiguard-client" --socket "$SOCK" --dataset "$spec" \
+    --count 6 --retry-busy --quiet >"$WORK/alt-${spec%%:*}.out" 2>&1 &
+  pids+=($!)
+done
+for pid in "${pids[@]}"; do wait "$pid"; done
+for suite in mbi corr; do
+  served=$(grep -c ' -> ' "$WORK/alt-$suite.out")
+  [ "$served" -eq 6 ] || { echo "$suite client served $served/6"; cat "$WORK/alt-$suite.out"; exit 1; }
+done
+"$BUILD/mpiguard-client" --socket "$SOCK" --stats | tee "$WORK/stats-alt.out"
+grep -q "^datasets 2," "$WORK/stats-alt.out"
+
 echo "== malformed frame injection (daemon must answer ERROR and survive)"
 python3 - "$SOCK" <<'EOF'
 import socket, struct, sys

@@ -103,10 +103,10 @@ void Detector::fit_stream(const corpus::CaseSource& src,
   // Fallback: materialize the whole training selection. Correct for any
   // detector; the learned detectors override with windowed paths.
   const datasets::Dataset ds = corpus::load_window(src, train_idx);
+  const ScopedDiscard discard(*this, ds);
   std::vector<std::size_t> all_idx(ds.size());
   for (std::size_t i = 0; i < ds.size(); ++i) all_idx[i] = i;
   fit(ds, all_idx, y, spec);
-  discard(ds);  // ds dies here; drop encodings and dataset bindings
 }
 
 void Detector::discard(const datasets::Dataset&) {}
@@ -115,13 +115,13 @@ std::vector<Verdict> Detector::run(std::span<const datasets::Case> cases) {
   datasets::Dataset batch;
   batch.name = "batch";
   batch.cases.assign(cases.begin(), cases.end());
+  const ScopedDiscard discard(*this, batch);
   prepare(batch);
   std::vector<Verdict> out;
   out.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     out.push_back(evaluate(batch, i));
   }
-  discard(batch);  // ad-hoc batches must not accumulate in the cache
   return out;
 }
 
@@ -171,30 +171,26 @@ EvalOptions Ir2vecDetector::eval_defaults() const {
 void Ir2vecDetector::use_cache(const std::shared_ptr<EncodingCache>& cache) {
   if (cache && cache != cfg_.cache) {
     cfg_.cache = cache;
-    bound_ds_ = nullptr;
-    bound_fs_ = nullptr;
+    bound_.clear();
   }
 }
 
 const FeatureSet& Ir2vecDetector::features(const datasets::Dataset& ds,
                                            unsigned threads) {
-  if (bound_ds_ == &ds) return *bound_fs_;
+  if (const auto it = bound_.find(&ds); it != bound_.end()) return *it->second;
   return cfg_.cache->features(ds, cfg_.feature_opt, cfg_.normalization,
                               cfg_.vocab_seed, threads);
 }
 
 void Ir2vecDetector::prepare(const datasets::Dataset& ds, unsigned threads) {
-  bound_fs_ = &cfg_.cache->features(ds, cfg_.feature_opt, cfg_.normalization,
-                                    cfg_.vocab_seed, threads);
-  bound_ds_ = &ds;
+  bound_[&ds] = &cfg_.cache->features(ds, cfg_.feature_opt,
+                                      cfg_.normalization, cfg_.vocab_seed,
+                                      threads);
 }
 
 void Ir2vecDetector::discard(const datasets::Dataset& ds) {
   cfg_.cache->erase(ds);
-  if (bound_ds_ == &ds) {
-    bound_ds_ = nullptr;
-    bound_fs_ = nullptr;
-  }
+  bound_.erase(&ds);
 }
 
 void Ir2vecDetector::fit(const datasets::Dataset& ds,
@@ -202,7 +198,7 @@ void Ir2vecDetector::fit(const datasets::Dataset& ds,
                          std::span<const std::size_t> y, const FitSpec& spec) {
   MPIDETECT_EXPECTS(train_idx.size() == y.size());
   prepare(ds, spec.threads);
-  const FeatureSet& fs = *bound_fs_;
+  const FeatureSet& fs = *bound_.at(&ds);
   std::vector<std::vector<double>> X;
   X.reserve(train_idx.size());
   for (const std::size_t i : train_idx) X.push_back(fs.X[i]);
@@ -239,8 +235,6 @@ void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
     for (auto& row : fs.X) X.push_back(std::move(row));
   }
   train(X, y, spec);
-  bound_ds_ = nullptr;
-  bound_fs_ = nullptr;
 }
 
 void Ir2vecDetector::train(const std::vector<std::vector<double>>& X,
@@ -318,28 +312,23 @@ EvalOptions GnnDetector::eval_defaults() const {
 void GnnDetector::use_cache(const std::shared_ptr<EncodingCache>& cache) {
   if (cache && cache != cfg_.cache) {
     cfg_.cache = cache;
-    bound_ds_ = nullptr;
-    bound_gs_ = nullptr;
+    bound_.clear();
   }
 }
 
 const GraphSet& GnnDetector::graphs(const datasets::Dataset& ds,
                                     unsigned threads) {
-  if (bound_ds_ == &ds) return *bound_gs_;
+  if (const auto it = bound_.find(&ds); it != bound_.end()) return *it->second;
   return cfg_.cache->graphs(ds, cfg_.graph_opt, threads);
 }
 
 void GnnDetector::prepare(const datasets::Dataset& ds, unsigned threads) {
-  bound_gs_ = &cfg_.cache->graphs(ds, cfg_.graph_opt, threads);
-  bound_ds_ = &ds;
+  bound_[&ds] = &cfg_.cache->graphs(ds, cfg_.graph_opt, threads);
 }
 
 void GnnDetector::discard(const datasets::Dataset& ds) {
   cfg_.cache->erase(ds);
-  if (bound_ds_ == &ds) {
-    bound_ds_ = nullptr;
-    bound_gs_ = nullptr;
-  }
+  bound_.erase(&ds);
 }
 
 void GnnDetector::fit(const datasets::Dataset& ds,
@@ -347,7 +336,7 @@ void GnnDetector::fit(const datasets::Dataset& ds,
                       std::span<const std::size_t> y, const FitSpec& spec) {
   MPIDETECT_EXPECTS(train_idx.size() == y.size());
   prepare(ds, spec.threads);
-  ml::ResidentGraphSource graphs(bound_gs_->graphs, train_idx);
+  ml::ResidentGraphSource graphs(bound_.at(&ds)->graphs, train_idx);
   train(graphs, y, spec);
 }
 

@@ -124,8 +124,9 @@ class Detector {
   /// that do not encode). A cache set at construction wins.
   virtual void use_cache(const std::shared_ptr<EncodingCache>& cache);
 
-  /// Pre-encodes `ds` so later fit / evaluate calls against it are
-  /// cheap. No-op for the expert tools.
+  /// Pre-encodes `ds` and binds it, so later fit / evaluate calls
+  /// against it are cheap; always re-resolves, so calling it again
+  /// rebinds. No-op for the expert tools.
   virtual void prepare(const datasets::Dataset& ds, unsigned threads = 0);
 
   /// Trains on the `train_idx` rows of `ds` with labels `y` (parallel to
@@ -159,9 +160,10 @@ class Detector {
   /// Verdict for one case of a prepared dataset.
   virtual Verdict evaluate(const datasets::Dataset& ds, std::size_t idx) = 0;
 
-  /// Drops any cached state the detector holds for `ds` (no-op for
-  /// detectors that do not encode). run() calls this on its ad-hoc
-  /// batch so repeated batched inference does not grow the cache.
+  /// Drops any cached state the detector holds for `ds`: its encodings
+  /// in the shared cache and its binding (no-op for detectors that do
+  /// not encode). Bindings of other datasets stay. Call it before a
+  /// prepared dataset is destroyed; run() does so on its ad-hoc batch.
   virtual void discard(const datasets::Dataset& ds);
 
   /// \brief Serializes the detector's configuration and trained state.
@@ -199,6 +201,23 @@ class Detector {
   /// which the base implementation performs.
   virtual std::vector<Verdict> run_indexed(const datasets::Dataset& ds,
                                            std::span<const std::size_t> idx);
+};
+
+/// Calls det.discard(ds) when the scope ends, exceptions included: the
+/// guard for a prepared dataset that dies with the scope (an ad-hoc
+/// run() batch, a streamed window), so neither its encoding nor a
+/// binding to it outlives it.
+class ScopedDiscard {
+ public:
+  ScopedDiscard(Detector& det, const datasets::Dataset& ds)
+      : det_(det), ds_(ds) {}
+  ~ScopedDiscard() { det_.discard(ds_); }
+  ScopedDiscard(const ScopedDiscard&) = delete;
+  ScopedDiscard& operator=(const ScopedDiscard&) = delete;
+
+ private:
+  Detector& det_;
+  const datasets::Dataset& ds_;
 };
 
 /// Shared construction-time configuration for the registry factories.
@@ -281,11 +300,13 @@ class Ir2vecDetector final : public Detector {
   DetectorConfig cfg_;
   std::optional<TrainedIr2vec> model_;
   bool multiclass_ = false;
-  /// Memo of the last prepared/fitted dataset's encoding, so evaluate()
-  /// does not re-resolve through the cache per case. Set only from the
-  /// single-threaded prepare()/fit() entry points.
-  const datasets::Dataset* bound_ds_ = nullptr;
-  const FeatureSet* bound_fs_ = nullptr;
+  /// One binding per prepared/fitted dataset, so evaluate() on any of
+  /// them costs one lookup instead of re-hashing the dataset through the
+  /// cache. Written only by the single-threaded prepare()/fit(),
+  /// discard(), use_cache() and load_state(); a binding lives until one
+  /// of the last three drops it, so a caller destroying a prepared
+  /// dataset must discard() it first.
+  std::map<const datasets::Dataset*, const FeatureSet*> bound_;
 };
 
 /// The GNN's probabilities-to-verdict mapping, shared by the per-case
@@ -352,8 +373,8 @@ class GnnDetector final : public Detector {
 
   DetectorConfig cfg_;
   std::unique_ptr<ml::GnnModel> model_;
-  const datasets::Dataset* bound_ds_ = nullptr;
-  const GraphSet* bound_gs_ = nullptr;
+  /// Per-dataset bindings, under Ir2vecDetector::bound_'s rules.
+  std::map<const datasets::Dataset*, const GraphSet*> bound_;
 };
 
 /// String-keyed factory registry. The six paper detectors are

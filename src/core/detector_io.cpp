@@ -82,8 +82,7 @@ void Ir2vecDetector::load_state(io::Reader& r) {
   cfg_.ir2vec.seed = r.u64();
   multiclass_ = r.u8() != 0;
   model_ = io::load_trained_ir2vec(r);
-  bound_ds_ = nullptr;
-  bound_fs_ = nullptr;
+  bound_.clear();
 }
 
 // ---- GnnDetector ------------------------------------------------------------
@@ -106,8 +105,7 @@ void GnnDetector::load_state(io::Reader& r) {
   cfg_.gnn.seed = r.u64();
   model_ = io::load_gnn_model(r);
   cfg_.gnn.cfg = model_->config();
-  bound_ds_ = nullptr;
-  bound_gs_ = nullptr;
+  bound_.clear();
 }
 
 // ---- DetectorRegistry bundles -----------------------------------------------

@@ -177,6 +177,7 @@ const FeatureSet& EncodingCache::features(const datasets::Dataset& ds,
                                           ir2vec::Normalization norm,
                                           std::uint64_t vocab_seed,
                                           unsigned threads) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   const Key key = feature_key(ds, opt, norm, vocab_seed);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = features_.find(key);
@@ -212,6 +213,7 @@ const FeatureSet& EncodingCache::features(const datasets::Dataset& ds,
 
 const GraphSet& EncodingCache::graphs(const datasets::Dataset& ds,
                                       passes::OptLevel opt, unsigned threads) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   const Key key = graph_key(ds, opt);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = graphs_.find(key);
@@ -301,6 +303,10 @@ std::size_t EncodingCache::disk_hits() const {
 
 std::size_t EncodingCache::disk_writes() const {
   return disk_writes_.load(std::memory_order_relaxed);
+}
+
+std::size_t EncodingCache::lookups() const {
+  return lookups_.load(std::memory_order_relaxed);
 }
 
 namespace {

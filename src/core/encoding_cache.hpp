@@ -49,7 +49,7 @@ class EncodingCache {
   /// Drops every encoding held for `ds` (all options/normalizations).
   /// References previously returned for `ds` become dangling; callers
   /// own the discipline (Detector::discard is the only engine-side
-  /// user, on ad-hoc run() batches).
+  /// user, on ad-hoc run() batches and streamed windows).
   void erase(const datasets::Dataset& ds);
 
   /// Number of distinct encodings held (introspection for tests).
@@ -71,6 +71,11 @@ class EncodingCache {
   /// connection threads while the batch worker encodes).
   std::size_t disk_hits() const;
   std::size_t disk_writes() const;
+
+  /// features()/graphs() resolutions since construction, hits and misses
+  /// alike; each one fingerprints the whole dataset. Introspection for
+  /// tests: a detector serving a prepared dataset must not add to it.
+  std::size_t lookups() const;
 
  private:
   struct Key {
@@ -101,6 +106,7 @@ class EncodingCache {
   std::string spill_dir_;
   std::atomic<std::size_t> disk_hits_{0};
   std::atomic<std::size_t> disk_writes_{0};
+  std::atomic<std::size_t> lookups_{0};
 };
 
 /// Builds a label/flag-only skeleton dataset around a pre-encoded

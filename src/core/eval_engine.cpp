@@ -106,13 +106,7 @@ void EvalEngine::evaluate(Detector& det, const corpus::CaseSource& src,
   for (std::size_t b = 0; b < idx.size(); b += window) {
     const auto slots = idx.subspan(b, std::min(window, idx.size() - b));
     const datasets::Dataset win = corpus::load_window(src, slots);
-    // Window encodings must not accumulate, nor stay bound to a dead
-    // window when a verdict throws.
-    struct Discard {
-      Detector& det;
-      const datasets::Dataset& win;
-      ~Discard() { det.discard(win); }
-    } discard{det, win};
+    const ScopedDiscard discard(det, win);
     det.prepare(win, pool_.size());
     each(win.size(),
          [&](std::size_t j) { verdicts[slots[j]] = det.evaluate(win, j); });

@@ -119,6 +119,8 @@ class Server {
   Stats snapshot_stats() const;
 
   const ServerOptions& options() const { return opts_; }
+  /// The EncodingCache every loaded detector shares.
+  const core::EncodingCache& cache() const { return *cache_; }
 
  private:
   struct ConnectionCtx;

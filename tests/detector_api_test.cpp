@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "core/eval_engine.hpp"
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
+#include "io/serialize.hpp"
 #include "ml/kfold.hpp"
 
 namespace mpidetect::core {
@@ -418,8 +421,82 @@ TEST(EvalEngine, EncodingCacheIsSharedAcrossProtocols) {
 
 TEST(Detector, RunUnfittedLearnedDetectorThrows) {
   const auto ds = small_mbi();
-  auto det = DetectorRegistry::global().create("ir2vec", fast_config());
+  DetectorConfig cfg = fast_config();
+  cfg.cache = std::make_shared<EncodingCache>();
+  auto det = DetectorRegistry::global().create("ir2vec", cfg);
   EXPECT_THROW(det->run(std::span(ds.cases.data(), 1)), ContractViolation);
+  // The throwing batch was still discarded from the shared cache.
+  EXPECT_EQ(cfg.cache->feature_set_count(), 0u);
+}
+
+void expect_same(const Verdict& got, const Verdict& want) {
+  EXPECT_EQ(got.outcome, want.outcome);
+  EXPECT_EQ(got.predicted_label, want.predicted_label);
+  EXPECT_EQ(got.confidence, want.confidence);
+}
+
+TEST(DetectorApi, PreparedDatasetsStayBound) {
+  const auto a = small_mbi();
+  const auto b = small_corr();
+  std::vector<std::size_t> all_a(a.size());
+  std::vector<std::size_t> all_b(b.size());
+  std::iota(all_a.begin(), all_a.end(), std::size_t{0});
+  std::iota(all_b.begin(), all_b.end(), std::size_t{0});
+  auto& registry = DetectorRegistry::global();
+  for (const char* key : {"ir2vec", "gnn"}) {
+    SCOPED_TRACE(key);
+    std::stringstream state;
+    {
+      auto trained = registry.create(key, fast_config());
+      EvalEngine engine;
+      engine.fit_full(*trained, a);
+      io::Writer w(state);
+      trained->save_state(w);
+    }
+    const auto restore = [&](std::shared_ptr<EncodingCache> cache) {
+      DetectorConfig cfg = fast_config();
+      cfg.cache = std::move(cache);
+      auto det = registry.create(key, cfg);
+      state.clear();
+      state.seekg(0);
+      io::Reader r(state);
+      det->load_state(r);
+      return det;
+    };
+    // References that each saw one dataset, on caches of their own.
+    const auto reference = [&](const datasets::Dataset& ds,
+                               std::span<const std::size_t> idx) {
+      auto ref = restore(std::make_shared<EncodingCache>());
+      ref->prepare(ds);
+      return ref->run_indexed(ds, idx);
+    };
+    const auto want_a = reference(a, all_a);
+    const auto want_b = reference(b, all_b);
+
+    const auto cache = std::make_shared<EncodingCache>();
+    auto det = restore(cache);
+    det->prepare(a);
+    det->prepare(b);
+    const std::size_t lookups = cache->lookups();
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+      if (i < a.size()) expect_same(det->evaluate(a, i), want_a[i]);
+      if (i < b.size()) {
+        const std::size_t one[] = {i};
+        expect_same(det->run_indexed(b, one).front(), want_b[i]);
+      }
+    }
+    EXPECT_EQ(cache->lookups(), lookups);
+
+    // discard(a) drops a's binding only: b is still served bound, while
+    // a falls back to the cache (and re-encodes) on every verdict.
+    det->discard(a);
+    const auto got_b = det->run_indexed(b, all_b);
+    for (std::size_t i = 0; i < b.size(); ++i) expect_same(got_b[i], want_b[i]);
+    EXPECT_EQ(cache->lookups(), lookups);
+    expect_same(det->evaluate(a, 0), want_a[0]);
+    expect_same(det->evaluate(a, 1), want_a[1]);
+    EXPECT_EQ(cache->lookups(), lookups + 2);
+  }
 }
 
 TEST(Detector, BatchedRunMatchesSweep) {

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <map>
 #include <thread>
+#include <tuple>
 
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
@@ -649,6 +650,63 @@ TEST(ServerTest, StatsOverTheWire) {
   EXPECT_EQ(stats.datasets_materialized, 1u);
   EXPECT_GE(stats.batches, 1u);
   conn.close();
+  server.stop();
+}
+
+TEST(ServerTest, AlternatingCorporaResolveEachCorpusOnce) {
+  const std::vector<std::string> specs{kSpec, "corr:0.05@7"};
+  const std::vector<std::string> models{"gnn", "ir2vec"};
+  // Local references: every (model, corpus) verdict for the first cases.
+  constexpr std::size_t kRounds = 6;
+  std::map<std::pair<std::string, std::string>, std::vector<core::Verdict>>
+      want;
+  for (const auto& spec : specs) {
+    const auto ds = datasets::make_dataset(spec);
+    ASSERT_GE(ds.size(), kRounds);
+    std::vector<std::size_t> idx(kRounds);
+    for (std::size_t i = 0; i < kRounds; ++i) idx[i] = i;
+    for (const auto& key : models) {
+      core::DetectorConfig cfg;
+      cfg.cache = std::make_shared<core::EncodingCache>();
+      auto ref = core::DetectorRegistry::global().load_bundle(
+          key == "gnn" ? bundles().gnn : bundles().ir2vec, cfg);
+      ref->prepare(ds);
+      want[{key, spec}] = ref->run_indexed(ds, idx);
+    }
+  }
+
+  serve::Server server(server_options());
+  server.start();
+  const std::size_t lookups = server.cache().lookups();
+  Conn conn(server);
+  // Every round switches corpus on every request, for both detectors.
+  std::uint64_t id = 0;
+  std::map<std::uint64_t, std::tuple<std::string, std::string, std::size_t>>
+      sent;
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::string& key = models[k / 2];
+      const std::string& spec = specs[(k + i) % 2];
+      serve::write_frame(*conn.client, serve::Submit{++id, key, spec, i});
+      sent.emplace(id, std::make_tuple(key, spec, i));
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      const auto v = std::get<serve::WireVerdict>(conn.read());
+      const auto& [key, spec, index] = sent.at(v.request_id);
+      const core::Verdict& w = want.at({key, spec})[index];
+      EXPECT_EQ(static_cast<core::Verdict::Outcome>(v.outcome), w.outcome)
+          << key << " " << spec << " case " << index;
+      EXPECT_EQ(v.confidence, w.confidence)
+          << key << " " << spec << " case " << index;
+    }
+  }
+  conn.close();
+  // One resolution per (detector, corpus) — the first batch's prepare —
+  // and none per request afterwards.
+  EXPECT_EQ(server.cache().lookups(), lookups + models.size() * specs.size());
+  const auto stats = server.snapshot_stats();
+  EXPECT_EQ(stats.served, kRounds * 4);
+  EXPECT_EQ(stats.datasets_materialized, specs.size());
   server.stop();
 }
 
