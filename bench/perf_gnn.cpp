@@ -1,7 +1,9 @@
 // perf_gnn — the GNN perf-bench driver: times encode / train / infer in
-// baseline (naive kernel, graph-at-a-time) and batched (blocked
-// kernels, graph mini-batches, tape-free inference) modes and writes
-// the BENCH_gnn.json perf-trajectory record (see docs/PERFORMANCE.md).
+// baseline (naive kernel, scalar, one thread, graph-at-a-time
+// inference) and engine (packed kernels, SIMD, kernel threads,
+// tape-free batched inference) modes and writes the BENCH_gnn.json
+// perf-trajectory record (see docs/PERFORMANCE.md). Both modes train
+// one graph per Adam step, as the paper does.
 //
 // Unlike the figure/table drivers this binary reproduces no paper
 // artifact; it exists so every optimisation PR leaves a measured data
@@ -9,7 +11,7 @@
 //
 //   ./build/perf_gnn                 # default: MBI at 15%, 5 reps
 //   ./build/perf_gnn --quick         # CI smoke: tiny corpus, 1 rep
-//   ./build/perf_gnn --reps=9 --batch=16 --out=/tmp/bench.json
+//   ./build/perf_gnn --reps=9 --infer-batch=16 --out=/tmp/bench.json
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -24,7 +26,7 @@ namespace {
 [[noreturn]] void usage_error(const std::string& msg) {
   std::cerr << "perf_gnn: " << msg
             << "\nusage: perf_gnn [--quick] [--scale=X] [--reps=N] "
-               "[--warmup=N] [--batch=N] [--infer-batch=N] [--threads=N] "
+               "[--warmup=N] [--infer-batch=N] [--threads=N] "
                "[--out=FILE]\n";
   std::exit(1);
 }
@@ -53,7 +55,6 @@ struct PerfArgs {
   double scale = 0.15;
   int reps = 5;
   int warmup = 1;
-  std::size_t train_batch = 4;
   std::size_t infer_batch = 4;
   unsigned threads = 0;
   std::string out = "BENCH_gnn.json";
@@ -82,9 +83,6 @@ struct PerfArgs {
         a.reps = static_cast<int>(parse_number(f + 7, "--reps", 1, true));
       } else if (std::strncmp(f, "--warmup=", 9) == 0) {
         a.warmup = static_cast<int>(parse_number(f + 9, "--warmup", 0, true));
-      } else if (std::strncmp(f, "--batch=", 8) == 0) {
-        a.train_batch =
-            static_cast<std::size_t>(parse_number(f + 8, "--batch", 1, true));
       } else if (std::strncmp(f, "--infer-batch=", 14) == 0) {
         a.infer_batch =
             static_cast<std::size_t>(parse_number(f + 14, "--infer-batch", 1, true));
@@ -118,15 +116,14 @@ int run_main(int argc, char** argv) {
   opts.cfg.layers = {128, 64, 32};
   opts.cfg.fc_hidden = 32;
   opts.cfg.epochs = args.quick ? 2 : 4;
-  opts.train_batch = args.train_batch;
-  opts.infer_batch = args.infer_batch;
+  opts.cfg.infer_batch = args.infer_batch;
   opts.warmup = args.warmup;
   opts.reps = args.reps;
   opts.threads = args.threads;
 
   bench::print_header("GNN perf bench (encode / train / infer)");
   std::cout << ds.name << ": " << ds.size() << " cases; reps=" << args.reps
-            << " warmup=" << args.warmup << " train_batch=" << args.train_batch
+            << " warmup=" << args.warmup
             << " infer_batch=" << args.infer_batch << "\n";
 
   const core::GnnPerfReport report = core::run_gnn_perf(ds, opts);

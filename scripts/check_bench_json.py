@@ -35,7 +35,7 @@ import sys
 REQUIRED_PHASES = (
     "encode",
     "train_baseline",
-    "train_batched",
+    "train",
     "infer_baseline",
     "infer_batched",
 )
@@ -67,10 +67,12 @@ def check_file(path, require_win=False, require_multithread=False):
     if not isinstance(doc, dict):
         return fail(path, "top level is not an object")
     kind = doc.get("benchmark")
-    # gnn_perf is at schema 3: schema 2 added effective-thread honesty
-    # and op counters, schema 3 removed the int8 inference phase and its op row.
+    # gnn_perf is at schema 4: schema 2 added effective-thread honesty
+    # and op counters, schema 3 removed the int8 inference phase and its op
+    # row, schema 4 replaced the mini-batch "train_batched" phase with the
+    # one-graph-per-step "train" phase and dropped config.train_batch.
     # The other records are still at 1.
-    expected_schema = 3 if kind == "gnn_perf" else 1
+    expected_schema = 4 if kind == "gnn_perf" else 1
     if doc.get("schema_version") != expected_schema:
         return fail(path, f"unknown schema_version {doc.get('schema_version')!r}"
                           f" for {kind!r} (expected {expected_schema})")
@@ -93,7 +95,7 @@ def check_gnn_perf(path, doc, require_multithread):
     config = doc.get("config")
     if not isinstance(config, dict):
         return fail(path, "config missing")
-    for key in ("warmup", "reps", "train_batch", "infer_batch", "epochs"):
+    for key in ("warmup", "reps", "infer_batch", "epochs"):
         if not is_number(config.get(key)):
             return fail(path, f"config.{key} missing or not a number")
     # Bench honesty: the record must report the pool width actually used.

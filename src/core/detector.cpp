@@ -33,7 +33,7 @@ std::string_view outcome_name(Verdict::Outcome o) {
 namespace {
 
 /// ml::GraphSource over a streaming case source: each fetch materializes
-/// just the requested training rows and extracts their graphs into the
+/// just the requested training row and extracts its graph into the
 /// source's own buffer — the whole corpus never becomes resident.
 class StreamGraphSource final : public ml::GraphSource {
  public:
@@ -44,21 +44,18 @@ class StreamGraphSource final : public ml::GraphSource {
 
   std::size_t size() const override { return idx_.size(); }
 
-  void fetch(std::span<const std::size_t> pos,
-             std::vector<const programl::ProgramGraph*>& out) override {
-    sel_.clear();
-    for (const std::size_t p : pos) sel_.push_back(idx_[p]);
-    step_ = extract_graphs(corpus::load_window(src_, sel_), opt_);
-    out.clear();
-    for (const auto& g : step_.graphs) out.push_back(&g);
+  const programl::ProgramGraph& fetch(std::size_t pos) override {
+    const std::size_t row = idx_[pos];
+    step_ = extract_graphs(corpus::load_window(src_, std::span(&row, 1)),
+                           opt_);
+    return step_.graphs[0];
   }
 
  private:
   const corpus::CaseSource& src_;
   std::span<const std::size_t> idx_;
   passes::OptLevel opt_;
-  std::vector<std::size_t> sel_;
-  GraphSet step_;  // the graphs of the step last fetched
+  GraphSet step_;  // the graph of the step last fetched
 };
 
 }  // namespace
@@ -345,7 +342,7 @@ void GnnDetector::fit_stream(const corpus::CaseSource& src,
                              std::span<const std::size_t> y,
                              const FitSpec& spec, std::size_t window) {
   MPIDETECT_EXPECTS(train_idx.size() == y.size());
-  (void)window;  // the step size here is the model's own batch_size
+  (void)window;  // the model takes one graph per step
   StreamGraphSource graphs(src, train_idx, cfg_.graph_opt);
   train(graphs, y, spec);
 }

@@ -334,11 +334,11 @@ class GnnDetector final : public Detector {
            std::span<const std::size_t> train_idx,
            std::span<const std::size_t> y, const FitSpec& spec) override;
   /// Out-of-core GNN training: the same training loop as fit(), but
-  /// each optimisation step's graphs are re-extracted from the source on
+  /// each optimisation step's graph is re-extracted from the source on
   /// demand (graphs for a training epoch are visited in shuffled order,
   /// so there is nothing to batch up — the trade is recompute for
-  /// residency). Peak graph memory is one mini-batch. Rejects
-  /// multiclass, like fit().
+  /// residency). Peak graph memory is one graph. Rejects multiclass,
+  /// like fit().
   void fit_stream(const corpus::CaseSource& src,
                   std::span<const std::size_t> train_idx,
                   std::span<const std::size_t> y, const FitSpec& spec,

@@ -98,23 +98,17 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
 
   ml::GnnConfig cfg = opts.cfg;
   cfg.classes = 2;
-  cfg.infer_batch = opts.infer_batch;
   const std::span<const std::size_t> labels(gs.y_binary);
   const std::span<const programl::ProgramGraph> graphs(gs.graphs);
 
-  // Baseline and batched repetitions are interleaved (one of each per
+  // ---- train: baseline (naive kernel, scalar, one thread) vs the engine --
+  // ---- (packed kernels, SIMD, kernel threads); one graph per Adam step ---
+  // Baseline and engine repetitions are interleaved (one of each per
   // round): background noise on a shared machine then lands on both
   // modes roughly equally instead of skewing whichever phase it hits.
-  ml::GnnConfig baseline_cfg = cfg;
-  baseline_cfg.batch_size = 1;
-  ml::GnnConfig batched_cfg = cfg;
-  batched_cfg.batch_size = opts.train_batch;
-
-  // ---- train: baseline (naive kernel, one graph per Adam step) vs the ----
-  // ---- batched engine (blocked kernels, graph mini-batches) ---------------
   PerfPhase train_baseline{"train_baseline", {}};
-  PerfPhase train_batched{"train_batched", {}};
-  std::unique_ptr<ml::GnnModel> model;  // last batched-trained, reused below
+  PerfPhase train{"train", {}};
+  std::unique_ptr<ml::GnnModel> model;  // last engine-trained, reused below
   for (int i = 0; i < opts.warmup + opts.reps; ++i) {
     const bool measured = i >= opts.warmup;
     {
@@ -123,28 +117,28 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
       // measured before the SIMD table existed — leaving SIMD live
       // here would silently shrink the baseline and make speedups
       // incomparable across records. The op chain is not the seed's:
-      // single-graph training now runs the fused GATv2 ops over the
-      // gathered rows (ml/gnn.cpp), which train the same parameters bit
-      // for bit but skip the unfused chain's (E,d) intermediates, so
-      // this baseline is faster than the seed pipeline was.
+      // training now runs the fused GATv2 ops over the gathered rows
+      // (ml/gnn.cpp), which train the same parameters bit for bit but
+      // skip the unfused chain's (E,d) intermediates, so this baseline
+      // is faster than the seed pipeline was.
       ml::kernels::ScopedNaiveMatmul naive(true);
       ml::kernels::ScopedForceScalar scalar(true);
       ml::kernels::ScopedKernelThreads serial(1);
       const auto t0 = Clock::now();
-      ml::GnnModel baseline_model(baseline_cfg);
+      ml::GnnModel baseline_model(cfg);
       baseline_model.fit(graphs, labels);
       if (measured) train_baseline.samples_ms.push_back(ms_since(t0));
     }
     {
       ml::kernels::ScopedKernelThreads budget(opts.threads);
       const auto t0 = Clock::now();
-      model = std::make_unique<ml::GnnModel>(batched_cfg);
+      model = std::make_unique<ml::GnnModel>(cfg);
       model->fit(graphs, labels);
-      if (measured) train_batched.samples_ms.push_back(ms_since(t0));
+      if (measured) train.samples_ms.push_back(ms_since(t0));
     }
   }
   r.phases.push_back(std::move(train_baseline));
-  r.phases.push_back(std::move(train_batched));
+  r.phases.push_back(std::move(train));
 
   // ---- infer: baseline (tape-recording, graph at a time) vs the batched ---
   // ---- engine (tape-free graph mini-batches), on one trained model --------
@@ -202,7 +196,7 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
     const double f = r.phase(fast).median_ms();
     return f > 0.0 ? b / f : 0.0;
   };
-  r.train_speedup = speedup("train_baseline", "train_batched");
+  r.train_speedup = speedup("train_baseline", "train");
   r.infer_speedup = speedup("infer_baseline", "infer_batched");
   return r;
 }
@@ -211,13 +205,12 @@ std::string GnnPerfReport::to_json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"benchmark\": \"gnn_perf\",\n";
-  os << "  \"schema_version\": 3,\n";
+  os << "  \"schema_version\": 4,\n";
   os << "  \"dataset\": {\"name\": \"" << dataset << "\", \"cases\": " << cases
      << ", \"nodes\": " << nodes << ", \"edges\": " << edges << "},\n";
   os << "  \"config\": {\"warmup\": " << options.warmup
      << ", \"reps\": " << options.reps << ", \"threads\": " << options.threads
-     << ", \"train_batch\": " << options.train_batch
-     << ", \"infer_batch\": " << options.infer_batch
+     << ", \"infer_batch\": " << options.cfg.infer_batch
      << ", \"epochs\": " << options.cfg.epochs
      << ", \"embed_dim\": " << options.cfg.embed_dim << ", \"layers\": [";
   for (std::size_t i = 0; i < options.cfg.layers.size(); ++i) {
@@ -294,6 +287,12 @@ int report_and_write(const GnnPerfReport& report, const std::string& json_path,
     os << "FAIL: batched inference disagreed with the baseline on "
        << fmt_double((1.0 - report.prediction_agreement) * 100.0, 2)
        << "% of cases\n";
+    return 2;
+  }
+  if (report.max_abs_proba_diff > kMaxProbaDiff) {
+    os << "FAIL: batched inference moved a probability by "
+       << fmt_double(report.max_abs_proba_diff, 12) << " (bound "
+       << fmt_double(kMaxProbaDiff, 6) << ")\n";
     return 2;
   }
   return 0;

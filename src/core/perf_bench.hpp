@@ -1,11 +1,12 @@
 // The GNN perf-bench harness: times the three phases of the learned
 // pipeline — encode (dataset -> ProGraML graphs), train, infer — in two
-// modes, the pre-optimization baseline (naive matmul kernel, one graph
-// per step, tape-recording inference) and the batched engine (blocked
-// kernels, graph mini-batches, tape-free inference), with warmup and
-// repetitions, reporting median and p90 per phase plus the end-to-end
-// speedups and an equivalence check (batched inference must agree with
-// graph-at-a-time inference).
+// modes, the pre-optimization baseline (naive matmul kernel, scalar
+// dispatch, one thread, tape-recording inference) and the engine
+// (packed kernels, SIMD, kernel threads, tape-free batched inference),
+// with warmup and repetitions, reporting median and p90 per phase plus
+// the end-to-end speedups and an equivalence check (batched inference
+// must agree with graph-at-a-time inference). Both modes train the
+// paper's way, one graph per Adam step.
 //
 // Both bench/perf_gnn.cpp and `mpiguard bench --json` are thin CLIs over
 // run_gnn_perf; the JSON they write (BENCH_gnn.json) is the repo's perf
@@ -35,12 +36,9 @@ struct PerfPhase {
 };
 
 struct GnnPerfOptions {
-  /// Model hyper-parameters for both modes. classes is forced to 2;
-  /// batch_size is ignored (the modes pick their own: 1 for the
-  /// baseline, train_batch for the batched engine).
+  /// Model hyper-parameters for both modes; classes is forced to 2, and
+  /// cfg.infer_batch sets the batched-inference micro-batch.
   ml::GnnConfig cfg;
-  std::size_t train_batch = 4;   // graphs per optimisation step (batched)
-  std::size_t infer_batch = 4;   // graphs per forward pass (batched)
   int warmup = 1;                // discarded leading repetitions
   int reps = 5;                  // measured repetitions per phase
   unsigned threads = 0;          // kernel/encode threads; 0 = hardware
@@ -55,7 +53,7 @@ struct GnnPerfReport {
   std::size_t edges = 0;
   GnnPerfOptions options;
 
-  /// The pool width the batched phases actually ran at
+  /// The pool width the engine phases actually ran at
   /// (ml::kernels::effective_threads of options.threads) — what the
   /// record must report, never the requested knob: the two differ when
   /// the requested budget exceeds what the pool provided.
@@ -63,11 +61,11 @@ struct GnnPerfReport {
   /// The SIMD dispatch target the run used (ml::kernels::isa_name).
   std::string simd;
 
-  /// encode, train_baseline, train_batched, infer_baseline,
-  /// infer_batched — in that order.
+  /// encode, train_baseline, train, infer_baseline, infer_batched — in
+  /// that order.
   std::vector<PerfPhase> phases;
 
-  double train_speedup = 0.0;  // baseline median / batched median
+  double train_speedup = 0.0;  // baseline median / engine median
   double infer_speedup = 0.0;
 
   /// Batched vs graph-at-a-time inference on one trained model: the
@@ -84,6 +82,10 @@ struct GnnPerfReport {
   std::string to_json() const;
 };
 
+/// Largest batched-vs-baseline probability difference a well-formed
+/// record may carry (scripts/check_bench_json.py applies the same bound).
+inline constexpr double kMaxProbaDiff = 1e-6;
+
 /// Runs the full harness on `ds`. Phases are timed back to back per
 /// repetition; training reps fit a fresh identically-seeded model each
 /// time, so repetitions measure the same work.
@@ -95,8 +97,9 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
 /// speedup/equivalence summary to `os`, writes the JSON record to
 /// `json_path`.
 /// \return the process exit code — 0, or 2 when batched inference
-/// disagreed with the baseline (the record is still written first so
-/// the disagreement can be inspected).
+/// disagreed with the baseline: an argmax differs or a probability
+/// moved by more than kMaxProbaDiff (the record is still written first
+/// so the disagreement can be inspected).
 int report_and_write(const GnnPerfReport& report, const std::string& json_path,
                      std::ostream& os);
 

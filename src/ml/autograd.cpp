@@ -235,41 +235,19 @@ Var elu(const Var& a) {
 Var relu(const Var& a) { return leaky_relu(a, 0.0); }
 
 Var bias_elu(const Var& a, const Var& bias) {
+  MPIDETECT_EXPECTS(!grad_enabled());
   MPIDETECT_EXPECTS(bias->value.rows() == 1);
   MPIDETECT_EXPECTS(bias->value.cols() == a->value.cols());
   const std::size_t rows = a->value.rows();
   const std::size_t cols = a->value.cols();
   const double* b = bias->value.row(0);
   Matrix out(rows, cols);
-  {
-    kernels::OpTimer timer(kernels::Op::BiasElu, 2 * rows * cols);
-    const kernels::KernelFns& fns = kernels::fns();
-    for (std::size_t i = 0; i < rows; ++i) {
-      fns.bias_elu_row(out.row(i), a->value.row(i), b, cols);
-    }
+  kernels::OpTimer timer(kernels::Op::BiasElu, 2 * rows * cols);
+  const kernels::KernelFns& fns = kernels::fns();
+  for (std::size_t i = 0; i < rows; ++i) {
+    fns.bias_elu_row(out.row(i), a->value.row(i), b, cols);
   }
-  return make_result(
-      std::move(out), {a, bias}, [a, bias](VarNode& self) {
-        const std::size_t rows = a->value.rows();
-        const std::size_t cols = a->value.cols();
-        Matrix* ga = a->requires_grad ? &a->ensure_grad() : nullptr;
-        Matrix* gb = bias->requires_grad ? &bias->ensure_grad() : nullptr;
-        double* gbrow = gb != nullptr ? gb->row(0) : nullptr;
-        for (std::size_t i = 0; i < rows; ++i) {
-          // elu'(t) = exp(t) = expm1(t) + 1 on the negative branch, and
-          // the forward already stored expm1(t) as the output — reusing
-          // it avoids one exp per element (within 1 ulp of exp(t)).
-          const double* outrow = self.value.row(i);
-          const double* grow = self.grad.row(i);
-          double* garow = ga != nullptr ? ga->row(i) : nullptr;
-          for (std::size_t j = 0; j < cols; ++j) {
-            const double o = outrow[j];
-            const double d = grow[j] * (o > 0 ? 1.0 : o + 1.0);
-            if (garow != nullptr) garow[j] += d;
-            if (gbrow != nullptr) gbrow[j] += d;
-          }
-        }
-      });
+  return make_input(std::move(out));
 }
 
 Var gather_rows(const Var& a, std::vector<std::uint32_t> idx) {
@@ -413,8 +391,9 @@ namespace {
 
 /// Row-index policies for the fused GATv2 ops: the plain variants read
 /// entry e of an (E,d) operand, the gathered variants read through an
-/// edge-index vector. One shared implementation per op keeps the
-/// forward/backward math in exactly one place.
+/// edge-index vector. One shared forward per op keeps the math in
+/// exactly one place; only the plain (training) variants have a
+/// backward.
 struct DirectIx {
   std::size_t operator()(std::size_t e) const { return e; }
 };
@@ -462,30 +441,6 @@ Matrix gatv2_scores_value(const Var& hl, LeftIx li, const Var& hr, RightIx ri,
   return out;
 }
 
-template <typename LeftIx, typename RightIx>
-void gatv2_scores_backward(VarNode& self, const Var& hl, LeftIx li,
-                           const Var& hr, RightIx ri, const Var& attn,
-                           double negative_slope, std::size_t e_rows) {
-  const std::size_t d = hl->value.cols();
-  const double* av = attn->value.data().data();
-  // One dispatched row kernel per edge. A gradient nobody needs goes to
-  // a scratch row that is never read.
-  std::vector<double> scratch_lr, scratch_a;
-  if (!hl->requires_grad || !hr->requires_grad) scratch_lr.assign(d, 0.0);
-  if (!attn->requires_grad) scratch_a.assign(d, 0.0);
-  Matrix* gl = hl->requires_grad ? &hl->ensure_grad() : nullptr;
-  Matrix* gr = hr->requires_grad ? &hr->ensure_grad() : nullptr;
-  double* ga = attn->requires_grad ? attn->ensure_grad().data().data()
-                                   : scratch_a.data();
-  const kernels::KernelFns& fns = kernels::fns();
-  for (std::size_t e = 0; e < e_rows; ++e) {
-    fns.gatv2_backward_row(
-        hl->value.row(li(e)), hr->value.row(ri(e)), av, self.grad.at(e, 0),
-        negative_slope, d, gl != nullptr ? gl->row(li(e)) : scratch_lr.data(),
-        gr != nullptr ? gr->row(ri(e)) : scratch_lr.data(), ga);
-  }
-}
-
 template <typename SrcIx>
 Matrix scatter_add_scaled_value(const Var& alpha, const Var& h, SrcIx si,
                                 const std::vector<std::uint32_t>& dst,
@@ -508,28 +463,6 @@ Matrix scatter_add_scaled_value(const Var& alpha, const Var& h, SrcIx si,
   return out;
 }
 
-template <typename SrcIx>
-void scatter_add_scaled_backward(VarNode& self, const Var& alpha, const Var& h,
-                                 SrcIx si,
-                                 const std::vector<std::uint32_t>& dst) {
-  const std::size_t cols = h->value.cols();
-  Matrix* ga = alpha->requires_grad ? &alpha->ensure_grad() : nullptr;
-  Matrix* gh = h->requires_grad ? &h->ensure_grad() : nullptr;
-  const kernels::KernelFns& fns = kernels::fns();
-  for (std::size_t e = 0; e < dst.size(); ++e) {
-    const double* gout = self.grad.row(dst[e]);
-    if (ga != nullptr) {
-      const double* s = h->value.row(si(e));
-      double dot = 0.0;
-      for (std::size_t j = 0; j < cols; ++j) dot += gout[j] * s[j];
-      ga->at(e, 0) += dot;
-    }
-    if (gh != nullptr) {
-      fns.axpy1(gh->row(si(e)), gout, alpha->value.at(e, 0), cols);
-    }
-  }
-}
-
 }  // namespace
 
 Var gatv2_scores(const Var& hl, const Var& hr, const Var& attn,
@@ -543,8 +476,26 @@ Var gatv2_scores(const Var& hl, const Var& hr, const Var& attn,
   return make_result(
       std::move(out), {hl, hr, attn},
       [hl, hr, attn, negative_slope, e_rows](VarNode& self) {
-        gatv2_scores_backward(self, hl, DirectIx{}, hr, DirectIx{}, attn,
-                              negative_slope, e_rows);
+        const std::size_t d = hl->value.cols();
+        const double* av = attn->value.data().data();
+        // One dispatched row kernel per edge. A gradient nobody needs
+        // goes to a scratch row that is never read.
+        std::vector<double> scratch_lr, scratch_a;
+        if (!hl->requires_grad || !hr->requires_grad) {
+          scratch_lr.assign(d, 0.0);
+        }
+        if (!attn->requires_grad) scratch_a.assign(d, 0.0);
+        Matrix* gl = hl->requires_grad ? &hl->ensure_grad() : nullptr;
+        Matrix* gr = hr->requires_grad ? &hr->ensure_grad() : nullptr;
+        double* ga = attn->requires_grad ? attn->ensure_grad().data().data()
+                                         : scratch_a.data();
+        const kernels::KernelFns& fns = kernels::fns();
+        for (std::size_t e = 0; e < e_rows; ++e) {
+          fns.gatv2_backward_row(
+              hl->value.row(e), hr->value.row(e), av, self.grad.at(e, 0),
+              negative_slope, d, gl != nullptr ? gl->row(e) : scratch_lr.data(),
+              gr != nullptr ? gr->row(e) : scratch_lr.data(), ga);
+        }
       });
 }
 
@@ -558,49 +509,52 @@ Var scatter_add_scaled(const Var& alpha, const Var& h,
   return make_result(
       std::move(out), {alpha, h},
       [alpha, h, idx = std::move(idx)](VarNode& self) {
-        scatter_add_scaled_backward(self, alpha, h, DirectIx{}, idx);
+        const std::size_t cols = h->value.cols();
+        Matrix* ga = alpha->requires_grad ? &alpha->ensure_grad() : nullptr;
+        Matrix* gh = h->requires_grad ? &h->ensure_grad() : nullptr;
+        const kernels::KernelFns& fns = kernels::fns();
+        for (std::size_t e = 0; e < idx.size(); ++e) {
+          const double* gout = self.grad.row(idx[e]);
+          if (ga != nullptr) {
+            const double* s = h->value.row(e);
+            double dot = 0.0;
+            for (std::size_t j = 0; j < cols; ++j) dot += gout[j] * s[j];
+            ga->at(e, 0) += dot;
+          }
+          if (gh != nullptr) {
+            fns.axpy1(gh->row(e), gout, alpha->value.at(e, 0), cols);
+          }
+        }
       });
 }
 
 Var gatv2_scores_gathered(const Var& hl, std::vector<std::uint32_t> dst,
                           const Var& hr, std::vector<std::uint32_t> src,
                           const Var& attn, double negative_slope) {
+  MPIDETECT_EXPECTS(!grad_enabled());
   MPIDETECT_EXPECTS(hl->value.cols() == hr->value.cols());
   MPIDETECT_EXPECTS(dst.size() == src.size());
   MPIDETECT_EXPECTS(attn->value.rows() == hl->value.cols());
   MPIDETECT_EXPECTS(attn->value.cols() == 1);
   for (const std::uint32_t i : dst) MPIDETECT_EXPECTS(i < hl->value.rows());
   for (const std::uint32_t i : src) MPIDETECT_EXPECTS(i < hr->value.rows());
-  const std::size_t e_rows = dst.size();
-  Matrix out = gatv2_scores_value(hl, GatherIx{dst.data()}, hr,
-                                  GatherIx{src.data()}, attn, negative_slope,
-                                  e_rows);
-  return make_result(
-      std::move(out), {hl, hr, attn},
-      [hl, hr, attn, negative_slope, dst = std::move(dst),
-       src = std::move(src)](VarNode& self) {
-        gatv2_scores_backward(self, hl, GatherIx{dst.data()}, hr,
-                              GatherIx{src.data()}, attn, negative_slope,
-                              dst.size());
-      });
+  return make_input(gatv2_scores_value(hl, GatherIx{dst.data()}, hr,
+                                       GatherIx{src.data()}, attn,
+                                       negative_slope, dst.size()));
 }
 
 Var scatter_add_scaled_gathered(const Var& alpha, const Var& h,
                                 std::vector<std::uint32_t> src,
                                 std::vector<std::uint32_t> dst,
                                 std::size_t n_rows) {
+  MPIDETECT_EXPECTS(!grad_enabled());
   MPIDETECT_EXPECTS(alpha->value.cols() == 1);
   MPIDETECT_EXPECTS(alpha->value.rows() == src.size());
   MPIDETECT_EXPECTS(src.size() == dst.size());
   for (const std::uint32_t i : src) MPIDETECT_EXPECTS(i < h->value.rows());
   for (const std::uint32_t i : dst) MPIDETECT_EXPECTS(i < n_rows);
-  Matrix out =
-      scatter_add_scaled_value(alpha, h, GatherIx{src.data()}, dst, n_rows);
-  return make_result(
-      std::move(out), {alpha, h},
-      [alpha, h, src = std::move(src), dst = std::move(dst)](VarNode& self) {
-        scatter_add_scaled_backward(self, alpha, h, GatherIx{src.data()}, dst);
-      });
+  return make_input(
+      scatter_add_scaled_value(alpha, h, GatherIx{src.data()}, dst, n_rows));
 }
 
 Var max_pool_rows(const Var& a) {
@@ -629,85 +583,32 @@ Var max_pool_rows(const Var& a) {
 
 Var segment_max_pool_rows(const Var& a, std::vector<std::uint32_t> seg,
                           std::size_t n_segments) {
+  MPIDETECT_EXPECTS(!grad_enabled());
   MPIDETECT_EXPECTS(seg.size() == a->value.rows());
   MPIDETECT_EXPECTS(n_segments >= 1);
   const std::size_t cols = a->value.cols();
   Matrix out(n_segments, cols);
-  // argmax[s * cols + j] = the first row of segment s that attains the
-  // column maximum (strict >, matching max_pool_rows tie-breaking).
-  auto argmax = std::make_shared<std::vector<std::uint32_t>>(
-      n_segments * cols, std::uint32_t{0});
+  // A segment's first row seeds its maximum; strict > afterwards, like
+  // max_pool_rows.
   std::vector<bool> seen(n_segments, false);
   for (std::size_t e = 0; e < seg.size(); ++e) {
     const std::uint32_t s = seg[e];
     MPIDETECT_EXPECTS(s < n_segments);
     const double* src = a->value.row(e);
     double* dst = out.row(s);
-    std::uint32_t* am = argmax->data() + s * cols;
     if (!seen[s]) {
       seen[s] = true;
       std::copy(src, src + cols, dst);
-      std::fill(am, am + cols, static_cast<std::uint32_t>(e));
       continue;
     }
     for (std::size_t j = 0; j < cols; ++j) {
-      if (src[j] > dst[j]) {
-        dst[j] = src[j];
-        am[j] = static_cast<std::uint32_t>(e);
-      }
+      if (src[j] > dst[j]) dst[j] = src[j];
     }
   }
   for (std::size_t s = 0; s < n_segments; ++s) {
     MPIDETECT_EXPECTS(seen[s]);  // every segment needs at least one row
   }
-  return make_result(
-      std::move(out), {a}, [a, argmax, n_segments](VarNode& self) {
-        if (!a->requires_grad) return;
-        Matrix& g = a->ensure_grad();
-        const std::size_t cols = g.cols();
-        for (std::size_t s = 0; s < n_segments; ++s) {
-          const std::uint32_t* am = argmax->data() + s * cols;
-          const double* grow = self.grad.row(s);
-          for (std::size_t j = 0; j < cols; ++j) {
-            g.row(am[j])[j] += grow[j];
-          }
-        }
-      });
-}
-
-Var segment_mean_pool_rows(const Var& a, std::vector<std::uint32_t> seg,
-                           std::size_t n_segments) {
-  MPIDETECT_EXPECTS(seg.size() == a->value.rows());
-  MPIDETECT_EXPECTS(n_segments >= 1);
-  const std::size_t cols = a->value.cols();
-  Matrix out(n_segments, cols);
-  auto counts = std::make_shared<std::vector<double>>(n_segments, 0.0);
-  for (std::size_t e = 0; e < seg.size(); ++e) {
-    const std::uint32_t s = seg[e];
-    MPIDETECT_EXPECTS(s < n_segments);
-    ++(*counts)[s];
-    const double* src = a->value.row(e);
-    double* dst = out.row(s);
-    for (std::size_t j = 0; j < cols; ++j) dst[j] += src[j];
-  }
-  for (std::size_t s = 0; s < n_segments; ++s) {
-    MPIDETECT_EXPECTS((*counts)[s] > 0);  // no empty segments
-    double* dst = out.row(s);
-    for (std::size_t j = 0; j < cols; ++j) dst[j] /= (*counts)[s];
-  }
-  return make_result(
-      std::move(out), {a},
-      [a, counts, seg = std::move(seg)](VarNode& self) {
-        if (!a->requires_grad) return;
-        Matrix& g = a->ensure_grad();
-        const std::size_t cols = g.cols();
-        for (std::size_t e = 0; e < seg.size(); ++e) {
-          const double inv = 1.0 / (*counts)[seg[e]];
-          const double* grow = self.grad.row(seg[e]);
-          double* dst = g.row(e);
-          for (std::size_t j = 0; j < cols; ++j) dst[j] += inv * grow[j];
-        }
-      });
+  return make_input(std::move(out));
 }
 
 std::vector<double> softmax_row(const Matrix& logits) {
@@ -761,39 +662,6 @@ Var cross_entropy(const Var& logits, std::size_t label) {
       g.at(0, j) += d * (p[j] - (j == label ? 1.0 : 0.0));
     }
   });
-}
-
-Var cross_entropy_rows(const Var& logits, std::vector<std::size_t> labels) {
-  const std::size_t b = logits->value.rows();
-  MPIDETECT_EXPECTS(b >= 1);
-  MPIDETECT_EXPECTS(labels.size() == b);
-  for (const std::size_t l : labels) {
-    MPIDETECT_EXPECTS(l < logits->value.cols());
-  }
-  const auto probs =
-      std::make_shared<std::vector<std::vector<double>>>(
-          softmax_rows(logits->value));
-  Matrix out(1, 1);
-  double loss = 0.0;
-  for (std::size_t i = 0; i < b; ++i) {
-    loss += -std::log(std::max((*probs)[i][labels[i]], 1e-300));
-  }
-  out.at(0, 0) = loss / static_cast<double>(b);
-  return make_result(
-      std::move(out), {logits},
-      [logits, probs, labels = std::move(labels)](VarNode& self) {
-        if (!logits->requires_grad) return;
-        Matrix& g = logits->ensure_grad();
-        const double d =
-            self.grad.at(0, 0) / static_cast<double>(labels.size());
-        for (std::size_t i = 0; i < labels.size(); ++i) {
-          const std::vector<double>& p = (*probs)[i];
-          double* grow = g.row(i);
-          for (std::size_t j = 0; j < p.size(); ++j) {
-            grow[j] += d * (p[j] - (j == labels[i] ? 1.0 : 0.0));
-          }
-        }
-      });
 }
 
 }  // namespace mpidetect::ml

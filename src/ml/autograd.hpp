@@ -1,14 +1,16 @@
 // Reverse-mode automatic differentiation over dense matrices with the
 // gather/scatter/segment operations graph neural networks need. The op
-// set is exactly what the GATv2 pipeline uses — including the segment
-// (per-graph) pooling and row-batched cross-entropy that let one tape
-// carry a whole mini-batch of disjoint graphs; every op's backward is
+// set is exactly what the GATv2 pipeline uses. Training records a tape
+// over one graph per step; every op on that path has its backward
 // validated by finite differences in tests/autograd_test.cpp and
 // tests/batched_gnn_test.cpp.
 //
-// Inference can run under a NoGradGuard: ops compute the same values
-// but skip tape construction (no parents, no backward closures), which
-// is what GnnModel's predict paths use.
+// Inference runs under a NoGradGuard: ops compute the same values but
+// skip tape construction (no parents, no backward closures), which is
+// what GnnModel's predict paths use. A few fused ops serve only those
+// paths (the gathered GATv2 ops, bias_elu, segment pooling); they have
+// no backward at all and reject a call in grad mode with a
+// ContractViolation, so a gradient is never silently dropped.
 #pragma once
 
 #include <cstddef>
@@ -121,9 +123,7 @@ Var gatv2_scores(const Var& hl, const Var& hr, const Var& attn,
 /// \brief Fused row-broadcast bias + ELU: out[i,j] = elu(a[i,j] +
 /// bias[0,j]). One pass instead of the add_row_broadcast -> elu chain;
 /// per-element operations match the unfused chain, so values are
-/// bit-identical. The backward takes elu'(t) = expm1(t) + 1 from the
-/// stored output where elu() computes exp(t), which can differ in the
-/// last bit.
+/// bit-identical. Inference only: requires !grad_enabled().
 Var bias_elu(const Var& a, const Var& bias);
 
 /// \brief Fused attention-weighted message aggregation:
@@ -141,12 +141,8 @@ Var scatter_add_scaled(const Var& alpha, const Var& h,
 /// Like gatv2_scores but reading the node-level transforms through the
 /// edge indices on the fly, so the (E,d) gathered copies are never
 /// materialized either. Bit-identical to
-/// gatv2_scores(gather_rows(hl, dst), gather_rows(hr, src), attn),
-/// gradients included. Paired with scatter_add_scaled_gathered over the
-/// same hr, though, hr's gradient sums group per op, where the
-/// gathered-copy chain first sums each edge's two contributions and
-/// then scatters; the last bit can differ, so single-graph training
-/// does not use the pair (ml/gnn.cpp).
+/// gatv2_scores(gather_rows(hl, dst), gather_rows(hr, src), attn).
+/// Inference only: requires !grad_enabled().
 Var gatv2_scores_gathered(const Var& hl, std::vector<std::uint32_t> dst,
                           const Var& hr, std::vector<std::uint32_t> src,
                           const Var& attn, double negative_slope = 0.2);
@@ -157,8 +153,7 @@ Var gatv2_scores_gathered(const Var& hl, std::vector<std::uint32_t> dst,
 /// Like scatter_add_scaled but reading the source rows through the edge
 /// indices, so the gathered (E,d) copy of h is never materialized.
 /// Bit-identical to scatter_add_scaled(alpha, gather_rows(h, src), dst,
-/// n_rows), gradients included (but see gatv2_scores_gathered on using
-/// the two together).
+/// n_rows). Inference only: requires !grad_enabled().
 Var scatter_add_scaled_gathered(const Var& alpha, const Var& h,
                                 std::vector<std::uint32_t> src,
                                 std::vector<std::uint32_t> dst,
@@ -172,23 +167,13 @@ Var max_pool_rows(const Var& a);
 /// The batched form of max_pool_rows: with seg[e] the graph id of node
 /// e, one call pools every graph of a disjoint-union batch. Every
 /// segment must own at least one row. For n_segments == 1 the result
-/// (and the backward, which routes the gradient to the first maximal
-/// row) equals max_pool_rows exactly.
+/// equals max_pool_rows exactly. Inference only: requires
+/// !grad_enabled().
 Var segment_max_pool_rows(const Var& a, std::vector<std::uint32_t> seg,
                           std::size_t n_segments);
 
-/// \brief Per-segment column-wise mean -> (n_segments, d). Every
-/// segment must own at least one row.
-Var segment_mean_pool_rows(const Var& a, std::vector<std::uint32_t> seg,
-                           std::size_t n_segments);
-
 /// Cross-entropy of a (1,C) logits row against an integer label; (1,1).
 Var cross_entropy(const Var& logits, std::size_t label);
-
-/// \brief Mean cross-entropy of (B,C) logits against B integer labels;
-/// (1,1). For B == 1 this equals cross_entropy — one batched training
-/// step over a single graph reproduces the single-graph step exactly.
-Var cross_entropy_rows(const Var& logits, std::vector<std::size_t> labels);
 
 /// Softmax probabilities of a (1,C) logits row (inference only).
 std::vector<double> softmax_row(const Matrix& logits);

@@ -1,9 +1,9 @@
 // GnnModel: forward passes, training steps and inference.
 //
-// Single-graph training (batch_size 1, the paper protocol) must
-// reproduce the seed pipeline's parameters bit for bit, so it uses a
-// fused op only where every value and every gradient sum comes from the
-// same operations in the same order as the seed chain:
+// Training (one graph per step, the paper protocol) must reproduce the
+// seed pipeline's parameters bit for bit, so it uses a fused op only
+// where every value and every gradient sum comes from the same
+// operations in the same order as the seed chain:
 //  - gatv2_scores and scatter_add_scaled on the gathered (E,d) copies
 //    hl_t / hr_s (the DirectIx form in ml/autograd.cpp). Forward, they
 //    apply the add -> LeakyReLU -> matmul and mul_rowwise ->
@@ -18,15 +18,11 @@
 //    Every path transforms its sparse relations this way.
 //  - add_n, which sums the terms left to right like the seed's add
 //    chain.
-// Two fused forms stay on the batched and inference paths only:
-//  - the gathered variants (GatherIx) add each op's edge gradients
-//    straight into the node rows, one op after the other, where the
-//    seed first sums an edge's score and message gradients in its
-//    (E,d) row and then scatters — a different grouping of the same
-//    terms;
-//  - bias_elu, whose backward takes elu'(t) from the stored output as
-//    expm1(t) + 1 where the seed computes exp(t); the two can differ in
-//    the last bit.
+// Inference (tape-free, single graph or batch) also uses fused ops that
+// have no backward: the gathered variants (GatherIx), which read the
+// node transforms through the edge indices, bias_elu and
+// segment_max_pool_rows. Their values equal the training chain's bit
+// for bit.
 #include "ml/gnn.hpp"
 
 #include <algorithm>
@@ -117,9 +113,8 @@ Var GnnModel::forward_impl(
   MPIDETECT_EXPECTS(!tokens.empty());
   const std::size_t n = tokens.size();
 
-  // The batched engine and all inference may regroup gradient sums;
-  // single-graph training (the paper protocol) may not.
-  const bool fast_path = !grad_enabled() || segments != nullptr;
+  // Inference has no gradient sums to keep in the seed's order.
+  const bool fast_path = !grad_enabled();
 
   // Token embedding lookup.
   Var x = gather_rows(embedding_, {tokens.begin(), tokens.end()});
@@ -143,9 +138,8 @@ Var GnnModel::forward_impl(
       // Every path scores and aggregates with the fused GATv2 ops, so
       // no (E,d) pre-activation or message matrix is materialized.
       if (fast_path && 2 * edges.size() >= n) {
-        // The batched engine and all inference read the node transforms
-        // through the edge indices, so not even the gathered (E,d)
-        // copies exist.
+        // Inference reads the node transforms through the edge indices,
+        // so not even the gathered (E,d) copies exist.
         Var h_left = matmul(x, w.w_left);    // (N, d_out)
         Var h_right = matmul(x, w.w_right);  // (N, d_out)
         Var scores = gatv2_scores_gathered(h_left, dst, h_right, src,
@@ -165,17 +159,15 @@ Var GnnModel::forward_impl(
       Var alpha = segment_softmax(scores, dst, n);
       terms.push_back(scatter_add_scaled(alpha, hr_s, dst, n));
     }
-    // bias_elu's backward derives elu' from the stored output as
-    // expm1(t) + 1, which can differ from the seed's exp(t) in the last
-    // bit, so single-graph training keeps the unfused bias + ELU.
+    // bias_elu has no backward, so training keeps the unfused bias + ELU.
     Var sum = add_n(std::move(terms));
     x = fast_path ? bias_elu(sum, layer.bias)
                   : elu(add_row_broadcast(sum, layer.bias));
   }
 
   // Adaptive max pooling: one read-out row per graph. The segment form
-  // over one segment equals max_pool_rows; the dedicated op is kept on
-  // the single-graph path so that path stays exactly the seed pipeline.
+  // over one segment equals max_pool_rows but has no backward, so the
+  // single-graph path (training's) keeps max_pool_rows.
   Var pooled = segments == nullptr
                    ? max_pool_rows(x)
                    : segment_max_pool_rows(x, *segments, n_segments);
@@ -192,6 +184,7 @@ Var GnnModel::forward(const programl::ProgramGraph& g) {
 }
 
 Var GnnModel::forward(const programl::GraphBatch& batch) {
+  MPIDETECT_EXPECTS(!grad_enabled());
   MPIDETECT_EXPECTS(batch.size >= 1);
   MPIDETECT_EXPECTS(batch.segments.size() == batch.num_nodes());
   return forward_impl(batch.tokens, batch.edges, &batch.segments, batch.size);
@@ -206,24 +199,6 @@ double GnnModel::train_step(const programl::ProgramGraph& g,
   return value;
 }
 
-double GnnModel::train_step(const programl::GraphBatch& batch,
-                            std::span<const std::size_t> labels) {
-  MPIDETECT_EXPECTS(labels.size() == batch.size);
-  Var loss = cross_entropy_rows(forward(batch),
-                                {labels.begin(), labels.end()});
-  backward(loss);
-  const double value = loss->value.at(0, 0);
-  optimizer_.step();
-  return value;
-}
-
-void ResidentGraphSource::fetch(
-    std::span<const std::size_t> idx,
-    std::vector<const programl::ProgramGraph*>& out) {
-  out.clear();
-  for (const std::size_t p : idx) out.push_back(&graphs_[rows_[p]]);
-}
-
 void GnnModel::fit(std::span<const programl::ProgramGraph> graphs,
                    std::span<const std::size_t> labels) {
   std::vector<std::size_t> rows(graphs.size());
@@ -236,33 +211,16 @@ void GnnModel::fit(GraphSource& src, std::span<const std::size_t> labels) {
   MPIDETECT_EXPECTS(src.size() == labels.size());
   std::vector<std::size_t> order(src.size());
   std::iota(order.begin(), order.end(), 0);
-  const std::size_t batch = std::max<std::size_t>(1, cfg_.batch_size);
-  std::vector<const programl::ProgramGraph*> members;
-  std::vector<std::size_t> member_labels;
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
     rng_.shuffle(order);
-    for (std::size_t b = 0; b < order.size(); b += batch) {
-      const auto step =
-          std::span<const std::size_t>(order).subspan(
-              b, std::min(batch, order.size() - b));
-      src.fetch(step, members);
-      MPIDETECT_EXPECTS(members.size() == step.size());
-      member_labels.clear();
-      for (const std::size_t i : step) member_labels.push_back(labels[i]);
-      // batch_size 1 is the paper's protocol: one step per graph, on the
-      // single-graph path.
-      const double loss =
-          batch == 1
-              ? train_step(*members[0], member_labels[0])
-              : train_step(programl::make_batch(
-                               std::span<const programl::ProgramGraph* const>(
-                                   members)),
-                           member_labels);
+    for (std::size_t step = 0; step < order.size(); ++step) {
+      const std::size_t i = order[step];
+      const double loss = train_step(src.fetch(i), labels[i]);
       if (!std::isfinite(loss)) {
         throw ContractViolation(
             "GnnModel::fit: non-finite loss " + std::to_string(loss) +
             " at epoch " + std::to_string(epoch) + ", step " +
-            std::to_string(b / batch) + " (training diverged)");
+            std::to_string(step) + " (training diverged)");
       }
     }
   }

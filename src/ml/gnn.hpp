@@ -10,14 +10,14 @@
 // provides. A relation-independent self transform plays the role of
 // PyG's add_self_loops (nodes with no in-edges keep a signal path).
 //
-// Batched compute: every entry point also comes in a mini-batch form
-// over programl::GraphBatch (a disjoint union of graphs with per-graph
-// segment ids). Because batch members are disconnected, message passing
-// over the union computes exactly the per-graph passes, and the
-// segment-aware pooling keeps per-graph read-outs apart — batched
-// inference produces the same logits as graph-at-a-time inference (see
-// tests/batched_gnn_test.cpp), it just amortizes the per-op cost over
-// the whole batch.
+// Training follows the paper: one graph per Adam step, on the autograd
+// tape. Inference also comes in a batched form over programl::GraphBatch
+// (a disjoint union of graphs with per-graph segment ids). Because batch
+// members are disconnected, message passing over the union computes
+// exactly the per-graph passes, and the segment-aware pooling keeps
+// per-graph read-outs apart — batched inference produces the same
+// logits as graph-at-a-time inference (see tests/batched_gnn_test.cpp),
+// it just amortizes the per-op cost over the whole batch.
 #pragma once
 
 #include <array>
@@ -41,11 +41,6 @@ struct GnnConfig {
   double lr = 4e-4;     // paper
   int epochs = 10;      // paper
   std::uint64_t seed = 7;
-  /// Training mini-batch: graphs packed per optimisation step. 1 is the
-  /// paper's per-graph protocol (and bit-identical to the pre-batching
-  /// implementation); larger values take one Adam step per batch on the
-  /// mean cross-entropy — fewer, larger steps over the same epochs.
-  std::size_t batch_size = 1;
   /// Inference micro-batch for the span entry points (predict /
   /// predict_proba over many graphs). A pure throughput knob: logits do
   /// not depend on it (bench/perf_gnn sweeps it; small batches keep the
@@ -54,22 +49,21 @@ struct GnnConfig {
 };
 
 /// Random-access provider of training graphs for GnnModel::fit: the
-/// model asks for exactly the graphs of the next optimisation step. A
-/// resident source hands out pointers into graphs it already holds; one
-/// backed by an on-disk corpus (core::GnnDetector::fit_stream)
-/// re-derives the step's graphs into its own buffer, so it holds at
-/// most one mini-batch. fetch(i) must always yield the same graph;
-/// calls come from one thread.
+/// model asks for the graph of each optimisation step in turn. A
+/// resident source hands out references into graphs it already holds;
+/// one backed by an on-disk corpus (core::GnnDetector::fit_stream)
+/// re-derives the step's graph into its own buffer, so it holds at most
+/// one graph. fetch(pos) must always yield the same graph; calls come
+/// from one thread.
 class GraphSource {
  public:
   virtual ~GraphSource() = default;
 
   virtual std::size_t size() const = 0;
 
-  /// Replaces `out` with the graphs at positions `idx` (same order).
-  /// The pointers stay valid until the next fetch.
-  virtual void fetch(std::span<const std::size_t> idx,
-                     std::vector<const programl::ProgramGraph*>& out) = 0;
+  /// The graph at position `pos`; the reference stays valid until the
+  /// next fetch.
+  virtual const programl::ProgramGraph& fetch(std::size_t pos) = 0;
 };
 
 /// Resident graphs, handed out without copies: position p of the source
@@ -81,8 +75,9 @@ class ResidentGraphSource final : public GraphSource {
       : graphs_(graphs), rows_(rows) {}
 
   std::size_t size() const override { return rows_.size(); }
-  void fetch(std::span<const std::size_t> idx,
-             std::vector<const programl::ProgramGraph*>& out) override;
+  const programl::ProgramGraph& fetch(std::size_t pos) override {
+    return graphs_[rows_[pos]];
+  }
 
  private:
   std::span<const programl::ProgramGraph> graphs_;
@@ -96,21 +91,18 @@ class GnnModel final {
   /// Logits (1 x classes) with gradient tracking.
   Var forward(const programl::ProgramGraph& g);
 
-  /// Logits (B x classes) for a graph mini-batch, row b for member b.
+  /// Logits (B x classes) for a graph batch, row b for member b.
+  /// Inference only: requires !grad_enabled() (run it under a
+  /// NoGradGuard).
   Var forward(const programl::GraphBatch& batch);
 
   /// One optimisation step on a single graph; returns the loss.
   double train_step(const programl::ProgramGraph& g, std::size_t label);
 
-  /// One optimisation step on a mini-batch (labels parallel to the
-  /// batch members); returns the mean cross-entropy loss.
-  double train_step(const programl::GraphBatch& batch,
-                    std::span<const std::size_t> labels);
-
-  /// Full training run: `epochs` shuffled passes over the source,
-  /// cfg.batch_size graphs per optimisation step (labels parallel to
-  /// the source). Parameters depend only on the graphs the source
-  /// yields, never on where they live.
+  /// Full training run: `epochs` shuffled passes over the source, one
+  /// graph per optimisation step (labels parallel to the source).
+  /// Parameters depend only on the graphs the source yields, never on
+  /// where they live.
   /// \throws ContractViolation naming the epoch and step when a step's
   ///         loss is not finite (the run diverged).
   void fit(GraphSource& src, std::span<const std::size_t> labels);

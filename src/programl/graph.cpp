@@ -152,17 +152,16 @@ ProgramGraph build_graph(const ir::Module& m) {
   return g;
 }
 
-GraphBatch make_batch(std::span<const ProgramGraph* const> graphs) {
+GraphBatch make_batch(std::span<const ProgramGraph> graphs) {
   GraphBatch batch;
   batch.size = graphs.size();
   std::size_t total_nodes = 0;
   std::array<std::size_t, kNumEdgeTypes> total_edges{};
-  for (const ProgramGraph* g : graphs) {
-    MPIDETECT_EXPECTS(g != nullptr);
-    MPIDETECT_EXPECTS(g->num_nodes() > 0);
-    total_nodes += g->num_nodes();
+  for (const ProgramGraph& g : graphs) {
+    MPIDETECT_EXPECTS(g.num_nodes() > 0);
+    total_nodes += g.num_nodes();
     for (std::size_t t = 0; t < kNumEdgeTypes; ++t) {
-      total_edges[t] += g->edges[t].size();
+      total_edges[t] += g.edges[t].size();
     }
   }
   batch.tokens.reserve(total_nodes);
@@ -172,7 +171,7 @@ GraphBatch make_batch(std::span<const ProgramGraph* const> graphs) {
   }
   std::uint32_t offset = 0;
   for (std::size_t m = 0; m < graphs.size(); ++m) {
-    const ProgramGraph& g = *graphs[m];
+    const ProgramGraph& g = graphs[m];
     for (const Node& n : g.nodes) batch.tokens.push_back(n.token);
     batch.segments.insert(batch.segments.end(), g.num_nodes(),
                           static_cast<std::uint32_t>(m));
@@ -184,13 +183,6 @@ GraphBatch make_batch(std::span<const ProgramGraph* const> graphs) {
     offset += static_cast<std::uint32_t>(g.num_nodes());
   }
   return batch;
-}
-
-GraphBatch make_batch(std::span<const ProgramGraph> graphs) {
-  std::vector<const ProgramGraph*> ptrs;
-  ptrs.reserve(graphs.size());
-  for (const ProgramGraph& g : graphs) ptrs.push_back(&g);
-  return make_batch(std::span<const ProgramGraph* const>(ptrs));
 }
 
 std::string to_dot(const ProgramGraph& g) {

@@ -56,13 +56,13 @@ struct ProgramGraph {
 };
 
 /// \brief A disjoint union of program graphs — the mini-batch unit of
-/// the GNN compute engine.
+/// GNN inference.
 ///
 /// Holds exactly what the model consumes — node feature tokens and the
 /// per-relation edge lists, concatenated in member order with node ids
 /// offset so each member's nodes form a contiguous range. (No Node
-/// texts: batches are rebuilt every training step, so packing must be
-/// cheap.) Because members stay disconnected, one message-passing pass
+/// texts: batches are rebuilt for every inference chunk, so packing must
+/// be cheap.) Because members stay disconnected, one message-passing pass
 /// over the union computes exactly the per-graph passes; `segments`
 /// (node -> member index) is what the segment ops
 /// (segment_max_pool_rows, ...) use to keep per-graph results apart.
@@ -78,10 +78,6 @@ struct GraphBatch {
 /// Packs graphs into a disjoint-union batch. Every member must be
 /// non-empty (a graph with no nodes has nothing to pool).
 GraphBatch make_batch(std::span<const ProgramGraph> graphs);
-
-/// Pointer-based overload for non-contiguous members (e.g. a shuffled
-/// mini-batch drawn from a training set).
-GraphBatch make_batch(std::span<const ProgramGraph* const> graphs);
 
 /// Token id of a node text (stable hashed vocabulary).
 std::uint32_t token_of(const std::string& text);

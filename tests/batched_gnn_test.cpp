@@ -1,7 +1,8 @@
-// The batched GNN compute engine: blocked-vs-naive kernel
-// bit-compatibility, the segment (per-graph) ops' gradients, graph
-// mini-batching equivalence (batched forward == per-graph forwards),
-// and the batched detector entry points.
+// The GNN compute engine: blocked-vs-naive kernel bit-compatibility,
+// the fused ops against their unfused chains, the inference-only ops'
+// grad-mode contract, batched-inference equivalence (batched forward ==
+// per-graph training-path forwards), and the batched detector entry
+// points.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,7 +12,6 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <limits>
 #include <string>
 
@@ -23,6 +23,7 @@
 #include "ml/kernels.hpp"
 #include "progmodel/lower.hpp"
 #include "programl/graph.hpp"
+#include "support/check.hpp"
 
 namespace mpidetect::ml {
 namespace {
@@ -127,25 +128,13 @@ TEST(BlockedKernels, ParallelMatchesSerialBitForBit) {
   expect_bit_identical(a.matmul_naive(b), expected);
 }
 
-// ---- segment ops: forward + gradients --------------------------------------
+// ---- fused and segment ops ------------------------------------------------
 
-/// Finite-difference check (same scheme as autograd_test.cpp).
-void gradcheck(const Var& leaf, const std::function<Var()>& f,
-               double tol = 1e-5) {
-  Var loss = f();
-  backward(loss);
-  const Matrix analytic = leaf->grad;
-  const double eps = 1e-6;
-  for (std::size_t i = 0; i < leaf->value.size(); ++i) {
-    const double keep = leaf->value.data()[i];
-    leaf->value.data()[i] = keep + eps;
-    const double up = f()->value.at(0, 0);
-    leaf->value.data()[i] = keep - eps;
-    const double down = f()->value.at(0, 0);
-    leaf->value.data()[i] = keep;
-    EXPECT_NEAR(analytic.data()[i], (up - down) / (2 * eps), tol)
-        << "coordinate " << i;
-  }
+/// Runs `f` with the tape off, the mode the inference-only ops require.
+template <typename F>
+auto no_grad(F&& f) {
+  NoGradGuard guard;
+  return f();
 }
 
 Var sum_all(const Var& a) {
@@ -158,7 +147,7 @@ TEST(SegmentPool, MaxPoolMatchesPerSegmentMax) {
   Rng rng(6);
   Var a = make_input(random_matrix(7, 3, rng));
   const std::vector<std::uint32_t> seg{0, 0, 1, 1, 1, 2, 2};
-  Var pooled = segment_max_pool_rows(a, seg, 3);
+  Var pooled = no_grad([&] { return segment_max_pool_rows(a, seg, 3); });
   ASSERT_EQ(pooled->value.rows(), 3u);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_DOUBLE_EQ(pooled->value.at(0, j),
@@ -172,46 +161,10 @@ TEST(SegmentPool, SingleSegmentEqualsMaxPoolRows) {
   Var a1 = make_input(m);
   Var a2 = make_input(m);
   Var whole = max_pool_rows(a1);
-  Var seg = segment_max_pool_rows(a2, std::vector<std::uint32_t>(9, 0), 1);
+  Var seg = no_grad([&] {
+    return segment_max_pool_rows(a2, std::vector<std::uint32_t>(9, 0), 1);
+  });
   expect_bit_identical(whole->value, seg->value);
-}
-
-TEST(SegmentPool, MaxPoolGradient) {
-  Rng rng(8);
-  Var a = make_param(random_matrix(6, 3, rng));
-  const std::vector<std::uint32_t> seg{0, 1, 1, 0, 2, 2};
-  gradcheck(a, [&] { return sum_all(segment_max_pool_rows(a, seg, 3)); });
-}
-
-TEST(SegmentPool, MeanPoolForwardAndGradient) {
-  Rng rng(9);
-  Var a = make_param(random_matrix(5, 2, rng));
-  const std::vector<std::uint32_t> seg{0, 0, 0, 1, 1};
-  Var pooled = segment_mean_pool_rows(a, seg, 2);
-  EXPECT_NEAR(pooled->value.at(0, 0),
-              (a->value.at(0, 0) + a->value.at(1, 0) + a->value.at(2, 0)) / 3,
-              1e-12);
-  a->zero_grad();
-  gradcheck(a, [&] { return sum_all(segment_mean_pool_rows(a, seg, 2)); });
-}
-
-TEST(BatchedOps, CrossEntropyRowsMatchesSingleRow) {
-  Rng rng(10);
-  Matrix logits = random_matrix(1, 4, rng);
-  Var a1 = make_param(logits);
-  Var a2 = make_param(logits);
-  Var single = cross_entropy(a1, 2);
-  Var batched = cross_entropy_rows(a2, {2});
-  EXPECT_DOUBLE_EQ(single->value.at(0, 0), batched->value.at(0, 0));
-  backward(single);
-  backward(batched);
-  expect_bit_identical(a1->grad, a2->grad);
-}
-
-TEST(BatchedOps, CrossEntropyRowsGradient) {
-  Rng rng(11);
-  Var logits = make_param(random_matrix(3, 4, rng));
-  gradcheck(logits, [&] { return cross_entropy_rows(logits, {1, 3, 0}); });
 }
 
 TEST(BatchedOps, FusedGatv2ScoresMatchesUnfusedChain) {
@@ -285,13 +238,9 @@ TEST(BatchedOps, GatheredGatv2ScoresMatchesGatherThenScore) {
   Var hl2 = make_param(hl), hr2 = make_param(hr), at2 = make_param(at);
   Var two_step =
       gatv2_scores(gather_rows(hl1, dst), gather_rows(hr1, src), at1);
-  Var fused = gatv2_scores_gathered(hl2, dst, hr2, src, at2);
+  Var fused = no_grad(
+      [&] { return gatv2_scores_gathered(hl2, dst, hr2, src, at2); });
   expect_bit_identical(two_step->value, fused->value);
-  backward(sum_all(two_step));
-  backward(sum_all(fused));
-  expect_bit_identical(hl1->grad, hl2->grad);
-  expect_bit_identical(hr1->grad, hr2->grad);
-  expect_bit_identical(at1->grad, at2->grad);
 }
 
 TEST(BatchedOps, GatheredScatterAddScaledMatchesGatherThenScatter) {
@@ -303,12 +252,9 @@ TEST(BatchedOps, GatheredScatterAddScaledMatchesGatherThenScatter) {
   Var al1 = make_param(alpha), h1 = make_param(h);
   Var al2 = make_param(alpha), h2 = make_param(h);
   Var two_step = scatter_add_scaled(al1, gather_rows(h1, src), dst, 3);
-  Var fused = scatter_add_scaled_gathered(al2, h2, src, dst, 3);
+  Var fused = no_grad(
+      [&] { return scatter_add_scaled_gathered(al2, h2, src, dst, 3); });
   expect_bit_identical(two_step->value, fused->value);
-  backward(sum_all(two_step));
-  backward(sum_all(fused));
-  expect_bit_identical(al1->grad, al2->grad);
-  expect_bit_identical(h1->grad, h2->grad);
 }
 
 TEST(BatchedOps, MatmulRowsMatchesGatherOfMatmul) {
@@ -336,18 +282,8 @@ TEST(BatchedOps, FusedBiasEluMatchesUnfusedChain) {
   Var a1 = make_param(a), b1 = make_param(bias);
   Var a2 = make_param(a), b2 = make_param(bias);
   Var unfused = elu(add_row_broadcast(a1, b1));
-  Var fused = bias_elu(a2, b2);
+  Var fused = no_grad([&] { return bias_elu(a2, b2); });
   expect_bit_identical(unfused->value, fused->value);
-  backward(sum_all(unfused));
-  backward(sum_all(fused));
-  // The fused backward derives elu' from the stored expm1 output
-  // instead of recomputing exp — values agree to 1 ulp, not bit-exactly.
-  for (std::size_t i = 0; i < a1->grad.size(); ++i) {
-    EXPECT_NEAR(a1->grad.data()[i], a2->grad.data()[i], 1e-14);
-  }
-  for (std::size_t i = 0; i < b1->grad.size(); ++i) {
-    EXPECT_NEAR(b1->grad.data()[i], b2->grad.data()[i], 1e-14);
-  }
 }
 
 TEST(BatchedOps, AddNMatchesAddChain) {
@@ -365,6 +301,23 @@ TEST(BatchedOps, AddNMatchesAddChain) {
   expect_bit_identical(a0->grad, b0->grad);
   expect_bit_identical(a1->grad, b1->grad);
   expect_bit_identical(a2->grad, b2->grad);
+}
+
+TEST(BatchedOps, InferenceOnlyOpsRejectGradMode) {
+  // They have no backward: in grad mode they must refuse, never hand
+  // back a node whose gradient would silently stop at them.
+  ASSERT_TRUE(grad_enabled());
+  Rng rng(19);
+  Var h = make_param(random_matrix(4, 3, rng));
+  Var at = make_param(random_matrix(3, 1, rng));
+  Var alpha = make_param(random_matrix(2, 1, rng));
+  Var bias = make_param(random_matrix(1, 3, rng));
+  const std::vector<std::uint32_t> src{0, 3}, dst{1, 1};
+  EXPECT_THROW(gatv2_scores_gathered(h, dst, h, src, at), ContractViolation);
+  EXPECT_THROW(scatter_add_scaled_gathered(alpha, h, src, dst, 4),
+               ContractViolation);
+  EXPECT_THROW(bias_elu(h, bias), ContractViolation);
+  EXPECT_THROW(segment_max_pool_rows(h, {0, 0, 1, 1}, 2), ContractViolation);
 }
 
 TEST(BatchedOps, NoGradGuardSkipsTape) {
@@ -425,9 +378,10 @@ TEST(GraphBatch, BatchedForwardMatchesPerGraphForwards) {
   std::vector<programl::ProgramGraph> graphs{
       tiny_graph(1, 2), tiny_graph(9, 10, true), tiny_graph(20, 21)};
   const programl::GraphBatch batch = programl::make_batch(graphs);
-  Var batched = model.forward(batch);
+  Var batched = no_grad([&] { return model.forward(batch); });
   ASSERT_EQ(batched->value.rows(), graphs.size());
   for (std::size_t i = 0; i < graphs.size(); ++i) {
+    // The training path (grad mode) is the reference.
     Var single = model.forward(graphs[i]);
     for (std::size_t j = 0; j < single->value.cols(); ++j) {
       EXPECT_NEAR(single->value.at(0, j), batched->value.at(i, j), 1e-9)
@@ -456,25 +410,13 @@ TEST(GraphBatch, BatchedPredictProbaMatchesPerGraph) {
   }
 }
 
-TEST(GraphBatch, BatchedTrainingLearns) {
-  GnnConfig cfg = tiny_config();
-  cfg.batch_size = 4;
-  cfg.epochs = 30;
-  GnnModel model(cfg);
-  std::vector<programl::ProgramGraph> graphs;
-  std::vector<std::size_t> labels;
-  for (int i = 0; i < 8; ++i) {
-    graphs.push_back(tiny_graph(10, 11));
-    labels.push_back(0);
-    graphs.push_back(tiny_graph(20, 21));
-    labels.push_back(1);
-  }
-  model.fit(graphs, labels);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    correct += (model.predict(graphs[i]) == labels[i]);
-  }
-  EXPECT_EQ(correct, graphs.size());
+TEST(GraphBatch, BatchedForwardRejectsGradMode) {
+  GnnModel model(tiny_config());
+  std::vector<programl::ProgramGraph> graphs{tiny_graph(1, 2),
+                                             tiny_graph(3, 4, true)};
+  const programl::GraphBatch batch = programl::make_batch(graphs);
+  ASSERT_TRUE(grad_enabled());
+  EXPECT_THROW(model.forward(batch), ContractViolation);
 }
 
 TEST(GraphBatch, MixedRelationPresence) {
@@ -485,7 +427,7 @@ TEST(GraphBatch, MixedRelationPresence) {
   std::vector<programl::ProgramGraph> graphs{tiny_graph(1, 2, true),
                                              tiny_graph(5, 6, false)};
   const programl::GraphBatch batch = programl::make_batch(graphs);
-  Var batched = model.forward(batch);
+  Var batched = no_grad([&] { return model.forward(batch); });
   Var alone = model.forward(graphs[1]);
   for (std::size_t j = 0; j < alone->value.cols(); ++j) {
     EXPECT_NEAR(alone->value.at(0, j), batched->value.at(1, j), 1e-9);
@@ -516,7 +458,7 @@ TEST(GraphBatchEdge, SingleNodeGraphSurvivesBatchAndInference) {
   EXPECT_EQ(b.segments, (std::vector<std::uint32_t>{0}));
 
   GnnModel model(tiny_config());
-  const Var batched = model.forward(b);
+  const Var batched = no_grad([&] { return model.forward(b); });
   ASSERT_EQ(batched->value.rows(), 1u);
   const Var single = model.forward(g);
   for (std::size_t j = 0; j < single->value.cols(); ++j) {
@@ -534,7 +476,7 @@ TEST(GraphBatchEdge, MixedSingleNodeAndRealGraphsAgreeWithPerGraph) {
                                              tiny_graph(4, 5, true)};
   GnnModel model(tiny_config());
   const programl::GraphBatch batch = programl::make_batch(graphs);
-  const Var batched = model.forward(batch);
+  const Var batched = no_grad([&] { return model.forward(batch); });
   ASSERT_EQ(batched->value.rows(), graphs.size());
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Var single = model.forward(graphs[i]);

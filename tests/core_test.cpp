@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <set>
+#include <sstream>
 
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
 #include "core/gnn_detector.hpp"
 #include "core/hypre_study.hpp"
 #include "core/ir2vec_detector.hpp"
+#include "core/perf_bench.hpp"
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
 
@@ -246,6 +251,25 @@ TEST(HypreStudy, ProducesFourRowsOfSixCells) {
     EXPECT_TRUE(row.training == "MBI" || row.training == "MPI-CorrBench");
     EXPECT_LE(row.correct_cells(), 6u);
   }
+}
+
+TEST(PerfBench, ReportFailsOnProbabilityDriftCheckerRejects) {
+  // Every argmax agrees, but a probability moved past the bound
+  // scripts/check_bench_json.py enforces: the driver must fail too.
+  namespace fs = std::filesystem;
+  const fs::path out = fs::temp_directory_path() /
+                       ("mpidetect_perf_" + std::to_string(::getpid()) +
+                        ".json");
+  GnnPerfReport report;
+  report.dataset = "MBI";
+  report.cases = 1;
+  report.prediction_agreement = 1.0;
+  std::ostringstream log;
+  EXPECT_EQ(report_and_write(report, out.string(), log), 0) << log.str();
+  report.max_abs_proba_diff = 1e-5;
+  EXPECT_EQ(report_and_write(report, out.string(), log), 2) << log.str();
+  EXPECT_TRUE(fs::exists(out));  // written before the verdict
+  fs::remove(out);
 }
 
 }  // namespace

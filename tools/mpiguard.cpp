@@ -50,7 +50,7 @@ usage:
                    [--protocol sweep|kfold|cross] [--valid SPEC] [options]
   mpiguard bench   [--detectors A,B,...] --dataset SPEC [options]
   mpiguard bench   --json --dataset SPEC [--json-out FILE] [--reps N]
-                   [--warmup N] [--batch N] [--infer-batch N]
+                   [--warmup N] [--infer-batch N]
   mpiguard fuzz    [--seed S --runs N --schedules K] [--json] [--quick]
                    [--corpus FILE] [--corpus-dir DIR] [--repro TUPLE]
                    [options]
@@ -118,13 +118,12 @@ corpus options (sharded .mpcs corpora, see docs/CORPUS.md):
   --inputs A,B      comma-separated source directories (merge)
 
 bench --json options (GNN perf harness, see docs/PERFORMANCE.md):
-  --json            time GNN encode/train/infer, baseline vs batched
+  --json            time GNN encode/train/infer, baseline vs packed
                     engine, and write the BENCH_gnn.json record instead
                     of running the detector-comparison table
   --json-out FILE   output path (default: BENCH_gnn.json)
   --reps N          measured repetitions per phase (default 5)
   --warmup N        discarded warmup repetitions per phase (default 1)
-  --batch N         training mini-batch for the batched mode (default 4)
   --infer-batch N   inference micro-batch (default 4)
 
 exit status: 0 success, 1 usage error, 2 runtime failure.
@@ -172,7 +171,6 @@ struct Args {
   std::string json_out = "BENCH_gnn.json";
   int reps = 5;
   int warmup = 1;
-  std::size_t batch = 4;
   std::size_t infer_batch = 4;
   // fuzz
   std::uint64_t fuzz_seed = 1;
@@ -243,8 +241,6 @@ Args parse_args(int argc, char** argv) {
     else if (f == "--warmup")
       a.warmup = static_cast<int>(
           parse_u64(need_value(i, "--warmup"), "--warmup"));
-    else if (f == "--batch")
-      a.batch = parse_u64(need_value(i, "--batch"), "--batch");
     else if (f == "--infer-batch")
       a.infer_batch = parse_u64(need_value(i, "--infer-batch"),
                                 "--infer-batch");
@@ -492,12 +488,12 @@ int cmd_eval(const Args& a) {
 
 /// `bench --json`: the GNN perf harness (core/perf_bench.hpp) instead
 /// of the detector-comparison table — times encode/train/infer in
-/// baseline and batched modes and writes the BENCH_gnn.json record.
+/// baseline and engine modes and writes the BENCH_gnn.json record.
 int cmd_bench_json(const Args& a) {
   if (a.reps < 1) throw CliError("bench --json: --reps must be >= 1");
   if (a.warmup < 0) throw CliError("bench --json: --warmup must be >= 0");
-  if (a.batch == 0 || a.infer_batch == 0) {
-    throw CliError("bench --json: batch sizes must be >= 1");
+  if (a.infer_batch == 0) {
+    throw CliError("bench --json: --infer-batch must be >= 1");
   }
   const auto ds = make_dataset(a.dataset_spec);
 
@@ -508,16 +504,14 @@ int cmd_bench_json(const Args& a) {
   opts.cfg.layers = {64, 32, 16};
   opts.cfg.fc_hidden = 16;
   opts.cfg.epochs = 4;
-  opts.train_batch = a.batch;
-  opts.infer_batch = a.infer_batch;
+  opts.cfg.infer_batch = a.infer_batch;
   opts.warmup = a.warmup;
   opts.reps = a.reps;
   opts.threads = a.threads;
 
   std::cout << "GNN perf bench on " << ds.name << " (" << ds.size()
             << " cases): reps=" << a.reps << " warmup=" << a.warmup
-            << " train_batch=" << a.batch << " infer_batch=" << a.infer_batch
-            << "\n";
+            << " infer_batch=" << a.infer_batch << "\n";
   const core::GnnPerfReport report = core::run_gnn_perf(ds, opts);
   return core::report_and_write(report, a.json_out, std::cout);
 }
