@@ -1,9 +1,10 @@
 // perf_gnn — the GNN perf-bench driver: times encode / train / infer in
-// baseline (naive kernel, scalar, one thread, graph-at-a-time
-// inference) and engine (packed kernels, SIMD, kernel threads,
-// tape-free batched inference) modes and writes the BENCH_gnn.json
-// perf-trajectory record (see docs/PERFORMANCE.md). Both modes train
-// one graph per Adam step, as the paper does.
+// baseline (naive kernel, scalar, graph-at-a-time inference) and engine
+// (packed kernels, SIMD, tape-free batched inference) modes and writes
+// the BENCH_gnn.json perf-trajectory record (see docs/PERFORMANCE.md).
+// Both modes train one graph per Adam step, as the paper does, and every
+// kernel runs on the calling thread; --threads sets only the width of
+// the encode phase.
 //
 // Unlike the figure/table drivers this binary reproduces no paper
 // artifact; it exists so every optimisation PR leaves a measured data
@@ -27,7 +28,9 @@ namespace {
   std::cerr << "perf_gnn: " << msg
             << "\nusage: perf_gnn [--quick] [--scale=X] [--reps=N] "
                "[--warmup=N] [--infer-batch=N] [--threads=N] "
-               "[--out=FILE]\n";
+               "[--out=FILE]\n"
+               "  --threads=N  encode width (0 = hardware); kernels always "
+               "run on the calling thread\n";
   std::exit(1);
 }
 

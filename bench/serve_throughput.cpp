@@ -425,10 +425,6 @@ int main(int argc, char** argv) {
        << args.detector << "\", "
        << "\"hardware_concurrency\": "
        << std::thread::hardware_concurrency()
-       // The kernel pool width inference actually ran at (the server
-       // never overrides the auto budget here) — the honest thread
-       // count for the record, not a requested knob.
-       << ", \"effective_threads\": " << ml::kernels::effective_threads(0)
        << ", \"simd\": \""
        << ml::kernels::isa_name(ml::kernels::active_isa()) << "\"},\n"
        << "  \"sweep\": [\n";

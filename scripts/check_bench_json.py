@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Schema check for BENCH_*.json perf records (see docs/PERFORMANCE.md).
 
-Usage: check_bench_json.py [--require-win] [--require-multithread] \\
-           FILE [FILE ...]
+Usage: check_bench_json.py [--require-win] FILE [FILE ...]
 
 Each record self-identifies through its "benchmark" key — "gnn_perf"
 (written by perf_gnn) and "serve_throughput" (written by
@@ -15,15 +14,6 @@ serve_throughput record it additionally requires
 batched_vs_single_speedup >= 1, which CI asserts for the committed
 BENCH_serve.json (the record exists to show batched admission beating
 one-at-a-time dispatch) but not for throwaway smoke artifacts.
---require-multithread, applied to a gnn_perf record, requires
-config.effective_threads >= 2 — the committed BENCH_gnn.json must be
-recorded with a real multi-thread pool, never a requested-but-unused
---threads knob.
-
-Every bench record must report config.effective_threads — the pool
-width the run ACTUALLY used (ml::kernels::effective_threads), not the
-requested --threads value; a record claiming threads it did not have is
-malformed.
 
 Correctness gates (prediction agreement, verdict mismatches) always
 apply: a record whose speedup changed answers is
@@ -57,7 +47,7 @@ def is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def check_file(path, require_win=False, require_multithread=False):
+def check_file(path, require_win=False):
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -67,17 +57,19 @@ def check_file(path, require_win=False, require_multithread=False):
     if not isinstance(doc, dict):
         return fail(path, "top level is not an object")
     kind = doc.get("benchmark")
-    # gnn_perf is at schema 4: schema 2 added effective-thread honesty
+    # gnn_perf is at schema 5: schema 2 added effective-thread honesty
     # and op counters, schema 3 removed the int8 inference phase and its op
     # row, schema 4 replaced the mini-batch "train_batched" phase with the
-    # one-graph-per-step "train" phase and dropped config.train_batch.
+    # one-graph-per-step "train" phase and dropped config.train_batch,
+    # schema 5 dropped the config's kernel pool width (kernels run on
+    # their caller's thread, so there is no pool to report).
     # The other records are still at 1.
-    expected_schema = 4 if kind == "gnn_perf" else 1
+    expected_schema = 5 if kind == "gnn_perf" else 1
     if doc.get("schema_version") != expected_schema:
         return fail(path, f"unknown schema_version {doc.get('schema_version')!r}"
                           f" for {kind!r} (expected {expected_schema})")
     if kind == "gnn_perf":
-        return check_gnn_perf(path, doc, require_multithread)
+        return check_gnn_perf(path, doc)
     if kind == "serve_throughput":
         return check_serve_throughput(path, doc, require_win)
     if kind == "corpus_stream":
@@ -85,7 +77,7 @@ def check_file(path, require_win=False, require_multithread=False):
     return fail(path, f"unknown benchmark kind: {kind!r}")
 
 
-def check_gnn_perf(path, doc, require_multithread):
+def check_gnn_perf(path, doc):
     dataset = doc.get("dataset")
     if not isinstance(dataset, dict) or not isinstance(dataset.get("name"), str):
         return fail(path, "dataset.name missing")
@@ -98,16 +90,8 @@ def check_gnn_perf(path, doc, require_multithread):
     for key in ("warmup", "reps", "infer_batch", "epochs"):
         if not is_number(config.get(key)):
             return fail(path, f"config.{key} missing or not a number")
-    # Bench honesty: the record must report the pool width actually used.
-    eff = config.get("effective_threads")
-    if not (is_number(eff) and eff >= 1):
-        return fail(path, "config.effective_threads missing or < 1")
     if not isinstance(config.get("simd"), str) or not config["simd"]:
         return fail(path, "config.simd missing")
-    if require_multithread and eff < 2:
-        return fail(path, f"config.effective_threads {eff} < 2 — the "
-                          "committed record must be recorded on a "
-                          "multi-thread pool (--require-multithread)")
 
     phases = doc.get("phases")
     if not isinstance(phases, list) or not phases:
@@ -186,8 +170,7 @@ def check_gnn_perf(path, doc, require_multithread):
     print(
         f"{path}: OK ({dataset['name']}, {dataset['cases']} cases, "
         f"train {speedup['train']:.2f}x, infer {speedup['infer']:.2f}x, "
-        f"agreement {agreement:.3f}, "
-        f"{eff:.0f} effective thread(s), simd {config['simd']})"
+        f"agreement {agreement:.3f}, simd {config['simd']})"
     )
     return 0
 
@@ -207,9 +190,6 @@ def check_serve_throughput(path, doc, require_win):
             return fail(path, f"config.{key} missing or < 1")
     if not isinstance(config.get("detector"), str) or not config["detector"]:
         return fail(path, "config.detector missing")
-    if not (is_number(config.get("effective_threads"))
-            and config["effective_threads"] >= 1):
-        return fail(path, "config.effective_threads missing or < 1")
 
     sweep = doc.get("sweep")
     if not isinstance(sweep, list) or len(sweep) < 2:
@@ -413,13 +393,11 @@ def check_corpus_stream(path, doc, require_win):
 def main(argv):
     args = argv[1:]
     require_win = "--require-win" in args
-    require_multithread = "--require-multithread" in args
-    flags = ("--require-win", "--require-multithread")
-    files = [a for a in args if a not in flags]
+    files = [a for a in args if a != "--require-win"]
     if not files:
         print(__doc__)
         return 2
-    return max(check_file(p, require_win, require_multithread) for p in files)
+    return max(check_file(p, require_win) for p in files)
 
 
 if __name__ == "__main__":

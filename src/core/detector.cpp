@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "corpus/corpus.hpp"
-#include "ml/kernels.hpp"
 #include "support/check.hpp"
 #include "support/threads.hpp"
 
@@ -357,10 +356,6 @@ void GnnDetector::train(ml::GraphSource& graphs,
   cfg.seed = spec.fold.has_value() ? cfg_.gnn.seed * 97 + *spec.fold
                                    : cfg_.gnn.seed;
   model_ = std::make_unique<ml::GnnModel>(cfg);
-  // A forced thread budget (EvalEngine pins folds that train in
-  // parallel to one thread each) also caps the matmul/scatter kernels.
-  ml::kernels::ScopedKernelThreads kernel_scope(
-      spec.threads != 0 ? spec.threads : ml::kernels::kernel_threads());
   model_->fit(graphs, y);
 }
 

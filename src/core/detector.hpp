@@ -75,8 +75,10 @@ struct FitSpec {
   /// Cross-validation fold index; each detector derives its legacy
   /// per-fold seed stream from it (nullopt = full-set training).
   std::optional<std::size_t> fold;
-  /// 0 keeps the detector's own thread option; a non-zero value forces
-  /// it (EvalEngine forces 1 while folds train in parallel).
+  /// Width of the detector's own parallel work — encoding, and the
+  /// IR2vec GA's fitness evaluation. 0 keeps the detector's option; a
+  /// non-zero value forces it (EvalEngine forces 1 while folds train in
+  /// parallel). Dense kernels always run on the calling thread.
   unsigned threads = 0;
   /// Train on per-label classes instead of binary correct/incorrect.
   bool multiclass = false;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <numeric>
 
-#include "ml/kernels.hpp"
 #include "ml/kfold.hpp"
 #include "support/check.hpp"
 
@@ -119,12 +118,6 @@ void EvalEngine::run_fold(Detector& det, const corpus::CaseSource& src,
                           std::span<const std::size_t> val_idx,
                           const FitSpec& spec, std::size_t window,
                           bool parallel_eval, std::vector<Verdict>& verdicts) {
-  // A forced per-fold thread budget also caps the dense-math kernels
-  // (ml/kernels.hpp) for the whole fold — training AND validation — so
-  // folds running in parallel on the pool don't oversubscribe cores
-  // with nested kernel parallelism.
-  ml::kernels::ScopedKernelThreads kernel_scope(
-      spec.threads != 0 ? spec.threads : ml::kernels::kernel_threads());
   auto fold_det = det.clone();
   fold_det->use_cache(cache_);
   fit(*fold_det, src, train_idx, train_y, spec, window);

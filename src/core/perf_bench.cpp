@@ -78,10 +78,8 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
   r.dataset = ds.name;
   r.cases = ds.size();
   r.options = opts;
-  // The record reports what actually ran: the pool width the requested
-  // budget resolved to, and the live dispatch target. Counters restart
-  // so the op breakdown covers exactly this run.
-  r.effective_threads = ml::kernels::effective_threads(opts.threads);
+  // The record reports the live dispatch target. Counters restart so
+  // the op breakdown covers exactly this run.
   r.simd = ml::kernels::isa_name(ml::kernels::active_isa());
   ml::kernels::reset_op_counters();
 
@@ -101,8 +99,8 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
   const std::span<const std::size_t> labels(gs.y_binary);
   const std::span<const programl::ProgramGraph> graphs(gs.graphs);
 
-  // ---- train: baseline (naive kernel, scalar, one thread) vs the engine --
-  // ---- (packed kernels, SIMD, kernel threads); one graph per Adam step ---
+  // ---- train: baseline (naive kernel, scalar) vs the engine -------------
+  // ---- (packed kernels, SIMD); one graph per Adam step -------------------
   // Baseline and engine repetitions are interleaved (one of each per
   // round): background noise on a shared machine then lands on both
   // modes roughly equally instead of skewing whichever phase it hits.
@@ -112,25 +110,23 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
   for (int i = 0; i < opts.warmup + opts.reps; ++i) {
     const bool measured = i >= opts.warmup;
     {
-      // The baseline is the seed's kernels: naive matmul, scalar
-      // dispatch for the fused ops, one thread. The v1 record was
-      // measured before the SIMD table existed — leaving SIMD live
-      // here would silently shrink the baseline and make speedups
-      // incomparable across records. The op chain is not the seed's:
-      // training now runs the fused GATv2 ops over the gathered rows
-      // (ml/gnn.cpp), which train the same parameters bit for bit but
-      // skip the unfused chain's (E,d) intermediates, so this baseline
-      // is faster than the seed pipeline was.
+      // The baseline is the seed's kernels: naive matmul and scalar
+      // dispatch for the fused ops. The v1 record was measured before
+      // the SIMD table existed — leaving SIMD live here would silently
+      // shrink the baseline and make speedups incomparable across
+      // records. The op chain is not the seed's: training now runs the
+      // fused GATv2 ops over the gathered rows (ml/gnn.cpp), which train
+      // the same parameters bit for bit but skip the unfused chain's
+      // (E,d) intermediates, so this baseline is faster than the seed
+      // pipeline was.
       ml::kernels::ScopedNaiveMatmul naive(true);
       ml::kernels::ScopedForceScalar scalar(true);
-      ml::kernels::ScopedKernelThreads serial(1);
       const auto t0 = Clock::now();
       ml::GnnModel baseline_model(cfg);
       baseline_model.fit(graphs, labels);
       if (measured) train_baseline.samples_ms.push_back(ms_since(t0));
     }
     {
-      ml::kernels::ScopedKernelThreads budget(opts.threads);
       const auto t0 = Clock::now();
       model = std::make_unique<ml::GnnModel>(cfg);
       model->fit(graphs, labels);
@@ -153,7 +149,6 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
       // train_baseline comment).
       ml::kernels::ScopedNaiveMatmul naive(true);
       ml::kernels::ScopedForceScalar scalar(true);
-      ml::kernels::ScopedKernelThreads serial(1);
       const auto t0 = Clock::now();
       for (std::size_t g = 0; g < gs.size(); ++g) {
         // The pre-optimization inference path: a full forward with the
@@ -164,7 +159,6 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
       if (measured) infer_baseline.samples_ms.push_back(ms_since(t0));
     }
     {
-      ml::kernels::ScopedKernelThreads budget(opts.threads);
       const auto t0 = Clock::now();
       batched_probas = model->predict_proba(graphs);
       if (measured) infer_batched.samples_ms.push_back(ms_since(t0));
@@ -205,7 +199,7 @@ std::string GnnPerfReport::to_json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"benchmark\": \"gnn_perf\",\n";
-  os << "  \"schema_version\": 4,\n";
+  os << "  \"schema_version\": 5,\n";
   os << "  \"dataset\": {\"name\": \"" << dataset << "\", \"cases\": " << cases
      << ", \"nodes\": " << nodes << ", \"edges\": " << edges << "},\n";
   os << "  \"config\": {\"warmup\": " << options.warmup
@@ -220,7 +214,6 @@ std::string GnnPerfReport::to_json() const {
   os << "], \"fc_hidden\": " << options.cfg.fc_hidden
      << ", \"hardware_concurrency\": "
      << std::max(1u, std::thread::hardware_concurrency())
-     << ", \"effective_threads\": " << effective_threads
      << ", \"simd\": \"" << simd << "\"},\n";
   os << "  \"phases\": [\n";
   for (std::size_t i = 0; i < phases.size(); ++i) {
@@ -279,8 +272,7 @@ int report_and_write(const GnnPerfReport& report, const std::string& json_path,
      << "equivalence: max |dp| "
      << fmt_double(report.max_abs_proba_diff, 12) << ", agreement "
      << fmt_double(report.prediction_agreement * 100.0, 1) << "%\n"
-     << "threads: effective " << report.effective_threads << ", simd "
-     << report.simd << "\n";
+     << "simd: " << report.simd << "\n";
   write_text_file(json_path, report.to_json());
   os << "wrote " << json_path << "\n";
   if (report.prediction_agreement < 1.0) {

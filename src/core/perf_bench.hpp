@@ -1,11 +1,11 @@
 // The GNN perf-bench harness: times the three phases of the learned
 // pipeline — encode (dataset -> ProGraML graphs), train, infer — in two
 // modes, the pre-optimization baseline (naive matmul kernel, scalar
-// dispatch, one thread, tape-recording inference) and the engine
-// (packed kernels, SIMD, kernel threads, tape-free batched inference),
-// with warmup and repetitions, reporting median and p90 per phase plus
-// the end-to-end speedups and an equivalence check (batched inference
-// must agree with graph-at-a-time inference). Both modes train the
+// dispatch, tape-recording inference) and the engine (packed kernels,
+// SIMD, tape-free batched inference), with warmup and repetitions,
+// reporting median and p90 per phase plus the end-to-end speedups and
+// an equivalence check (batched inference must agree with
+// graph-at-a-time inference). Both modes train the
 // paper's way, one graph per Adam step.
 //
 // Both bench/perf_gnn.cpp and `mpiguard bench --json` are thin CLIs over
@@ -41,7 +41,7 @@ struct GnnPerfOptions {
   ml::GnnConfig cfg;
   int warmup = 1;                // discarded leading repetitions
   int reps = 5;                  // measured repetitions per phase
-  unsigned threads = 0;          // kernel/encode threads; 0 = hardware
+  unsigned threads = 0;          // encode width; 0 = hardware
   passes::OptLevel graph_opt = passes::OptLevel::O0;  // paper: -O0
 };
 
@@ -53,11 +53,6 @@ struct GnnPerfReport {
   std::size_t edges = 0;
   GnnPerfOptions options;
 
-  /// The pool width the engine phases actually ran at
-  /// (ml::kernels::effective_threads of options.threads) — what the
-  /// record must report, never the requested knob: the two differ when
-  /// the requested budget exceeds what the pool provided.
-  unsigned effective_threads = 1;
   /// The SIMD dispatch target the run used (ml::kernels::isa_name).
   std::string simd;
 

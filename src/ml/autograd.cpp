@@ -79,38 +79,25 @@ void accumulate_grad(VarNode& node, const Matrix& m) {
   }
 }
 
-/// dst[idx[e], :] += src[e, :]. Rows of dst may repeat in idx, so the
-/// parallel split is over column ranges: each worker owns a disjoint
-/// column slice and walks all entries in order — race-free and
-/// bit-identical to the serial loop.
+/// dst[idx[e], :] += src[e, :], entries in order (rows of dst may
+/// repeat in idx).
 void scatter_add_into(Matrix& dst, const Matrix& src,
                       const std::vector<std::uint32_t>& idx) {
   const std::size_t cols = dst.cols();
-  const bool parallel = idx.size() * cols >= kernels::kParallelMinElems;
   const kernels::KernelFns& fns = kernels::fns();
-  kernels::parallel_ranges(cols, parallel, [&](std::size_t c0,
-                                               std::size_t c1) {
-    for (std::size_t e = 0; e < idx.size(); ++e) {
-      double* d = dst.row(idx[e]);
-      const double* s = src.row(e);
-      fns.add1(d + c0, s + c0, c1 - c0);
-    }
-  });
+  for (std::size_t e = 0; e < idx.size(); ++e) {
+    fns.add1(dst.row(idx[e]), src.row(e), cols);
+  }
 }
 
-/// dst[e, :] += src[idx[e], :]. Output rows are distinct, so the
-/// parallel split is over entry ranges.
+/// dst[e, :] += src[idx[e], :].
 void gather_add_into(Matrix& dst, const Matrix& src,
                      const std::vector<std::uint32_t>& idx) {
   const std::size_t cols = dst.cols();
-  const bool parallel = idx.size() * cols >= kernels::kParallelMinElems;
   const kernels::KernelFns& fns = kernels::fns();
-  kernels::parallel_ranges(idx.size(), parallel, [&](std::size_t e0,
-                                                     std::size_t e1) {
-    for (std::size_t e = e0; e < e1; ++e) {
-      fns.add1(dst.row(e), src.row(idx[e]), cols);
-    }
-  });
+  for (std::size_t e = 0; e < idx.size(); ++e) {
+    fns.add1(dst.row(e), src.row(idx[e]), cols);
+  }
 }
 
 }  // namespace
@@ -255,14 +242,10 @@ Var gather_rows(const Var& a, std::vector<std::uint32_t> idx) {
   for (const std::uint32_t i : idx) MPIDETECT_EXPECTS(i < a->value.rows());
   Matrix out(idx.size(), cols);
   kernels::OpTimer timer(kernels::Op::GatherRows, 0);
-  const bool parallel = idx.size() * cols >= kernels::kParallelMinElems;
-  kernels::parallel_ranges(idx.size(), parallel, [&](std::size_t e0,
-                                                     std::size_t e1) {
-    for (std::size_t e = e0; e < e1; ++e) {
-      const double* src = a->value.row(idx[e]);
-      std::copy(src, src + cols, out.row(e));
-    }
-  });
+  for (std::size_t e = 0; e < idx.size(); ++e) {
+    const double* src = a->value.row(idx[e]);
+    std::copy(src, src + cols, out.row(e));
+  }
   return make_result(
       std::move(out), {a}, [a, idx = std::move(idx)](VarNode& self) {
         if (!a->requires_grad) return;
@@ -410,34 +393,28 @@ Matrix gatv2_scores_value(const Var& hl, LeftIx li, const Var& hr, RightIx ri,
   const double* av = attn->value.data().data();
   Matrix out(e_rows, 1);
   kernels::OpTimer timer(kernels::Op::Gatv2Scores, 4 * e_rows * d);
-  const bool parallel = e_rows * d >= kernels::kParallelMinElems;
   const kernels::KernelFns& fns = kernels::fns();
-  kernels::parallel_ranges(e_rows, parallel, [&](std::size_t e0,
-                                                 std::size_t e1) {
-    std::size_t e = e0;
-    // Four edges per pass: each SIMD lane is one edge's k-ascending
-    // score accumulation (bit-identical to the per-edge loop below).
-    for (; e + 4 <= e1; e += 4) {
-      const double* l[4] = {hl->value.row(li(e)), hl->value.row(li(e + 1)),
-                            hl->value.row(li(e + 2)),
-                            hl->value.row(li(e + 3))};
-      const double* r[4] = {hr->value.row(ri(e)), hr->value.row(ri(e + 1)),
-                            hr->value.row(ri(e + 2)),
-                            hr->value.row(ri(e + 3))};
-      fns.gatv2_scores4(l, r, av, negative_slope, d, &out.at(e, 0));
+  std::size_t e = 0;
+  // Four edges per pass: each SIMD lane is one edge's k-ascending
+  // score accumulation (bit-identical to the per-edge loop below).
+  for (; e + 4 <= e_rows; e += 4) {
+    const double* l[4] = {hl->value.row(li(e)), hl->value.row(li(e + 1)),
+                          hl->value.row(li(e + 2)), hl->value.row(li(e + 3))};
+    const double* r[4] = {hr->value.row(ri(e)), hr->value.row(ri(e + 1)),
+                          hr->value.row(ri(e + 2)), hr->value.row(ri(e + 3))};
+    fns.gatv2_scores4(l, r, av, negative_slope, d, &out.at(e, 0));
+  }
+  for (; e < e_rows; ++e) {
+    const double* l = hl->value.row(li(e));
+    const double* r = hr->value.row(ri(e));
+    double acc = 0.0;
+    for (std::size_t k = 0; k < d; ++k) {
+      const double t = l[k] + r[k];
+      const double act = t > 0 ? t : negative_slope * t;
+      acc += act * av[k];
     }
-    for (; e < e1; ++e) {
-      const double* l = hl->value.row(li(e));
-      const double* r = hr->value.row(ri(e));
-      double acc = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double t = l[k] + r[k];
-        const double act = t > 0 ? t : negative_slope * t;
-        acc += act * av[k];
-      }
-      out.at(e, 0) = acc;
-    }
-  });
+    out.at(e, 0) = acc;
+  }
   return out;
 }
 
@@ -449,17 +426,11 @@ Matrix scatter_add_scaled_value(const Var& alpha, const Var& h, SrcIx si,
   Matrix out(n_rows, cols);
   kernels::OpTimer timer(kernels::Op::ScatterAddScaled,
                          2 * dst.size() * cols);
-  const bool parallel = dst.size() * cols >= kernels::kParallelMinElems;
   const kernels::KernelFns& fns = kernels::fns();
-  kernels::parallel_ranges(cols, parallel, [&](std::size_t c0,
-                                               std::size_t c1) {
-    for (std::size_t e = 0; e < dst.size(); ++e) {
-      const double a = alpha->value.at(e, 0);
-      const double* s = h->value.row(si(e));
-      double* o = out.row(dst[e]);
-      fns.axpy1(o + c0, s + c0, a, c1 - c0);
-    }
-  });
+  for (std::size_t e = 0; e < dst.size(); ++e) {
+    fns.axpy1(out.row(dst[e]), h->value.row(si(e)), alpha->value.at(e, 0),
+              cols);
+  }
   return out;
 }
 

@@ -97,9 +97,7 @@ Var gather_rows(const Var& a, std::vector<std::uint32_t> idx);
 /// it, so gradients are bit-identical too. GATv2 reads few of a
 /// relation's node transforms, so this skips most of the forward work.
 Var matmul_rows(const Var& a, const Var& b, std::vector<std::uint32_t> idx);
-/// out[idx[e]] += a[e]; result has n_rows rows. Forward and the
-/// gather backward parallelize over column ranges above a size
-/// threshold (order-preserving, see ml/kernels.hpp).
+/// out[idx[e]] += a[e], entries in order; result has n_rows rows.
 Var scatter_add_rows(const Var& a, std::vector<std::uint32_t> idx,
                      std::size_t n_rows);
 /// Softmax over the entries of each segment: scores is (E,1), seg[e]

@@ -1,86 +1,19 @@
 #include "ml/kernels.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <mutex>
 
 #include "support/check.hpp"
-#include "support/threads.hpp"
 
 namespace mpidetect::ml::kernels {
 
 namespace {
 
-thread_local unsigned t_kernel_threads = 0;  // 0 = auto
 thread_local bool t_naive_matmul = false;
 thread_local bool t_force_scalar = false;
-// True while this thread is executing a kernel-pool task: a nested
-// kernel must run inline (the pool is not reentrant).
-thread_local bool t_in_kernel_task = false;
-
-// One pool for all kernel-level parallelism, created on first use and
-// intentionally leaked (kernels may run during static destruction of
-// benchmark fixtures). Guarded by a try-lock: concurrent kernels from
-// other threads (e.g. CV folds training in parallel) fall back to their
-// serial path instead of queueing. The pool GROWS on demand when a
-// dispatch arrives with an explicit budget above its current size —
-// sizing is never frozen by whichever call happened to come first.
-std::mutex& pool_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-ThreadPool* g_pool = nullptr;  // guarded by pool_mutex()
-
-/// Returns the shared pool, at least `budget` wide. Caller holds
-/// pool_mutex(), which also excludes every pool user — replacing the
-/// pool here is safe because nobody else can be inside it.
-ThreadPool& pool_at_least(unsigned budget) {
-  if (g_pool == nullptr || g_pool->size() < budget) {
-    delete g_pool;
-    g_pool = new ThreadPool(std::max(budget, hardware_probe()));
-  }
-  return *g_pool;
-}
-
-/// The budget in force for a dispatch happening NOW: the thread-local
-/// override when set, else the cached hardware probe. Nothing about the
-/// override is cached — a ScopedKernelThreads(1) pin active during the
-/// first kernel call (an EvalEngine fold) must not freeze the
-/// process-wide budget (the bug this replaces cached the whole
-/// resolution in a function-local static).
-unsigned resolved_budget() {
-  return t_kernel_threads == 0 ? hardware_probe() : t_kernel_threads;
-}
 
 }  // namespace
-
-unsigned hardware_probe() {
-  // resolve_threads(0) re-reads sysfs on every call in some libcs;
-  // kernels ask often enough that the raw probe — and only the raw
-  // probe — is cached once.
-  static const unsigned hw = resolve_threads(0);
-  return hw;
-}
-
-unsigned effective_threads(unsigned requested) {
-  const unsigned budget = requested == 0 ? hardware_probe() : requested;
-  if (budget <= 1) return 1;
-  std::lock_guard<std::mutex> lock(pool_mutex());
-  return std::min<unsigned>(budget, pool_at_least(budget).size());
-}
-
-unsigned kernel_threads() { return t_kernel_threads; }
-
-void set_kernel_threads(unsigned n) { t_kernel_threads = n; }
-
-ScopedKernelThreads::ScopedKernelThreads(unsigned n) : prev_(t_kernel_threads) {
-  t_kernel_threads = n;
-}
-
-ScopedKernelThreads::~ScopedKernelThreads() { t_kernel_threads = prev_; }
 
 bool naive_matmul() { return t_naive_matmul; }
 
@@ -91,43 +24,6 @@ ScopedNaiveMatmul::ScopedNaiveMatmul(bool on) : prev_(t_naive_matmul) {
 }
 
 ScopedNaiveMatmul::~ScopedNaiveMatmul() { t_naive_matmul = prev_; }
-
-bool parallel_allowed(std::size_t n) {
-  if (n <= 1 || t_in_kernel_task) return false;
-  return resolved_budget() > 1;
-}
-
-void parallel_ranges_impl(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  const unsigned budget = resolved_budget();
-  std::unique_lock<std::mutex> lock(pool_mutex(), std::try_to_lock);
-  if (!lock.owns_lock()) {  // another kernel holds the pool: stay serial
-    fn(0, n);
-    return;
-  }
-  ThreadPool& p = pool_at_least(budget);
-  const std::size_t width = std::min<std::size_t>(budget, p.size());
-  if (width <= 1 || n <= 1) {
-    fn(0, n);
-    return;
-  }
-  // Oversplit: more chunks than workers, claimed off a shared counter
-  // the CALLING thread participates in. On a fully-loaded or
-  // oversubscribed machine the caller simply steals most of the range
-  // itself instead of blocking on a worker that cannot be scheduled —
-  // a fixed per-worker split would serialize caller -> switch -> worker
-  // there. Chunks stay contiguous and each index lands in exactly one
-  // chunk, so the result is bit-identical at any chunk count.
-  const std::size_t chunks = std::min<std::size_t>(width * 4, n);
-  p.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    const bool prev = t_in_kernel_task;
-    t_in_kernel_task = true;
-    fn(begin, end);
-    t_in_kernel_task = prev;
-  });
-}
 
 // ---- scalar reference kernels -----------------------------------------------
 //

@@ -1,22 +1,18 @@
 // Kernel execution policy for the dense-math substrate (ml/matrix.hpp)
 // and the autograd gather/scatter ops: the matmul micro-kernel's tile
-// shape, a thread-local thread-count override so callers (EvalEngine
-// fold training, benchmarks) can pin kernels to one thread, a
-// process-shared worker pool the big kernels parallelize over, the
-// baseline switch that routes Matrix::matmul through the seed's naive
-// triple loop for before/after measurements (bench/perf_gnn), the
-// runtime SIMD dispatch table (AVX2 / NEON inner kernels with a scalar
-// fallback), and the per-op profiling counters surfaced by
-// `mpiguard bench --json` and the daemon's STATS frame.
+// shape, the baseline switch that routes Matrix::matmul through the
+// seed's naive triple loop for before/after measurements
+// (bench/perf_gnn), the runtime SIMD dispatch table (AVX2 / NEON inner
+// kernels with a scalar fallback), and the per-op profiling counters
+// surfaced by `mpiguard bench --json` and the daemon's STATS frame.
 //
-// All parallel kernels split work so that the floating-point
-// accumulation order of every output element is identical to the serial
-// kernel: results are bit-identical regardless of thread count (see
-// tests/batched_gnn_test.cpp). The SIMD kernels keep the same
-// discipline — they vectorize only across independent output elements
-// (never across a reduction) and use separate multiply and add
-// instructions (never FMA), so every dispatch target is bit-identical
-// to the scalar reference on the fp path.
+// Every kernel runs on the thread that calls it. Parallelism lives one
+// level up — CV folds and cases on EvalEngine's pool, encoding on a
+// one-shot parallel_for — so a kernel's result never depends on how
+// many threads the process has. The SIMD kernels vectorize only across
+// independent output elements (never across a reduction) and use
+// separate multiply and add instructions (never FMA), so every dispatch
+// target is bit-identical to the scalar reference on the fp path.
 //
 // Bit-identity at the kernel level is what makes fusion safe one level
 // up: the fused GATv2 ops run in single-graph training only in the form
@@ -31,7 +27,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace mpidetect::ml::kernels {
 
@@ -41,14 +36,6 @@ namespace mpidetect::ml::kernels {
 /// tile shape for every dispatch target keeps one packing layout.
 inline constexpr std::size_t kMr = 4;
 inline constexpr std::size_t kNr = 8;
-
-/// Below this many multiply-adds a matmul never tries to parallelize —
-/// the pool handoff costs more than the arithmetic.
-inline constexpr std::size_t kParallelMinFlops = std::size_t{1} << 18;
-
-/// Below this many touched elements the gather/scatter kernels stay
-/// serial.
-inline constexpr std::size_t kParallelMinElems = std::size_t{1} << 16;
 
 // ---- runtime SIMD dispatch --------------------------------------------------
 
@@ -201,46 +188,6 @@ class OpTimer {
   std::chrono::steady_clock::time_point t0_;
 };
 
-// ---- thread budget ----------------------------------------------------------
-
-/// \brief Thread budget the kernels may use on the calling thread.
-/// \return 0 = auto (hardware concurrency); 1 = serial; n = at most n.
-///
-/// The value is thread-local: EvalEngine trains CV folds in parallel
-/// with each fold pinned to one kernel thread, while a full-set fit on
-/// the main thread parallelizes freely.
-unsigned kernel_threads();
-
-/// Sets the calling thread's kernel thread budget (see kernel_threads).
-void set_kernel_threads(unsigned n);
-
-/// The raw hardware-concurrency probe (resolve_threads(0)), cached once
-/// per process. This is the ONLY cached input to the thread budget: the
-/// effective budget itself is recomputed at every dispatch, so a pin
-/// active during the first kernel call never freezes the process-wide
-/// answer.
-unsigned hardware_probe();
-
-/// \brief The pool width a kernel dispatched under `requested` threads
-/// actually uses: the hardware probe for 0 (auto), otherwise exactly
-/// `requested` — the shared pool grows on demand to honor an explicit
-/// budget above its current size. Bench records report THIS value
-/// (scripts/check_bench_json.py requires it), so a record can never
-/// claim a thread count the pool did not have.
-unsigned effective_threads(unsigned requested);
-
-/// RAII override of the calling thread's kernel thread budget.
-class ScopedKernelThreads {
- public:
-  explicit ScopedKernelThreads(unsigned n);
-  ~ScopedKernelThreads();
-  ScopedKernelThreads(const ScopedKernelThreads&) = delete;
-  ScopedKernelThreads& operator=(const ScopedKernelThreads&) = delete;
-
- private:
-  unsigned prev_;
-};
-
 /// \brief Whether Matrix::matmul routes through the seed's naive triple
 /// loop (thread-local; default false).
 ///
@@ -264,37 +211,14 @@ class ScopedNaiveMatmul {
   bool prev_;
 };
 
-/// Implementation detail of parallel_ranges: the type-erased pool
-/// dispatch, entered only once a kernel has decided to go parallel.
-void parallel_ranges_impl(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
-
-/// True when a kernel over `n` items is allowed to touch the pool at
-/// all: parallelism enabled for this thread and more than one item.
-/// (The pool may still be busy — parallel_ranges falls back inline.)
-bool parallel_allowed(std::size_t n);
-
-/// \brief Runs fn(begin, end) over a partition of [0, n) on the shared
-/// kernel pool, or inline when parallelism is off, unprofitable, or the
-/// pool is busy (another thread's kernel holds it, or we are already
-/// inside a kernel task — the pool is not reentrant).
-///
-/// The serial path calls `fn` directly — no std::function, no thread
-/// resolution — so wrapping a kernel in parallel_ranges costs nothing
-/// when it stays serial (and the GNN's many tiny matmuls must stay
-/// serial).
-///
-/// Chunks are contiguous and each index lands in exactly one chunk, so
-/// kernels that write disjoint ranges per chunk are race-free and
-/// bit-identical to the serial order.
-template <typename Fn>
-void parallel_ranges(std::size_t n, bool allow_parallel, Fn&& fn) {
-  if (n == 0) return;
-  if (!allow_parallel || !parallel_allowed(n)) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  parallel_ranges_impl(n, fn);
-}
+// ---- inert thread-budget names ----------------------------------------------
+// Kernels have no thread budget; these exist only so perfbench/, which
+// compiles against src/ and still names them, keeps building. Nothing
+// else may use them.
+inline unsigned kernel_threads() { return 1; }
+inline unsigned effective_threads(unsigned) { return 1; }
+struct ScopedKernelThreads {
+  explicit ScopedKernelThreads(unsigned) {}
+};
 
 }  // namespace mpidetect::ml::kernels

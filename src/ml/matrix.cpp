@@ -1,6 +1,5 @@
 #include "ml/matrix.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -129,7 +128,7 @@ Matrix naive_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
 /// its tile non-finite (once a sum is non-finite it stays so), which
 /// gemm_tile reports. Either sends the product through matmul_naive's
 /// own loop, so the result is bit-identical to matmul_naive on every
-/// input, at any thread count and on every dispatch target.
+/// input and on every dispatch target.
 Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
                      Strided b) {
   using kernels::kMr;
@@ -168,65 +167,54 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
     }
   }
 
-  // Resolved on the calling thread: the force-scalar override is
-  // thread-local, and pool workers must run the caller's target.
   const kernels::KernelFns& fns = kernels::fns();
-  const bool parallel = M * K * N >= kernels::kParallelMinFlops;
-  std::atomic<bool> tiles_finite{true};
-  kernels::parallel_ranges(
-      (M + kMr - 1) / kMr, parallel, [&](std::size_t p0, std::size_t p1) {
-        double* ap = thread_buffer<double, 2>(kc * kMr).data();
-        std::size_t rows[kMr];
-        std::size_t mr = 0;  // rows packed into the current panel
-        const auto flush = [&] {
-          for (std::size_t kk = 0; kk < kc; ++kk) {
-            std::fill(ap + kk * kMr + mr, ap + (kk + 1) * kMr, 0.0);
-          }
-          const bool dense = mr == kMr && rows[kMr - 1] == rows[0] + kMr - 1;
-          double tile[kMr * kNr];
-          bool finite = true;
-          for (std::size_t p = 0; p < col_panels; ++p) {
-            const std::size_t j0 = p * kNr;
-            const std::size_t nc = std::min(kNr, N - j0);
-            const double* panel = bp.data() + p * kc * kNr;
-            if (dense && nc == kNr) {
-              finite &= fns.gemm_tile(ap, panel, kc, out.row(rows[0]) + j0, N);
-              continue;
-            }
-            finite &= fns.gemm_tile(ap, panel, kc, tile, kNr);
-            for (std::size_t r = 0; r < mr; ++r) {
-              std::copy(tile + r * kNr, tile + r * kNr + nc,
-                        out.row(rows[r]) + j0);
-            }
-          }
-          if (!finite) tiles_finite.store(false, std::memory_order_relaxed);
-          mr = 0;
-        };
-        for (std::size_t i = p0 * kMr; i < std::min(M, p1 * kMr); ++i) {
-          const double* s = a.p + i * a.rs;
-          double* d = ap + mr;
-          bool nonzero = false;
-          if (kc == K && a.cs == 1) {  // every k kept, row contiguous
-            for (std::size_t k = 0; k < K; ++k) {
-              d[k * kMr] = s[k];
-              nonzero |= s[k] != 0.0;
-            }
-          } else {
-            for (std::size_t kk = 0; kk < kc; ++kk) {
-              const double v = s[ks[kk] * a.cs];
-              d[kk * kMr] = v;
-              nonzero |= v != 0.0;
-            }
-          }
-          if (!nonzero) continue;  // the next row reuses the slot
-          rows[mr++] = i;
-          if (mr == kMr) flush();
-        }
-        if (mr > 0) flush();
-      });
-  if (!tiles_finite.load(std::memory_order_relaxed)) {
-    return naive_matmul(M, N, K, a, b);
+  bool tiles_finite = true;
+  double* ap = thread_buffer<double, 2>(kc * kMr).data();
+  std::size_t rows[kMr] = {};
+  std::size_t mr = 0;  // rows packed into the current panel
+  const auto flush = [&] {
+    for (std::size_t kk = 0; kk < kc; ++kk) {
+      std::fill(ap + kk * kMr + mr, ap + (kk + 1) * kMr, 0.0);
+    }
+    const bool dense = mr == kMr && rows[kMr - 1] == rows[0] + kMr - 1;
+    double tile[kMr * kNr];
+    for (std::size_t p = 0; p < col_panels; ++p) {
+      const std::size_t j0 = p * kNr;
+      const std::size_t nc = std::min(kNr, N - j0);
+      const double* panel = bp.data() + p * kc * kNr;
+      if (dense && nc == kNr) {
+        tiles_finite &= fns.gemm_tile(ap, panel, kc, out.row(rows[0]) + j0, N);
+        continue;
+      }
+      tiles_finite &= fns.gemm_tile(ap, panel, kc, tile, kNr);
+      for (std::size_t r = 0; r < mr; ++r) {
+        std::copy(tile + r * kNr, tile + r * kNr + nc, out.row(rows[r]) + j0);
+      }
+    }
+    mr = 0;
+  };
+  for (std::size_t i = 0; i < M; ++i) {
+    const double* s = a.p + i * a.rs;
+    double* d = ap + mr;
+    bool nonzero = false;
+    if (kc == K && a.cs == 1) {  // every k kept, row contiguous
+      for (std::size_t k = 0; k < K; ++k) {
+        d[k * kMr] = s[k];
+        nonzero |= s[k] != 0.0;
+      }
+    } else {
+      for (std::size_t kk = 0; kk < kc; ++kk) {
+        const double v = s[ks[kk] * a.cs];
+        d[kk * kMr] = v;
+        nonzero |= v != 0.0;
+      }
+    }
+    if (!nonzero) continue;  // the next row reuses the slot
+    rows[mr++] = i;
+    if (mr == kMr) flush();
   }
+  if (mr > 0) flush();
+  if (!tiles_finite) return naive_matmul(M, N, K, a, b);
   return out;
 }
 

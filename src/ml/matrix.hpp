@@ -10,10 +10,10 @@
 // ever materialized. Each output element accumulates k-ascending from
 // 0.0 with separate multiply and add, exactly like the reference
 // triple loop (matmul_naive, kept for tests and the perf-bench
-// baseline), so the kernel is bit-identical to it on finite inputs at
-// any thread count and on every dispatch target; a product that meets
-// an Inf or a NaN is redone with matmul_naive's own loop, so non-finite
-// values propagate exactly as there. That is what lets the paper protocol's
+// baseline), so the kernel is bit-identical to it on finite inputs on
+// every dispatch target; a product that meets an Inf or a NaN is redone
+// with matmul_naive's own loop, so non-finite values propagate exactly
+// as there. That is what lets the paper protocol's
 // training trajectory survive kernel changes unchanged.
 //
 // The autograd ops built on top keep the same rule one level up: a
@@ -77,13 +77,12 @@ class Matrix {
 
   /// \brief this (m x k) times `o` (k x n) -> (m x n).
   ///
-  /// The packed micro-kernel, parallelized over row panels above
-  /// kernels::kParallelMinFlops. Terms that are exact zeros (all-zero
-  /// rows of either operand, as backward gradients carry for nodes a
-  /// relation never reaches) are skipped, which cannot change a finite
-  /// sum starting at +0.0; a product that meets an Inf or a NaN is
-  /// redone with matmul_naive's loop. Bit-identical to matmul_naive on
-  /// every input.
+  /// The packed micro-kernel, run on the calling thread. Terms that
+  /// are exact zeros (all-zero rows of either operand, as backward
+  /// gradients carry for nodes a relation never reaches) are skipped,
+  /// which cannot change a finite sum starting at +0.0; a product that
+  /// meets an Inf or a NaN is redone with matmul_naive's loop.
+  /// Bit-identical to matmul_naive on every input.
   Matrix matmul(const Matrix& o) const;
 
   /// Reference triple-loop kernel (the seed implementation): the

@@ -65,8 +65,10 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
 /// the job: no further indices are handed out, and parallel_for
 /// rethrows the first exception once every worker is done with the
 /// call, so the pool stays usable. Not reentrant: only one
-/// parallel_for may be in flight at a time (nested parallelism inside a
-/// task must use the one-shot helper above or run single-threaded).
+/// parallel_for may be in flight at a time. EvalEngine's pool is the
+/// one instance, running folds and cases; work nested inside a task
+/// either uses the one-shot helper above (encoding) or runs on the
+/// task's thread (every dense kernel, ml/kernels.hpp).
 class ThreadPool {
  public:
   explicit ThreadPool(unsigned threads = 0);

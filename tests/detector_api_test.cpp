@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -367,6 +369,23 @@ TEST(EvalEngine, AblationMatchesHandRolledExclusionLoop) {
   EXPECT_EQ(r.total, total);
 }
 
+/// Same outcome and the same confidence bits for every case.
+void expect_same_verdicts(const EvalReport& a, const EvalReport& b) {
+  expect_equal(a.confusion, b.confusion);
+  ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
+  for (std::size_t i = 0; i < a.verdicts.size(); ++i) {
+    const Verdict& va = a.verdicts[i];
+    const Verdict& vb = b.verdicts[i];
+    EXPECT_EQ(va.outcome, vb.outcome) << "case " << i;
+    ASSERT_EQ(va.confidence.has_value(), vb.confidence.has_value()) << i;
+    if (va.confidence) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*va.confidence),
+                std::bit_cast<std::uint64_t>(*vb.confidence))
+          << "case " << i;
+    }
+  }
+}
+
 TEST(EvalEngine, SweepIsSerialParallelInvariant) {
   const auto ds = small_mbi();
   auto det = DetectorRegistry::global().create("must");
@@ -374,6 +393,18 @@ TEST(EvalEngine, SweepIsSerialParallelInvariant) {
   EvalEngine parallel(4);
   expect_equal(serial.sweep(*det, ds).confusion,
                parallel.sweep(*det, ds).confusion);
+
+  // The engine's pool is the only parallelism GNN training and
+  // inference get (dense kernels run on their caller's thread), so its
+  // width must not move a single probability bit: cross runs the cases
+  // on the pool, kfold the folds.
+  const auto corr = small_corr();
+  auto gnn = DetectorRegistry::global().create("gnn", fast_config());
+  const EvalReport cross1 = serial.cross(*gnn, ds, corr);
+  const EvalReport cross4 = parallel.cross(*gnn, ds, corr);
+  ASSERT_TRUE(cross1.verdicts.front().confidence.has_value());
+  expect_same_verdicts(cross1, cross4);
+  expect_same_verdicts(serial.kfold(*gnn, ds), parallel.kfold(*gnn, ds));
 }
 
 TEST(EvalEngine, SweepOfUnfittedLearnedDetectorThrows) {
