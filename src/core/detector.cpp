@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "corpus/corpus.hpp"
 #include "support/check.hpp"
@@ -194,11 +195,7 @@ void Ir2vecDetector::fit(const datasets::Dataset& ds,
                          std::span<const std::size_t> y, const FitSpec& spec) {
   MPIDETECT_EXPECTS(train_idx.size() == y.size());
   prepare(ds, spec.threads);
-  const FeatureSet& fs = *bound_.at(&ds);
-  std::vector<std::vector<double>> X;
-  X.reserve(train_idx.size());
-  for (const std::size_t i : train_idx) X.push_back(fs.X[i]);
-  train(X, y, spec);
+  train(bound_.at(&ds)->X, train_idx, y, spec);
 }
 
 void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
@@ -230,10 +227,13 @@ void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
                                      spec.threads);
     for (auto& row : fs.X) X.push_back(std::move(row));
   }
-  train(X, y, spec);
+  std::vector<std::size_t> rows(X.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  train(X, rows, y, spec);
 }
 
 void Ir2vecDetector::train(const std::vector<std::vector<double>>& X,
+                           std::span<const std::size_t> rows,
                            std::span<const std::size_t> y,
                            const FitSpec& spec) {
   Ir2vecOptions o = cfg_.ir2vec;
@@ -242,7 +242,7 @@ void Ir2vecDetector::train(const std::vector<std::vector<double>>& X,
     o.threads = spec.threads;
     o.ga.threads = spec.threads;
   }
-  model_ = train_ir2vec(X, {y.begin(), y.end()}, o);
+  model_ = train_ir2vec(X, rows, y, o);
   multiclass_ = spec.multiclass;
 }
 

@@ -295,8 +295,10 @@ class Ir2vecDetector final : public Detector {
  private:
   const FeatureSet& features(const datasets::Dataset& ds, unsigned threads);
   /// Shared tail of fit() and fit_stream(): the spec's seed and thread
-  /// options, then the tree (GA-selected when enabled) on `X`.
+  /// options, then the tree (GA-selected when enabled) on the rows
+  /// X[rows[i]] labelled y[i].
   void train(const std::vector<std::vector<double>>& X,
+             std::span<const std::size_t> rows,
              std::span<const std::size_t> y, const FitSpec& spec);
 
   DetectorConfig cfg_;

@@ -12,8 +12,12 @@
 // as it did at training time to reproduce its verdicts bit-for-bit.
 #include "core/detector.hpp"
 
+#include <string>
+#include <utility>
+
 #include "io/model_io.hpp"
 #include "io/serialize.hpp"
+#include "ir2vec/vocabulary.hpp"
 #include "support/check.hpp"
 
 namespace mpidetect::core {
@@ -81,7 +85,16 @@ void Ir2vecDetector::load_state(io::Reader& r) {
   cfg_.ir2vec.folds = static_cast<int>(r.i64());
   cfg_.ir2vec.seed = r.u64();
   multiclass_ = r.u8() != 0;
-  model_ = io::load_trained_ir2vec(r);
+  TrainedIr2vec model = io::load_trained_ir2vec(r);
+  // evaluate() feeds the tree 2 * kDim-wide rows (encode_concat), so a
+  // tree of any other width would read past them or misread them.
+  constexpr std::size_t kWidth = 2 * ir2vec::kDim;
+  if (model.tree.num_features() != kWidth) {
+    r.fail("IR2vec decision tree expects " +
+           std::to_string(model.tree.num_features()) +
+           " features, the detector's rows have " + std::to_string(kWidth));
+  }
+  model_ = std::move(model);
   bound_.clear();
 }
 

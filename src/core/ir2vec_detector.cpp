@@ -1,6 +1,7 @@
 #include "core/ir2vec_detector.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "ml/kfold.hpp"
 #include "support/check.hpp"
@@ -9,20 +10,12 @@ namespace mpidetect::core {
 
 namespace {
 
-std::vector<std::vector<double>> select_rows(
-    const std::vector<std::vector<double>>& X,
-    const std::vector<std::size_t>& idx) {
-  std::vector<std::vector<double>> out;
-  out.reserve(idx.size());
-  for (const std::size_t i : idx) out.push_back(X[i]);
-  return out;
-}
-
-std::vector<std::size_t> select_labels(const std::vector<std::size_t>& y,
-                                       const std::vector<std::size_t>& idx) {
+/// v[idx[0]], v[idx[1]], ...: the row ids or labels of a subset.
+std::vector<std::size_t> pick(std::span<const std::size_t> v,
+                              const std::vector<std::size_t>& idx) {
   std::vector<std::size_t> out;
   out.reserve(idx.size());
-  for (const std::size_t i : idx) out.push_back(y[i]);
+  for (const std::size_t i : idx) out.push_back(v[i]);
   return out;
 }
 
@@ -36,30 +29,32 @@ ml::GaConfig fitness_ga_config(const Ir2vecOptions& opts) {
 }
 
 std::vector<std::size_t> run_ga(const std::vector<std::vector<double>>& X,
-                                const std::vector<std::size_t>& y,
+                                std::span<const std::size_t> rows,
+                                std::span<const std::size_t> y,
                                 const Ir2vecOptions& opts) {
-  MPIDETECT_EXPECTS(!X.empty());
-  const std::size_t dim = X.front().size();
+  MPIDETECT_EXPECTS(!rows.empty());
+  const std::size_t dim = X[rows.front()].size();
   // 5-fold-ish split of the training set for fitness evaluation.
-  const auto folds = ml::stratified_kfold(y, 5, opts.seed ^ 0xfeedu);
+  const auto folds = ml::stratified_kfold({y.begin(), y.end()}, 5,
+                                          opts.seed ^ 0xfeedu);
   const auto& val_idx = folds.front();
   const auto train_idx = ml::fold_complement(val_idx, y.size());
-  const auto Xt = select_rows(X, train_idx);
-  const auto yt = select_labels(y, train_idx);
-  const auto Xv = select_rows(X, val_idx);
-  const auto yv = select_labels(y, val_idx);
+  const auto rt = pick(rows, train_idx);
+  const auto yt = pick(y, train_idx);
+  const auto rv = pick(rows, val_idx);
+  const auto yv = pick(y, val_idx);
 
   const auto fitness = [&](const std::vector<std::size_t>& features) {
     ml::DecisionTreeConfig cfg;
     cfg.feature_subset = features;
     ml::DecisionTree dt(cfg);
-    dt.fit(Xt, yt);
+    dt.fit(X, rt, yt);
     std::size_t correct = 0;
-    for (std::size_t i = 0; i < Xv.size(); ++i) {
-      correct += (dt.predict(Xv[i]) == yv[i]);
+    for (std::size_t i = 0; i < rv.size(); ++i) {
+      correct += (dt.predict(X[rv[i]]) == yv[i]);
     }
     return static_cast<double>(correct) /
-           static_cast<double>(std::max<std::size_t>(Xv.size(), 1));
+           static_cast<double>(std::max<std::size_t>(rv.size(), 1));
   };
   return ml::select_features(dim, fitness, fitness_ga_config(opts))
       .best_features;
@@ -74,14 +69,23 @@ std::size_t TrainedIr2vec::predict(const std::vector<double>& row) const {
 TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
                            const std::vector<std::size_t>& y,
                            const Ir2vecOptions& opts) {
+  std::vector<std::size_t> rows(X.size());
+  std::iota(rows.begin(), rows.end(), 0);
+  return train_ir2vec(X, rows, y, opts);
+}
+
+TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
+                           std::span<const std::size_t> rows,
+                           std::span<const std::size_t> y,
+                           const Ir2vecOptions& opts) {
   TrainedIr2vec model;
   ml::DecisionTreeConfig cfg;
   if (opts.use_ga) {
-    model.selected_features = run_ga(X, y, opts);
+    model.selected_features = run_ga(X, rows, y, opts);
     cfg.feature_subset = model.selected_features;
   }
   model.tree = ml::DecisionTree(cfg);
-  model.tree.fit(X, y);
+  model.tree.fit(X, rows, y);
   return model;
 }
 

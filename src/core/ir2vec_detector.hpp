@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/features.hpp"
@@ -32,6 +33,11 @@ struct TrainedIr2vec {
 
 TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
                            const std::vector<std::size_t>& y,
+                           const Ir2vecOptions& opts);
+/// The same on the rows X[rows[i]] labelled y[i], read in place.
+TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
+                           std::span<const std::size_t> rows,
+                           std::span<const std::size_t> y,
                            const Ir2vecOptions& opts);
 
 }  // namespace mpidetect::core

@@ -2,6 +2,25 @@
 // scikit-learn 1.0's DecisionTreeClassifier defaults the paper uses:
 // unlimited depth, min_samples_split=2, grown to purity. Supports
 // restricting splits to a feature subset (the GA selection of §IV-A).
+//
+// fit() presorts (SLIQ-style). It sorts each candidate feature's samples
+// by value once per fit (a stable radix sort on order-preserving 64-bit
+// keys) and keeps the sorted sample ids and each sample's dense value
+// rank (equal values share a rank) as flat uint32_t arrays. Every node
+// owns a [lo, hi) range of each feature's order; a split stably
+// partitions those ranges for its two children, so a node's scan walks
+// ranges that are already sorted. The trees are bit-identical to
+// sorting every feature at every node:
+//   - a boundary is a rank change, which is exactly a value change;
+//   - the threshold is the same midpoint (v_k + v_{k+1}) / 2 of the two
+//     neighbouring values (a -0.0/+0.0 tie cannot change it, since the
+//     other value is non-zero);
+//   - the Gini sums run in class order and only skip classes absent from
+//     the node, whose (0/n)^2 = +0.0 leaves a sum unchanged;
+//   - features, boundaries and nodes are visited in the same order under
+//     the same strict `score + 1e-12 < best` test (a feature repeated in
+//     feature_subset could never win again, so it is scanned once);
+//   - samples go left by `x <= threshold`, as in predict().
 #pragma once
 
 #include <cstddef>
@@ -38,7 +57,15 @@ class DecisionTree final {
   /// X: one row per sample; y: class labels (0-based, small ints).
   void fit(const std::vector<std::vector<double>>& X,
            const std::vector<std::size_t>& y);
+  /// Trains on the samples X[rows[i]] labelled y[i], reading the rows in
+  /// place. Every row of X named in `rows` must have the same width.
+  /// Throws ContractViolation naming the row and feature of a NaN or Inf
+  /// in a candidate feature: the presort needs a strict weak order.
+  void fit(const std::vector<std::vector<double>>& X,
+           std::span<const std::size_t> rows, std::span<const std::size_t> y);
 
+  /// Throws ContractViolation unless the tree is trained and
+  /// row.size() == num_features().
   std::size_t predict(std::span<const double> row) const;
   std::vector<std::size_t> predict(
       const std::vector<std::vector<double>>& X) const;
@@ -67,10 +94,6 @@ class DecisionTree final {
                                  std::size_t n_features);
 
  private:
-  std::size_t build(const std::vector<std::vector<double>>& X,
-                    const std::vector<std::size_t>& y,
-                    std::vector<std::size_t> indices, std::size_t depth);
-
   DecisionTreeConfig cfg_;
   std::vector<Node> nodes_;
   std::size_t n_classes_ = 0;

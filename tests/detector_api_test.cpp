@@ -13,7 +13,9 @@
 #include "core/eval_engine.hpp"
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
+#include "io/model_io.hpp"
 #include "io/serialize.hpp"
+#include "ir2vec/vocabulary.hpp"
 #include "ml/kfold.hpp"
 
 namespace mpidetect::core {
@@ -550,6 +552,46 @@ TEST(Detector, FittedDetectorClassifiesHeldOutBatch) {
   const auto verdicts = det->run(std::span(ds.cases.data(), 8));
   ASSERT_EQ(verdicts.size(), 8u);
   for (const auto& v : verdicts) EXPECT_TRUE(v.conclusive());
+}
+
+/// IR2vec detector state around `model`, in save_state()'s layout.
+std::string ir2vec_state(const TrainedIr2vec& model) {
+  const DetectorConfig cfg;
+  std::stringstream ss;
+  io::Writer w(ss);
+  io::write_section(w, "IR2V", 1);
+  w.u8(static_cast<std::uint8_t>(cfg.feature_opt));
+  w.u8(static_cast<std::uint8_t>(cfg.normalization));
+  io::save_vocabulary(w, ir2vec::Vocabulary(cfg.vocab_seed));
+  w.u8(0);  // use_ga
+  w.i64(cfg.ir2vec.folds);
+  w.u64(cfg.ir2vec.seed);
+  w.u8(0);  // multiclass
+  io::save_trained_ir2vec(w, model);
+  return ss.str();
+}
+
+TEST(Detector, Ir2vecLoadRejectsTreeOfWrongWidth) {
+  // A tree trained on `width`-wide rows that splits on the last feature.
+  const auto state_for = [](std::size_t width) {
+    std::vector<std::vector<double>> X(4, std::vector<double>(width, 0.0));
+    X[2][width - 1] = X[3][width - 1] = 1.0;
+    TrainedIr2vec model;
+    model.tree.fit(X, {0, 0, 1, 1});
+    EXPECT_EQ(model.tree.nodes().front().feature, width - 1);
+    return ir2vec_state(model);
+  };
+  const auto load = [](const std::string& bytes) {
+    auto det = DetectorRegistry::global().create("ir2vec", fast_config());
+    std::stringstream ss(bytes);
+    io::Reader r(ss);
+    det->load_state(r);
+  };
+  EXPECT_NO_THROW(load(state_for(512)));
+  // 600 wide, splitting on feature 599: evaluate() would read past the
+  // detector's 512-wide rows.
+  EXPECT_THROW(load(state_for(600)), io::FormatError);
+  EXPECT_THROW(load(state_for(8)), io::FormatError);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -101,6 +105,253 @@ TEST(DecisionTree, FeatureSubsetRestrictsSplits) {
 TEST(DecisionTree, PredictBeforeFitThrows) {
   DecisionTree dt;
   EXPECT_THROW(dt.predict(std::vector<double>{1.0}), ContractViolation);
+}
+
+TEST(DecisionTree, PredictRejectsRowOfWrongWidth) {
+  std::vector<std::vector<double>> X = {{0.0, 0.0}, {1.0, 0.0}};
+  DecisionTree dt;
+  dt.fit(X, {0, 1});
+  EXPECT_NO_THROW(dt.predict(std::vector<double>{1.0, 0.0}));
+  EXPECT_THROW(dt.predict(std::vector<double>{1.0}), ContractViolation);
+  EXPECT_THROW(dt.predict(std::vector<double>{1.0, 0.0, 0.0}),
+               ContractViolation);
+}
+
+TEST(DecisionTree, FitRejectsNonFiniteFeatures) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    std::vector<std::vector<double>> X(6, std::vector<double>(3, 0.5));
+    for (std::size_t i = 0; i < X.size(); ++i) X[i][0] = double(i);
+    X[4][2] = v;
+    const std::vector<std::size_t> y = {0, 1, 0, 1, 0, 1};
+    DecisionTree dt;
+    try {
+      dt.fit(X, y);
+      ADD_FAILURE() << "fit accepted " << v;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("row 4, feature 2"),
+                std::string::npos)
+          << e.what();
+    }
+    // Through row ids the message names the row of X.
+    const std::size_t rows[] = {1, 4, 5};
+    const std::size_t yr[] = {1, 0, 1};
+    EXPECT_THROW(dt.fit(X, rows, yr), ContractViolation);
+    EXPECT_FALSE(dt.trained());
+  }
+}
+
+// The sort-per-node CART the presorted fit replaced, kept as the
+// reference the presorted trees must equal node for node.
+std::size_t reference_build(const DecisionTreeConfig& cfg,
+                            const std::vector<std::vector<double>>& X,
+                            const std::vector<std::size_t>& y,
+                            std::size_t n_classes,
+                            std::vector<std::size_t> indices,
+                            std::size_t depth,
+                            std::vector<DecisionTree::Node>& nodes) {
+  const std::size_t me = nodes.size();
+  nodes.push_back(DecisionTree::Node{});
+  nodes[me].depth = depth;
+  std::vector<std::size_t> counts(n_classes, 0);
+  for (const std::size_t i : indices) ++counts[y[i]];
+  nodes[me].label = static_cast<std::size_t>(
+      std::max_element(counts.begin(), counts.end()) - counts.begin());
+  const double impurity = gini(counts, indices.size());
+  if (impurity <= 0.0 || indices.size() < cfg.min_samples_split ||
+      (cfg.max_depth != 0 && depth >= cfg.max_depth)) {
+    return me;
+  }
+  std::vector<std::size_t> features(X.front().size());
+  std::iota(features.begin(), features.end(), std::size_t{0});
+  if (cfg.feature_subset.has_value()) features = *cfg.feature_subset;
+  double best_score = impurity, best_threshold = 0.0;
+  std::size_t best_feature = 0;
+  bool found = false;
+  std::vector<std::pair<double, std::size_t>> col(indices.size());
+  std::vector<std::size_t> left(n_classes), right(n_classes);
+  for (const std::size_t f : features) {
+    if (f >= X.front().size()) continue;
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      col[k] = {X[indices[k]][f], y[indices[k]]};
+    }
+    std::sort(col.begin(), col.end());
+    std::fill(left.begin(), left.end(), 0);
+    const std::size_t n = col.size();
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      ++left[col[k].second];
+      if (col[k].first == col[k + 1].first) continue;
+      for (std::size_t c = 0; c < n_classes; ++c) {
+        right[c] = counts[c] - left[c];
+      }
+      const double score = (double(k + 1) * gini(left, k + 1) +
+                            double(n - k - 1) * gini(right, n - k - 1)) /
+                           double(n);
+      if (score + 1e-12 < best_score) {
+        best_score = score;
+        best_feature = f;
+        best_threshold = (col[k].first + col[k + 1].first) / 2.0;
+        found = true;
+      }
+    }
+  }
+  if (!found) return me;
+  std::vector<std::size_t> left_idx, right_idx;
+  for (const std::size_t i : indices) {
+    (X[i][best_feature] <= best_threshold ? left_idx : right_idx).push_back(i);
+  }
+  if (left_idx.empty() || right_idx.empty()) return me;
+  nodes[me].leaf = false;
+  nodes[me].feature = best_feature;
+  nodes[me].threshold = best_threshold;
+  const std::size_t l =
+      reference_build(cfg, X, y, n_classes, left_idx, depth + 1, nodes);
+  nodes[me].left = static_cast<std::int32_t>(l);
+  const std::size_t r =
+      reference_build(cfg, X, y, n_classes, right_idx, depth + 1, nodes);
+  nodes[me].right = static_cast<std::int32_t>(r);
+  return me;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// Fits both CARTs and asserts node-for-node equality, thresholds by bits.
+void expect_reference_tree(const DecisionTreeConfig& cfg,
+                           const std::vector<std::vector<double>>& X,
+                           const std::vector<std::size_t>& y) {
+  std::vector<std::size_t> all(X.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::vector<DecisionTree::Node> want;
+  reference_build(cfg, X, y, *std::max_element(y.begin(), y.end()) + 1, all,
+                  0, want);
+  DecisionTree dt(cfg);
+  dt.fit(X, y);
+  const auto& got = dt.nodes();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].leaf, want[i].leaf);
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].feature, want[i].feature);
+    EXPECT_EQ(bits(got[i].threshold), bits(want[i].threshold));
+    EXPECT_EQ(got[i].left, want[i].left);
+    EXPECT_EQ(got[i].right, want[i].right);
+    EXPECT_EQ(got[i].depth, want[i].depth);
+  }
+}
+
+/// Seeded rows whose values come from a small pool, so columns tie, mix
+/// -0.0 with +0.0, sit on adjacent doubles (a midpoint that rounds onto a
+/// neighbour) or overflow their midpoint; column 0 is constant.
+/// Labels follow column 1 where it is high, so subtrees miss classes.
+void tie_heavy_set(std::uint64_t seed, std::size_t n, std::size_t width,
+                   std::size_t n_classes,
+                   std::vector<std::vector<double>>& X,
+                   std::vector<std::size_t>& y) {
+  const double odd = std::nextafter(1.0, 2.0);  // (odd + even) / 2 == even
+  const double pool[] = {-1.0, -0.0,    0.0, 0.5,      1.0,     odd,
+                         std::nextafter(odd, 2.0), 2.0, -1.7e308, 1.7e308,
+                         1.75e308};
+  Rng rng(seed);
+  X.assign(n, std::vector<double>(width, 3.25));
+  y.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t f = 1; f < width; ++f) {
+      X[i][f] = pool[rng.index(std::size(pool))];
+    }
+    y[i] = X[i][1] > 0.75 ? n_classes - 1 : rng.index(n_classes);
+  }
+}
+
+TEST(DecisionTree, PresortedFitMatchesSortPerNodeReference) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    std::vector<std::vector<double>> X;
+    std::vector<std::size_t> y;
+    tie_heavy_set(seed, 1 + seed * 17, 6, 2 + seed % 4, X, y);
+    expect_reference_tree({}, X, y);
+
+    DecisionTreeConfig subset;
+    subset.feature_subset = std::vector<std::size_t>{4, 1, 4, 99, 2, 1, 6};
+    expect_reference_tree(subset, X, y);
+
+    DecisionTreeConfig limited;
+    limited.max_depth = 1 + seed % 3;
+    limited.min_samples_split = 2 + seed % 9;
+    expect_reference_tree(limited, X, y);
+  }
+}
+
+TEST(DecisionTree, PresortedFitMatchesReferenceOnEdgeSets) {
+  // A single sample, and a lone mid-range class whose id leaves gaps.
+  expect_reference_tree({}, {{1.0, 2.0}}, {3});
+  std::vector<std::vector<double>> X;
+  std::vector<std::size_t> y;
+  Rng rng(77);
+  for (int i = 0; i < 90; ++i) {
+    X.push_back({rng.uniform(), std::floor(rng.uniform() * 4.0), -0.0});
+    y.push_back(i % 3 == 0 ? 5 : 2 * rng.index(2));
+  }
+  expect_reference_tree({}, X, y);
+  // Only constant or out-of-range candidates: a single leaf.
+  DecisionTreeConfig none;
+  none.feature_subset = std::vector<std::size_t>{2, 7};
+  expect_reference_tree(none, X, y);
+  none.feature_subset = std::vector<std::size_t>{};
+  expect_reference_tree(none, X, y);
+}
+
+TEST(DecisionTree, PresortedFitMatchesReferenceOnIr2vecFeatures) {
+  const auto fs = core::extract_features(
+      datasets::make_dataset("mbi:0.05"), passes::OptLevel::Os,
+      ir2vec::Normalization::Vector);
+  expect_reference_tree({}, fs.X, fs.y_binary);
+  expect_reference_tree({}, fs.X, fs.y_label);
+  Rng rng(9);
+  for (int trial = 0; trial < 4; ++trial) {
+    DecisionTreeConfig cfg;
+    std::vector<std::size_t> subset;
+    for (int k = 0; k < 5; ++k) subset.push_back(rng.index(fs.X[0].size()));
+    cfg.feature_subset = subset;
+    expect_reference_tree(cfg, fs.X, fs.y_binary);
+  }
+}
+
+TEST(DecisionTree, RowIdFitEqualsFitOnCopiedRows) {
+  std::vector<std::vector<double>> X;
+  std::vector<std::size_t> y;
+  tie_heavy_set(5, 120, 5, 3, X, y);
+  // A shuffled subset that repeats a row.
+  std::vector<std::size_t> rows = {7, 3, 3, 50, 119, 0, 64, 12, 99, 31};
+  for (std::size_t i = 0; i < 60; ++i) rows.push_back((i * 37) % 120);
+  std::vector<std::vector<double>> Xc;
+  std::vector<std::size_t> yc;
+  for (const std::size_t r : rows) {
+    Xc.push_back(X[r]);
+    yc.push_back(y[r]);
+  }
+  DecisionTree by_id, copied;
+  by_id.fit(X, rows, yc);
+  copied.fit(Xc, yc);
+  ASSERT_EQ(by_id.node_count(), copied.node_count());
+  for (std::size_t i = 0; i < by_id.node_count(); ++i) {
+    const auto& a = by_id.nodes()[i];
+    const auto& b = copied.nodes()[i];
+    EXPECT_EQ(a.leaf, b.leaf);
+    EXPECT_EQ(a.label, b.label);
+    EXPECT_EQ(a.feature, b.feature);
+    EXPECT_EQ(bits(a.threshold), bits(b.threshold));
+    EXPECT_EQ(a.left, b.left);
+    EXPECT_EQ(a.right, b.right);
+  }
+  EXPECT_EQ(by_id.num_features(), copied.num_features());
+  EXPECT_EQ(by_id.num_classes(), copied.num_classes());
 }
 
 // ---------------------------------------------------------------------- GA
