@@ -6,10 +6,12 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "mpi/api.hpp"
+#include "mpisim/decoded.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -17,22 +19,17 @@ namespace mpidetect::mpisim {
 
 namespace {
 
-using ir::BasicBlock;
-using ir::Function;
-using ir::Instruction;
 using ir::Opcode;
 using ir::Type;
-using ir::Value;
-using ir::ValueKind;
 using mpi::ArgRole;
 using mpi::Func;
-
-/// Runtime value: integers/pointers in `i`, doubles in `f`. The static
-/// IR type of the producing value decides which lane is meaningful.
-struct RtVal {
-  std::int64_t i = 0;
-  double f = 0.0;
-};
+using detail::CallKind;
+using detail::DecodedBlock;
+using detail::DecodedFunction;
+using detail::DecodedModule;
+using detail::Operand;
+using detail::RtVal;
+using DInst = detail::DecodedInst;
 
 /// Addresses encode the owning rank so cross-rank pointer leaks are
 /// detectable: addr = (rank+1) << 32 | offset. Offset 0 is never handed
@@ -49,13 +46,24 @@ constexpr std::uint64_t addr_offset(std::uint64_t addr) {
 
 /// One interpreter stack frame.
 struct Frame {
-  const Function* func = nullptr;
-  const BasicBlock* block = nullptr;
-  const BasicBlock* prev_block = nullptr;  // for phi resolution
+  const DecodedBlock* block = nullptr;
+  const DecodedBlock* prev_block = nullptr;  // for phi resolution
   std::size_t inst = 0;
-  std::unordered_map<const Value*, RtVal> regs;
-  const Instruction* call_site = nullptr;  // caller inst awaiting result
+  /// One register per value slot of the function; a slot nobody wrote
+  /// reads as RtVal{}.
+  std::vector<RtVal> regs;
+  const DInst* call_site = nullptr;  // caller inst awaiting result
 };
+
+/// A fresh frame at the entry of `f`.
+Frame enter_function(const DecodedFunction& f) {
+  // A declaration has no entry block; ir::Function::entry() rejects it.
+  if (f.entry == nullptr) (void)f.ir->entry();
+  Frame fr;
+  fr.block = f.entry;
+  fr.regs.resize(f.num_slots);
+  return fr;
+}
 
 enum class RankStatus : std::uint8_t {
   Runnable,
@@ -201,6 +209,10 @@ struct ExecCtx {
 struct RankState {
   std::vector<ExecCtx> ctxs;  // ctx 0 = main thread
   int active = 0;             // context currently executing
+  /// Heap memory. Capacity is reserved up to MachineConfig::arena_bytes
+  /// without touching it; the size grows, zero-filled, to the highest
+  /// byte accessed so far. Growth stays within the reservation, so a
+  /// pointer into the arena stays valid while another is resolved.
   std::vector<std::uint8_t> arena;
   std::size_t bump = 8;  // offset 0..7 reserved
   bool inited = false, finalized = false;
@@ -225,8 +237,8 @@ inline bool rank_dead(const RankState& r) {
 
 class Machine {
  public:
-  Machine(const ir::Module& m, const MachineConfig& cfg)
-      : module_(m),
+  Machine(const DecodedModule& prog, const MachineConfig& cfg)
+      : prog_(prog),
         cfg_(cfg),
         random_(cfg.schedule.policy == SchedPolicy::Random),
         // Seed 0 is reserved for the round-robin schedule; a Random
@@ -238,7 +250,7 @@ class Machine {
     rep_.schedule_seed = sched_seed_;
     ranks_.resize(static_cast<std::size_t>(cfg.nprocs));
     for (auto& r : ranks_) {
-      r.arena.assign(cfg.arena_bytes, 0);
+      r.arena.reserve(cfg.arena_bytes);
       r.ctxs.resize(1);  // main thread
     }
     Communicator world;
@@ -263,7 +275,7 @@ class Machine {
   std::uint64_t alloc(int rank, std::size_t bytes) {
     RankState& r = ranks_[static_cast<std::size_t>(rank)];
     const std::size_t aligned = (bytes + 7) & ~std::size_t{7};
-    if (r.bump + aligned > r.arena.size()) {
+    if (r.bump + aligned > cfg_.arena_bytes) {
       report(FindingKind::MemoryFault, rank, "arena exhausted");
       crash(rank);
       return 0;
@@ -274,7 +286,8 @@ class Machine {
   }
 
   /// Resolves an address to a byte pointer in some rank's arena, or null
-  /// (reporting a fault for `for_rank`) when invalid.
+  /// (reporting a fault for `for_rank`) when invalid. Memory inside the
+  /// limit that nothing has touched yet reads as zero.
   std::uint8_t* resolve(std::uint64_t addr, std::size_t len, int for_rank) {
     const int owner = addr_rank(addr);
     const std::uint64_t off = addr_offset(addr);
@@ -283,10 +296,12 @@ class Machine {
       return nullptr;
     }
     RankState& r = ranks_[static_cast<std::size_t>(owner)];
-    if (off == 0 || off + len > r.arena.size()) {
+    const std::size_t limit = cfg_.arena_bytes;
+    if (off == 0 || off > limit || len > limit - off) {
       report(FindingKind::MemoryFault, for_rank, "out-of-bounds access");
       return nullptr;
     }
+    if (off + len > r.arena.size()) r.arena.resize(off + len);
     return r.arena.data() + off;
   }
 
@@ -313,35 +328,34 @@ class Machine {
   }
 
   // --- value evaluation ----------------------------------------------------
-  RtVal eval(int rank, const Value* v) {
-    switch (v->kind()) {
-      case ValueKind::ConstantInt:
-        return RtVal{static_cast<const ir::ConstantInt*>(v)->value(), 0.0};
-      case ValueKind::ConstantFP:
-        return RtVal{0, static_cast<const ir::ConstantFP*>(v)->value()};
-      case ValueKind::Function:
-        return RtVal{0, 0.0};
-      default: {
-        Frame& fr =
-            ranks_[static_cast<std::size_t>(rank)].cur().frames.back();
-        const auto it = fr.regs.find(v);
-        return it != fr.regs.end() ? it->second : RtVal{};
-      }
-    }
+  Frame& frame(int rank) {
+    return ranks_[static_cast<std::size_t>(rank)].cur().frames.back();
   }
 
-  void set_reg(int rank, const Value* v, RtVal val) {
-    ranks_[static_cast<std::size_t>(rank)].cur().frames.back().regs[v] =
-        val;
+  static RtVal eval(const Frame& fr, const Operand& op) {
+    return op.slot == Operand::kConstant ? op.value : fr.regs[op.slot];
+  }
+
+  /// Operand `idx` of `inst`; like ir::Instruction::operand, a missing
+  /// operand throws std::out_of_range.
+  static const Operand& operand(const DInst& inst, std::size_t idx) {
+    if (idx >= inst.num_operands) {
+      throw std::out_of_range("instruction operand index out of range");
+    }
+    return inst.operands[idx];
+  }
+
+  void set_reg(int rank, const DInst& inst, RtVal val) {
+    frame(rank).regs[inst.slot] = val;
   }
 
   // --- execution -----------------------------------------------------------
   void step(int rank, int ctx);
-  void exec(int rank, const Instruction& inst);
-  void enter_block(int rank, const BasicBlock* to);
+  void exec(int rank, const DInst& inst);
+  void enter_block(int rank, const DecodedBlock* to);
   void do_return(int rank, std::optional<RtVal> value);
-  void exec_call(int rank, const Instruction& inst);
-  void exec_mpi(int rank, Func f, const Instruction& inst);
+  void exec_call(int rank, const DInst& inst);
+  void exec_mpi(int rank, Func f, const DInst& inst);
 
   // --- MPI helpers ---------------------------------------------------------
   std::size_t datatype_bytes(std::int32_t handle, int rank, bool* ok);
@@ -357,23 +371,23 @@ class Machine {
                  std::int64_t req);
   void drop_owned(int rank, std::int64_t req);
 
-  void post_send(int rank, Func f, const Instruction& inst,
+  void post_send(int rank, Func f, const DInst& inst,
                  std::int64_t request);
-  void post_recv(int rank, Func f, const Instruction& inst,
+  void post_recv(int rank, Func f, const DInst& inst,
                  std::int64_t request);
   /// Extracts and validates the operands of a synchronizing op into `a`;
   /// false when the call is malformed (reported) and becomes a no-op.
-  bool parse_collective_args(int rank, Func f, const Instruction& inst,
+  bool parse_collective_args(int rank, Func f, const DInst& inst,
                              CollArrival& a, std::int32_t& comm);
-  void arrive_collective(int rank, Func f, const Instruction& inst);
+  void arrive_collective(int rank, Func f, const DInst& inst);
   void try_complete_collectives();
   void complete_collective(std::int32_t comm,
                            std::vector<std::pair<int, CollArrival>>& arr,
                            bool release);
-  void nbc_post(int rank, Func f, const Instruction& inst,
+  void nbc_post(int rank, Func f, const DInst& inst,
                 std::int64_t handle);
   void try_complete_nbc();
-  void exec_sendrecv(int rank, const Instruction& inst);
+  void exec_sendrecv(int rank, const DInst& inst);
   bool probe_match(int rank, std::int32_t src, std::int32_t tag,
                    std::int32_t comm, int* sources);
   void check_probes();
@@ -389,8 +403,8 @@ class Machine {
     return it != derived_types_.end() ? it->second.bytes : 0;
   }
 
-  RtVal arg(int rank, const Instruction& inst, std::size_t idx) {
-    return eval(rank, inst.operand(idx));
+  RtVal arg(int rank, const DInst& inst, std::size_t idx) {
+    return eval(frame(rank), operand(inst, idx));
   }
 
   bool run_setup();
@@ -398,7 +412,7 @@ class Machine {
   void run_round_robin();
   void run_random();
 
-  const ir::Module& module_;
+  const DecodedModule& prog_;
   MachineConfig cfg_;
   bool random_ = false;
   std::uint64_t sched_seed_ = 0;
@@ -425,38 +439,43 @@ class Machine {
   std::map<std::int32_t, std::map<int, int>> nbc_posted_;
   int finalize_arrivals_ = 0;
   bool matching_dirty_ = false;
+  // Scratch reused across steps so the hot paths do not allocate.
+  std::vector<RtVal> phi_vals_;
+  std::vector<std::pair<int, int>> runnable_;
 };
 
 // ===========================================================================
 // Interpreter core
 // ===========================================================================
 
-void Machine::enter_block(int rank, const BasicBlock* to) {
-  Frame& fr = ranks_[static_cast<std::size_t>(rank)].cur().frames.back();
+void Machine::enter_block(int rank, const DecodedBlock* to) {
+  Frame& fr = frame(rank);
   fr.prev_block = fr.block;
   fr.block = to;
-  fr.inst = 0;
-  // Phi nodes evaluate atomically against the edge just taken.
-  std::vector<std::pair<const Value*, RtVal>> vals;
-  for (const auto& inst : to->instructions()) {
-    if (inst->opcode() != Opcode::Phi) break;
+  // Phi nodes evaluate atomically against the edge just taken, and are
+  // consumed here, not in exec().
+  phi_vals_.clear();
+  for (std::size_t p = 0; p < to->num_phis; ++p) {
+    const DInst& phi = to->insts[p];
     RtVal v{};
-    for (std::size_t k = 0; k < inst->num_operands(); ++k) {
-      if (inst->block_operand(k) == fr.prev_block) {
-        v = eval(rank, inst->operand(k));
+    for (std::size_t k = 0; k < phi.num_operands; ++k) {
+      if (phi.incoming[k] == fr.prev_block->ir) {
+        v = eval(fr, phi.operands[k]);
         break;
       }
     }
-    vals.emplace_back(inst.get(), v);
-    ++fr.inst;  // phis are consumed here, not in exec()
+    phi_vals_.push_back(v);
   }
-  for (const auto& [v, val] : vals) fr.regs[v] = val;
+  for (std::size_t p = 0; p < to->num_phis; ++p) {
+    fr.regs[to->insts[p].slot] = phi_vals_[p];
+  }
+  fr.inst = to->num_phis;
 }
 
 void Machine::do_return(int rank, std::optional<RtVal> value) {
   RankState& r = ranks_[static_cast<std::size_t>(rank)];
   ExecCtx& c = r.cur();
-  const Instruction* site = c.frames.back().call_site;
+  const DInst* site = c.frames.back().call_site;
   c.frames.pop_back();
   if (c.frames.empty()) {
     // Only the main thread carries the MissingFinalize obligation.
@@ -483,9 +502,8 @@ void Machine::do_return(int rank, std::optional<RtVal> value) {
     }
     return;
   }
-  if (site != nullptr && value.has_value() &&
-      site->type() != Type::Void) {
-    c.frames.back().regs[site] = *value;
+  if (site != nullptr && value.has_value() && site->type != Type::Void) {
+    c.frames.back().regs[site->slot] = *value;
   }
 }
 
@@ -495,41 +513,50 @@ void Machine::step(int rank, int ctx) {
   ExecCtx& c = r.ctxs[static_cast<std::size_t>(ctx)];
   if (c.status != RankStatus::Runnable) return;
   Frame& fr = c.frames.back();
-  if (fr.inst >= fr.block->size()) {
+  if (fr.inst >= fr.block->size) {
     // Malformed block (no terminator) — treat as fault.
     report(FindingKind::MemoryFault, rank, "fell off block end");
     crash(rank);
     return;
   }
-  const Instruction& inst = *fr.block->instructions()[fr.inst];
   ++rep_.steps;
-  exec(rank, inst);
+  exec(rank, fr.block->insts[fr.inst]);
 }
 
-void Machine::exec(int rank, const Instruction& inst) {
+/// Successor `k` of a branch; a missing one throws std::out_of_range,
+/// like ir::Instruction::block_operand.
+const DecodedBlock* successor(const DInst& inst, std::size_t k) {
+  if (inst.succ[k] == nullptr) {
+    throw std::out_of_range("branch successor index out of range");
+  }
+  return inst.succ[k];
+}
+
+void Machine::exec(int rank, const DInst& inst) {
   RankState& r = ranks_[static_cast<std::size_t>(rank)];
   Frame& fr = r.cur().frames.back();
+  const auto val = [&](std::size_t k) { return eval(fr, operand(inst, k)); };
+  const auto set = [&](RtVal v) { fr.regs[inst.slot] = v; };
   const auto advance = [&] { ++fr.inst; };
 
-  switch (inst.opcode()) {
+  switch (inst.op) {
     case Opcode::Alloca: {
-      const std::int64_t count = arg(rank, inst, 0).i;
+      const std::int64_t count = val(0).i;
       const std::size_t bytes =
           static_cast<std::size_t>(std::max<std::int64_t>(count, 0)) *
-          ir::type_size(inst.alloc_type());
+          ir::type_size(inst.access_type);
       const std::uint64_t addr = alloc(rank, std::max<std::size_t>(bytes, 1));
       if (r.cur().status == RankStatus::Crashed) return;
-      set_reg(rank, &inst, RtVal{static_cast<std::int64_t>(addr), 0.0});
+      set(RtVal{static_cast<std::int64_t>(addr), 0.0});
       advance();
       return;
     }
     case Opcode::Load: {
-      const std::uint64_t addr =
-          static_cast<std::uint64_t>(arg(rank, inst, 0).i);
-      const std::size_t len = ir::type_size(inst.type());
+      const std::uint64_t addr = static_cast<std::uint64_t>(val(0).i);
+      const std::size_t len = ir::type_size(inst.type);
       check_owned(rank, addr, addr + len, /*write=*/false);
       RtVal out{};
-      if (inst.type() == Type::F64) {
+      if (inst.type == Type::F64) {
         double d = 0;
         if (!mem_read(rank, addr, &d, len)) { crash(rank); return; }
         out.f = d;
@@ -537,19 +564,18 @@ void Machine::exec(int rank, const Instruction& inst) {
         std::int64_t raw = 0;
         if (!mem_read(rank, addr, &raw, len)) { crash(rank); return; }
         // Sign-extend by width.
-        if (inst.type() == Type::I32) raw = static_cast<std::int32_t>(raw);
-        if (inst.type() == Type::I1) raw &= 1;
+        if (inst.type == Type::I32) raw = static_cast<std::int32_t>(raw);
+        if (inst.type == Type::I1) raw &= 1;
         out.i = raw;
       }
-      set_reg(rank, &inst, out);
+      set(out);
       advance();
       return;
     }
     case Opcode::Store: {
-      const RtVal v = arg(rank, inst, 0);
-      const std::uint64_t addr =
-          static_cast<std::uint64_t>(arg(rank, inst, 1).i);
-      const Type t = inst.operand(0)->type();
+      const RtVal v = val(0);
+      const std::uint64_t addr = static_cast<std::uint64_t>(val(1).i);
+      const Type t = inst.op0_type;
       const std::size_t len = ir::type_size(t);
       check_owned(rank, addr, addr + len, /*write=*/true);
       bool ok;
@@ -563,13 +589,11 @@ void Machine::exec(int rank, const Instruction& inst) {
       return;
     }
     case Opcode::Gep: {
-      const std::uint64_t base =
-          static_cast<std::uint64_t>(arg(rank, inst, 0).i);
-      const std::int64_t idx = arg(rank, inst, 1).i;
+      const std::uint64_t base = static_cast<std::uint64_t>(val(0).i);
+      const std::int64_t idx = val(1).i;
       const std::int64_t off =
-          idx * static_cast<std::int64_t>(ir::type_size(inst.access_type()));
-      set_reg(rank, &inst,
-              RtVal{static_cast<std::int64_t>(base) + off, 0.0});
+          idx * static_cast<std::int64_t>(ir::type_size(inst.access_type));
+      set(RtVal{static_cast<std::int64_t>(base) + off, 0.0});
       advance();
       return;
     }
@@ -577,10 +601,10 @@ void Machine::exec(int rank, const Instruction& inst) {
     case Opcode::SDiv: case Opcode::SRem: case Opcode::And:
     case Opcode::Or: case Opcode::Xor: case Opcode::Shl:
     case Opcode::AShr: {
-      const std::int64_t a = arg(rank, inst, 0).i;
-      const std::int64_t b = arg(rank, inst, 1).i;
+      const std::int64_t a = val(0).i;
+      const std::int64_t b = val(1).i;
       std::int64_t out = 0;
-      switch (inst.opcode()) {
+      switch (inst.op) {
         case Opcode::Add: out = a + b; break;
         case Opcode::Sub: out = a - b; break;
         case Opcode::Mul: out = a * b; break;
@@ -607,32 +631,32 @@ void Machine::exec(int rank, const Instruction& inst) {
         case Opcode::AShr: out = (b >= 0 && b < 64) ? a >> b : 0; break;
         default: break;
       }
-      if (inst.type() == Type::I32) out = static_cast<std::int32_t>(out);
-      set_reg(rank, &inst, RtVal{out, 0.0});
+      if (inst.type == Type::I32) out = static_cast<std::int32_t>(out);
+      set(RtVal{out, 0.0});
       advance();
       return;
     }
     case Opcode::FAdd: case Opcode::FSub: case Opcode::FMul:
     case Opcode::FDiv: {
-      const double a = arg(rank, inst, 0).f;
-      const double b = arg(rank, inst, 1).f;
+      const double a = val(0).f;
+      const double b = val(1).f;
       double out = 0;
-      switch (inst.opcode()) {
+      switch (inst.op) {
         case Opcode::FAdd: out = a + b; break;
         case Opcode::FSub: out = a - b; break;
         case Opcode::FMul: out = a * b; break;
         case Opcode::FDiv: out = a / b; break;
         default: break;
       }
-      set_reg(rank, &inst, RtVal{0, out});
+      set(RtVal{0, out});
       advance();
       return;
     }
     case Opcode::ICmp: {
-      const std::int64_t a = arg(rank, inst, 0).i;
-      const std::int64_t b = arg(rank, inst, 1).i;
+      const std::int64_t a = val(0).i;
+      const std::int64_t b = val(1).i;
       bool out = false;
-      switch (inst.cmp_pred()) {
+      switch (inst.pred) {
         case ir::CmpPred::EQ: out = a == b; break;
         case ir::CmpPred::NE: out = a != b; break;
         case ir::CmpPred::SLT: out = a < b; break;
@@ -640,15 +664,15 @@ void Machine::exec(int rank, const Instruction& inst) {
         case ir::CmpPred::SGT: out = a > b; break;
         case ir::CmpPred::SGE: out = a >= b; break;
       }
-      set_reg(rank, &inst, RtVal{out ? 1 : 0, 0.0});
+      set(RtVal{out ? 1 : 0, 0.0});
       advance();
       return;
     }
     case Opcode::FCmp: {
-      const double a = arg(rank, inst, 0).f;
-      const double b = arg(rank, inst, 1).f;
+      const double a = val(0).f;
+      const double b = val(1).f;
       bool out = false;
-      switch (inst.cmp_pred()) {
+      switch (inst.pred) {
         case ir::CmpPred::EQ: out = a == b; break;
         case ir::CmpPred::NE: out = a != b; break;
         case ir::CmpPred::SLT: out = a < b; break;
@@ -656,58 +680,54 @@ void Machine::exec(int rank, const Instruction& inst) {
         case ir::CmpPred::SGT: out = a > b; break;
         case ir::CmpPred::SGE: out = a >= b; break;
       }
-      set_reg(rank, &inst, RtVal{out ? 1 : 0, 0.0});
+      set(RtVal{out ? 1 : 0, 0.0});
       advance();
       return;
     }
     case Opcode::Select: {
-      const bool c = arg(rank, inst, 0).i != 0;
-      set_reg(rank, &inst, arg(rank, inst, c ? 1 : 2));
+      const bool c = val(0).i != 0;
+      set(val(c ? 1 : 2));
       advance();
       return;
     }
     case Opcode::ZExt: case Opcode::SExt: case Opcode::Trunc: {
-      std::int64_t v = arg(rank, inst, 0).i;
-      if (inst.opcode() == Opcode::ZExt &&
-          inst.operand(0)->type() == Type::I1) {
-        v &= 1;
-      }
-      if (inst.type() == Type::I32) v = static_cast<std::int32_t>(v);
-      if (inst.type() == Type::I1) v &= 1;
-      set_reg(rank, &inst, RtVal{v, 0.0});
+      std::int64_t v = val(0).i;
+      if (inst.op == Opcode::ZExt && inst.op0_type == Type::I1) v &= 1;
+      if (inst.type == Type::I32) v = static_cast<std::int32_t>(v);
+      if (inst.type == Type::I1) v &= 1;
+      set(RtVal{v, 0.0});
       advance();
       return;
     }
     case Opcode::SIToFP: {
-      set_reg(rank, &inst,
-              RtVal{0, static_cast<double>(arg(rank, inst, 0).i)});
+      set(RtVal{0, static_cast<double>(val(0).i)});
       advance();
       return;
     }
     case Opcode::FPToSI: {
-      std::int64_t v = static_cast<std::int64_t>(arg(rank, inst, 0).f);
-      if (inst.type() == Type::I32) v = static_cast<std::int32_t>(v);
-      set_reg(rank, &inst, RtVal{v, 0.0});
+      std::int64_t v = static_cast<std::int64_t>(val(0).f);
+      if (inst.type == Type::I32) v = static_cast<std::int32_t>(v);
+      set(RtVal{v, 0.0});
       advance();
       return;
     }
     case Opcode::Phi:
       // Handled by enter_block; reaching one mid-block means entry=block
       // start (first block of a function) with no predecessor: zero.
-      set_reg(rank, &inst, RtVal{});
+      set(RtVal{});
       advance();
       return;
     case Opcode::Br:
-      enter_block(rank, inst.block_operand(0));
+      enter_block(rank, successor(inst, 0));
       return;
     case Opcode::CondBr: {
-      const bool c = arg(rank, inst, 0).i != 0;
-      enter_block(rank, inst.block_operand(c ? 0 : 1));
+      const bool c = val(0).i != 0;
+      enter_block(rank, successor(inst, c ? 0 : 1));
       return;
     }
     case Opcode::Ret: {
-      if (inst.num_operands() == 1) {
-        do_return(rank, arg(rank, inst, 0));
+      if (inst.num_operands == 1) {
+        do_return(rank, val(0));
       } else {
         do_return(rank, std::nullopt);
       }
@@ -720,61 +740,56 @@ void Machine::exec(int rank, const Instruction& inst) {
   MPIDETECT_UNREACHABLE("unhandled opcode in interpreter");
 }
 
-void Machine::exec_call(int rank, const Instruction& inst) {
+void Machine::exec_call(int rank, const DInst& inst) {
   RankState& r = ranks_[static_cast<std::size_t>(rank)];
   Frame& fr = r.cur().frames.back();
-  const Function* callee = inst.callee();
 
-  if (const auto f = mpi::classify_call(inst)) {
-    exec_mpi(rank, *f, inst);
-    return;
-  }
+  switch (inst.call) {
+    case CallKind::Mpi:
+      exec_mpi(rank, inst.mpi_func, inst);
+      return;
 
-  // ThreadBlock lowering: fork two thread contexts, join the caller.
-  if (callee->name() == "__mpidetect_thread_fork" &&
-      inst.num_operands() == 3 &&
-      inst.operand(0)->kind() == ValueKind::Function &&
-      inst.operand(1)->kind() == ValueKind::Function) {
-    const RtVal shared = eval(rank, inst.operand(2));
-    ++fr.inst;  // the parent resumes after the implicit join
-    const int parent_idx = r.active;
-    const int base = static_cast<int>(r.ctxs.size());
-    for (int t = 0; t < 2; ++t) {
-      const Function* tf =
-          static_cast<const Function*>(inst.operand(t));
-      ExecCtx child;
-      child.parent = parent_idx;
-      Frame cf;
-      cf.func = tf;
-      cf.block = tf->entry();
-      if (tf->num_args() >= 1) cf.regs[tf->arg(0)] = shared;
-      child.frames.push_back(std::move(cf));
-      r.ctxs.push_back(std::move(child));  // invalidates fr
+    case CallKind::Fork: {
+      // ThreadBlock lowering: fork two thread contexts, join the caller.
+      const RtVal shared = eval(fr, operand(inst, 2));
+      ++fr.inst;  // the parent resumes after the implicit join
+      const int parent_idx = r.active;
+      const int base = static_cast<int>(r.ctxs.size());
+      for (const DecodedFunction* tf : {inst.callee, inst.callee2}) {
+        ExecCtx child;
+        child.parent = parent_idx;
+        Frame cf = enter_function(*tf);
+        if (tf->ir->num_args() >= 1) cf.regs[0] = shared;
+        child.frames.push_back(std::move(cf));
+        r.ctxs.push_back(std::move(child));  // invalidates fr
+      }
+      ExecCtx& p = r.ctxs[static_cast<std::size_t>(parent_idx)];
+      p.join_children = {base, base + 1};
+      p.status = RankStatus::BlockedJoin;
+      return;
     }
-    ExecCtx& p = r.ctxs[static_cast<std::size_t>(parent_idx)];
-    p.join_children = {base, base + 1};
-    p.status = RankStatus::BlockedJoin;
-    return;
-  }
 
-  if (callee->is_declaration()) {
-    // Unknown extern (printf, compute kernels, ...): returns 0 / no-op.
-    if (inst.type() != Type::Void) set_reg(rank, &inst, RtVal{});
-    ++fr.inst;
-    return;
-  }
+    case CallKind::Extern:
+      // Unknown extern (printf, compute kernels, ...): returns 0 / no-op.
+      if (inst.type != Type::Void) fr.regs[inst.slot] = RtVal{};
+      ++fr.inst;
+      return;
 
-  // Defined function: push a frame.
-  Frame next;
-  next.func = callee;
-  next.block = callee->entry();
-  next.call_site = &inst;
-  for (std::size_t i = 0; i < callee->num_args(); ++i) {
-    next.regs[callee->arg(i)] = eval(rank, inst.operand(i));
+    case CallKind::Defined: {
+      // Arguments occupy the callee's first register slots.
+      Frame next = enter_function(*inst.callee);
+      next.call_site = &inst;
+      for (std::size_t i = 0; i < inst.callee->ir->num_args(); ++i) {
+        next.regs[i] = eval(fr, operand(inst, i));
+      }
+      ++fr.inst;  // resume after the call on return
+      r.cur().frames.push_back(std::move(next));
+      // Entry block may start with phis only in malformed IR; enter
+      // normally.
+      return;
+    }
   }
-  ++fr.inst;  // resume after the call on return
-  r.cur().frames.push_back(std::move(next));
-  // Entry block may start with phis only in malformed IR; enter normally.
+  MPIDETECT_UNREACHABLE("unhandled call kind in interpreter");
 }
 
 // ===========================================================================
@@ -850,7 +865,7 @@ void Machine::drop_owned(int rank, std::int64_t req) {
               owned.end());
 }
 
-void Machine::post_send(int rank, Func f, const Instruction& inst,
+void Machine::post_send(int rank, Func f, const DInst& inst,
                         std::int64_t request) {
   const std::uint64_t buf = static_cast<std::uint64_t>(arg(rank, inst, 0).i);
   const std::int64_t count = arg(rank, inst, 1).i;
@@ -890,11 +905,12 @@ void Machine::post_send(int rank, Func f, const Instruction& inst,
   s.builtin_dtype = mpi::builtin_datatype_size(dtype).has_value();
   s.elem_bytes = elem;
   s.count = count;
-  s.payload.resize(bytes);
+  // Resolve before sizing the payload: a count far past the arena is a
+  // fault, not a multi-gigabyte allocation.
   if (bytes > 0) {
     const std::uint8_t* p = resolve(buf, bytes, rank);
     if (p == nullptr) { crash(rank); return; }
-    std::memcpy(s.payload.data(), p, bytes);
+    s.payload.assign(p, p + bytes);
   }
   s.synchronous = (f == Func::Ssend) || bytes > cfg_.eager_threshold;
   s.request = request;
@@ -916,7 +932,7 @@ void Machine::post_send(int rank, Func f, const Instruction& inst,
   }
 }
 
-void Machine::post_recv(int rank, Func f, const Instruction& inst,
+void Machine::post_recv(int rank, Func f, const DInst& inst,
                         std::int64_t request) {
   (void)f;
   const std::uint64_t buf = static_cast<std::uint64_t>(arg(rank, inst, 0).i);
@@ -1159,7 +1175,7 @@ void Machine::try_finish_wait(int rank, int ctx) {
 // ===========================================================================
 
 bool Machine::parse_collective_args(int rank, Func f,
-                                    const Instruction& inst, CollArrival& a,
+                                    const DInst& inst, CollArrival& a,
                                     std::int32_t& comm) {
   a.func = f;
   comm = mpi::kCommWorld;
@@ -1281,7 +1297,7 @@ bool Machine::parse_collective_args(int rank, Func f,
   return true;
 }
 
-void Machine::arrive_collective(int rank, Func f, const Instruction& inst) {
+void Machine::arrive_collective(int rank, Func f, const DInst& inst) {
   CollArrival a;
   std::int32_t comm = mpi::kCommWorld;
   if (!parse_collective_args(rank, f, inst, a, comm)) return;
@@ -1642,7 +1658,7 @@ void Machine::complete_collective(
 // Nonblocking collectives
 // ===========================================================================
 
-void Machine::nbc_post(int rank, Func f, const Instruction& inst,
+void Machine::nbc_post(int rank, Func f, const DInst& inst,
                        std::int64_t handle) {
   CollArrival a;
   std::int32_t comm = mpi::kCommWorld;
@@ -1762,7 +1778,7 @@ void Machine::try_complete_nbc() {
 // Combined and probing point-to-point
 // ===========================================================================
 
-void Machine::exec_sendrecv(int rank, const Instruction& inst) {
+void Machine::exec_sendrecv(int rank, const DInst& inst) {
   const std::uint64_t sbuf =
       static_cast<std::uint64_t>(arg(rank, inst, 0).i);
   const std::int64_t scount = arg(rank, inst, 1).i;
@@ -1823,11 +1839,10 @@ void Machine::exec_sendrecv(int rank, const Instruction& inst) {
     s.builtin_dtype = mpi::builtin_datatype_size(sdtype).has_value();
     s.elem_bytes = selem;
     s.count = scount;
-    s.payload.resize(bytes);
     if (bytes > 0) {
       const std::uint8_t* p = resolve(sbuf, bytes, rank);
       if (p == nullptr) { crash(rank); return; }
-      std::memcpy(s.payload.data(), p, bytes);
+      s.payload.assign(p, p + bytes);
     }
     // MPI_Sendrecv is deadlock-free: the send half buffers as if eager,
     // regardless of size — the caller only blocks on the receive half.
@@ -1939,13 +1954,13 @@ void Machine::leak_check() {
 // MPI call dispatch
 // ===========================================================================
 
-void Machine::exec_mpi(int rank, Func f, const Instruction& inst) {
+void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
   RankState& r = ranks_[static_cast<std::size_t>(rank)];
   ExecCtx& ctx = r.cur();
   Frame& fr = ctx.frames.back();
   const auto done = [&](std::int32_t rc = mpi::kSuccess) {
-    if (inst.type() != Type::Void) {
-      set_reg(rank, &inst, RtVal{rc, 0.0});
+    if (inst.type != Type::Void) {
+      set_reg(rank, inst, RtVal{rc, 0.0});
     }
     ++fr.inst;
   };
@@ -2108,10 +2123,11 @@ void Machine::exec_mpi(int rank, Func f, const Instruction& inst) {
         s.builtin_dtype = mpi::builtin_datatype_size(rq.dtype).has_value();
         s.elem_bytes = elem;
         s.count = rq.count;
-        s.payload.resize(bytes);
         if (bytes > 0) {
+          // An unreadable buffer crashes the rank, as in MPI_Send.
           const std::uint8_t* p = resolve(rq.buffer, bytes, rank);
-          if (p != nullptr) std::memcpy(s.payload.data(), p, bytes);
+          if (p == nullptr) { crash(rank); return; }
+          s.payload.assign(p, p + bytes);
         }
         s.synchronous = bytes > cfg_.eager_threshold;
         s.request = handle;
@@ -2701,19 +2717,15 @@ void Machine::exec_mpi(int rank, Func f, const Instruction& inst) {
 // ===========================================================================
 
 bool Machine::run_setup() {
-  const Function* main_fn = module_.find_function("main");
-  if (main_fn == nullptr || main_fn->is_declaration()) {
+  if (prog_.main == nullptr) {
     rep_.outcome = Outcome::Crashed;
     rep_.findings.push_back(
         Finding{FindingKind::MemoryFault, -1, "no main function"});
     return false;
   }
   for (int rk = 0; rk < cfg_.nprocs; ++rk) {
-    Frame fr;
-    fr.func = main_fn;
-    fr.block = main_fn->entry();
     ranks_[static_cast<std::size_t>(rk)].ctxs[0].frames.push_back(
-        std::move(fr));
+        enter_function(*prog_.main));
   }
   return true;
 }
@@ -2794,19 +2806,18 @@ void Machine::run_random() {
     // which matching happens — not just the rank order — vary by seed.
     // Schedulable unit = (rank, context): thread contexts compete for
     // slices exactly like ranks do, so seeds explore interleavings.
-    std::vector<std::pair<int, int>> runnable;
-    runnable.reserve(static_cast<std::size_t>(cfg_.nprocs));
+    runnable_.clear();
     for (int rk = 0; rk < cfg_.nprocs; ++rk) {
       const RankState& r = ranks_[static_cast<std::size_t>(rk)];
       for (std::size_t ci = 0; ci < r.ctxs.size(); ++ci) {
         if (r.ctxs[ci].status == RankStatus::Runnable) {
-          runnable.emplace_back(rk, static_cast<int>(ci));
+          runnable_.emplace_back(rk, static_cast<int>(ci));
         }
       }
     }
     bool executed = false;
-    if (!runnable.empty()) {
-      const auto [rk, ci] = runnable[rng_.index(runnable.size())];
+    if (!runnable_.empty()) {
+      const auto [rk, ci] = runnable_[rng_.index(runnable_.size())];
       const bool burst = rng_.chance(cfg_.schedule.burst_chance);
       const std::int64_t slice =
           burst ? std::numeric_limits<std::int64_t>::max()
@@ -2854,10 +2865,19 @@ std::string_view sched_policy_name(SchedPolicy p) {
   MPIDETECT_UNREACHABLE("bad SchedPolicy");
 }
 
+namespace detail {
+
+RunReport run(const DecodedModule& d, const MachineConfig& config) {
+  MPIDETECT_EXPECTS(config.nprocs >= 1);
+  Machine machine(d, config);
+  return machine.run();
+}
+
+}  // namespace detail
+
 RunReport run(const ir::Module& m, const MachineConfig& config) {
   MPIDETECT_EXPECTS(config.nprocs >= 1);
-  Machine machine(m, config);
-  return machine.run();
+  return detail::run(*detail::decode(m), config);
 }
 
 }  // namespace mpidetect::mpisim

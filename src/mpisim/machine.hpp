@@ -76,7 +76,8 @@ struct MachineConfig {
   /// MPI_Send buffers messages of at most this many bytes (eager
   /// protocol); larger sends rendezvous (block until matched).
   std::size_t eager_threshold = 4096;
-  /// Per-rank heap arena size in bytes.
+  /// Per-rank heap arena limit in bytes; backing memory grows on demand
+  /// (untouched memory inside the limit reads as zero).
   std::size_t arena_bytes = 1 << 20;
   /// Instructions a rank executes per scheduling slice (the Random
   /// policy's upper slice bound).

@@ -3,6 +3,7 @@
 #include <set>
 #include <sstream>
 
+#include "mpisim/decoded.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -23,6 +24,8 @@ ScheduleSweepReport sweep_schedules(const ir::Module& m,
   ScheduleSweepReport sweep;
   sweep.schedules = opts.schedules;
   std::set<std::uint64_t> digests;
+  // Every schedule runs the same module: decode it once.
+  const auto decoded = detail::decode(m);
 
   for (int k = 0; k < opts.schedules; ++k) {
     MachineConfig cfg = base;
@@ -33,7 +36,7 @@ ScheduleSweepReport sweep_schedules(const ir::Module& m,
       cfg.schedule.seed =
           schedule_seed_for(opts.seed, opts.include_round_robin ? k : k + 1);
     }
-    RunReport rep = run(m, cfg);
+    RunReport rep = detail::run(*decoded, cfg);
 
     ++sweep.outcome_counts[static_cast<std::size_t>(rep.outcome)];
     digests.insert(rep.match_digest());

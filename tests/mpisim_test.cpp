@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ir/builder.hpp"
 #include "mpi/api.hpp"
 #include "mpisim/machine.hpp"
 #include "progmodel/ast.hpp"
@@ -702,6 +703,216 @@ TEST(Sim, ManyRanksCompleteRing) {
   const auto rep = run_program(p, 6);
   EXPECT_EQ(rep.outcome, Outcome::Completed) << rep.summary();
   EXPECT_TRUE(rep.findings.empty()) << rep.summary();
+}
+
+// ----------------------------------------------------------------- arena
+
+/// Builds `main` directly in IR so a test controls every arena offset.
+/// A rank's first allocation starts at offset 8 (0..7 stay reserved).
+class IrMain {
+ public:
+  IrMain() : m_("arena"), b_(m_) {
+    ir::Function* f = m_.create_function("main", ir::Type::I32, {});
+    b_.set_insert_point(f->create_block("entry"));
+  }
+
+  ir::IRBuilder& b() { return b_; }
+  ir::Value* i32(std::int64_t v) { return m_.get_i32(v); }
+  ir::Value* i64(std::int64_t v) { return m_.get_i64(v); }
+  ir::Value* at(ir::Value* buf, std::int64_t idx) {
+    return b_.gep(ir::Type::I32, buf, i64(idx));
+  }
+  ir::Value* load(ir::Value* ptr) { return b_.load(ir::Type::I32, ptr); }
+  void mpi(Func f, std::vector<ir::Value*> args) {
+    b_.call(mpi::declare(m_, f), std::move(args));
+  }
+  /// Divides by zero (a MemoryFault that crashes the rank) unless `v`
+  /// equals `expected`, so a clean report proves the value.
+  void expect_eq(ir::Value* v, std::int64_t expected) {
+    ir::Value* same = b_.icmp(ir::CmpPred::EQ, v, i32(expected));
+    b_.sdiv(i32(1), b_.cast(ir::Opcode::ZExt, same, ir::Type::I32));
+  }
+
+  RunReport run(int nprocs, std::size_t arena_bytes = 1 << 20) {
+    b_.ret(i32(0));
+    MachineConfig cfg;
+    cfg.nprocs = nprocs;
+    cfg.arena_bytes = arena_bytes;
+    return mpisim::run(m_, cfg);
+  }
+
+ private:
+  ir::Module m_;
+  ir::IRBuilder b_;
+};
+
+bool has_message(const RunReport& rep, FindingKind kind,
+                 const std::string& msg) {
+  for (const Finding& f : rep.findings) {
+    if (f.kind == kind && f.message == msg) return true;
+  }
+  return false;
+}
+
+TEST(Arena, AllocationEndingAtTheLimitSucceeds) {
+  IrMain p;
+  ir::Value* buf = p.b().alloca_(ir::Type::I1, 4096 - 8);
+  ir::Value* last = p.at(buf, (4096 - 8) / 4 - 1);  // bytes 4092..4095
+  p.b().store(p.i32(7), last);
+  p.expect_eq(p.load(last), 7);
+  const RunReport rep = p.run(1, 4096);
+  EXPECT_EQ(rep.outcome, Outcome::Completed) << rep.summary();
+  EXPECT_TRUE(rep.findings.empty()) << rep.summary();
+}
+
+TEST(Arena, OneByteMoreIsArenaExhausted) {
+  IrMain p;
+  p.b().alloca_(ir::Type::I1, 4096 - 8 + 1);
+  const RunReport rep = p.run(1, 4096);
+  EXPECT_EQ(rep.outcome, Outcome::Crashed) << rep.summary();
+  EXPECT_TRUE(has_message(rep, FindingKind::MemoryFault, "arena exhausted"))
+      << rep.summary();
+}
+
+TEST(Arena, AccessEndingPastTheLimitIsOutOfBounds) {
+  IrMain p;
+  ir::Value* buf = p.b().alloca_(ir::Type::I1, 4096 - 8);
+  ir::Value* last = p.at(buf, (4096 - 8) / 4 - 1);
+  p.expect_eq(p.load(last), 0);         // ends exactly at the limit
+  p.b().load(ir::Type::I64, last);      // ends 4 bytes past it
+  const RunReport rep = p.run(1, 4096);
+  EXPECT_EQ(rep.outcome, Outcome::Crashed) << rep.summary();
+  ASSERT_EQ(rep.findings.size(), 1u) << rep.summary();
+  EXPECT_TRUE(
+      has_message(rep, FindingKind::MemoryFault, "out-of-bounds access"))
+      << rep.summary();
+}
+
+TEST(Arena, UnwrittenMemoryReadsZeroAndStoresReadBack) {
+  IrMain p;
+  ir::Value* buf = p.b().alloca_(ir::Type::I32, 200'000);
+  p.expect_eq(p.load(p.at(buf, 199'999)), 0);
+  p.b().store(p.i32(42), p.at(buf, 199'999));
+  p.expect_eq(p.load(p.at(buf, 199'999)), 42);
+  p.expect_eq(p.load(p.at(buf, 100'000)), 0);
+  p.expect_eq(p.load(p.at(buf, 0)), 0);
+  const RunReport rep = p.run(1);
+  EXPECT_EQ(rep.outcome, Outcome::Completed) << rep.summary();
+  EXPECT_TRUE(rep.findings.empty()) << rep.summary();
+}
+
+// One rank puts from its low buffer into its own untouched window, then
+// gets the window back into a buffer above it: each copy's destination
+// lies past everything the rank has touched when the source is resolved.
+TEST(Arena, SameRankPutAndGetCopyPastTheHighWaterMark) {
+  IrMain p;
+  const std::int32_t win_bytes = 1000 * 4;
+  ir::Value* origin = p.b().alloca_(ir::Type::I32, 4);
+  ir::Value* window = p.b().alloca_(ir::Type::I32, 1000);
+  ir::Value* back = p.b().alloca_(ir::Type::I32, 1000);
+  ir::Value* win_slot = p.b().alloca_(ir::Type::I32, 1);
+  p.mpi(Func::Init, {});
+  p.b().store(p.i32(11), p.at(origin, 0));
+  p.b().store(p.i32(14), p.at(origin, 3));
+  p.mpi(Func::WinCreate,
+        {window, p.i64(win_bytes), p.i32(4), p.i32(kW), win_slot});
+  ir::Value* win = p.load(win_slot);
+  p.mpi(Func::WinFence, {p.i32(0), win});
+  p.mpi(Func::Put, {origin, p.i32(4), p.i32(kInt), p.i32(0), p.i64(996),
+                    p.i32(4), p.i32(kInt), win});
+  p.mpi(Func::Get, {p.at(back, 996), p.i32(4), p.i32(kInt), p.i32(0),
+                    p.i64(996), p.i32(4), p.i32(kInt), win});
+  p.mpi(Func::WinFence, {p.i32(0), win});
+  p.expect_eq(p.load(p.at(window, 996)), 11);
+  p.expect_eq(p.load(p.at(window, 999)), 14);
+  p.expect_eq(p.load(p.at(back, 996)), 11);
+  p.expect_eq(p.load(p.at(back, 999)), 14);
+  p.expect_eq(p.load(p.at(back, 0)), 0);
+  p.mpi(Func::WinFree, {win_slot});
+  p.mpi(Func::Finalize, {});
+  const RunReport rep = p.run(1);
+  EXPECT_EQ(rep.outcome, Outcome::Completed) << rep.summary();
+  EXPECT_TRUE(rep.findings.empty()) << rep.summary();
+}
+
+// The Bcast lands in rank 1's untouched buffer; the one-rank Allgather
+// copies between two buffers of the same arena, the destination above
+// everything written so far.
+TEST(Arena, CollectivesCopyPastTheHighWaterMark) {
+  IrMain p;
+  ir::Value* rank_slot = p.b().alloca_(ir::Type::I32, 1);
+  ir::Value* scratch = p.b().alloca_(ir::Type::I32, 1);
+  ir::Value* buf = p.b().alloca_(ir::Type::I32, 1000);
+  p.mpi(Func::Init, {});
+  p.mpi(Func::CommRank, {p.i32(kW), rank_slot});
+  ir::Value* is_root =
+      p.b().icmp(ir::CmpPred::EQ, p.load(rank_slot), p.i32(0));
+  // Only the root writes its buffer; rank 1 writes a scratch word.
+  p.b().store(p.i32(77), p.b().select(is_root, p.at(buf, 999), scratch));
+  p.mpi(Func::Bcast,
+        {p.at(buf, 999), p.i32(1), p.i32(kInt), p.i32(0), p.i32(kW)});
+  p.expect_eq(p.load(p.at(buf, 999)), 77);
+  p.expect_eq(p.load(p.at(buf, 998)), 0);
+  p.mpi(Func::Finalize, {});
+  const RunReport bcast = p.run(2);
+  EXPECT_EQ(bcast.outcome, Outcome::Completed) << bcast.summary();
+  EXPECT_TRUE(bcast.findings.empty()) << bcast.summary();
+
+  IrMain q;
+  ir::Value* send = q.b().alloca_(ir::Type::I32, 1);
+  ir::Value* recv = q.b().alloca_(ir::Type::I32, 1000);
+  q.mpi(Func::Init, {});
+  q.b().store(q.i32(55), send);
+  q.mpi(Func::Allgather, {send, q.i32(1), q.i32(kInt), q.at(recv, 999),
+                          q.i32(1), q.i32(kInt), q.i32(kW)});
+  q.expect_eq(q.load(q.at(recv, 999)), 55);
+  q.mpi(Func::Finalize, {});
+  const RunReport gather = q.run(1);
+  EXPECT_EQ(gather.outcome, Outcome::Completed) << gather.summary();
+  EXPECT_TRUE(gather.findings.empty()) << gather.summary();
+}
+
+// A send of 2^31-1 doubles from a 4-double buffer reads ~16 GiB past the
+// arena. Every send path must report the fault before sizing a payload.
+TEST(Sim, SendLargerThanArenaIsMemoryFault) {
+  constexpr std::int64_t kHuge = 2147483647;
+  std::vector<Stmt> sends;
+  sends.push_back(S::mpi(Func::Send, {A::buf("buf"), A::val(kHuge),
+                                      A::val(kDouble), A::val(0), A::val(0),
+                                      A::val(kW)}));
+  sends.push_back(S::mpi(
+      Func::Sendrecv,
+      {A::buf("buf"), A::val(kHuge), A::val(kDouble), A::val(0), A::val(0),
+       A::buf("buf"), A::val(4), A::val(kDouble), A::val(0), A::val(0),
+       A::val(kW), A::null()}));
+  for (Stmt& send : sends) {
+    Program p;
+    p.main_body = preamble();
+    p.main_body.push_back(S::decl_buf("buf", ir::Type::F64, E::lit(4)));
+    p.main_body.push_back(std::move(send));
+    p.main_body.push_back(S::mpi(Func::Finalize, {}));
+    const auto rep = run_program(p, 1);
+    EXPECT_EQ(rep.outcome, Outcome::Crashed) << rep.summary();
+    EXPECT_TRUE(
+        has_message(rep, FindingKind::MemoryFault, "out-of-bounds access"))
+        << rep.summary();
+  }
+
+  Program p;
+  p.main_body = preamble();
+  p.main_body.push_back(S::decl_buf("buf", ir::Type::F64, E::lit(4)));
+  p.main_body.push_back(S::decl_handle("req", HandleKind::Request));
+  p.main_body.push_back(S::mpi(Func::SendInit,
+                               {A::buf("buf"), A::val(kHuge),
+                                A::val(kDouble), A::val(0), A::val(0),
+                                A::val(kW), A::addr("req")}));
+  p.main_body.push_back(S::mpi(Func::Start, {A::addr("req")}));
+  p.main_body.push_back(S::mpi(Func::Finalize, {}));
+  const auto rep = run_program(p, 1);
+  EXPECT_EQ(rep.outcome, Outcome::Crashed) << rep.summary();
+  EXPECT_TRUE(
+      has_message(rep, FindingKind::MemoryFault, "out-of-bounds access"))
+      << rep.summary();
 }
 
 }  // namespace

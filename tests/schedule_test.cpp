@@ -5,11 +5,15 @@
 
 #include <set>
 
+#include "datasets/mbi.hpp"
+#include "datasets/spec.hpp"
 #include "mpi/api.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/sweep.hpp"
 #include "progmodel/ast.hpp"
+#include "passes/pipelines.hpp"
 #include "progmodel/lower.hpp"
+#include "support/check.hpp"
 
 namespace mpidetect::mpisim {
 namespace {
@@ -276,6 +280,92 @@ TEST(MaxSteps, DeadlockIsNeverReportedAsTimeout) {
     cfg.schedule.seed = 11;
     EXPECT_EQ(run(*m, cfg).outcome, Outcome::Deadlock) << budget;
   }
+}
+
+// ------------------------------------------------- frozen report digest
+
+/// FNV-1a over every observable field of a report: outcome, findings,
+/// step count, schedule seed, matching digest and the summary text.
+struct ReportHasher {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+  void report(const RunReport& r) {
+    u64(static_cast<std::uint64_t>(r.outcome));
+    u64(r.findings.size());
+    for (const Finding& f : r.findings) {
+      u64(static_cast<std::uint64_t>(f.kind));
+      u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(f.rank)));
+      str(f.message);
+    }
+    u64(r.steps);
+    u64(r.schedule_seed);
+    u64(r.match_digest());
+    str(r.summary());
+  }
+};
+
+/// Sweeps every case of `ds` (8 schedules each) and folds all reports
+/// into `hash`. Cases that fail to lower are skipped, as the dynamic
+/// tools report them as compile errors without simulating.
+void hash_sweeps(const datasets::Dataset& ds, passes::OptLevel opt,
+                 const MachineConfig& base, ReportHasher& hash) {
+  for (const datasets::Case& c : ds.cases) {
+    std::unique_ptr<ir::Module> m;
+    try {
+      m = progmodel::lower(c.program);
+    } catch (const ContractViolation&) {
+      continue;
+    }
+    passes::run_pipeline(*m, opt);
+    MachineConfig cfg = base;
+    cfg.nprocs = c.program.nprocs;
+    const ScheduleSweepReport sweep = sweep_schedules(*m, cfg, {});
+    for (const RunReport& r : sweep.reports) hash.report(r);
+    hash.str(sweep.summary());
+  }
+}
+
+// Frozen wall for the interpreter: every report of 8-schedule sweeps
+// over MBI and CorrBench slices must hash to the value recorded before
+// the simulator's arenas and register file were reworked. It pins step
+// counts and the Timeout/Deadlock/Crashed boundaries, not only verdicts.
+TEST(FrozenDigest, SweptReportsMatchRecordedDigest) {
+  const datasets::Dataset mbi = datasets::make_dataset("mbi:0.1");
+  const datasets::Dataset corr = datasets::make_dataset("corr:0.25");
+  datasets::MbiConfig wide_cfg;
+  wide_cfg.scale = 0.05;
+  wide_cfg.widened = true;
+  const datasets::Dataset wide = datasets::generate_mbi(wide_cfg);
+
+  MachineConfig must;  // the MUST-lite budget
+  must.max_steps = 100'000;
+  MachineConfig itac;  // the ITAC-lite budget: many runs time out
+  itac.max_steps = 3'000;
+  MachineConfig tiny = must;  // allocations near the arena limit
+  tiny.arena_bytes = 256;
+
+  ReportHasher hash;
+  for (const passes::OptLevel opt : passes::kAllOptLevels) {
+    hash_sweeps(mbi, opt, must, hash);
+  }
+  hash_sweeps(mbi, passes::OptLevel::O0, itac, hash);
+  hash_sweeps(mbi, passes::OptLevel::O0, tiny, hash);
+  hash_sweeps(corr, passes::OptLevel::O0, must, hash);
+  hash_sweeps(corr, passes::OptLevel::O2, itac, hash);
+  hash_sweeps(wide, passes::OptLevel::O0, must, hash);
+  hash_sweeps(wide, passes::OptLevel::O2, must, hash);
+  EXPECT_EQ(hash.h, 0xa2a19c378c71578dULL);
 }
 
 }  // namespace
