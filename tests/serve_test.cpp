@@ -247,6 +247,64 @@ std::string le64(std::uint64_t v) {
 
 std::string wire_str(const std::string& s) { return le64(s.size()) + s; }
 
+std::string le32(std::uint32_t v) {
+  std::string s(4, '\0');
+  for (int i = 0; i < 4; ++i) s[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return s;
+}
+
+/// Builds the exact wire-version-3 payload of a frame by hand (magic,
+/// version, type, little-endian fields) — frozen independently of the
+/// encoder, so an accidental change to the encoding cannot hide behind a
+/// matching change to the decoder.
+std::string golden(std::uint8_t type, const std::string& body) {
+  static_assert(serve::kWireVersion == 3, "re-freeze the golden bytes");
+  return "MGWP" + le32(3) + static_cast<char>(type) + body;
+}
+
+TEST(WireTest, EncodingIsByteIdenticalToGolden) {
+  const auto encoded = [](const serve::Frame& f) {
+    const std::string bytes = serve::encode_frame(f);
+    EXPECT_EQ(bytes.substr(0, 4), le32(static_cast<std::uint32_t>(
+                                      bytes.size() - 4)));  // length prefix
+    return bytes.substr(4);
+  };
+  // HELLO: str client.
+  EXPECT_EQ(encoded(serve::Hello{"cli"}), golden(1, wire_str("cli")));
+  // SUBMIT: id, detector, dataset, index, u32 deadline_ms.
+  serve::Submit sub{42, "gnn", "mbi:0.05@7", 17};
+  sub.deadline_ms = 250;
+  EXPECT_EQ(encoded(sub), golden(3, le64(42) + wire_str("gnn") +
+                                        wire_str("mbi:0.05@7") + le64(17) +
+                                        le32(250)));
+  // STATS: the 17 counters in declaration order, then the op rows.
+  serve::Stats s;
+  s.received = 1;
+  s.served = 2;
+  s.busy_rejected = 3;
+  s.request_errors = 4;
+  s.protocol_errors = 5;
+  s.batches = 6;
+  s.max_coalesced = 7;
+  s.max_queue_depth = 8;
+  s.datasets_materialized = 9;
+  s.cache_disk_hits = 10;
+  s.cache_disk_writes = 11;
+  s.deadline_sheds = 12;
+  s.io_timeouts = 13;
+  s.reaped_connections = 14;
+  s.retries = 15;
+  s.watchdog_trips = 16;
+  s.faults_fired = 17;
+  s.op_counters = {serve::OpCounter{"matmul", 18, 19, 20}};
+  std::string body;
+  for (std::uint64_t v = 1; v <= 17; ++v) body += le64(v);
+  body += le64(1) + wire_str("matmul") + le64(18) + le64(19) + le64(20);
+  EXPECT_EQ(encoded(s), golden(8, body));
+  // EXPIRED: request id.
+  EXPECT_EQ(encoded(serve::Expired{13}), golden(11, le64(13)));
+}
+
 TEST(WireVersionTest, V1EncodingIsByteIdenticalToGolden) {
   // HELLO: str client.
   EXPECT_EQ(serve::encode_frame(serve::Hello{"cli"}, 1).substr(4),
