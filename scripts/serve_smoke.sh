@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end serving smoke (CI job serve-smoke; also runnable locally):
-# train a bundle, boot mpiguardd, hit it with concurrent clients and a
-# malformed-frame injection, and prove the daemon answers everything,
+# train a bundle, boot mpiguardd, hit it with concurrent clients,
+# malformed frames and an old-version HELLO, and prove the daemon answers everything,
 # survives the damage, and drains cleanly on SHUTDOWN. Then run the
 # throughput bench in --quick mode and schema-check both its artifact
 # and the committed BENCH_serve.json record.
@@ -86,14 +86,29 @@ s.sendall(struct.pack("<I", 0xFFFFFFFF))
 reply = s.recv(65536)
 assert reply, "daemon closed without an ERROR frame"
 s.close()
-print("malformed frames rejected with ERROR frames")
+
+# A well-formed HELLO from a version-1 client gets one ERROR frame at
+# the daemon's own version (serve::kWireVersion), then EOF.
+WIRE_VERSION = 3
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+hello = b"MGWP" + struct.pack("<IBQ", 1, 1, 0)  # version 1, HELLO, str ""
+s.sendall(struct.pack("<I", len(hello)) + hello)
+reply = b""
+while chunk := s.recv(65536):
+    reply += chunk
+s.close()
+(length,) = struct.unpack_from("<I", reply)
+assert len(reply) == 4 + length, "expected exactly one frame, then EOF"
+assert reply[4:13] == b"MGWP" + struct.pack("<IB", WIRE_VERSION, 6), reply
+print("malformed frames and an old-version HELLO rejected with ERROR frames")
 EOF
 
 echo "== daemon is still serving after the damage"
 "$BUILD/mpiguard-client" --socket "$SOCK" --dataset mbi:0.05@7 \
   --index 0 --quiet
 "$BUILD/mpiguard-client" --socket "$SOCK" --stats | tee "$WORK/stats.out"
-grep -q "protocol errors 2" "$WORK/stats.out"
+grep -q "protocol errors 3" "$WORK/stats.out"
 
 echo "== graceful drain via wire SHUTDOWN"
 "$BUILD/mpiguard-client" --socket "$SOCK" --shutdown --quiet

@@ -150,7 +150,6 @@ const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::Scalar: return "scalar";
     case Isa::Avx2: return "avx2";
-    case Isa::Neon: return "neon";
   }
   MPIDETECT_UNREACHABLE("bad Isa");
 }

@@ -2,9 +2,9 @@
 // and the autograd gather/scatter ops: the matmul micro-kernel's tile
 // shape, the baseline switch that routes Matrix::matmul through the
 // seed's naive triple loop for before/after measurements
-// (bench/perf_gnn), the runtime SIMD dispatch table (AVX2 / NEON inner
-// kernels with a scalar fallback), and the per-op profiling counters
-// surfaced by `mpiguard bench --json` and the daemon's STATS frame.
+// (bench/perf_gnn), the runtime SIMD dispatch table (AVX2 inner kernels
+// with a scalar fallback), and the per-op profiling counters surfaced by
+// `mpiguard bench --json` and the daemon's STATS frame.
 //
 // Every kernel runs on the thread that calls it. Parallelism lives one
 // level up — CV folds and cases on EvalEngine's pool, encoding on a
@@ -42,7 +42,7 @@ inline constexpr std::size_t kNr = 8;
 /// The instruction-set target a kernel call runs on. Detected once per
 /// process; Scalar is always available and is what every other target
 /// is tested against for bit-identity.
-enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
+enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1 };
 
 const char* isa_name(Isa isa);
 
@@ -128,8 +128,8 @@ const KernelFns& fns_for(Isa isa);
 
 namespace detail {
 /// The best SIMD table this build carries for the running CPU (AVX2 on
-/// x86-64 with CPU support, NEON on aarch64), or nullptr when only the
-/// scalar path is available. Implemented in kernels_simd.cpp.
+/// x86-64 with CPU support), or nullptr when only the scalar path is
+/// available. Implemented in kernels_simd.cpp.
 const KernelFns* simd_table(Isa* isa);
 /// The table for one specific SIMD target, or nullptr when this
 /// build/CPU cannot run it (fns_for's lookup).

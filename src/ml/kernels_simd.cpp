@@ -19,18 +19,13 @@
 // callers may hand arbitrarily offset row slices (docs/PERFORMANCE.md,
 // "Alignment").
 //
-// NEON (aarch64): float64x2_t covers axpy1 and add1. The other slots
-// reuse the scalar reference kernels: gather-heavy lane packing does not
-// pay at 2-wide, and the scalar gemm_tile / adam_row are plain loops
-// over independent outputs that GCC auto-vectorizes for AdvSIMD.
+// Every other target, aarch64 included, runs the scalar reference table.
 #include "ml/kernels.hpp"
 
 #include <cmath>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#include <arm_neon.h>
 #endif
 
 namespace mpidetect::ml::kernels::detail {
@@ -237,51 +232,6 @@ const KernelFns* simd_table(Isa* isa) {
 const KernelFns* simd_table_for(Isa isa) {
   if (isa == Isa::Avx2 && __builtin_cpu_supports("avx2")) return &kAvx2Fns;
   return nullptr;
-}
-
-#elif defined(__aarch64__)
-
-namespace {
-
-void axpy1_neon(double* o, const double* b, double a, std::size_t n) {
-  const float64x2_t va = vdupq_n_f64(a);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    vst1q_f64(o + j,
-              vaddq_f64(vld1q_f64(o + j), vmulq_f64(va, vld1q_f64(b + j))));
-  }
-  for (; j < n; ++j) o[j] += a * b[j];
-}
-
-void add1_neon(double* o, const double* b, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    vst1q_f64(o + j, vaddq_f64(vld1q_f64(o + j), vld1q_f64(b + j)));
-  }
-  for (; j < n; ++j) o[j] += b[j];
-}
-
-/// The scalar table with the two slots NEON vectorizes by hand.
-const KernelFns& neon_fns() {
-  static const KernelFns t = [] {
-    KernelFns f = kScalarFns;
-    f.axpy1 = axpy1_neon;
-    f.add1 = add1_neon;
-    return f;
-  }();
-  return t;
-}
-
-}  // namespace
-
-const KernelFns* simd_table(Isa* isa) {
-  // AdvSIMD is architecturally mandatory on aarch64.
-  *isa = Isa::Neon;
-  return &neon_fns();
-}
-
-const KernelFns* simd_table_for(Isa isa) {
-  return isa == Isa::Neon ? &neon_fns() : nullptr;
 }
 
 #else

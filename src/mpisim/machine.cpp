@@ -274,8 +274,12 @@ class Machine {
   // --- memory --------------------------------------------------------------
   std::uint64_t alloc(int rank, std::size_t bytes) {
     RankState& r = ranks_[static_cast<std::size_t>(rank)];
-    const std::size_t aligned = (bytes + 7) & ~std::size_t{7};
-    if (r.bump + aligned > cfg_.arena_bytes) {
+    // Rounded up to 8 bytes and compared against the room left, so
+    // neither the rounding nor the new bump can wrap.
+    constexpr std::size_t kMaxBytes = std::numeric_limits<std::size_t>::max();
+    const std::size_t aligned =
+        (std::min(bytes, kMaxBytes - 7) + 7) & ~std::size_t{7};
+    if (r.bump > cfg_.arena_bytes || aligned > cfg_.arena_bytes - r.bump) {
       report(FindingKind::MemoryFault, rank, "arena exhausted");
       crash(rank);
       return 0;
@@ -541,10 +545,14 @@ void Machine::exec(int rank, const DInst& inst) {
 
   switch (inst.op) {
     case Opcode::Alloca: {
-      const std::int64_t count = val(0).i;
+      const auto count =
+          static_cast<std::size_t>(std::max<std::int64_t>(val(0).i, 0));
+      const std::size_t elem = ir::type_size(inst.access_type);
+      // A byte size that overflows size_t fits no arena: saturate it.
       const std::size_t bytes =
-          static_cast<std::size_t>(std::max<std::int64_t>(count, 0)) *
-          ir::type_size(inst.access_type);
+          count > std::numeric_limits<std::size_t>::max() / elem
+              ? std::numeric_limits<std::size_t>::max()
+              : count * elem;
       const std::uint64_t addr = alloc(rank, std::max<std::size_t>(bytes, 1));
       if (r.cur().status == RankStatus::Crashed) return;
       set(RtVal{static_cast<std::int64_t>(addr), 0.0});

@@ -38,9 +38,6 @@ struct Server::ConnectionCtx {
   std::mutex write_mu;
   bool dead = false;
   std::size_t in_flight = 0;
-  /// Wire version of the frame currently being handled (connection
-  /// thread only); replies from *_impl handlers speak it back.
-  std::uint32_t frame_version = kWireVersion;
   /// Request ids this connection was told BUSY for, bounded ring
   /// (connection thread only). A resubmit of one counts as a retry.
   std::vector<std::uint64_t> busy_ids;
@@ -155,9 +152,8 @@ Stats Server::snapshot_stats() const {
   s.retries = retries_.load();
   s.watchdog_trips = watchdog_trips_.load();
   s.faults_fired = fault::Registry::global().fired_total();
-  // v3+ kernel profiling rows: process-lifetime totals, one row per op
-  // class even when calls == 0 so clients see a stable table. A v1/v2
-  // peer never receives these (write_body drops them by version).
+  // Kernel profiling rows: process-lifetime totals, one row per op
+  // class even when calls == 0 so clients see a stable table.
   const auto ops = ml::kernels::op_counters();
   s.op_counters.reserve(ml::kernels::kNumOps);
   for (std::size_t i = 0; i < ml::kernels::kNumOps; ++i) {
@@ -180,12 +176,11 @@ void Server::bump_max(std::atomic<std::uint64_t>& target,
   }
 }
 
-void Server::send(ConnectionCtx& conn, const Frame& f,
-                  std::uint32_t version) {
+void Server::send(ConnectionCtx& conn, const Frame& f) {
   std::lock_guard<std::mutex> lk(conn.write_mu);
   if (conn.dead) return;
   try {
-    write_frame(conn.t, f, version);
+    write_frame(conn.t, f);
   } catch (const TransportTimeout&) {
     // The peer stopped draining its socket; a reply deadline fired so
     // the worker is NOT wedged behind this connection. Latch it dead —
@@ -233,7 +228,7 @@ void Server::hello_impl(ConnectionCtx& conn, const Hello&) {
   caps.queue_capacity = static_cast<std::uint32_t>(opts_.queue_capacity);
   caps.max_batch = static_cast<std::uint32_t>(opts_.max_batch);
   caps.detectors = detector_keys();
-  send(conn, caps, conn.frame_version);
+  send(conn, caps);
 }
 
 void Server::submit_impl(ConnectionCtx& conn, const Submit& f) {
@@ -260,8 +255,7 @@ void Server::submit_impl(ConnectionCtx& conn, const Submit& f) {
       request_errors_.fetch_add(1, std::memory_order_relaxed);
       send(conn,
            Error{f.request_id, "unknown detector '" + f.detector +
-                                   "' (not among the loaded bundles)"},
-           conn.frame_version);
+                                   "' (not among the loaded bundles)"});
       return;
     }
     model = static_cast<std::uint32_t>(it - models_.begin());
@@ -272,7 +266,7 @@ void Server::submit_impl(ConnectionCtx& conn, const Submit& f) {
     ds = dataset_for(f.dataset);
   } catch (const datasets::SpecError& e) {
     request_errors_.fetch_add(1, std::memory_order_relaxed);
-    send(conn, Error{f.request_id, e.what()}, conn.frame_version);
+    send(conn, Error{f.request_id, e.what()});
     return;
   }
   if (f.index >= ds->size()) {
@@ -280,8 +274,7 @@ void Server::submit_impl(ConnectionCtx& conn, const Submit& f) {
     send(conn,
          Error{f.request_id, "case index " + std::to_string(f.index) +
                                  " out of range for '" + f.dataset + "' (" +
-                                 std::to_string(ds->size()) + " cases)"},
-         conn.frame_version);
+                                 std::to_string(ds->size()) + " cases)"});
     return;
   }
 
@@ -294,7 +287,7 @@ void Server::submit_impl(ConnectionCtx& conn, const Submit& f) {
         conn.busy_ids.erase(conn.busy_ids.begin());
       }
       conn.busy_ids.push_back(f.request_id);
-      send(conn, Busy{f.request_id}, conn.frame_version);
+      send(conn, Busy{f.request_id});
       return;
     }
     const std::uint32_t idx = free_.back();
@@ -305,7 +298,6 @@ void Server::submit_impl(ConnectionCtx& conn, const Submit& f) {
     s.ds = ds;
     s.index = static_cast<std::size_t>(f.index);
     s.conn = &conn;
-    s.wire_version = conn.frame_version;
     // The deadline clock starts at admission: time spent queued counts
     // against the client's budget, which is what makes shedding honest.
     s.deadline = f.deadline_ms > 0
@@ -323,12 +315,12 @@ void Server::submit_impl(ConnectionCtx& conn, const Submit& f) {
 }
 
 void Server::stats_impl(ConnectionCtx& conn, const StatsReq&) {
-  send(conn, snapshot_stats(), conn.frame_version);
+  send(conn, snapshot_stats());
 }
 
 void Server::shutdown_impl(ConnectionCtx& conn) {
   drain();  // every admitted request is answered before the BYE
-  send(conn, Bye{}, conn.frame_version);
+  send(conn, Bye{});
   stop();
 }
 
@@ -381,7 +373,7 @@ void Server::worker_loop() {
     if (!shed.empty()) {
       for (const Slot& s : shed) {
         deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-        send(*s.conn, Expired{s.request_id}, s.wire_version);
+        send(*s.conn, Expired{s.request_id});
       }
       {
         std::lock_guard<std::mutex> lk(flight_mu_);
@@ -462,7 +454,7 @@ void Server::run_batch(const std::vector<Slot>& batch) {
     // Count before sending: a stats probe racing the reply must never
     // observe a verdict the counters do not yet admit to.
     served_.fetch_add(1, std::memory_order_relaxed);
-    send(*s.conn, v, s.wire_version);
+    send(*s.conn, v);
   };
 
   try {
@@ -503,8 +495,7 @@ void Server::run_batch(const std::vector<Slot>& batch) {
         request_errors_.fetch_add(1, std::memory_order_relaxed);
         send(*s.conn,
              Error{s.request_id,
-                   std::string("detector failure: ") + e.what()},
-             s.wire_version);
+                   std::string("detector failure: ") + e.what()});
       }
     }
   }
@@ -558,9 +549,8 @@ void Server::serve_connection(Transport& t, const std::string& peer) {
 
   while (true) {
     std::optional<Frame> frame;
-    std::uint32_t version = kWireVersion;
     try {
-      frame = read_frame(t, peer, deadlines, &version);
+      frame = read_frame(t, peer, deadlines);
     } catch (const TransportTimeout&) {
       // Idle past the reaper deadline, or trickling a frame slower than
       // the io deadline (slow loris): reap the connection. Any admitted
@@ -576,9 +566,7 @@ void Server::serve_connection(Transport& t, const std::string& peer) {
       // half-close delivers the queued ERROR and then EOF, whoever
       // owns the transport.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      // Spoken at the last version this peer demonstrably parses (the
-      // corrupt frame's own version may not have survived decoding).
-      send(ctx, Error{0, e.what()}, ctx.frame_version);
+      send(ctx, Error{0, e.what()});
       t.shutdown();
       break;
     } catch (const TransportError&) {
@@ -586,7 +574,6 @@ void Server::serve_connection(Transport& t, const std::string& peer) {
     }
     if (!frame) break;  // clean EOF
 
-    ctx.frame_version = version;  // replies speak the sender's version
     const FrameType type = frame_type(*frame);
     if (type == FrameType::Hello) {
       hello_impl(ctx, std::get<Hello>(*frame));
@@ -603,8 +590,7 @@ void Server::serve_connection(Transport& t, const std::string& peer) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       send(ctx,
            Error{0, "unexpected " + std::string(frame_type_name(type)) +
-                        " frame from a client"},
-           ctx.frame_version);
+                        " frame from a client"});
     }
   }
 

@@ -25,8 +25,8 @@
 // stale verdict); a detector exception degrades to per-request
 // singleton retries so one poisonous case cannot take its batchmates
 // down; a watchdog thread counts (never kills) batches that outlive
-// their budget. All of it is observable through six v2 STATS counters
-// and drivable through support/faultpoint.hpp.
+// their budget. All of it is observable through the STATS counters and
+// drivable through support/faultpoint.hpp.
 #pragma once
 
 #include <atomic>
@@ -134,8 +134,6 @@ class Server {
     const datasets::Dataset* ds = nullptr;
     std::size_t index = 0;
     ConnectionCtx* conn = nullptr;
-    /// Version the SUBMIT arrived in; its reply goes out the same way.
-    std::uint32_t wire_version = kWireVersion;
     /// Absolute shed deadline (epoch default = none). Computed once at
     /// admission so queue time counts against the client's budget.
     std::chrono::steady_clock::time_point deadline{};
@@ -167,11 +165,10 @@ class Server {
   /// worker is idle.
   void drain();
 
-  /// Serializes + writes (at the slot's negotiated wire version) under
-  /// the connection's write lock; a dead or timed-out peer marks the
-  /// connection instead of throwing into the caller.
-  void send(ConnectionCtx& conn, const Frame& f,
-            std::uint32_t version = kWireVersion);
+  /// Serializes + writes under the connection's write lock; a dead or
+  /// timed-out peer marks the connection instead of throwing into the
+  /// caller.
+  void send(ConnectionCtx& conn, const Frame& f);
 
   /// Resolves a dataset spec to a warm corpus (generating + counting it
   /// on first use). Throws datasets::SpecError on bad specs or corpora

@@ -486,8 +486,8 @@ std::uint64_t double_bits(double x) {
 /// The targets worth comparing on this machine: scalar plus whatever
 /// fns_for resolves the others to (unsupported targets fall back to the
 /// scalar table, which makes the comparison trivially true, not wrong).
-const std::array<kernels::Isa, 3> kAllTargets = {
-    kernels::Isa::Scalar, kernels::Isa::Avx2, kernels::Isa::Neon};
+const std::array<kernels::Isa, 2> kAllTargets = {
+    kernels::Isa::Scalar, kernels::Isa::Avx2};
 
 /// Fills `n` doubles with a mix of ordinary, denormal, tiny and huge
 /// magnitudes — the inputs where a reassociated or FMA-contracted

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ir/builder.hpp"
 #include "mpi/api.hpp"
 #include "mpisim/machine.hpp"
@@ -772,6 +774,23 @@ TEST(Arena, OneByteMoreIsArenaExhausted) {
   EXPECT_EQ(rep.outcome, Outcome::Crashed) << rep.summary();
   EXPECT_TRUE(has_message(rep, FindingKind::MemoryFault, "arena exhausted"))
       << rep.summary();
+}
+
+TEST(Arena, AllocationSizeThatOverflowsIsArenaExhausted) {
+  // count * element size wraps size_t: 2^62 * 4 is 2^64, and
+  // (SIZE_MAX / 2) * 8 wraps to SIZE_MAX - 7, which the 8-byte rounding
+  // would wrap again.
+  const std::pair<ir::Type, std::int64_t> huge[] = {
+      {ir::Type::I32, std::int64_t{1} << 62},
+      {ir::Type::I64, static_cast<std::int64_t>(SIZE_MAX / 2)}};
+  for (const auto& [type, count] : huge) {
+    IrMain p;
+    p.b().alloca_(type, count);
+    const RunReport rep = p.run(1, 4096);
+    EXPECT_EQ(rep.outcome, Outcome::Crashed) << rep.summary();
+    EXPECT_TRUE(has_message(rep, FindingKind::MemoryFault, "arena exhausted"))
+        << rep.summary();
+  }
 }
 
 TEST(Arena, AccessEndingPastTheLimitIsOutOfBounds) {

@@ -1,6 +1,6 @@
 // Serving subsystem tests: every wire frame must round-trip
 // bit-exactly, every flavour of byte damage (truncation, corruption,
-// future versions, trailing bytes, implausible length prefixes) must be
+// wrong versions, trailing bytes, implausible length prefixes) must be
 // rejected with io::FormatError — never a crash — and the Server must
 // hold its acceptance contract end to end over real socketpairs:
 // concurrent clients served from warm bundles, coalesced batches,
@@ -225,19 +225,7 @@ TEST(WireTest, EveryFrameRoundTrips) {
   }
 }
 
-// ---- protocol versioning ----------------------------------------------------
-
-/// Builds the exact v1 bytes of a frame by hand (magic, version, type,
-/// little-endian fields) — frozen independently of the encoder, so an
-/// accidental change to the v1 encoding cannot hide behind a matching
-/// change to the decoder.
-std::string v1_golden(std::uint8_t type, const std::string& body) {
-  std::string p = "MGWP";
-  p += std::string("\x01\x00\x00\x00", 4);  // u32 version = 1
-  p += static_cast<char>(type);
-  p += body;
-  return p;
-}
+// ---- golden bytes -----------------------------------------------------------
 
 std::string le64(std::uint64_t v) {
   std::string s(8, '\0');
@@ -305,56 +293,7 @@ TEST(WireTest, EncodingIsByteIdenticalToGolden) {
   EXPECT_EQ(encoded(serve::Expired{13}), golden(11, le64(13)));
 }
 
-TEST(WireVersionTest, V1EncodingIsByteIdenticalToGolden) {
-  // HELLO: str client.
-  EXPECT_EQ(serve::encode_frame(serve::Hello{"cli"}, 1).substr(4),
-            v1_golden(1, wire_str("cli")));
-  // SUBMIT at v1 has NO deadline field.
-  EXPECT_EQ(
-      serve::encode_frame(serve::Submit{42, "gnn", "mbi", 17}, 1).substr(4),
-      v1_golden(3, le64(42) + wire_str("gnn") + wire_str("mbi") + le64(17)));
-  // STATS at v1 is exactly the 11 original counters.
-  serve::Stats s;
-  s.received = 1;
-  s.served = 2;
-  s.busy_rejected = 3;
-  s.request_errors = 4;
-  s.protocol_errors = 5;
-  s.batches = 6;
-  s.max_coalesced = 7;
-  s.max_queue_depth = 8;
-  s.datasets_materialized = 9;
-  s.cache_disk_hits = 10;
-  s.cache_disk_writes = 11;
-  s.deadline_sheds = 99;  // v2-only: must NOT appear in the v1 bytes
-  std::string body;
-  for (std::uint64_t v = 1; v <= 11; ++v) body += le64(v);
-  EXPECT_EQ(serve::encode_frame(s, 1).substr(4), v1_golden(8, body));
-}
-
-TEST(WireVersionTest, V1FramesDecodeAndReportTheirVersion) {
-  const std::string payload =
-      v1_golden(3, le64(7) + wire_str("") + wire_str("mbi:0.02@7") + le64(3));
-  std::uint32_t version = 0;
-  const auto f = serve::decode_payload(payload, "test", &version);
-  EXPECT_EQ(version, 1u);
-  const auto& sub = std::get<serve::Submit>(f);
-  EXPECT_EQ(sub.request_id, 7u);
-  EXPECT_EQ(sub.deadline_ms, 0u);  // the field does not exist at v1
-}
-
-TEST(WireVersionTest, V2OnlyContentRefusesV1Encoding) {
-  EXPECT_THROW((void)serve::encode_frame(serve::Expired{1}, 1),
-               ContractViolation);
-  serve::Submit s{1, "gnn", "mbi", 0};
-  s.deadline_ms = 5;
-  EXPECT_THROW((void)serve::encode_frame(s, 1), ContractViolation);
-}
-
-TEST(WireVersionTest, ExpiredFrameSmuggledIntoV1Rejected) {
-  const std::string payload = v1_golden(11, le64(13));
-  EXPECT_THROW((void)serve::decode_payload(payload, "test"), io::FormatError);
-}
+// ---- byte damage ------------------------------------------------------------
 
 TEST(WireTest, TruncationAtEveryLengthRejected) {
   for (const auto& f : every_frame()) {
@@ -392,15 +331,21 @@ TEST(WireTest, CorruptionOfEveryByteNeverCrashes) {
   }
 }
 
-TEST(WireTest, FutureVersionRejected) {
-  std::string payload = payload_of(serve::Submit{1, "gnn", "mbi", 0});
-  // The u32 version sits right after the 4-byte magic.
-  payload[4] = static_cast<char>(serve::kWireVersion + 1);
-  try {
-    serve::decode_payload(payload, "test");
-    FAIL() << "expected FormatError";
-  } catch (const io::FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+TEST(WireTest, EveryOtherVersionRejected) {
+  const std::string good = payload_of(serve::Submit{1, "gnn", "mbi", 0});
+  for (const std::uint32_t version : {0u, 1u, 2u, serve::kWireVersion + 1}) {
+    // The u32 version sits right after the 4-byte magic.
+    const std::string payload =
+        good.substr(0, 4) + le32(version) + good.substr(8);
+    try {
+      serve::decode_payload(payload, "test");
+      ADD_FAILURE() << "version " << version << " decoded";
+    } catch (const io::FormatError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
@@ -786,37 +731,46 @@ TEST(ServerTest, RejectsDuplicateBundleKeysAtStartup) {
   EXPECT_THROW(serve::Server{opts}, ContractViolation);
 }
 
-// ---- robustness: versioned conversations ------------------------------------
+// ---- robustness: one wire version -------------------------------------------
 
-TEST(ServerTest, V1ClientIsAnsweredInV1Bytes) {
+TEST(ServerTest, OldVersionHelloGetsOneErrorAndTheConnectionCloses) {
   serve::Server server(server_options());
   server.start();
+  {
+    Conn conn(server);
+    // A well-formed HELLO from a version-1 client.
+    const std::string hello = "MGWP" + le32(1) + '\x01' + wire_str("");
+    const std::string framed = le32(static_cast<std::uint32_t>(hello.size())) +
+                               hello;
+    conn.client->write_all(framed.data(), framed.size());
+
+    // Exactly one ERROR frame comes back, spoken at this build's version...
+    char prefix[4];
+    ASSERT_TRUE(conn.client->read_exact(prefix, 4));
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<std::uint32_t>(static_cast<unsigned char>(prefix[i]))
+             << (8 * i);
+    }
+    std::string payload(len, '\0');
+    ASSERT_TRUE(conn.client->read_exact(payload.data(), payload.size()));
+    EXPECT_EQ(payload.substr(0, 9),
+              "MGWP" + le32(serve::kWireVersion) + '\x06');
+    const auto err =
+        std::get<serve::Error>(serve::decode_payload(payload, "server"));
+    EXPECT_EQ(err.request_id, 0u);
+    EXPECT_NE(err.message.find("version 1"), std::string::npos)
+        << err.message;
+    // ...and then the server closes the connection.
+    EXPECT_EQ(serve::read_frame(*conn.client, "server"), std::nullopt);
+    conn.close();
+  }
+  EXPECT_EQ(server.snapshot_stats().protocol_errors, 1u);
+
+  // A fresh connection at the current version is served normally.
   Conn conn(server);
-
-  // Every frame this "old" client sends is v1; every reply must come
-  // back v1 too (an old binary rejects versions above its own).
-  serve::write_frame(*conn.client, serve::Hello{"v1-client"}, 1);
-  std::uint32_t version = 0;
-  auto f = serve::read_frame(*conn.client, "server", {}, &version);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(version, 1u);
-  EXPECT_TRUE(std::holds_alternative<serve::Caps>(*f));
-
-  serve::write_frame(*conn.client, serve::Submit{1, "gnn", kSpec, 0}, 1);
-  f = serve::read_frame(*conn.client, "server", {}, &version);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(version, 1u);
-  EXPECT_TRUE(std::holds_alternative<serve::WireVerdict>(*f));
-
-  serve::write_frame(*conn.client, serve::StatsReq{}, 1);
-  f = serve::read_frame(*conn.client, "server", {}, &version);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(version, 1u);
-  const auto& stats = std::get<serve::Stats>(*f);
-  EXPECT_EQ(stats.served, 1u);
-  // The v1 encoding cannot carry the robustness counters; they decode
-  // as their zero defaults.
-  EXPECT_EQ(stats.deadline_sheds, 0u);
+  serve::write_frame(*conn.client, serve::Submit{1, "ir2vec", kSpec, 2});
+  EXPECT_EQ(std::get<serve::WireVerdict>(conn.read()).request_id, 1u);
   conn.close();
   server.stop();
 }

@@ -9,9 +9,9 @@
 // Resilience (docs/SERVING.md, "Failure model"): BUSY rejections and
 // failed connects retry under bounded exponential backoff with jitter
 // (serve/backoff.hpp); --deadline-ms attaches a shed deadline to each
-// request (v2 wire); --reconnect N survives a dropped connection by
-// reconnecting and resubmitting everything unanswered — sound because
-// requests are idempotent (a verdict is a pure function of spec+index).
+// request; --reconnect N survives a dropped connection by reconnecting
+// and resubmitting everything unanswered — sound because requests are
+// idempotent (a verdict is a pure function of spec+index).
 #include <chrono>
 #include <iostream>
 #include <map>
