@@ -172,17 +172,17 @@ void Ir2vecDetector::use_cache(const std::shared_ptr<EncodingCache>& cache) {
   }
 }
 
-const FeatureSet& Ir2vecDetector::features(const datasets::Dataset& ds,
-                                           unsigned threads) {
+const FeatureEntry& Ir2vecDetector::entry(const datasets::Dataset& ds,
+                                          unsigned threads) {
   if (const auto it = bound_.find(&ds); it != bound_.end()) return *it->second;
-  return cfg_.cache->features(ds, cfg_.feature_opt, cfg_.normalization,
-                              cfg_.vocab_seed, threads);
+  return cfg_.cache->feature_entry(ds, cfg_.feature_opt, cfg_.normalization,
+                                   cfg_.vocab_seed, threads);
 }
 
 void Ir2vecDetector::prepare(const datasets::Dataset& ds, unsigned threads) {
-  bound_[&ds] = &cfg_.cache->features(ds, cfg_.feature_opt,
-                                      cfg_.normalization, cfg_.vocab_seed,
-                                      threads);
+  bound_[&ds] = &cfg_.cache->feature_entry(ds, cfg_.feature_opt,
+                                           cfg_.normalization,
+                                           cfg_.vocab_seed, threads);
 }
 
 void Ir2vecDetector::discard(const datasets::Dataset& ds) {
@@ -195,7 +195,7 @@ void Ir2vecDetector::fit(const datasets::Dataset& ds,
                          std::span<const std::size_t> y, const FitSpec& spec) {
   MPIDETECT_EXPECTS(train_idx.size() == y.size());
   prepare(ds, spec.threads);
-  train(bound_.at(&ds)->X, train_idx, y, spec);
+  train(bound_.at(&ds)->columns, train_idx, y, spec);
 }
 
 void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
@@ -229,10 +229,11 @@ void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
   }
   std::vector<std::size_t> rows(X.size());
   std::iota(rows.begin(), rows.end(), 0);
-  train(X, rows, y, spec);
+  const ml::SortedColumns table(X);
+  train(table, rows, y, spec);
 }
 
-void Ir2vecDetector::train(const std::vector<std::vector<double>>& X,
+void Ir2vecDetector::train(const ml::SortedColumns& table,
                            std::span<const std::size_t> rows,
                            std::span<const std::size_t> y,
                            const FitSpec& spec) {
@@ -242,7 +243,7 @@ void Ir2vecDetector::train(const std::vector<std::vector<double>>& X,
     o.threads = spec.threads;
     o.ga.threads = spec.threads;
   }
-  model_ = train_ir2vec(X, rows, y, o);
+  model_ = train_ir2vec(table, rows, y, o);
   multiclass_ = spec.multiclass;
 }
 
@@ -251,7 +252,7 @@ Verdict Ir2vecDetector::evaluate(const datasets::Dataset& ds,
   if (!model_.has_value()) {
     throw ContractViolation("Ir2vecDetector: fit() before evaluate()/run()");
   }
-  const FeatureSet& fs = features(ds, 0);
+  const FeatureSet& fs = entry(ds, 0).set;
   const std::size_t pred = model_->predict(fs.X[idx]);
   Verdict v;
   if (multiclass_) {

@@ -293,11 +293,11 @@ class Ir2vecDetector final : public Detector {
   const DetectorConfig& config() const { return cfg_; }
 
  private:
-  const FeatureSet& features(const datasets::Dataset& ds, unsigned threads);
+  const FeatureEntry& entry(const datasets::Dataset& ds, unsigned threads);
   /// Shared tail of fit() and fit_stream(): the spec's seed and thread
-  /// options, then the tree (GA-selected when enabled) on the rows
-  /// X[rows[i]] labelled y[i].
-  void train(const std::vector<std::vector<double>>& X,
+  /// options, then the tree (GA-selected when enabled) on the table rows
+  /// `rows` labelled y[i].
+  void train(const ml::SortedColumns& table,
              std::span<const std::size_t> rows,
              std::span<const std::size_t> y, const FitSpec& spec);
 
@@ -310,7 +310,9 @@ class Ir2vecDetector final : public Detector {
   /// discard(), use_cache() and load_state(); a binding lives until one
   /// of the last three drops it, so a caller destroying a prepared
   /// dataset must discard() it first.
-  std::map<const datasets::Dataset*, const FeatureSet*> bound_;
+  /// A binding carries the set's sorted-column table, which every fold
+  /// and GA fitness fit over the set shares.
+  std::map<const datasets::Dataset*, const FeatureEntry*> bound_;
 };
 
 /// The GNN's probabilities-to-verdict mapping, shared by the per-case

@@ -56,7 +56,8 @@ void Detector::save_state(io::Writer& w) const {
 }
 
 void Detector::load_state(io::Reader& r) {
-  io::read_section(r, "STL0", kStatelessVersion, "stateless detector state");
+  io::read_section(r, "STL0", 1, kStatelessVersion,
+                   "stateless detector state");
 }
 
 // ---- Ir2vecDetector ---------------------------------------------------------
@@ -77,7 +78,8 @@ void Ir2vecDetector::save_state(io::Writer& w) const {
 }
 
 void Ir2vecDetector::load_state(io::Reader& r) {
-  io::read_section(r, "IR2V", kIr2vecStateVersion, "IR2vec detector state");
+  io::read_section(r, "IR2V", 1, kIr2vecStateVersion,
+                   "IR2vec detector state");
   cfg_.feature_opt = read_opt_level(r);
   cfg_.normalization = read_normalization(r);
   cfg_.vocab_seed = io::load_vocabulary(r).seed();
@@ -112,7 +114,8 @@ void GnnDetector::save_state(io::Writer& w) const {
 }
 
 void GnnDetector::load_state(io::Reader& r) {
-  io::read_section(r, "GNND", kGnnStateVersion, "GNN detector state");
+  io::read_section(r, "GNND", 1, kGnnStateVersion,
+                   "GNN detector state");
   cfg_.graph_opt = read_opt_level(r);
   cfg_.gnn.folds = static_cast<int>(r.i64());
   cfg_.gnn.seed = r.u64();
@@ -143,7 +146,8 @@ std::unique_ptr<Detector> DetectorRegistry::load_bundle(
     const std::string& path, const DetectorConfig& cfg) const {
   std::unique_ptr<Detector> det;
   io::load_file(path, [&](io::Reader& r) {
-    io::read_section(r, "MPGD", kBundleVersion, "mpidetect model bundle");
+    io::read_section(r, "MPGD", 1, kBundleVersion,
+                     "mpidetect model bundle");
     const std::string key = r.str(256);
     const std::string display = r.str(256);
     const std::uint8_t kind = r.u8();

@@ -177,6 +177,14 @@ const FeatureSet& EncodingCache::features(const datasets::Dataset& ds,
                                           ir2vec::Normalization norm,
                                           std::uint64_t vocab_seed,
                                           unsigned threads) {
+  return feature_entry(ds, opt, norm, vocab_seed, threads).set;
+}
+
+const FeatureEntry& EncodingCache::feature_entry(const datasets::Dataset& ds,
+                                                 passes::OptLevel opt,
+                                                 ir2vec::Normalization norm,
+                                                 std::uint64_t vocab_seed,
+                                                 unsigned threads) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   const Key key = feature_key(ds, opt, norm, vocab_seed);
   std::lock_guard<std::mutex> lock(mu_);
@@ -184,24 +192,24 @@ const FeatureSet& EncodingCache::features(const datasets::Dataset& ds,
   if (it == features_.end()) {
     const io::EncodingKey skey =
         spill_key(key.fingerprint, key.size, key.opt, key.norm, key.seed);
-    std::unique_ptr<FeatureSet> fs;
+    std::unique_ptr<FeatureEntry> fs;
     if (!spill_dir_.empty()) {
       const auto path =
           std::filesystem::path(spill_dir_) / io::feature_file_name(skey);
       if (auto loaded =
               try_load_spill<FeatureSet, io::load_feature_set>(path, skey)) {
-        fs = std::make_unique<FeatureSet>(std::move(*loaded));
+        fs = std::make_unique<FeatureEntry>(std::move(*loaded));
         disk_hits_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (!fs) {
-      fs = std::make_unique<FeatureSet>(
+      fs = std::make_unique<FeatureEntry>(
           extract_features(ds, opt, norm, vocab_seed, threads));
       if (!spill_dir_.empty()) {
         const auto path =
             std::filesystem::path(spill_dir_) / io::feature_file_name(skey);
         if (try_save_spill<FeatureSet, io::save_feature_set>(path, skey,
-                                                             *fs)) {
+                                                             fs->set)) {
           disk_writes_.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -253,7 +261,7 @@ void EncodingCache::put_features(const datasets::Dataset& ds,
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] =
       features_.emplace(feature_key(ds, opt, norm, vocab_seed),
-                        std::make_unique<FeatureSet>(std::move(fs)));
+                        std::make_unique<FeatureEntry>(std::move(fs)));
   if (!inserted) {
     throw ContractViolation("EncodingCache::put_features: slot occupied for "
                             "dataset '" + ds.name + "'");

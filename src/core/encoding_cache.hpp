@@ -11,8 +11,20 @@
 #include <mutex>
 
 #include "core/features.hpp"
+#include "ml/decision_tree.hpp"
 
 namespace mpidetect::core {
+
+/// A cached IR2vec feature matrix and the sorted-column table that every
+/// decision-tree fit over it filters (ml::SortedColumns). The table is
+/// sorted by the first fit that needs it, outside the cache lock; a
+/// detector that only prepares and evaluates (mpiguardd) never pays for
+/// it. It is freed with the set.
+struct FeatureEntry {
+  explicit FeatureEntry(FeatureSet fs) : set(std::move(fs)), columns(set.X) {}
+  FeatureSet set;
+  ml::SortedColumns columns;
+};
 
 /// Thread-safe memo of extract_features / extract_graphs results, keyed
 /// by dataset content and extraction configuration. Returned references
@@ -31,6 +43,13 @@ class EncodingCache {
   const FeatureSet& features(const datasets::Dataset& ds,
                              passes::OptLevel opt, ir2vec::Normalization norm,
                              std::uint64_t vocab_seed, unsigned threads = 0);
+  /// The same resolution (one lookup), returning the matrix together
+  /// with its shared sorted-column table.
+  const FeatureEntry& feature_entry(const datasets::Dataset& ds,
+                                    passes::OptLevel opt,
+                                    ir2vec::Normalization norm,
+                                    std::uint64_t vocab_seed,
+                                    unsigned threads = 0);
 
   /// Returns the ProGraML graph set of `ds`, computing it on first use.
   const GraphSet& graphs(const datasets::Dataset& ds, passes::OptLevel opt,
@@ -46,10 +65,11 @@ class EncodingCache {
                     ir2vec::Normalization norm, std::uint64_t vocab_seed,
                     FeatureSet fs);
 
-  /// Drops every encoding held for `ds` (all options/normalizations).
-  /// References previously returned for `ds` become dangling; callers
-  /// own the discipline (Detector::discard is the only engine-side
-  /// user, on ad-hoc run() batches and streamed windows).
+  /// Drops every encoding held for `ds` (all options/normalizations),
+  /// with the feature sets' sorted-column tables. References previously
+  /// returned for `ds` become dangling; callers own the discipline
+  /// (Detector::discard is the only engine-side user, on ad-hoc run()
+  /// batches and streamed windows).
   void erase(const datasets::Dataset& ds);
 
   /// Number of distinct encodings held (introspection for tests).
@@ -101,7 +121,7 @@ class EncodingCache {
   /// — only an explicit erase() invalidates them, and the serving path
   /// never calls it. Counters are relaxed atomics, outside the lock.
   mutable std::mutex mu_;
-  std::map<Key, std::unique_ptr<FeatureSet>> features_;
+  std::map<Key, std::unique_ptr<FeatureEntry>> features_;
   std::map<Key, std::unique_ptr<GraphSet>> graphs_;
   std::string spill_dir_;
   std::atomic<std::size_t> disk_hits_{0};

@@ -28,12 +28,11 @@ ml::GaConfig fitness_ga_config(const Ir2vecOptions& opts) {
   return ga;
 }
 
-std::vector<std::size_t> run_ga(const std::vector<std::vector<double>>& X,
+std::vector<std::size_t> run_ga(const ml::SortedColumns& table,
                                 std::span<const std::size_t> rows,
                                 std::span<const std::size_t> y,
                                 const Ir2vecOptions& opts) {
   MPIDETECT_EXPECTS(!rows.empty());
-  const std::size_t dim = X[rows.front()].size();
   // 5-fold-ish split of the training set for fitness evaluation.
   const auto folds = ml::stratified_kfold({y.begin(), y.end()}, 5,
                                           opts.seed ^ 0xfeedu);
@@ -44,19 +43,22 @@ std::vector<std::size_t> run_ga(const std::vector<std::vector<double>>& X,
   const auto rv = pick(rows, val_idx);
   const auto yv = pick(y, val_idx);
 
+  // Every fitness fit filters its candidate features out of the shared
+  // table; the first ones to arrive sort it together.
   const auto fitness = [&](const std::vector<std::size_t>& features) {
     ml::DecisionTreeConfig cfg;
     cfg.feature_subset = features;
     ml::DecisionTree dt(cfg);
-    dt.fit(X, rt, yt);
+    dt.fit(table, rt, yt);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < rv.size(); ++i) {
-      correct += (dt.predict(X[rv[i]]) == yv[i]);
+      correct +=
+          (dt.predict(table.matrix()[table.x_row(rv[i])]) == yv[i]);
     }
     return static_cast<double>(correct) /
            static_cast<double>(std::max<std::size_t>(rv.size(), 1));
   };
-  return ml::select_features(dim, fitness, fitness_ga_config(opts))
+  return ml::select_features(table.width(), fitness, fitness_ga_config(opts))
       .best_features;
 }
 
@@ -78,14 +80,24 @@ TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
                            std::span<const std::size_t> rows,
                            std::span<const std::size_t> y,
                            const Ir2vecOptions& opts) {
+  const ml::SortedColumns table(X, {rows.begin(), rows.end()});
+  std::vector<std::size_t> own(rows.size());
+  std::iota(own.begin(), own.end(), 0);
+  return train_ir2vec(table, own, y, opts);
+}
+
+TrainedIr2vec train_ir2vec(const ml::SortedColumns& table,
+                           std::span<const std::size_t> rows,
+                           std::span<const std::size_t> y,
+                           const Ir2vecOptions& opts) {
   TrainedIr2vec model;
   ml::DecisionTreeConfig cfg;
   if (opts.use_ga) {
-    model.selected_features = run_ga(X, rows, y, opts);
+    model.selected_features = run_ga(table, rows, y, opts);
     cfg.feature_subset = model.selected_features;
   }
   model.tree = ml::DecisionTree(cfg);
-  model.tree.fit(X, rows, y);
+  model.tree.fit(table, rows, y);
   return model;
 }
 

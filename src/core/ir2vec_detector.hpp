@@ -34,8 +34,15 @@ struct TrainedIr2vec {
 TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
                            const std::vector<std::size_t>& y,
                            const Ir2vecOptions& opts);
-/// The same on the rows X[rows[i]] labelled y[i], read in place.
+/// The same on the rows X[rows[i]] labelled y[i], read in place through
+/// a sorted-column table of those rows that this call builds.
 TrainedIr2vec train_ir2vec(const std::vector<std::vector<double>>& X,
+                           std::span<const std::size_t> rows,
+                           std::span<const std::size_t> y,
+                           const Ir2vecOptions& opts);
+/// The same on the table rows `rows` labelled y[i]: the final fit and
+/// every GA fitness fit filter the shared table instead of sorting.
+TrainedIr2vec train_ir2vec(const ml::SortedColumns& table,
                            std::span<const std::size_t> rows,
                            std::span<const std::size_t> y,
                            const Ir2vecOptions& opts);

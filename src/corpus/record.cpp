@@ -207,7 +207,7 @@ void write_case(io::Writer& w, const datasets::Case& c) {
 
 datasets::Case read_case(io::Reader& r) {
   const std::uint32_t version =
-      io::read_section(r, kMagic, kVersion, "corpus case record");
+      io::read_section(r, kMagic, 1, kVersion, "corpus case record");
   datasets::Case c;
   c.name = r.str();
   const std::uint8_t suite = r.u8();

@@ -98,7 +98,7 @@ void save_feature_set(Writer& w, const EncodingKey& key,
 }
 
 core::FeatureSet load_feature_set(Reader& r, const EncodingKey& expected) {
-  read_section(r, "ENCF", kEncodingVersion, "feature encoding");
+  read_section(r, "ENCF", 1, kEncodingVersion, "feature encoding");
   check_key(r, expected);
   core::FeatureSet fs;
   const std::size_t n = r.count(Reader::kMaxElements);
@@ -155,7 +155,7 @@ void save_graph_set(Writer& w, const EncodingKey& key,
 }
 
 core::GraphSet load_graph_set(Reader& r, const EncodingKey& expected) {
-  read_section(r, "ENCG", kEncodingVersion, "graph encoding");
+  read_section(r, "ENCG", 1, kEncodingVersion, "graph encoding");
   check_key(r, expected);
   core::GraphSet gs;
   const std::size_t n = r.count(Reader::kMaxElements);

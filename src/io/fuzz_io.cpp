@@ -88,7 +88,7 @@ void save_fuzz_corpus(const std::filesystem::path& path,
 std::vector<FuzzRecord> load_fuzz_corpus(const std::filesystem::path& path) {
   std::vector<FuzzRecord> out;
   load_file(path, [&](Reader& r) {
-    const std::uint32_t version = read_section(r, kMagic, kVersion,
+    const std::uint32_t version = read_section(r, kMagic, 1, kVersion,
                                                "fuzz corpus");
     const std::size_t n = r.count(kMaxRecords);
     out.reserve(n);

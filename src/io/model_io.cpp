@@ -47,7 +47,7 @@ void save_decision_tree(Writer& w, const ml::DecisionTree& tree) {
 }
 
 ml::DecisionTree load_decision_tree(Reader& r) {
-  read_section(r, "CART", kTreeVersion, "decision-tree model");
+  read_section(r, "CART", 1, kTreeVersion, "decision-tree model");
   ml::DecisionTreeConfig cfg;
   cfg.max_depth = r.count(Reader::kMaxElements);
   cfg.min_samples_split = r.count(Reader::kMaxElements);
@@ -80,7 +80,7 @@ void save_trained_ir2vec(Writer& w, const core::TrainedIr2vec& model) {
 }
 
 core::TrainedIr2vec load_trained_ir2vec(Reader& r) {
-  read_section(r, "IRDT", kIrdtVersion, "IR2vec+DT model");
+  read_section(r, "IRDT", 1, kIrdtVersion, "IR2vec+DT model");
   core::TrainedIr2vec model;
   model.selected_features = r.index_vec();
   model.tree = load_decision_tree(r);
@@ -108,7 +108,7 @@ void save_gnn_model(Writer& w, const ml::GnnModel& model) {
 }
 
 std::unique_ptr<ml::GnnModel> load_gnn_model(Reader& r) {
-  read_section(r, "GNNW", kGnnVersion, "GNN model");
+  read_section(r, "GNNW", 1, kGnnVersion, "GNN model");
   ml::GnnConfig cfg;
   cfg.vocab = r.count(1u << 24);
   cfg.embed_dim = r.count(1u << 16);
@@ -171,7 +171,7 @@ void save_vocabulary(Writer& w, const ir2vec::Vocabulary& vocab) {
 }
 
 ir2vec::Vocabulary load_vocabulary(Reader& r) {
-  read_section(r, "VOCB", kVocabVersion, "IR2vec vocabulary");
+  read_section(r, "VOCB", 1, kVocabVersion, "IR2vec vocabulary");
   const std::uint64_t seed = r.u64();
   const std::size_t dim = r.count(1u << 20);
   if (dim != ir2vec::kDim) {

@@ -1,5 +1,6 @@
 #include "io/serialize.hpp"
 
+#include "support/check.hpp"
 #include "support/faultpoint.hpp"
 
 #include <bit>
@@ -131,7 +132,9 @@ void write_section(Writer& w, std::string_view magic4, std::uint32_t version) {
 }
 
 std::uint32_t read_section(Reader& r, std::string_view magic4,
+                           std::uint32_t min_supported,
                            std::uint32_t max_supported, std::string_view what) {
+  MPIDETECT_EXPECTS(min_supported >= 1 && min_supported <= max_supported);
   char got[5] = {};
   for (int i = 0; i < 4; ++i) got[i] = static_cast<char>(r.u8());
   if (std::string_view(got, 4) != magic4) {
@@ -144,11 +147,20 @@ std::uint32_t read_section(Reader& r, std::string_view magic4,
            std::string(magic4) + "', found '" + printable + "')");
   }
   const std::uint32_t version = r.u32();
-  if (version == 0 || version > max_supported) {
+  if (version == 0) {
+    r.fail("corrupt " + std::string(what) +
+           ": version 0, which no build writes");
+  }
+  if (version < min_supported || version > max_supported) {
+    const std::string range =
+        min_supported == max_supported
+            ? "only version " + std::to_string(max_supported)
+            : std::to_string(min_supported) + ".." +
+                  std::to_string(max_supported);
     r.fail("unsupported " + std::string(what) + " version " +
-           std::to_string(version) + " (this build supports 1.." +
-           std::to_string(max_supported) +
-           "; the file was written by a newer build)");
+           std::to_string(version) + " (this build supports " + range +
+           "; it was written by " +
+           (version < min_supported ? "an older" : "a newer") + " build)");
   }
   return version;
 }

@@ -8,8 +8,8 @@
 // bit-exact across machines and a save/load round trip reproduces model
 // verdicts exactly. Every top-level object starts with a 4-byte magic
 // plus a format version (write_section / read_section); readers reject
-// unknown magics, future versions and truncated streams with a
-// FormatError naming the file.
+// unknown magics, versions outside their range and truncated streams
+// with a FormatError naming the file.
 #pragma once
 
 #include <cstdint>
@@ -96,9 +96,13 @@ class Reader {
 void write_section(Writer& w, std::string_view magic4, std::uint32_t version);
 
 /// Validates the magic and returns the version, which must be in
-/// [1, max_supported]; otherwise throws FormatError ("not a … file",
-/// "unsupported … version N"). `what` names the artifact in messages.
+/// [min_supported, max_supported] (min_supported >= 1); otherwise throws
+/// FormatError: "not a …" for a wrong magic, "corrupt …" for version 0,
+/// which no build writes, and "unsupported … version N" naming the
+/// accepted range and whether an older or a newer build wrote it. `what`
+/// names the artifact in messages.
 std::uint32_t read_section(Reader& r, std::string_view magic4,
+                           std::uint32_t min_supported,
                            std::uint32_t max_supported, std::string_view what);
 
 /// Writes a file atomically: the payload goes to `path` + ".tmp" and is

@@ -1,10 +1,13 @@
 #include "ml/decision_tree.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -56,29 +59,62 @@ void radix_sort(std::vector<Keyed>& a, std::vector<Keyed>& scratch) {
   }
 }
 
-/// One fit's presorted state and the recursive best-first grower. Samples
-/// are local ids 0..n-1 (sample i is row X[rows[i]], label y[i]). Slot s
-/// holds candidate feature features_[s]: ids_[s*n, (s+1)*n) are the ids
-/// sorted by that feature's value, and ranks_[s*n + id] is the dense rank
-/// of sample id's value (equal values, -0.0 and +0.0 included, share a
-/// rank). A node owns the same [lo, hi) range of every slot; its split
-/// stably partitions each range, so both children's ranges stay sorted.
+constexpr std::uint32_t kNewValue = SortedColumns::kNewValue;
+constexpr std::uint32_t kRowMask = SortedColumns::kRowMask;
+
+/// Sorts feature f of the table's rows into `order`, marking each entry
+/// whose value differs from the one before, and reports whether any of
+/// its values is NaN or Inf (sorted by its bits, apart from every finite
+/// value).
+bool sort_column(const SortedColumns& table, std::size_t f,
+                 std::vector<Keyed>& col, std::vector<Keyed>& scratch,
+                 std::uint32_t* order) {
+  const std::size_t n = table.rows();
+  bool nonfinite = false;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    const double v = table.value(t, f);
+    nonfinite |= !std::isfinite(v);
+    col[t] = {sort_key(v), t};
+  }
+  radix_sort(col, scratch);
+  for (std::size_t k = 0; k < n; ++k) {
+    const bool fresh = k == 0 || col[k].key != col[k - 1].key;
+    order[k] = col[k].id | (fresh ? kNewValue : 0);
+  }
+  return nonfinite;
+}
+
+constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
+
+/// The split score: each side's Gini weighted by its share of the node.
+double weighted_gini(std::size_t n, std::size_t n_left, double left_gini,
+                     double right_gini) {
+  return (static_cast<double>(n_left) * left_gini +
+          static_cast<double>(n - n_left) * right_gini) /
+         static_cast<double>(n);
+}
+
+/// One fit's filtered state and the recursive best-first grower. Samples
+/// are table rows; label_[t] is table row t's class, or kAbsent when the
+/// fit leaves it out. Slot s holds candidate feature features_[s]:
+/// ids_[s*n, (s+1)*n) are the fit's rows in that feature's value order,
+/// kept from the table's order in one pass. Each entry is a table row
+/// (kRowMask bits) and a kNewValue bit set when its value differs from
+/// the entry before it in the same node, so a node's boundaries are its
+/// entries with the bit, bar the first. A node owns the same [lo, hi)
+/// range of every slot; its split stably partitions each range, so both
+/// children's ranges stay sorted, and carries the bits along.
 class PresortedCart {
  public:
-  PresortedCart(const DecisionTreeConfig& cfg,
-                const std::vector<std::vector<double>>& X,
+  PresortedCart(const DecisionTreeConfig& cfg, const SortedColumns& table,
                 std::span<const std::size_t> rows,
-                std::span<const std::size_t> y, std::size_t n_classes,
-                std::size_t n_features)
-      : cfg_(cfg), X_(X), rows_(rows), n_(rows.size()),
-        n_classes_(n_classes), label_(rows.size()),
-        left_counts_(n_classes) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      label_[i] = static_cast<std::uint32_t>(y[i]);
-    }
+                std::vector<std::uint32_t> label, std::size_t n_classes)
+      : cfg_(cfg), table_(table), n_(rows.size()), n_classes_(n_classes),
+        label_(std::move(label)), left_counts_(n_classes) {
     // Distinct in-range candidates in first-occurrence order: a repeated
     // feature rescans the same boundaries, and none of them can beat the
     // best score by the 1e-12 margin a second time.
+    const std::size_t n_features = table.width();
     std::vector<bool> seen(n_features, false);
     const auto add = [&](std::size_t f) {
       if (f < n_features && !seen[f]) {
@@ -91,7 +127,8 @@ class PresortedCart {
     } else {
       for (std::size_t f = 0; f < n_features; ++f) add(f);
     }
-    presort();
+    reject_nonfinite(rows);
+    filter(rows);
   }
 
   std::vector<Node> grow() {
@@ -100,41 +137,56 @@ class PresortedCart {
   }
 
  private:
-  double value(std::uint32_t id, std::size_t f) const {
-    return X_[rows_[id]][f];
-  }
-
-  void presort() {
-    // Slot 0 doubles as the node's sample list, so it exists (unsorted)
-    // even when no feature is a candidate.
-    ids_.resize(std::max<std::size_t>(features_.size(), 1) * n_);
-    ranks_.resize(features_.size() * n_);
-    std::iota(ids_.begin(), ids_.begin() + static_cast<std::ptrdiff_t>(n_),
-              0u);
-    std::vector<Keyed> col(n_), scratch(n_);
-    for (std::size_t s = 0; s < features_.size(); ++s) {
-      const std::size_t f = features_[s];
-      for (std::uint32_t i = 0; i < n_; ++i) {
-        const double v = value(i, f);
-        if (!std::isfinite(v)) {
+  /// The first NaN or Inf a sort of the candidates would meet, in slot
+  /// order and then in the fit's row order.
+  void reject_nonfinite(std::span<const std::size_t> rows) const {
+    for (const std::size_t f : features_) {
+      if (!table_.has_nonfinite(f)) continue;
+      for (const std::size_t t : rows) {
+        if (!std::isfinite(table_.value(t, f))) {
           throw ContractViolation(
               "DecisionTree::fit: non-finite value in row " +
-              std::to_string(rows_[i]) + ", feature " + std::to_string(f));
+              std::to_string(table_.x_row(t)) + ", feature " +
+              std::to_string(f));
         }
-        col[i] = {sort_key(v), i};
-      }
-      radix_sort(col, scratch);
-      std::uint32_t* ids = &ids_[s * n_];
-      std::uint32_t* ranks = &ranks_[s * n_];
-      std::uint32_t rank = 0;
-      for (std::size_t k = 0; k < n_; ++k) {
-        if (k > 0 && col[k].key != col[k - 1].key) ++rank;
-        ids[k] = col[k].id;
-        ranks[col[k].id] = rank;
       }
     }
-    goes_left_.resize(n_);
+  }
+
+  /// Keeps the fit's rows of each candidate's table order. A kept row's
+  /// value differs from the previous kept row's exactly when some table
+  /// entry since that row marks a new value. A slot's pass writes every
+  /// table row and advances only past kept ones, so it may write one
+  /// element past its end: the next slot's first, which that slot's pass
+  /// overwrites, or one element of slack after the last.
+  void filter(std::span<const std::size_t> rows) {
+    const std::size_t slots = std::max<std::size_t>(features_.size(), 1);
+    ids_.resize(slots * n_ + 1);
+    // Slot 0 doubles as the node's sample list, so it exists (in the
+    // fit's row order) even when no feature is a candidate.
+    if (features_.empty()) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        ids_[i] = static_cast<std::uint32_t>(rows[i]);
+      }
+    }
+    for (std::size_t s = 0; s < features_.size(); ++s) {
+      std::uint32_t* out = &ids_[s * n_];
+      std::size_t kept = 0;
+      std::uint32_t fresh = 0;
+      for (const std::uint32_t e : table_.order(features_[s])) {
+        const std::uint32_t t = e & kRowMask;
+        fresh |= e & kNewValue;
+        out[kept] = t | fresh;
+        const std::uint32_t keep = label_[t] != kAbsent;
+        kept += keep;
+        fresh &= keep - 1u;  // a kept row takes the mark
+      }
+      MPIDETECT_ENSURES(kept == n_);
+    }
+    goes_left_.resize(table_.rows());
     spill_.resize(n_);
+    bound_at_.resize(n_);
+    bound_l0_.resize(n_);
   }
 
   std::size_t build(std::uint32_t lo, std::uint32_t hi, std::size_t depth) {
@@ -144,7 +196,9 @@ class PresortedCart {
     const std::size_t n = hi - lo;
 
     std::vector<std::size_t> counts(n_classes_, 0);
-    for (std::uint32_t k = lo; k < hi; ++k) ++counts[label_[ids_[k]]];
+    for (std::uint32_t k = lo; k < hi; ++k) {
+      ++counts[label_[ids_[k] & kRowMask]];
+    }
     nodes_[me].label = static_cast<std::size_t>(
         std::max_element(counts.begin(), counts.end()) - counts.begin());
 
@@ -156,66 +210,39 @@ class PresortedCart {
 
     // A class absent from the node adds (0/n)^2 = +0.0 to each side's sum
     // of squares, which leaves the sum unchanged, so only present classes
-    // are summed, in class order.
+    // are summed, in class order. A node with impurity has two or more.
     std::vector<std::uint32_t> present;
     for (std::size_t c = 0; c < n_classes_; ++c) {
       if (counts[c] != 0) present.push_back(static_cast<std::uint32_t>(c));
     }
 
     // Best split by weighted Gini, scanning each slot's sorted range.
-    double best_score = impurity;
-    std::size_t best_slot = 0;
-    std::size_t best_k = 0;
-    bool found = false;
+    Best best{impurity};
     for (std::size_t s = 0; s < features_.size(); ++s) {
       const std::uint32_t* ids = &ids_[s * n_ + lo];
-      const std::uint32_t* ranks = &ranks_[s * n_];
-      for (const std::uint32_t c : present) left_counts_[c] = 0;
-      std::size_t n_left = 0;
-      for (std::size_t k = 0; k + 1 < n; ++k) {
-        ++left_counts_[label_[ids[k]]];
-        ++n_left;
-        if (ranks[ids[k]] == ranks[ids[k + 1]]) continue;  // no boundary
-        const std::size_t n_right = n - n_left;
-        double right_sq = 0.0;
-        for (const std::uint32_t c : present) {
-          const double p = static_cast<double>(counts[c] - left_counts_[c]) /
-                           static_cast<double>(n_right);
-          right_sq += p * p;
-        }
-        const double right_gini = 1.0 - right_sq;
-        double left_sq = 0.0;
-        for (const std::uint32_t c : present) {
-          const double p = static_cast<double>(left_counts_[c]) /
-                           static_cast<double>(n_left);
-          left_sq += p * p;
-        }
-        const double left_gini = 1.0 - left_sq;
-        const double score = (static_cast<double>(n_left) * left_gini +
-                              static_cast<double>(n_right) * right_gini) /
-                             static_cast<double>(n);
-        if (score + 1e-12 < best_score) {
-          best_score = score;
-          best_slot = s;
-          best_k = k;
-          found = true;
-        }
+      if (present.size() == 2) {
+        scan_two(s, ids, n, present[0], counts[present[0]],
+                 counts[present[1]], best);
+      } else {
+        scan_many(s, ids, n, present, counts, best);
       }
     }
-    if (!found) return me;
+    if (!best.found) return me;
 
-    const std::size_t feature = features_[best_slot];
-    const std::uint32_t* best_ids = &ids_[best_slot * n_ + lo];
-    const double threshold = (value(best_ids[best_k], feature) +
-                              value(best_ids[best_k + 1], feature)) /
-                             2.0;
+    const std::size_t feature = features_[best.slot];
+    const std::uint32_t* best_ids = &ids_[best.slot * n_ + lo];
+    const double threshold =
+        (table_.value(best_ids[best.k] & kRowMask, feature) +
+         table_.value(best_ids[best.k + 1] & kRowMask, feature)) /
+        2.0;
     // The split is what predict() will do with the threshold, which can
     // differ from the scanned boundary when the midpoint rounds onto a
     // neighbour value.
     std::size_t n_left = 0;
     for (std::size_t k = 0; k < n; ++k) {
-      const bool left = value(best_ids[k], feature) <= threshold;
-      goes_left_[best_ids[k]] = left;
+      const std::uint32_t id = best_ids[k] & kRowMask;
+      const bool left = table_.value(id, feature) <= threshold;
+      goes_left_[id] = left;
       n_left += left;
     }
     if (n_left == 0 || n_left == n) return me;
@@ -232,33 +259,114 @@ class PresortedCart {
     return me;
   }
 
-  /// Stable partition of slot s's [lo, hi) by goes_left_: left ids first.
+  struct Best {
+    double score;
+    std::size_t slot = 0;
+    std::size_t k = 0;
+    bool found = false;
+  };
+
+  /// A node with two present classes c0 < c1: count c0 on the left and
+  /// derive c1 as n_left - l0. The first pass records every boundary
+  /// with its left count, without a branch. The second screens the
+  /// boundaries in order with one division each and weighs only those
+  /// that may beat the best.
+  void scan_two(std::size_t s, const std::uint32_t* ids, std::size_t n,
+                std::uint32_t c0, std::size_t total0, std::size_t total1,
+                Best& best) {
+    std::uint32_t* at = bound_at_.data();
+    std::uint32_t* left0 = bound_l0_.data();
+    std::size_t nb = 0;
+    std::uint32_t l0 = 0;
+    for (std::uint32_t k = 0; k + 1 < n; ++k) {
+      l0 += label_[ids[k] & kRowMask] == c0;
+      at[nb] = k;
+      left0[nb] = l0;
+      nb += ids[k + 1] >> 31;  // kNewValue
+    }
+    for (std::size_t j = 0; j < nb; ++j) {
+      const std::size_t n_left = at[j] + 1;
+      const std::size_t l = left0[j];
+      // A boundary whose screen sits above best - 1e-12 + kScreenSlack
+      // has a score above best - 1e-12 and cannot pass the strict test.
+      if (detail::two_class_screen(n, n_left, l, total0, total1) +
+              (1e-12 - detail::kScreenSlack) >=
+          best.score) {
+        continue;
+      }
+      const double score =
+          detail::two_class_score(n, n_left, l, total0, total1);
+      if (score + 1e-12 < best.score) best = {score, s, at[j], true};
+    }
+  }
+
+  /// Any number of present classes, each counted on the left.
+  void scan_many(std::size_t s, const std::uint32_t* ids, std::size_t n,
+                 const std::vector<std::uint32_t>& present,
+                 const std::vector<std::size_t>& counts, Best& best) {
+    for (const std::uint32_t c : present) left_counts_[c] = 0;
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      ++left_counts_[label_[ids[k] & kRowMask]];
+      if ((ids[k + 1] & kNewValue) == 0) continue;  // no boundary
+      const std::size_t n_left = k + 1;
+      const std::size_t n_right = n - n_left;
+      double right_sq = 0.0;
+      for (const std::uint32_t c : present) {
+        const double p = static_cast<double>(counts[c] - left_counts_[c]) /
+                         static_cast<double>(n_right);
+        right_sq += p * p;
+      }
+      double left_sq = 0.0;
+      for (const std::uint32_t c : present) {
+        const double p = static_cast<double>(left_counts_[c]) /
+                         static_cast<double>(n_left);
+        left_sq += p * p;
+      }
+      const double score =
+          weighted_gini(n, n_left, 1.0 - left_sq, 1.0 - right_sq);
+      if (score + 1e-12 < best.score) best = {score, s, k, true};
+    }
+  }
+
+  /// Stable partition of slot s's [lo, hi) by goes_left_: left entries
+  /// first. An entry's new-value mark in its child is the OR of the marks
+  /// since the child's previous entry, as in filter(). Each entry is
+  /// written to both sides and only its own side advances, so the loop
+  /// has no branch on the side.
   void partition(std::size_t s, std::uint32_t lo, std::uint32_t hi) {
     std::uint32_t* ids = &ids_[s * n_];
+    std::uint32_t* spill = spill_.data();
     std::uint32_t out = lo;
     std::size_t spilled = 0;
+    std::uint32_t fresh_left = 0;
+    std::uint32_t fresh_right = 0;
     for (std::uint32_t k = lo; k < hi; ++k) {
-      const std::uint32_t id = ids[k];
-      if (goes_left_[id]) {
-        ids[out++] = id;
-      } else {
-        spill_[spilled++] = id;
-      }
+      const std::uint32_t id = ids[k] & kRowMask;
+      const std::uint32_t mark = ids[k] & kNewValue;
+      const std::uint32_t left = goes_left_[id];
+      fresh_left |= mark;
+      fresh_right |= mark;
+      ids[out] = id | fresh_left;
+      spill[spilled] = id | fresh_right;
+      out += left;
+      spilled += 1u - left;
+      fresh_left &= left - 1u;
+      fresh_right &= 0u - left;
     }
-    std::copy_n(spill_.begin(), spilled, ids + out);
+    std::copy_n(spill, spilled, ids + out);
   }
 
   const DecisionTreeConfig& cfg_;
-  const std::vector<std::vector<double>>& X_;
-  std::span<const std::size_t> rows_;
+  const SortedColumns& table_;
   std::size_t n_;
   std::size_t n_classes_;
   std::vector<std::uint32_t> label_;
   std::vector<std::size_t> features_;
   std::vector<std::uint32_t> ids_;
-  std::vector<std::uint32_t> ranks_;
   std::vector<unsigned char> goes_left_;
   std::vector<std::uint32_t> spill_;
+  std::vector<std::uint32_t> bound_at_;  // a two-class scan's boundaries
+  std::vector<std::uint32_t> bound_l0_;
   std::vector<std::size_t> left_counts_;
   std::vector<Node> nodes_;
 };
@@ -271,6 +379,110 @@ std::vector<std::size_t> identity_rows(std::size_t n) {
 
 }  // namespace
 
+namespace detail {
+
+double two_class_score(std::size_t n, std::size_t n_left, std::size_t l0,
+                       std::size_t total0, std::size_t total1) {
+  const std::size_t n_right = n - n_left;
+  const std::size_t l1 = n_left - l0;
+  const double r0 =
+      static_cast<double>(total0 - l0) / static_cast<double>(n_right);
+  const double r1 =
+      static_cast<double>(total1 - l1) / static_cast<double>(n_right);
+  double right_sq = 0.0;
+  right_sq += r0 * r0;
+  right_sq += r1 * r1;
+  const double p0 = static_cast<double>(l0) / static_cast<double>(n_left);
+  const double p1 = static_cast<double>(l1) / static_cast<double>(n_left);
+  double left_sq = 0.0;
+  left_sq += p0 * p0;
+  left_sq += p1 * p1;
+  return weighted_gini(n, n_left, 1.0 - left_sq, 1.0 - right_sq);
+}
+
+double two_class_screen(std::size_t n, std::size_t n_left, std::size_t l0,
+                        std::size_t total0, std::size_t total1) {
+  // The exact score is 1 - (a / n_left + b / n_right) / n, with a and b
+  // the sums of squared class counts on each side; here with one
+  // division. Every operand is non-negative until the final subtraction
+  // from 1, so each of this and two_class_score() lies within 8
+  // roundings of relative error 2^-53 of the exact value in [0, 1].
+  const double dl = static_cast<double>(n_left);
+  const double dr = static_cast<double>(n - n_left);
+  const double l = static_cast<double>(l0);
+  const double l1 = dl - l;
+  const double r0 = static_cast<double>(total0) - l;
+  const double r1 = static_cast<double>(total1) - l1;
+  const double a = l * l + l1 * l1;
+  const double b = r0 * r0 + r1 * r1;
+  return 1.0 - (a * dr + b * dl) / (dl * dr * static_cast<double>(n));
+}
+
+}  // namespace detail
+
+SortedColumns::SortedColumns(const std::vector<std::vector<double>>& X)
+    : X_(X), rows_(X.size()), width_(X.empty() ? 0 : X.front().size()) {}
+
+SortedColumns::SortedColumns(const std::vector<std::vector<double>>& X,
+                             std::vector<std::size_t> cover)
+    : X_(X), cover_(std::move(cover)), rows_(cover_.size()) {
+  for (const std::size_t r : cover_) MPIDETECT_EXPECTS(r < X.size());
+  // An empty cover would read as "every row of X" in x_row().
+  MPIDETECT_EXPECTS(!cover_.empty());
+  width_ = X[cover_.front()].size();
+}
+
+SortedColumns::~SortedColumns() {
+  if (cells_ != nullptr) ::munmap(cells_, cell_bytes_);
+}
+
+void SortedColumns::build() const {
+  if (built()) return;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!allocated_) {
+      MPIDETECT_EXPECTS(rows_ <= kRowMask);
+      for (std::size_t t = 0; t < rows_; ++t) {
+        MPIDETECT_EXPECTS(X_[x_row(t)].size() == width_);
+      }
+      if (width_ == 0 || rows_ == 0) {
+        allocated_ = true;
+        complete_.store(true);
+        return;
+      }
+      // Mapped, not malloc'd: whichever pool thread fits first allocates
+      // the table, and a malloc'd table freed later stays as free space
+      // in that thread's arena, so over a run every pool thread's arena
+      // grew by a table (paper-eval peak RSS rose 13 MB on 4 threads with
+      // a table twice this size). Unmapped pages go back to the system.
+      cell_bytes_ = width_ * rows_ * sizeof(std::uint32_t);
+      void* p = ::mmap(nullptr, cell_bytes_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      cells_ = static_cast<std::uint32_t*>(p);
+      nonfinite_.assign(width_, 0);
+      allocated_ = true;
+    }
+  }
+  std::vector<Keyed> col(rows_), scratch(rows_);
+  for (std::size_t f = next_.fetch_add(1); f < width_;
+       f = next_.fetch_add(1)) {
+    nonfinite_[f] = sort_column(*this, f, col, scratch, cells_ + f * rows_);
+    if (done_.fetch_add(1) + 1 == width_) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      complete_.store(true);
+      done_cv_.notify_all();
+    }
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return built(); });
+}
+
+std::span<const std::uint32_t> SortedColumns::order(std::size_t f) const {
+  MPIDETECT_EXPECTS(built() && f < width_);
+  return {cells_ + f * rows_, rows_};
+}
+
 void DecisionTree::fit(const std::vector<std::vector<double>>& X,
                        const std::vector<std::size_t>& y) {
   fit(X, identity_rows(X.size()), y);
@@ -280,17 +492,37 @@ void DecisionTree::fit(const std::vector<std::vector<double>>& X,
                        std::span<const std::size_t> rows,
                        std::span<const std::size_t> y) {
   MPIDETECT_EXPECTS(!rows.empty() && rows.size() == y.size());
-  MPIDETECT_EXPECTS(rows.size() < std::numeric_limits<std::uint32_t>::max());
-  MPIDETECT_EXPECTS(rows.front() < X.size());
-  const std::size_t n_features = X[rows.front()].size();
-  for (const std::size_t r : rows) {
-    MPIDETECT_EXPECTS(r < X.size() && X[r].size() == n_features);
-  }
+  const SortedColumns table(X, {rows.begin(), rows.end()});
+  fit(table, identity_rows(rows.size()), y);
+}
+
+void DecisionTree::fit(const SortedColumns& table,
+                       std::span<const std::size_t> rows,
+                       std::span<const std::size_t> y) {
+  MPIDETECT_EXPECTS(!rows.empty() && rows.size() == y.size());
+  MPIDETECT_EXPECTS(rows.size() <= kRowMask);
   const std::size_t n_classes = *std::max_element(y.begin(), y.end()) + 1;
-  MPIDETECT_EXPECTS(n_classes <= std::numeric_limits<std::uint32_t>::max());
-  nodes_ = PresortedCart(cfg_, X, rows, y, n_classes, n_features).grow();
+  MPIDETECT_EXPECTS(n_classes < kAbsent);
+  std::vector<std::uint32_t> label(table.rows(), kAbsent);
+  bool repeated = false;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    MPIDETECT_EXPECTS(rows[i] < table.rows());
+    repeated |= label[rows[i]] != kAbsent;
+    label[rows[i]] = static_cast<std::uint32_t>(y[i]);
+  }
+  if (repeated) {
+    std::vector<std::size_t> cover(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      cover[i] = table.x_row(rows[i]);
+    }
+    const SortedColumns own(table.matrix(), std::move(cover));
+    fit(own, identity_rows(rows.size()), y);
+    return;
+  }
+  table.build();
+  nodes_ = PresortedCart(cfg_, table, rows, std::move(label), n_classes).grow();
   n_classes_ = n_classes;
-  n_features_ = n_features;
+  n_features_ = table.width();
 }
 
 std::size_t DecisionTree::predict(std::span<const double> row) const {

@@ -19,7 +19,7 @@ namespace {
 std::string bundle_key(const std::string& path) {
   std::string key;
   io::load_file(path, [&](io::Reader& r) {
-    io::read_section(r, "MPGD", 1, "mpidetect model bundle");
+    io::read_section(r, "MPGD", 1, 1, "mpidetect model bundle");
     key = r.str(256);
   });
   return key;

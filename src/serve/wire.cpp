@@ -266,16 +266,8 @@ std::string encode_frame(const Frame& f) {
 Frame decode_payload(std::string_view payload, const std::string& origin) {
   std::istringstream is(std::string(payload), std::ios::binary);
   io::Reader r(is, origin);
-  // read_section refuses version 0 and newer versions; an older one is
-  // refused here, since the wire speaks exactly one version.
-  const std::uint32_t version =
-      io::read_section(r, kMagic, kWireVersion, kWhat);
-  if (version < kWireVersion) {
-    r.fail("unsupported " + std::string(kWhat) + " version " +
-           std::to_string(version) + " (this build speaks only version " +
-           std::to_string(kWireVersion) +
-           "; the frame was written by an older build)");
-  }
+  // The wire speaks exactly one version.
+  io::read_section(r, kMagic, kWireVersion, kWireVersion, kWhat);
   const std::uint8_t raw_type = r.u8();
   if (raw_type < static_cast<std::uint8_t>(FrameType::Hello) ||
       raw_type > static_cast<std::uint8_t>(FrameType::Expired)) {

@@ -4,9 +4,13 @@
 // mixed feature/graph traffic, with the disk spill on — and assert the
 // documented guarantees: references are stable, each encoding is
 // computed exactly once, and the counters (relaxed atomics readable
-// without the lock) add up exactly.
+// without the lock) add up exactly. Decision-tree fits racing to sort a
+// feature set's shared table must get the table one thread would sort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -15,6 +19,7 @@
 #include "core/encoding_cache.hpp"
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
+#include "ml/decision_tree.hpp"
 
 namespace mpidetect {
 namespace {
@@ -85,6 +90,73 @@ TEST(CacheStressTest, ConcurrentSameKeyIsSingleFlightWithStableRefs) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(fs_ptrs[t], fs_ptrs[0]);
     EXPECT_EQ(gs_ptrs[t], gs_ptrs[0]);
+  }
+}
+
+TEST(CacheStressTest, RacingFirstFitsShareOneSortedTable) {
+  // The sorted-column table beside a cached feature set is sorted by the
+  // fits that arrive first, together: each claims columns from a shared
+  // cursor. Start many fits at once, on fresh entries, and check the
+  // table and every tree against a table sorted by one thread.
+  const auto ds = tiny_mbi();
+  core::EncodingCache cache;
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 3; ++round) {
+    const core::FeatureEntry& entry =
+        cache.feature_entry(ds, kOpt, kNorm, kSeed, 1);
+    ASSERT_FALSE(entry.columns.built());
+    const std::size_t n = entry.set.size();
+    std::atomic<int> ready{0};
+    std::vector<std::vector<ml::DecisionTree::Node>> trees(kThreads);
+    std::vector<std::vector<std::size_t>> rows(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      // Every thread leaves a different stride of rows out.
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i % (kThreads + 1) != static_cast<std::size_t>(t)) {
+          rows[t].push_back(i);
+        }
+      }
+      threads.emplace_back([&, t] {
+        const core::FeatureEntry& mine =
+            cache.feature_entry(ds, kOpt, kNorm, kSeed, 1);
+        std::vector<std::size_t> y;
+        for (const std::size_t i : rows[t]) y.push_back(mine.set.y_label[i]);
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        ml::DecisionTree dt;
+        dt.fit(mine.columns, rows[t], y);
+        trees[t] = dt.nodes();
+      });
+    }
+    for (auto& th : threads) th.join();
+    ASSERT_TRUE(entry.columns.built());
+
+    const ml::SortedColumns serial(entry.set.X);
+    serial.build();
+    for (std::size_t f = 0; f < serial.width(); ++f) {
+      const auto a = entry.columns.order(f);
+      const auto b = serial.order(f);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "feature " << f;
+    }
+    for (int t = 0; t < kThreads; ++t) {
+      std::vector<std::size_t> y;
+      for (const std::size_t i : rows[t]) y.push_back(entry.set.y_label[i]);
+      ml::DecisionTree dt;
+      dt.fit(serial, rows[t], y);
+      const auto& want = dt.nodes();
+      ASSERT_EQ(trees[t].size(), want.size()) << "thread " << t;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(trees[t][k].feature, want[k].feature);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(trees[t][k].threshold),
+                  std::bit_cast<std::uint64_t>(want[k].threshold));
+        EXPECT_EQ(trees[t][k].label, want[k].label);
+        EXPECT_EQ(trees[t][k].left, want[k].left);
+      }
+    }
+    cache.erase(ds);  // the next round races on a fresh table
+    EXPECT_EQ(cache.feature_set_count(), 0u);
   }
 }
 

@@ -167,7 +167,7 @@ TEST(FaultStorageTest, TornWriteIsTreatedAsCorruptionByTheLoader) {
   EXPECT_TRUE(fs::exists(path));  // the torn file DID land
   EXPECT_THROW(io::load_file(path,
                              [](io::Reader& r) {
-                               io::read_section(r, "TORN", 1, "torn test");
+                               io::read_section(r, "TORN", 1, 1, "torn test");
                                (void)r.str(4096);
                              }),
                io::FormatError);

@@ -409,6 +409,48 @@ TEST(EvalEngine, SweepIsSerialParallelInvariant) {
   expect_same_verdicts(serial.kfold(*gnn, ds), parallel.kfold(*gnn, ds));
 }
 
+TEST(EvalEngine, Ir2vecKfoldSharesOneSortedTableAtAnyThreadCount) {
+  // Every fold's fit, and every GA fitness fit inside it, filters the
+  // feature set's one sorted-column table; the folds that arrive first
+  // sort it together. The verdicts must not depend on how many folds
+  // race for it, and the table must cost no cache lookup.
+  const auto ds = small_mbi();
+  for (const bool ga : {false, true}) {
+    for (const bool multiclass : {false, true}) {
+      SCOPED_TRACE(std::string(ga ? "GA" : "no GA") +
+                   (multiclass ? ", multiclass" : ", binary"));
+      std::vector<EvalReport> reports;
+      for (const unsigned threads : {1u, 4u}) {
+        DetectorConfig cfg = fast_config();
+        cfg.ir2vec.use_ga = ga;
+        cfg.ir2vec.ga.population = 16;
+        cfg.ir2vec.ga.generations = 2;
+        cfg.cache = std::make_shared<EncodingCache>();
+        EvalEngine engine(threads, cfg.cache);
+        auto det = DetectorRegistry::global().create("ir2vec", cfg);
+        EvalOptions opts = det->eval_defaults();
+        opts.multiclass = multiclass;
+        const FeatureEntry& entry = cfg.cache->feature_entry(
+            ds, cfg.feature_opt, cfg.normalization, cfg.vocab_seed);
+        EXPECT_FALSE(entry.columns.built());  // encoding sorts nothing
+        const std::size_t lookups = cfg.cache->lookups();
+        reports.push_back(engine.kfold(*det, ds, opts));
+        // The engine's prepare and one prepare per fold's fit.
+        EXPECT_EQ(cfg.cache->lookups(),
+                  lookups + 1 + static_cast<std::size_t>(opts.folds));
+        EXPECT_TRUE(entry.columns.built());
+        EXPECT_EQ(cfg.cache->feature_set_count(), 1u);
+      }
+      expect_same_verdicts(reports[0], reports[1]);
+      for (std::size_t i = 0; i < reports[0].verdicts.size(); ++i) {
+        EXPECT_EQ(reports[0].verdicts[i].predicted_label,
+                  reports[1].verdicts[i].predicted_label)
+            << "case " << i;
+      }
+    }
+  }
+}
+
 TEST(EvalEngine, SweepOfUnfittedLearnedDetectorThrows) {
   // The throw happens on pool workers; it must reach the caller as the
   // detector's ContractViolation instead of terminating the process.

@@ -126,7 +126,7 @@ TEST(SerializeTest, FutureVersionRejected) {
   io::write_section(w, "CART", 999);
   io::Reader r(ss);
   try {
-    io::read_section(r, "CART", 1, "decision-tree model");
+    io::read_section(r, "CART", 1, 1, "decision-tree model");
     FAIL() << "expected FormatError";
   } catch (const io::FormatError& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported"), std::string::npos);
@@ -134,12 +134,67 @@ TEST(SerializeTest, FutureVersionRejected) {
   }
 }
 
+TEST(SerializeTest, VersionRejectionSaysCorruptOlderOrNewer) {
+  // The message read_section gives `version` against [lo, hi], or "" when
+  // it accepts it.
+  const auto message = [](std::uint32_t version, std::uint32_t lo,
+                          std::uint32_t hi) -> std::string {
+    std::stringstream ss;
+    io::Writer w(ss);
+    io::write_section(w, "CART", version);
+    io::Reader r(ss);
+    try {
+      EXPECT_EQ(io::read_section(r, "CART", lo, hi, "decision-tree model"),
+                version);
+      return "";
+    } catch (const io::FormatError& e) {
+      return e.what();
+    }
+  };
+  const auto contains = [](const std::string& s, const std::string& part) {
+    return s.find(part) != std::string::npos;
+  };
+  EXPECT_EQ(message(2, 2, 3), "");
+  EXPECT_EQ(message(3, 2, 3), "");
+
+  const std::string zero = message(0, 1, 3);
+  EXPECT_TRUE(contains(zero, "corrupt decision-tree model: version 0"))
+      << zero;
+  EXPECT_FALSE(contains(zero, "older build")) << zero;
+  EXPECT_FALSE(contains(zero, "newer build")) << zero;
+
+  const std::string older = message(1, 2, 3);
+  EXPECT_TRUE(contains(older,
+                       "unsupported decision-tree model version 1 (this "
+                       "build supports 2..3; it was written by an older "
+                       "build)"))
+      << older;
+  const std::string newer = message(4, 2, 3);
+  EXPECT_TRUE(contains(newer,
+                       "unsupported decision-tree model version 4 (this "
+                       "build supports 2..3; it was written by a newer "
+                       "build)"))
+      << newer;
+
+  // A single accepted version is named as such, on both sides.
+  const std::string only_older = message(2, 3, 3);
+  EXPECT_TRUE(contains(only_older,
+                       "version 2 (this build supports only version 3; it "
+                       "was written by an older build)"))
+      << only_older;
+  const std::string only_newer = message(4, 3, 3);
+  EXPECT_TRUE(contains(only_newer,
+                       "version 4 (this build supports only version 3; it "
+                       "was written by a newer build)"))
+      << only_newer;
+}
+
 TEST(SerializeTest, WrongMagicRejected) {
   std::stringstream ss;
   io::Writer w(ss);
   io::write_section(w, "GNNW", 1);
   io::Reader r(ss);
-  EXPECT_THROW(io::read_section(r, "CART", 1, "decision-tree model"),
+  EXPECT_THROW(io::read_section(r, "CART", 1, 1, "decision-tree model"),
                io::FormatError);
 }
 

@@ -221,18 +221,8 @@ std::uint64_t bits(double v) {
   return b;
 }
 
-/// Fits both CARTs and asserts node-for-node equality, thresholds by bits.
-void expect_reference_tree(const DecisionTreeConfig& cfg,
-                           const std::vector<std::vector<double>>& X,
-                           const std::vector<std::size_t>& y) {
-  std::vector<std::size_t> all(X.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  std::vector<DecisionTree::Node> want;
-  reference_build(cfg, X, y, *std::max_element(y.begin(), y.end()) + 1, all,
-                  0, want);
-  DecisionTree dt(cfg);
-  dt.fit(X, y);
-  const auto& got = dt.nodes();
+void expect_same_nodes(const std::vector<DecisionTree::Node>& got,
+                       const std::vector<DecisionTree::Node>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE(i);
@@ -244,6 +234,43 @@ void expect_reference_tree(const DecisionTreeConfig& cfg,
     EXPECT_EQ(got[i].right, want[i].right);
     EXPECT_EQ(got[i].depth, want[i].depth);
   }
+}
+
+/// The sort-per-node reference tree of the samples (X[i], y[i]).
+std::vector<DecisionTree::Node> reference_tree(
+    const DecisionTreeConfig& cfg, const std::vector<std::vector<double>>& X,
+    const std::vector<std::size_t>& y) {
+  std::vector<std::size_t> all(X.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  std::vector<DecisionTree::Node> want;
+  reference_build(cfg, X, y, *std::max_element(y.begin(), y.end()) + 1, all,
+                  0, want);
+  return want;
+}
+
+/// Fits both CARTs and asserts node-for-node equality, thresholds by bits.
+void expect_reference_tree(const DecisionTreeConfig& cfg,
+                           const std::vector<std::vector<double>>& X,
+                           const std::vector<std::size_t>& y) {
+  DecisionTree dt(cfg);
+  dt.fit(X, y);
+  expect_same_nodes(dt.nodes(), reference_tree(cfg, X, y));
+}
+
+/// Fits the table rows `rows` (labels y[i]) by filtering `table`, and
+/// asserts the tree equals the reference grown on copies of those rows.
+void expect_shared_table_tree(const DecisionTreeConfig& cfg,
+                              const SortedColumns& table,
+                              const std::vector<std::size_t>& rows,
+                              const std::vector<std::size_t>& y) {
+  std::vector<std::vector<double>> copied;
+  for (const std::size_t t : rows) {
+    copied.push_back(table.matrix()[table.x_row(t)]);
+  }
+  DecisionTree dt(cfg);
+  dt.fit(table, rows, y);
+  expect_same_nodes(dt.nodes(), reference_tree(cfg, copied, y));
+  EXPECT_EQ(dt.num_features(), table.width());
 }
 
 /// Seeded rows whose values come from a small pool, so columns tie, mix
@@ -320,6 +347,188 @@ TEST(DecisionTree, PresortedFitMatchesReferenceOnIr2vecFeatures) {
     for (int k = 0; k < 5; ++k) subset.push_back(rng.index(fs.X[0].size()));
     cfg.feature_subset = subset;
     expect_reference_tree(cfg, fs.X, fs.y_binary);
+  }
+}
+
+TEST(DecisionTree, SharedTableFitMatchesSortPerNodeReference) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    // One table over a superset of rows serves every fit below.
+    std::vector<std::vector<double>> X;
+    std::vector<std::size_t> y_all;
+    tie_heavy_set(seed, 40 + seed * 23, 6, 2 + seed % 4, X, y_all);
+    const SortedColumns table(X);
+    EXPECT_FALSE(table.built());
+    Rng rng(seed + 100);
+    for (int fit = 0; fit < 4; ++fit) {
+      SCOPED_TRACE(fit);
+      // A shuffled subset of distinct rows, leaving some rows out.
+      std::vector<std::size_t> rows;
+      std::vector<std::size_t> y;
+      for (std::size_t t = 0; t < X.size(); ++t) {
+        if (rng.index(4) != 0) rows.push_back(t);
+      }
+      if (rows.empty()) rows.push_back(0);
+      for (std::size_t i = rows.size(); i > 1; --i) {
+        std::swap(rows[i - 1], rows[rng.index(i)]);
+      }
+      for (const std::size_t t : rows) y.push_back(y_all[t]);
+      expect_shared_table_tree({}, table, rows, y);
+
+      DecisionTreeConfig subset;
+      subset.feature_subset = std::vector<std::size_t>{4, 1, 4, 99, 2, 1, 6};
+      expect_shared_table_tree(subset, table, rows, y);
+
+      DecisionTreeConfig limited;
+      limited.max_depth = 1 + seed % 3;
+      limited.min_samples_split = 2 + seed % 9;
+      expect_shared_table_tree(limited, table, rows, y);
+    }
+    EXPECT_TRUE(table.built());
+  }
+}
+
+TEST(DecisionTree, SharedTableFitMatchesReferenceOnEdgeSets) {
+  std::vector<std::vector<double>> X;
+  std::vector<std::size_t> y_all;
+  Rng rng(78);
+  for (int i = 0; i < 120; ++i) {
+    // Column 2 is constant (-0.0 and +0.0 mixed), column 3 constant 7.
+    X.push_back({rng.uniform(), std::floor(rng.uniform() * 4.0),
+                 i % 2 == 0 ? -0.0 : 0.0, 7.0});
+    y_all.push_back(i % 3 == 0 ? 5 : 2 * rng.index(2));
+  }
+  const SortedColumns table(X);
+  std::vector<std::size_t> rows;
+  std::vector<std::size_t> y;
+  for (std::size_t t = 0; t < X.size(); t += 2) {
+    rows.push_back(t);
+    y.push_back(y_all[t]);
+  }
+  // Classes 1, 3 and 4 never occur; class 5 sits past the gap.
+  expect_shared_table_tree({}, table, rows, y);
+  // A single sample and a single class.
+  expect_shared_table_tree({}, table, {7}, {3});
+  // Only constant or out-of-range candidates: a single leaf.
+  DecisionTreeConfig none;
+  none.feature_subset = std::vector<std::size_t>{2, 3, 9};
+  expect_shared_table_tree(none, table, rows, y);
+  none.feature_subset = std::vector<std::size_t>{};
+  expect_shared_table_tree(none, table, rows, y);
+  // A row named twice is two samples, as in fit(X, rows, y).
+  const std::vector<std::size_t> repeated = {3, 3, 10, 51, 10, 99, 0, 64};
+  std::vector<std::size_t> yr;
+  for (const std::size_t t : repeated) yr.push_back(y_all[t] == 5 ? 1 : 0);
+  expect_shared_table_tree({}, table, repeated, yr);
+  DecisionTree by_rows;
+  by_rows.fit(X, repeated, yr);
+  DecisionTree by_table;
+  by_table.fit(table, repeated, yr);
+  expect_same_nodes(by_table.nodes(), by_rows.nodes());
+  // Table rows out of range are refused.
+  const std::size_t out_of_range[] = {1, 120};
+  const std::size_t y2[] = {0, 1};
+  DecisionTree dt;
+  EXPECT_THROW(dt.fit(table, out_of_range, y2), ContractViolation);
+}
+
+TEST(DecisionTree, SharedTableFitMatchesReferenceOnIr2vecFeatures) {
+  const auto fs = core::extract_features(
+      datasets::make_dataset("mbi:0.05"), passes::OptLevel::Os,
+      ir2vec::Normalization::Vector);
+  const SortedColumns table(fs.X);
+  const auto folds = stratified_kfold(fs.y_binary, 4, 11);
+  Rng rng(10);
+  for (const auto& val : folds) {
+    const auto rows = fold_complement(val, fs.size());
+    std::vector<std::size_t> yb;
+    std::vector<std::size_t> yl;
+    for (const std::size_t t : rows) {
+      yb.push_back(fs.y_binary[t]);
+      yl.push_back(fs.y_label[t]);
+    }
+    expect_shared_table_tree({}, table, rows, yb);
+    expect_shared_table_tree({}, table, rows, yl);
+    // GA-sized candidate sets.
+    DecisionTreeConfig cfg;
+    std::vector<std::size_t> subset;
+    for (int k = 0; k < 5; ++k) subset.push_back(rng.index(fs.X[0].size()));
+    cfg.feature_subset = subset;
+    expect_shared_table_tree(cfg, table, rows, yb);
+  }
+}
+
+TEST(DecisionTree, SharedTableFitMatchesReferenceBesideNonFiniteValues) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    SCOPED_TRACE(v);
+    std::vector<std::vector<double>> X;
+    std::vector<std::size_t> y_all;
+    tie_heavy_set(21, 60, 5, 3, X, y_all);
+    X[13][2] = v;  // a row the fits below leave out
+    X[40][4] = v;  // a training row, in feature 4 only
+    const SortedColumns table(X);
+    std::vector<std::size_t> rows;
+    std::vector<std::size_t> y;
+    for (std::size_t t = 0; t < X.size(); ++t) {
+      if (t != 13) {
+        rows.push_back(t);
+        y.push_back(y_all[t]);
+      }
+    }
+    // Feature 4 is not a candidate: the fit never reads the bad value.
+    DecisionTreeConfig no_four;
+    no_four.feature_subset = std::vector<std::size_t>{0, 1, 2, 3};
+    expect_shared_table_tree(no_four, table, rows, y);
+    // Feature 4 is a candidate: the first bad value in candidate order,
+    // then in the fit's row order, is named by its row of X.
+    DecisionTree dt;
+    try {
+      dt.fit(table, rows, y);
+      ADD_FAILURE() << "fit accepted " << v;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "DecisionTree::fit: non-finite value in row 40, feature 4"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(dt.trained());
+    // Row 13 in the fit as well: feature 2 comes first.
+    rows.push_back(13);
+    y.push_back(0);
+    try {
+      dt.fit(table, rows, y);
+      ADD_FAILURE() << "fit accepted " << v;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("row 13, feature 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(DecisionTree, TwoClassScreenStaysWithinSlackOfScore) {
+  // Each value lies within 8 roundings of 2^-53 of the exact score.
+  const double bound = 16.0 * std::ldexp(1.0, -53);
+  EXPECT_LT(10.0 * bound, detail::kScreenSlack);
+  Rng rng(31);
+  for (int i = 0; i < 200000; ++i) {
+    // Node sizes from 2 to 2^31, log-uniform.
+    const auto n = static_cast<std::size_t>(
+        2.0 + std::exp2(rng.uniform() * 31.0));
+    const std::size_t total0 = 1 + rng.index(n - 1);
+    const std::size_t total1 = n - total0;
+    const std::size_t n_left = 1 + rng.index(n - 1);
+    const std::size_t lo = n_left > total1 ? n_left - total1 : 0;
+    const std::size_t hi = std::min(n_left, total0);
+    const std::size_t l0 = lo + rng.index(hi - lo + 1);
+    const double score = detail::two_class_score(n, n_left, l0, total0, total1);
+    const double screen =
+        detail::two_class_screen(n, n_left, l0, total0, total1);
+    ASSERT_LE(std::fabs(screen - score), bound)
+        << n << " " << n_left << " " << l0 << " " << total0;
   }
 }
 
