@@ -234,6 +234,35 @@ TEST(Schedule, ScheduleSeedForIsStableAndReservesZero) {
   }
 }
 
+// A one-schedule sweep is exactly a plain run: slot 0 is the round-robin
+// schedule, so a dynamic tool can send every schedule count through
+// sweep_schedules. Checked at the ITAC-lite and MUST-lite budgets.
+TEST(Schedule, FirstSweepSlotEqualsRun) {
+  const datasets::Dataset ds = datasets::make_dataset("mix:0.1@3");
+  std::size_t lowered = 0;
+  for (const datasets::Case& c : ds.cases) {
+    std::unique_ptr<ir::Module> m;
+    try {
+      m = progmodel::lower(c.program);
+    } catch (const ContractViolation&) {
+      continue;
+    }
+    ++lowered;
+    for (const std::uint64_t budget : {3'000ULL, 100'000ULL}) {
+      MachineConfig cfg;
+      cfg.nprocs = c.program.nprocs;
+      cfg.max_steps = budget;
+      for (const std::uint64_t seed : {1ULL, 7ULL}) {
+        const ScheduleSweepReport sweep = sweep_schedules(*m, cfg, {1, seed});
+        ASSERT_EQ(sweep.reports.size(), 1u);
+        EXPECT_TRUE(sweep.reports[0] == run(*m, cfg))
+            << c.name << " at " << budget << " steps";
+      }
+    }
+  }
+  EXPECT_GT(lowered, 0u);
+}
+
 TEST(Schedule, RandomSchedulerStillFindsDeadlocks) {
   const auto m = progmodel::lower(recv_recv_cycle());
   MachineConfig cfg;

@@ -4,6 +4,7 @@
 #include "core/eval_engine.hpp"
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
+#include "datasets/spec.hpp"
 #include "verify/tool.hpp"
 
 namespace mpidetect::verify {
@@ -118,6 +119,36 @@ TEST(AllTools, CleanOnSimplestCorrectCode) {
     EXPECT_EQ(make_mpichecker_lite()->check(c), Diagnostic::Correct)
         << c.name;
   }
+}
+
+// Frozen wall for the expert tools: the FNV-1a digest of every verdict
+// of the four tools (and the swept dynamic variants) over MBI and
+// CorrBench slices, recorded before the dynamic tools were merged into
+// one checker. Any change to a tool's verdict on any case moves it.
+TEST(FrozenDigest, ToolVerdictsMatchRecordedDigest) {
+  const datasets::Dataset mbi = datasets::make_dataset("mbi:0.1");
+  const datasets::Dataset corr = datasets::make_dataset("corr:0.25");
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const char* key : {"itac", "must", "itac-sweep", "must-sweep",
+                          "parcoach", "mpi-checker"}) {
+    auto det = core::DetectorRegistry::global().create(key);
+    for (const datasets::Dataset* ds : {&mbi, &corr}) {
+      mix(ds->size());
+      for (std::size_t i = 0; i < ds->size(); ++i) {
+        const core::Verdict v = det->evaluate(*ds, i);
+        mix(static_cast<std::uint64_t>(v.outcome));
+        mix(v.predicted_label.has_value());
+        mix(v.confidence.has_value());
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xaaaa27d154398885ULL);
 }
 
 }  // namespace
