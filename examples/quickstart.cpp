@@ -1,9 +1,12 @@
 // Quickstart: build one MPI program, inspect its IR and ProGraML graph,
 // embed it with IR2vec, run it in the simulator, and classify it with a
 // registry-built detector trained on the synthetic MBI corpus through
-// the unified Detector API.
+// the unified Detector API, beside the MUST expert tool's verdict.
 //
 //   $ ./examples/quickstart
+//
+// Exit status: 0 when the learned detector flags the bug, 1 when it
+// misses it.
 #include <iostream>
 
 #include "core/detector.hpp"
@@ -102,6 +105,11 @@ int main() {
 
   const auto verdicts = detector->run(std::span(&own, 1));
   const bool predicted_incorrect = verdicts.front().flagged();
+
+  // 5. The expert-tool view of the same program: MUST runs it under the
+  //    simulator, so it sees the deadlock of step 2 directly.
+  auto must = core::DetectorRegistry::global().create("must");
+  const core::Verdict tool_verdict = must->run(std::span(&own, 1)).front();
   std::cout << "--- verdicts ---------------------------------------\n"
             << "detector " << detector->name() << " ("
             << core::detector_kind_name(detector->kind()) << ") trained on "
@@ -110,6 +118,9 @@ int main() {
             << (predicted_incorrect ? "INCORRECT (error detected)"
                                     : "correct")
             << "\n"
+            << "expert tool " << must->name() << " ("
+            << core::detector_kind_name(must->kind())
+            << "): " << core::outcome_name(tool_verdict.outcome) << "\n"
             << "ground truth: INCORRECT (recv-recv deadlock)\n";
   return predicted_incorrect ? 0 : 1;
 }

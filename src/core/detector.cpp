@@ -60,29 +60,6 @@ class StreamGraphSource final : public ml::GraphSource {
 
 }  // namespace
 
-Verdict Verdict::from_diagnostic(verify::Diagnostic d) {
-  Verdict v;
-  switch (d) {
-    case verify::Diagnostic::Correct: v.outcome = Outcome::Correct; break;
-    case verify::Diagnostic::Incorrect: v.outcome = Outcome::Incorrect; break;
-    case verify::Diagnostic::Timeout: v.outcome = Outcome::Timeout; break;
-    case verify::Diagnostic::RuntimeErr: v.outcome = Outcome::RuntimeErr; break;
-    case verify::Diagnostic::CompileErr: v.outcome = Outcome::CompileErr; break;
-  }
-  return v;
-}
-
-verify::Diagnostic Verdict::to_diagnostic() const {
-  switch (outcome) {
-    case Outcome::Correct: return verify::Diagnostic::Correct;
-    case Outcome::Incorrect: return verify::Diagnostic::Incorrect;
-    case Outcome::Timeout: return verify::Diagnostic::Timeout;
-    case Outcome::RuntimeErr: return verify::Diagnostic::RuntimeErr;
-    case Outcome::CompileErr: return verify::Diagnostic::CompileErr;
-  }
-  MPIDETECT_UNREACHABLE("bad Verdict::Outcome");
-}
-
 void Detector::use_cache(const std::shared_ptr<EncodingCache>&) {}
 
 void Detector::prepare(const datasets::Dataset&, unsigned) {}
@@ -145,7 +122,9 @@ std::unique_ptr<Detector> ToolDetector::clone() const {
 }
 
 Verdict ToolDetector::evaluate(const datasets::Dataset& ds, std::size_t idx) {
-  return Verdict::from_diagnostic(tool_->check(ds.cases[idx]));
+  Verdict v;
+  v.outcome = tool_->check(ds.cases[idx]);
+  return v;
 }
 
 // ---- Ir2vecDetector ---------------------------------------------------------
@@ -415,32 +394,25 @@ std::vector<Verdict> GnnDetector::run_indexed(
 // ---- DetectorRegistry -------------------------------------------------------
 
 DetectorRegistry::DetectorRegistry() {
-  add("itac", [](const DetectorConfig&) {
-    return std::make_unique<ToolDetector>(
-        [] { return verify::make_itac_lite(); }, DetectorKind::Dynamic);
-  });
-  add("must", [](const DetectorConfig&) {
-    return std::make_unique<ToolDetector>(
-        [] { return verify::make_must_lite(); }, DetectorKind::Dynamic);
-  });
-  // Schedule-sweeping variants of the dynamic tools: every case is run
-  // under cfg.dynamic_schedules seeded interleavings (the round-robin
-  // one plus Random schedules) and an error under any of them is
-  // reported. See mpisim/sweep.hpp and docs/TESTING.md.
-  add("itac-sweep", [](const DetectorConfig& cfg) {
-    const verify::DynamicToolOptions opts{cfg.dynamic_schedules,
-                                          cfg.schedule_seed};
-    return std::make_unique<ToolDetector>(
-        [opts] { return verify::make_itac_lite(opts); },
-        DetectorKind::Dynamic);
-  });
-  add("must-sweep", [](const DetectorConfig& cfg) {
-    const verify::DynamicToolOptions opts{cfg.dynamic_schedules,
-                                          cfg.schedule_seed};
-    return std::make_unique<ToolDetector>(
-        [opts] { return verify::make_must_lite(opts); },
-        DetectorKind::Dynamic);
-  });
+  // The dynamic tools, each under one key that runs the paper's single
+  // round-robin schedule and one "-sweep" key that runs every case under
+  // cfg.dynamic_schedules seeded interleavings (the round-robin one plus
+  // Random schedules) and reports an error seen under any of them. See
+  // mpisim/sweep.hpp and docs/TESTING.md.
+  for (const auto& [tool, make] :
+       {std::pair{"itac", &verify::make_itac_lite},
+        std::pair{"must", &verify::make_must_lite}}) {
+    for (const bool sweep : {false, true}) {
+      add(std::string(tool) + (sweep ? "-sweep" : ""),
+          [make, sweep](const DetectorConfig& cfg) {
+            const int n = sweep ? cfg.dynamic_schedules : 1;
+            const std::uint64_t seed = cfg.schedule_seed;
+            return std::make_unique<ToolDetector>(
+                [make, n, seed] { return make(n, seed); },
+                DetectorKind::Dynamic);
+          });
+    }
+  }
   add("parcoach", [](const DetectorConfig&) {
     return std::make_unique<ToolDetector>(verify::make_parcoach_lite,
                                           DetectorKind::Static);

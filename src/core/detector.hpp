@@ -40,17 +40,12 @@ enum class DetectorKind : std::uint8_t {
 
 std::string_view detector_kind_name(DetectorKind k);
 
-/// The outcome of running one detector on one case. Subsumes
-/// verify::Diagnostic (the expert tools' answer vocabulary) and adds the
-/// learned detectors' predicted class and confidence.
+/// The outcome of running one detector on one case: the expert tools'
+/// answer plus, for the learned detectors, the predicted class and
+/// confidence.
 struct Verdict {
-  enum class Outcome : std::uint8_t {
-    Correct,     // code reported clean
-    Incorrect,   // error reported
-    Timeout,     // no conclusion within budget (TO)
-    RuntimeErr,  // detector crashed while analysing (RE)
-    CompileErr,  // detector could not ingest the code (CE)
-  };
+  /// One outcome vocabulary for every detector (verify/tool.hpp).
+  using Outcome = verify::Diagnostic;
 
   Outcome outcome = Outcome::Correct;
   /// Predicted class index under multi-class training (Figure 6).
@@ -62,9 +57,6 @@ struct Verdict {
   bool conclusive() const {
     return outcome == Outcome::Correct || outcome == Outcome::Incorrect;
   }
-
-  static Verdict from_diagnostic(verify::Diagnostic d);
-  verify::Diagnostic to_diagnostic() const;
 };
 
 std::string_view outcome_name(Verdict::Outcome o);

@@ -8,10 +8,10 @@
 // graph-at-a-time inference). Both modes train the
 // paper's way, one graph per Adam step.
 //
-// Both bench/perf_gnn.cpp and `mpiguard bench --json` are thin CLIs over
-// run_gnn_perf; the JSON they write (BENCH_gnn.json) is the repo's perf
-// trajectory record, schema-checked in CI by scripts/check_bench_json.py
-// and documented in docs/PERFORMANCE.md.
+// bench/perf_gnn.cpp is the CLI over run_gnn_perf; the JSON it writes
+// (BENCH_gnn.json) is the repo's perf trajectory record, schema-checked
+// in CI by scripts/check_bench_json.py and documented in
+// docs/PERFORMANCE.md.
 #pragma once
 
 #include <array>
@@ -87,10 +87,9 @@ inline constexpr double kMaxProbaDiff = 1e-6;
 GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
                            const GnnPerfOptions& opts);
 
-/// \brief Shared CLI tail of the harness drivers (bench/perf_gnn,
-/// `mpiguard bench --json`): prints the phase table and the
-/// speedup/equivalence summary to `os`, writes the JSON record to
-/// `json_path`.
+/// \brief CLI tail of the harness driver (bench/perf_gnn): prints the
+/// phase table and the speedup/equivalence summary to `os`, writes the
+/// JSON record to `json_path`.
 /// \return the process exit code — 0, or 2 when batched inference
 /// disagreed with the baseline: an argmax differs or a probability
 /// moved by more than kMaxProbaDiff (the record is still written first

@@ -4,7 +4,7 @@
 // seed's naive triple loop for before/after measurements
 // (bench/perf_gnn), the runtime SIMD dispatch table (AVX2 inner kernels
 // with a scalar fallback), and the per-op profiling counters surfaced by
-// `mpiguard bench --json` and the daemon's STATS frame.
+// bench/perf_gnn and the daemon's STATS frame.
 //
 // Every kernel runs on the thread that calls it. Parallelism lives one
 // level up — CV folds and cases on EvalEngine's pool, encoding on a

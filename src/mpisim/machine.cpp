@@ -920,7 +920,7 @@ void Machine::post_send(int rank, Func f, const DInst& inst,
     if (p == nullptr) { crash(rank); return; }
     s.payload.assign(p, p + bytes);
   }
-  s.synchronous = (f == Func::Ssend) || bytes > cfg_.eager_threshold;
+  s.synchronous = (f == Func::Ssend) || bytes > kEagerThreshold;
   s.request = request;
   s.seq = ++seq_;
   s.ctx = ranks_[static_cast<std::size_t>(rank)].active;
@@ -1025,7 +1025,7 @@ void Machine::match_messages() {
         // Under a Random schedule the race is also *resolved* randomly:
         // pick a source uniformly, then that source's earliest
         // unconsumed send (non-overtaking within the source).
-        if (random_ && cfg_.schedule.randomize_wildcard_match) {
+        if (random_) {
           const int pick = seen_sources[rng_.index(seen_sources.size())];
           best = nullptr;
           for (auto& s : sends_) {
@@ -2137,7 +2137,7 @@ void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
           if (p == nullptr) { crash(rank); return; }
           s.payload.assign(p, p + bytes);
         }
-        s.synchronous = bytes > cfg_.eager_threshold;
+        s.synchronous = bytes > kEagerThreshold;
         s.request = handle;
         s.seq = ++seq_;
         sends_.push_back(std::move(s));
@@ -2781,7 +2781,7 @@ void Machine::run_round_robin() {
       // this round get their slice in the same pass, deterministically.
       for (std::size_t ci = 0; ci < r.ctxs.size(); ++ci) {
         for (int k = 0;
-             k < cfg_.slice && r.ctxs[ci].status == RankStatus::Runnable;
+             k < kSlice && r.ctxs[ci].status == RankStatus::Runnable;
              ++k) {
           step(rk, static_cast<int>(ci));
           executed = true;
@@ -2806,8 +2806,6 @@ void Machine::run_round_robin() {
 }
 
 void Machine::run_random() {
-  const int hi = std::max(cfg_.slice, 1);
-  const int lo = std::min(std::max(cfg_.schedule.min_slice, 1), hi);
   while (true) {
     // One decision per iteration: a random runnable rank, a jittered
     // slice. Progress engines run after every slice, so the points at
@@ -2826,10 +2824,10 @@ void Machine::run_random() {
     bool executed = false;
     if (!runnable_.empty()) {
       const auto [rk, ci] = runnable_[rng_.index(runnable_.size())];
-      const bool burst = rng_.chance(cfg_.schedule.burst_chance);
+      const bool burst = rng_.chance(kBurstChance);
       const std::int64_t slice =
           burst ? std::numeric_limits<std::int64_t>::max()
-                : rng_.uniform_int(lo, hi);
+                : rng_.uniform_int(kMinSlice, kSlice);
       RankState& r = ranks_[static_cast<std::size_t>(rk)];
       for (std::int64_t k = 0;
            k < slice && r.ctxs[static_cast<std::size_t>(ci)].status ==

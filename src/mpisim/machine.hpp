@@ -25,16 +25,33 @@ namespace mpidetect::mpisim {
 
 /// How runnable ranks are interleaved.
 enum class SchedPolicy : std::uint8_t {
-  /// Ranks 0..n-1 each run `MachineConfig::slice` instructions per
-  /// round, in rank order. Fully deterministic; reports carry
-  /// `schedule_seed == 0`.
+  /// Ranks 0..n-1 each run `kSlice` instructions per round, in rank
+  /// order. Fully deterministic; reports carry `schedule_seed == 0`.
   RoundRobin,
   /// Every scheduling decision picks a uniformly random runnable rank
-  /// and a jittered slice length from a seeded Rng, and wildcard
-  /// receives consume a random racing sender. Deterministic for a
+  /// and a jittered slice length from a seeded Rng. A wildcard receive
+  /// with several racing senders consumes a uniformly chosen sender
+  /// instead of the earliest-posted one (still non-overtaking per
+  /// source), which makes the delivered payload — not just the
+  /// MessageRace finding — schedule dependent. Deterministic for a
   /// fixed seed; different seeds explore different interleavings.
   Random,
 };
+
+/// Instructions a rank executes per round-robin slice; the Random
+/// policy draws each slice uniformly from [kMinSlice, kSlice].
+inline constexpr int kSlice = 64;
+inline constexpr int kMinSlice = 1;
+/// Random policy: probability that a decision instead runs the chosen
+/// rank until it blocks or finishes (a depth-first "burst").
+/// Per-slice jitter alone almost never produces the interleaving
+/// where one rank gets far ahead — e.g. both racing senders fully
+/// posted before the wildcard receiver first runs — which is exactly
+/// the schedule that flushes out WildcardRace-style bugs.
+inline constexpr double kBurstChance = 0.4;
+/// MPI_Send buffers messages of at most this many bytes (eager
+/// protocol); larger sends rendezvous (block until matched).
+inline constexpr std::size_t kEagerThreshold = 4096;
 
 std::string_view sched_policy_name(SchedPolicy p);
 
@@ -44,22 +61,6 @@ struct ScheduleConfig {
   /// carry schedule_seed 0); forced nonzero internally so seed 0 can
   /// unambiguously mean "the deterministic schedule".
   std::uint64_t seed = 1;
-  /// Random policy: each decision runs the chosen rank for a slice
-  /// drawn uniformly from [min_slice, MachineConfig::slice].
-  int min_slice = 1;
-  /// Random policy: probability that a decision instead runs the chosen
-  /// rank until it blocks or finishes (a depth-first "burst").
-  /// Per-slice jitter alone almost never produces the interleaving
-  /// where one rank gets far ahead — e.g. both racing senders fully
-  /// posted before the wildcard receiver first runs — which is exactly
-  /// the schedule that flushes out WildcardRace-style bugs.
-  double burst_chance = 0.4;
-  /// Random policy: a wildcard receive with several racing senders
-  /// consumes a uniformly chosen sender instead of the earliest-posted
-  /// one (still non-overtaking per source). This is what makes the
-  /// delivered payload — not just the MessageRace finding — schedule
-  /// dependent.
-  bool randomize_wildcard_match = true;
 };
 
 struct MachineConfig {
@@ -73,15 +74,9 @@ struct MachineConfig {
   /// even when the budget runs out in the same interval (the two are
   /// never conflated).
   std::uint64_t max_steps = 2'000'000;
-  /// MPI_Send buffers messages of at most this many bytes (eager
-  /// protocol); larger sends rendezvous (block until matched).
-  std::size_t eager_threshold = 4096;
   /// Per-rank heap arena limit in bytes; backing memory grows on demand
   /// (untouched memory inside the limit reads as zero).
   std::size_t arena_bytes = 1 << 20;
-  /// Instructions a rank executes per scheduling slice (the Random
-  /// policy's upper slice bound).
-  int slice = 64;
   /// Interleaving policy; defaults to the deterministic round-robin.
   ScheduleConfig schedule;
 };

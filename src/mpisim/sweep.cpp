@@ -29,12 +29,11 @@ ScheduleSweepReport sweep_schedules(const ir::Module& m,
 
   for (int k = 0; k < opts.schedules; ++k) {
     MachineConfig cfg = base;
-    if (k == 0 && opts.include_round_robin) {
+    if (k == 0) {
       cfg.schedule.policy = SchedPolicy::RoundRobin;
     } else {
       cfg.schedule.policy = SchedPolicy::Random;
-      cfg.schedule.seed =
-          schedule_seed_for(opts.seed, opts.include_round_robin ? k : k + 1);
+      cfg.schedule.seed = schedule_seed_for(opts.seed, k);
     }
     RunReport rep = detail::run(*decoded, cfg);
 

@@ -17,17 +17,15 @@ namespace mpidetect::mpisim {
 
 struct ScheduleSweepOptions {
   /// Total schedules to run: schedule 0 is the deterministic
-  /// round-robin one (when include_round_robin), the rest are Random
-  /// schedules with seeds derived from `seed`.
+  /// round-robin one, so a one-schedule sweep is a plain run; the rest
+  /// are Random schedules with seeds derived from `seed`.
   int schedules = 8;
   /// Base seed; schedule k >= 1 runs with schedule_seed_for(seed, k).
   std::uint64_t seed = 1;
-  bool include_round_robin = true;
 };
 
 /// The (nonzero) machine schedule seed of sweep slot `k` under base
-/// seed `base_seed`. Slot 0 is the round-robin schedule (seed 0) when
-/// included in the sweep.
+/// seed `base_seed`. Slot 0 is the round-robin schedule (seed 0).
 std::uint64_t schedule_seed_for(std::uint64_t base_seed, int k);
 
 struct ScheduleSweepReport {

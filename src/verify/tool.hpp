@@ -2,11 +2,14 @@
 // paper compares against (Table III, Figure 7). Each tool reproduces
 // the *detection profile* of its namesake from first principles:
 //
-//   ItacLite      — dynamic tracing with a step budget (Intel ITAC):
-//                   high precision, deadlock detection via timeouts,
-//                   inconclusive on long-running codes.
-//   MustLite      — dynamic online checking (MUST): broadest dynamic
-//                   coverage including races and RMA epochs.
+//   ITAC, MUST    — one dynamic checker (dynamic_checker.cpp) with two
+//                   profiles. Both execute the code under the simulator
+//                   and differ in step budget and counted findings:
+//                   ITAC (Intel ITAC tracing) has a tight budget and
+//                   high precision, finds deadlocks via timeouts and is
+//                   inconclusive on long-running codes; MUST (online
+//                   checking) has the broadest dynamic coverage,
+//                   including races and RMA epochs.
 //   ParcoachLite  — static collective-divergence analysis (PARCOACH):
 //                   flags rank-dependent communication divergence, which
 //                   catches ordering errors but floods correct codes
@@ -18,21 +21,20 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "datasets/dataset.hpp"
 
 namespace mpidetect::verify {
 
+/// The one outcome vocabulary of every detector: core::Verdict::Outcome
+/// is this type. The values are wire bytes and tally indices; keep them.
 enum class Diagnostic : std::uint8_t {
-  Correct,     // tool reports the code clean
-  Incorrect,   // tool reports an error
-  Timeout,     // tool could not conclude in its budget (TO)
-  RuntimeErr,  // tool crashed while analysing (RE)
-  CompileErr,  // tool could not ingest the code (CE)
+  Correct,     // code reported clean
+  Incorrect,   // error reported
+  Timeout,     // no conclusion within budget (TO)
+  RuntimeErr,  // detector crashed while analysing (RE)
+  CompileErr,  // detector could not ingest the code (CE)
 };
-
-std::string_view diagnostic_name(Diagnostic d);
 
 class VerificationTool {
  public:
@@ -41,31 +43,17 @@ class VerificationTool {
   virtual Diagnostic check(const datasets::Case& c) = 0;
 };
 
-/// Schedule-exploration knobs for the dynamic tools (ITAC/MUST).
-/// With `schedules == 1` the tool executes the single deterministic
-/// round-robin interleaving — the paper's protocol, bit-identical to
-/// the historical behaviour. With `schedules > 1` every case is run
-/// under that many seeded schedules (mpisim/sweep.hpp) and the
-/// per-schedule diagnostics are merged: an error observed under *any*
-/// interleaving is reported, which is what lets the dynamic tools catch
-/// timing-dependent classes (WildcardRace, RecvRecvCycle) the fixed
-/// schedule happens to mask.
-struct DynamicToolOptions {
-  int schedules = 1;
-  std::uint64_t seed = 1;  // base seed for the schedule sweep
-};
-
-/// Merge rule for per-schedule diagnostics: Incorrect dominates (a bug
-/// seen under any schedule is a bug), then RuntimeErr, then Timeout;
-/// Correct only when every schedule concluded Correct.
-Diagnostic merge_schedule_diagnostics(const std::vector<Diagnostic>& per_run);
-
-std::unique_ptr<VerificationTool> make_itac_lite();
-std::unique_ptr<VerificationTool> make_itac_lite(
-    const DynamicToolOptions& opts);
-std::unique_ptr<VerificationTool> make_must_lite();
-std::unique_ptr<VerificationTool> make_must_lite(
-    const DynamicToolOptions& opts);
+/// The dynamic tools. Each case runs under `schedules` schedules of
+/// mpisim::sweep_schedules: the deterministic round-robin one (the
+/// paper's protocol; all of it when `schedules == 1`) and seeded Random
+/// ones derived from `seed`. An error seen under any schedule is
+/// reported, which is what lets the tools catch timing-dependent
+/// classes (WildcardRace, RecvRecvCycle) the fixed schedule masks.
+/// \throws ContractViolation when `schedules < 1`.
+std::unique_ptr<VerificationTool> make_itac_lite(int schedules = 1,
+                                                 std::uint64_t seed = 1);
+std::unique_ptr<VerificationTool> make_must_lite(int schedules = 1,
+                                                 std::uint64_t seed = 1);
 std::unique_ptr<VerificationTool> make_parcoach_lite();
 std::unique_ptr<VerificationTool> make_mpichecker_lite();
 

@@ -7,6 +7,8 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -102,29 +104,38 @@ TEST(Registry, DuplicateRegistrationThrows) {
                ContractViolation);
 }
 
-TEST(Verdict, DiagnosticRoundTrip) {
-  for (const auto d :
-       {verify::Diagnostic::Correct, verify::Diagnostic::Incorrect,
-        verify::Diagnostic::Timeout, verify::Diagnostic::RuntimeErr,
-        verify::Diagnostic::CompileErr}) {
-    EXPECT_EQ(Verdict::from_diagnostic(d).to_diagnostic(), d);
+TEST(Verdict, OutcomeIsTheDiagnosticVocabulary) {
+  static_assert(std::is_same_v<Verdict::Outcome, verify::Diagnostic>);
+  Verdict v;
+  EXPECT_EQ(v.outcome, verify::Diagnostic::Correct);
+  EXPECT_TRUE(v.conclusive());
+  EXPECT_FALSE(v.flagged());
+  v.outcome = verify::Diagnostic::Incorrect;
+  EXPECT_TRUE(v.conclusive());
+  EXPECT_TRUE(v.flagged());
+  for (const auto o : {verify::Diagnostic::Timeout,
+                       verify::Diagnostic::RuntimeErr,
+                       verify::Diagnostic::CompileErr}) {
+    v.outcome = o;
+    EXPECT_FALSE(v.conclusive());
+    EXPECT_FALSE(v.flagged());
   }
-  EXPECT_TRUE(
-      Verdict::from_diagnostic(verify::Diagnostic::Incorrect).flagged());
-  EXPECT_FALSE(
-      Verdict::from_diagnostic(verify::Diagnostic::Timeout).conclusive());
-  EXPECT_TRUE(
-      Verdict::from_diagnostic(verify::Diagnostic::Correct).conclusive());
 }
 
-TEST(Verdict, OutcomeNamesMatchDiagnosticNames) {
-  for (const auto o :
-       {Verdict::Outcome::Correct, Verdict::Outcome::Incorrect,
-        Verdict::Outcome::Timeout, Verdict::Outcome::RuntimeErr,
-        Verdict::Outcome::CompileErr}) {
-    Verdict v;
-    v.outcome = o;
-    EXPECT_EQ(outcome_name(o), diagnostic_name(v.to_diagnostic()));
+// One name per outcome, in value order: the values are wire bytes and
+// EvalReport::outcome_counts indices.
+TEST(Verdict, OutcomeNamesFollowValueOrder) {
+  const std::pair<Verdict::Outcome, std::string_view> names[] = {
+      {Verdict::Outcome::Correct, "correct"},
+      {Verdict::Outcome::Incorrect, "incorrect"},
+      {Verdict::Outcome::Timeout, "timeout"},
+      {Verdict::Outcome::RuntimeErr, "runtime-error"},
+      {Verdict::Outcome::CompileErr, "compile-error"},
+  };
+  static_assert(std::size(names) == kNumOutcomes);
+  for (std::size_t i = 0; i < kNumOutcomes; ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(names[i].first), i);
+    EXPECT_EQ(outcome_name(names[i].first), names[i].second);
   }
 }
 

@@ -291,8 +291,7 @@ TEST(MaxSteps, TimeoutBudgetIsTotalAcrossRanks) {
         << nprocs << " ranks: " << rep.summary();
     EXPECT_GE(rep.steps, cfg.max_steps);
     // Overshoot is bounded by one slice of one rank.
-    EXPECT_LT(rep.steps, cfg.max_steps + static_cast<std::uint64_t>(
-                                             cfg.slice));
+    EXPECT_LT(rep.steps, cfg.max_steps + static_cast<std::uint64_t>(kSlice));
   }
 }
 

@@ -5,6 +5,7 @@
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
 #include "datasets/spec.hpp"
+#include "support/check.hpp"
 #include "verify/tool.hpp"
 
 namespace mpidetect::verify {
@@ -32,8 +33,20 @@ TEST(Tools, NamesMatchPaper) {
 }
 
 TEST(Tools, DiagnosticNames) {
-  EXPECT_EQ(diagnostic_name(Diagnostic::Correct), "correct");
-  EXPECT_EQ(diagnostic_name(Diagnostic::Timeout), "timeout");
+  EXPECT_EQ(core::outcome_name(Diagnostic::Correct), "correct");
+  EXPECT_EQ(core::outcome_name(Diagnostic::Timeout), "timeout");
+}
+
+TEST(Tools, DynamicToolsRejectAnEmptySweep) {
+  EXPECT_THROW(make_itac_lite(0), ContractViolation);
+  EXPECT_THROW(make_must_lite(0, 3), ContractViolation);
+  core::DetectorConfig cfg;
+  cfg.dynamic_schedules = 0;
+  EXPECT_THROW(core::DetectorRegistry::global().create("must-sweep", cfg),
+               ContractViolation);
+  // The plain keys always run one schedule.
+  EXPECT_EQ(core::DetectorRegistry::global().create("must", cfg)->name(),
+            "MUST");
 }
 
 TEST(Tools, EvaluateCoversWholeDataset) {

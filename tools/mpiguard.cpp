@@ -28,7 +28,6 @@
 #include "core/fuzzer.hpp"
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
-#include "core/perf_bench.hpp"
 #include "corpus/corpus.hpp"
 #include "datasets/spec.hpp"
 #include "io/serialize.hpp"
@@ -49,8 +48,6 @@ usage:
                    (--dataset SPEC | --corpus DIR [--window N])
                    [--protocol sweep|kfold|cross] [--valid SPEC] [options]
   mpiguard bench   [--detectors A,B,...] --dataset SPEC [options]
-  mpiguard bench   --json --dataset SPEC [--json-out FILE] [--reps N]
-                   [--warmup N] [--infer-batch N]
   mpiguard fuzz    [--seed S --runs N --schedules K] [--json] [--quick]
                    [--corpus FILE] [--corpus-dir DIR] [--repro TUPLE]
                    [options]
@@ -117,15 +114,6 @@ corpus options (sharded .mpcs corpora, see docs/CORPUS.md):
   --shard-mb M      max shard payload size in MiB (default 64)
   --inputs A,B      comma-separated source directories (merge)
 
-bench --json options (GNN perf harness, see docs/PERFORMANCE.md):
-  --json            time GNN encode/train/infer, baseline vs packed
-                    engine, and write the BENCH_gnn.json record instead
-                    of running the detector-comparison table
-  --json-out FILE   output path (default: BENCH_gnn.json)
-  --reps N          measured repetitions per phase (default 5)
-  --warmup N        discarded warmup repetitions per phase (default 1)
-  --infer-batch N   inference micro-batch (default 4)
-
 exit status: 0 success, 1 usage error, 2 runtime failure.
 )";
 
@@ -168,10 +156,6 @@ struct Args {
   bool quiet = false;
   std::size_t limit = 20;
   bool json = false;
-  std::string json_out = "BENCH_gnn.json";
-  int reps = 5;
-  int warmup = 1;
-  std::size_t infer_batch = 4;
   // fuzz
   std::uint64_t fuzz_seed = 1;
   int fuzz_runs = 200;
@@ -235,15 +219,6 @@ Args parse_args(int argc, char** argv) {
     else if (f == "--limit")
       a.limit = parse_u64(need_value(i, "--limit"), "--limit");
     else if (f == "--json") a.json = true;
-    else if (f == "--json-out") a.json_out = need_value(i, "--json-out");
-    else if (f == "--reps")
-      a.reps = static_cast<int>(parse_u64(need_value(i, "--reps"), "--reps"));
-    else if (f == "--warmup")
-      a.warmup = static_cast<int>(
-          parse_u64(need_value(i, "--warmup"), "--warmup"));
-    else if (f == "--infer-batch")
-      a.infer_batch = parse_u64(need_value(i, "--infer-batch"),
-                                "--infer-batch");
     else if (f == "--seed")
       a.fuzz_seed = parse_u64(need_value(i, "--seed"), "--seed");
     else if (f == "--runs")
@@ -486,39 +461,13 @@ int cmd_eval(const Args& a) {
   return 0;
 }
 
-/// `bench --json`: the GNN perf harness (core/perf_bench.hpp) instead
-/// of the detector-comparison table — times encode/train/infer in
-/// baseline and engine modes and writes the BENCH_gnn.json record.
-int cmd_bench_json(const Args& a) {
-  if (a.reps < 1) throw CliError("bench --json: --reps must be >= 1");
-  if (a.warmup < 0) throw CliError("bench --json: --warmup must be >= 0");
-  if (a.infer_batch == 0) {
-    throw CliError("bench --json: --infer-batch must be >= 1");
-  }
-  const auto ds = make_dataset(a.dataset_spec);
-
-  core::GnnPerfOptions opts;
-  // The reduced bench stack of bench/common.hpp: same shape of results
-  // as the paper's 128/64/32, far faster per step.
-  opts.cfg.embed_dim = 16;
-  opts.cfg.layers = {64, 32, 16};
-  opts.cfg.fc_hidden = 16;
-  opts.cfg.epochs = 4;
-  opts.cfg.infer_batch = a.infer_batch;
-  opts.warmup = a.warmup;
-  opts.reps = a.reps;
-  opts.threads = a.threads;
-
-  std::cout << "GNN perf bench on " << ds.name << " (" << ds.size()
-            << " cases): reps=" << a.reps << " warmup=" << a.warmup
-            << " infer_batch=" << a.infer_batch << "\n";
-  const core::GnnPerfReport report = core::run_gnn_perf(ds, opts);
-  return core::report_and_write(report, a.json_out, std::cout);
-}
-
 int cmd_bench(const Args& a) {
+  if (a.json) {
+    throw CliError(
+        "bench: --json is not a bench option; the GNN perf harness is "
+        "the perf_gnn bench driver (docs/PERFORMANCE.md)");
+  }
   if (a.dataset_spec.empty()) throw CliError("bench: --dataset is required");
-  if (a.json) return cmd_bench_json(a);
   const std::string names =
       a.detectors.empty() ? "itac,must,parcoach,mpi-checker,ir2vec"
                           : a.detectors;
