@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "ir/builder.hpp"
 #include "mpi/api.hpp"
@@ -932,6 +934,308 @@ TEST(Sim, SendLargerThanArenaIsMemoryFault) {
   EXPECT_TRUE(
       has_message(rep, FindingKind::MemoryFault, "out-of-bounds access"))
       << rep.summary();
+}
+
+
+// ------------------------------------------------ p2p and request wall
+
+/// FNV-1a over the report fields that the frozen sweep digest of
+/// schedule_test.cpp folds: outcome, every finding, steps, schedule seed,
+/// match trace and summary text.
+struct ReportHasher {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+  void report(const RunReport& r) {
+    u64(static_cast<std::uint64_t>(r.outcome));
+    u64(r.findings.size());
+    for (const Finding& f : r.findings) {
+      u64(static_cast<std::uint64_t>(f.kind));
+      u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(f.rank)));
+      str(f.message);
+    }
+    u64(r.steps);
+    u64(r.schedule_seed);
+    u64(r.match_digest());
+    str(r.summary());
+  }
+};
+
+/// The argument set a point-to-point call of the wall receives: well
+/// formed, or wrong in exactly one way.
+enum class BadArg {
+  None,
+  NegativeCount,
+  Tag,
+  RankOutOfRange,
+  ProcNull,
+  NullBuffer,
+  InvalidDatatype,
+  UncommittedDatatype,
+  InvalidComm,
+  CountPastArena,
+};
+constexpr BadArg kAllBadArgs[] = {
+    BadArg::None,
+    BadArg::NegativeCount,
+    BadArg::Tag,
+    BadArg::RankOutOfRange,
+    BadArg::ProcNull,
+    BadArg::NullBuffer,
+    BadArg::InvalidDatatype,
+    BadArg::UncommittedDatatype,
+    BadArg::InvalidComm,
+    BadArg::CountPastArena,
+};
+
+/// buf, count, datatype, peer and tag of one message half addressed to
+/// `peer`, spoiled by `bad` ("dt" is an uncommitted derived datatype).
+std::vector<Arg> half_args(BadArg bad, int peer) {
+  std::vector<Arg> a;
+  a.push_back(bad == BadArg::NullBuffer ? A::null() : A::buf("buf"));
+  a.push_back(A::val(bad == BadArg::NegativeCount    ? -1
+                     : bad == BadArg::CountPastArena ? 2147483647
+                                                     : 4));
+  a.push_back(bad == BadArg::InvalidDatatype       ? A::val(4242)
+              : bad == BadArg::UncommittedDatatype ? A::val(E::ref("dt"))
+                                                   : A::val(kInt));
+  a.push_back(A::val(bad == BadArg::RankOutOfRange ? 5
+                     : bad == BadArg::ProcNull     ? mpi::kProcNull
+                                                   : peer));
+  a.push_back(A::val(bad == BadArg::Tag ? -7 : 0));
+  return a;
+}
+
+std::vector<Arg> concat(std::vector<Arg> a, std::vector<Arg> b) {
+  for (Arg& x : b) a.push_back(std::move(x));
+  return a;
+}
+
+/// The point-to-point entry points of the wall; each spoils the argument
+/// set of one call (for Sendrecv, of one half).
+enum class P2pCall {
+  Send,
+  Ssend,
+  Recv,
+  Isend,
+  Irecv,
+  SendInit,
+  RecvInit,
+  SendrecvSendHalf,
+  SendrecvRecvHalf,
+};
+constexpr P2pCall kAllP2pCalls[] = {
+    P2pCall::Send,     P2pCall::Ssend,    P2pCall::Recv,
+    P2pCall::Isend,    P2pCall::Irecv,    P2pCall::SendInit,
+    P2pCall::RecvInit, P2pCall::SendrecvSendHalf,
+    P2pCall::SendrecvRecvHalf,
+};
+
+/// Rank 0 makes `call` with `bad` arguments (plus the Start/Wait/free a
+/// request needs); rank 1 posts a well-formed counterpart.
+Program p2p_program(P2pCall call, BadArg bad) {
+  Program p;
+  p.main_body = preamble();
+  p.main_body.push_back(S::decl_buf("buf", ir::Type::I32, E::lit(8)));
+  p.main_body.push_back(S::decl_handle("req", HandleKind::Request));
+  p.main_body.push_back(S::decl_handle("dt", HandleKind::Datatype));
+  p.main_body.push_back(S::mpi(Func::TypeContiguous,
+                               {A::val(4), A::val(kInt), A::addr("dt")}));
+  const Arg comm = A::val(bad == BadArg::InvalidComm ? 4242 : kW);
+  const auto reqp = [] { return A::addr("req"); };
+  std::vector<Stmt> r0;
+  std::vector<Stmt> r1;
+  switch (call) {
+    case P2pCall::Send:
+    case P2pCall::Ssend:
+    case P2pCall::Isend:
+    case P2pCall::SendInit: {
+      const Func f = call == P2pCall::Send    ? Func::Send
+                     : call == P2pCall::Ssend ? Func::Ssend
+                     : call == P2pCall::Isend ? Func::Isend
+                                              : Func::SendInit;
+      std::vector<Arg> args = half_args(bad, 1);
+      args.push_back(comm);
+      if (f == Func::Isend || f == Func::SendInit) args.push_back(reqp());
+      r0.push_back(S::mpi(f, std::move(args)));
+      r1.push_back(recv_stmt("buf", 4, kInt, E::lit(0), 0));
+      break;
+    }
+    case P2pCall::Recv:
+    case P2pCall::Irecv:
+    case P2pCall::RecvInit: {
+      const Func f = call == P2pCall::Recv    ? Func::Recv
+                     : call == P2pCall::Irecv ? Func::Irecv
+                                              : Func::RecvInit;
+      std::vector<Arg> args = half_args(bad, 1);
+      args.push_back(comm);
+      args.push_back(f == Func::Recv ? A::null() : reqp());
+      r0.push_back(S::mpi(f, std::move(args)));
+      r1.push_back(send_stmt("buf", 4, kInt, E::lit(0), 0));
+      break;
+    }
+    case P2pCall::SendrecvSendHalf:
+    case P2pCall::SendrecvRecvHalf: {
+      const bool send_bad = call == P2pCall::SendrecvSendHalf;
+      std::vector<Arg> args =
+          concat(half_args(send_bad ? bad : BadArg::None, 1),
+                 half_args(send_bad ? BadArg::None : bad, 1));
+      args.push_back(comm);
+      args.push_back(A::null());
+      r0.push_back(S::mpi(Func::Sendrecv, std::move(args)));
+      std::vector<Arg> peer_args =
+          concat(half_args(BadArg::None, 0), half_args(BadArg::None, 0));
+      peer_args.push_back(A::val(kW));
+      peer_args.push_back(A::null());
+      r1.push_back(S::mpi(Func::Sendrecv, std::move(peer_args)));
+      break;
+    }
+  }
+  if (call == P2pCall::SendInit || call == P2pCall::RecvInit) {
+    r0.push_back(S::mpi(Func::Start, {reqp()}));
+  }
+  if (call == P2pCall::Isend || call == P2pCall::Irecv ||
+      call == P2pCall::SendInit || call == P2pCall::RecvInit) {
+    r0.push_back(S::mpi(Func::Wait, {reqp(), A::null()}));
+  }
+  if (call == P2pCall::SendInit || call == P2pCall::RecvInit) {
+    r0.push_back(S::mpi(Func::RequestFree, {reqp()}));
+  }
+  p.main_body.push_back(S::if_(E::eq(E::ref("rank"), E::lit(0)),
+                               std::move(r0), std::move(r1)));
+  p.main_body.push_back(S::mpi(Func::TypeFree, {A::addr("dt")}));
+  p.main_body.push_back(S::mpi(Func::Finalize, {}));
+  return p;
+}
+
+/// What the request argument of a lifecycle call of the wall holds.
+enum class ReqInput {
+  BadPointer,          // a null request pointer / request array
+  RequestNull,         // MPI_REQUEST_NULL
+  FreedHandle,         // a persistent request after MPI_Request_free
+  InactivePersistent,  // MPI_Send_init, never started
+  StartedPersistent,   // MPI_Send_init + MPI_Start (eager, so complete)
+  CompletedIsend,      // an eager MPI_Isend
+};
+constexpr ReqInput kAllReqInputs[] = {
+    ReqInput::BadPointer,        ReqInput::RequestNull,
+    ReqInput::FreedHandle,       ReqInput::InactivePersistent,
+    ReqInput::StartedPersistent, ReqInput::CompletedIsend,
+};
+constexpr Func kRequestCalls[] = {
+    Func::Wait, Func::Waitall, Func::Waitany,     Func::Waitsome,
+    Func::Test, Func::Testall, Func::RequestFree, Func::Start,
+};
+
+/// Rank 0 builds `input` in reqs[0] (reqs[1] stays MPI_REQUEST_NULL) and
+/// makes `f` on it; rank 1 receives whatever rank 0 may have sent.
+Program request_program(Func f, ReqInput input) {
+  Program p;
+  p.main_body = preamble();
+  p.main_body.push_back(S::decl_buf("buf", ir::Type::I32, E::lit(4)));
+  p.main_body.push_back(S::decl_buf("inds", ir::Type::I32, E::lit(2)));
+  p.main_body.push_back(S::decl_handle("h", HandleKind::Request));
+  p.main_body.push_back(S::decl_handle("h2", HandleKind::Request));
+  p.main_body.push_back(S::decl_req_array("reqs", 2));
+  p.main_body.push_back(S::decl_int("out", E::lit(-1)));
+  const auto send_init = [] {
+    return S::mpi(Func::SendInit,
+                  {A::buf("buf"), A::val(4), A::val(kInt), A::val(1),
+                   A::val(0), A::val(kW), A::addr("h")});
+  };
+  std::vector<Stmt> r0;
+  std::vector<Stmt> r1;
+  switch (input) {
+    case ReqInput::BadPointer:
+    case ReqInput::RequestNull:
+      break;
+    case ReqInput::FreedHandle:
+      r0.push_back(send_init());
+      r0.push_back(S::assign("h2", E::ref("h")));
+      r0.push_back(S::mpi(Func::RequestFree, {A::addr("h")}));
+      r0.push_back(S::buf_store("reqs", E::lit(0), E::ref("h2")));
+      break;
+    case ReqInput::InactivePersistent:
+      r0.push_back(send_init());
+      r0.push_back(S::buf_store("reqs", E::lit(0), E::ref("h")));
+      break;
+    case ReqInput::StartedPersistent:
+      r0.push_back(send_init());
+      r0.push_back(S::mpi(Func::Start, {A::addr("h")}));
+      r0.push_back(S::buf_store("reqs", E::lit(0), E::ref("h")));
+      r1.push_back(recv_stmt("buf", 4, kInt, E::lit(0), 0));
+      break;
+    case ReqInput::CompletedIsend:
+      r0.push_back(S::mpi(Func::Isend,
+                          {A::buf("buf"), A::val(4), A::val(kInt), A::val(1),
+                           A::val(0), A::val(kW), A::addr("h")}));
+      r0.push_back(S::buf_store("reqs", E::lit(0), E::ref("h")));
+      r1.push_back(recv_stmt("buf", 4, kInt, E::lit(0), 0));
+      break;
+  }
+  const bool bad = input == ReqInput::BadPointer;
+  const auto one = [&] {
+    return bad ? A::null() : A::buf_at("reqs", E::lit(0));
+  };
+  const auto all = [&] { return bad ? A::null() : A::buf("reqs"); };
+  switch (f) {
+    case Func::Wait:
+      r0.push_back(S::mpi(f, {one(), A::null()}));
+      break;
+    case Func::Waitall:
+      r0.push_back(S::mpi(f, {A::val(2), all(), A::null()}));
+      break;
+    case Func::Waitany:
+      r0.push_back(S::mpi(f, {A::val(2), all(), A::addr("out"), A::null()}));
+      break;
+    case Func::Waitsome:
+      r0.push_back(S::mpi(f, {A::val(2), all(), A::addr("out"),
+                              A::buf("inds"), A::null()}));
+      break;
+    case Func::Test:
+      r0.push_back(S::mpi(f, {one(), A::addr("out"), A::null()}));
+      break;
+    case Func::Testall:
+      r0.push_back(S::mpi(f, {A::val(2), all(), A::addr("out"), A::null()}));
+      break;
+    default:  // MPI_Request_free, MPI_Start
+      r0.push_back(S::mpi(f, {one()}));
+      break;
+  }
+  p.main_body.push_back(S::if_(E::eq(E::ref("rank"), E::lit(0)),
+                               std::move(r0), std::move(r1)));
+  p.main_body.push_back(S::mpi(Func::Finalize, {}));
+  return p;
+}
+
+// Frozen wall for the simulator's message and request paths: every
+// point-to-point entry point with each malformed argument, and every
+// wait/test/free/start call on each kind of request argument. Pins the
+// findings' text and order, step counts and outcomes, so one shared
+// send/recv/request path must reproduce each call's own behaviour.
+TEST(FrozenDigest, P2pAndRequestCallsMatchRecordedDigest) {
+  ReportHasher hash;
+  for (const P2pCall call : kAllP2pCalls) {
+    for (const BadArg bad : kAllBadArgs) {
+      hash.report(run_program(p2p_program(call, bad), 2));
+    }
+  }
+  for (const Func f : kRequestCalls) {
+    for (const ReqInput input : kAllReqInputs) {
+      hash.report(run_program(request_program(f, input), 2));
+    }
+  }
+  EXPECT_EQ(hash.h, 0x3b346fabb4e768a0ULL);
 }
 
 }  // namespace
