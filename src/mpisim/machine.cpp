@@ -80,13 +80,29 @@ enum class RankStatus : std::uint8_t {
 /// Which wait-family call a BlockedWait context is executing.
 enum class WaitMode : std::uint8_t { All, Any, Some };
 
+/// One message half of a point-to-point call as the program passed it:
+/// MPI_Send/MPI_Recv and their nonblocking and persistent forms have
+/// one, MPI_Sendrecv has two. `peer` is the destination of a send and
+/// the source of a receive.
+struct P2pArgs {
+  std::uint64_t buf = 0;
+  std::int64_t count = 0;
+  std::int32_t dtype = 0, peer = 0, tag = 0, comm = 0;
+};
+
+/// How a posted send completes.
+enum class SendMode : std::uint8_t {
+  Standard,     // eager up to kEagerThreshold bytes, rendezvous above
+  Synchronous,  // MPI_Ssend: always rendezvous
+  Buffered,     // MPI_Sendrecv's send half: always eager
+};
+
 /// A posted (possibly in-flight) point-to-point send.
 struct PendingSend {
   int src = 0, dest = 0, tag = 0;
   std::int32_t comm = 0, dtype = 0;
   bool builtin_dtype = true;   // derived types compare by size, not handle
   std::size_t elem_bytes = 0;  // captured at post time (free-safe)
-  std::int64_t count = 0;
   std::vector<std::uint8_t> payload;
   bool synchronous = false;   // Ssend or above eager threshold
   bool matched = false;
@@ -110,19 +126,15 @@ struct PendingRecv {
 
 /// Nonblocking / persistent operation state.
 struct Request {
-  enum class Kind : std::uint8_t { Send, Recv, Coll } kind = Kind::Send;
   int rank = 0;
   bool persistent = false;
   bool active = false;     // started and not yet completed
   bool completed = false;
   bool freed = false;
   bool waited = false;     // user consumed it via Wait/Waitall/Test
-  // Operation parameters (captured at Isend/Irecv/_init time).
-  std::uint64_t buffer = 0;
-  std::int64_t count = 0;
-  std::int32_t dtype = 0, comm = 0;
-  int peer = 0, tag = 0;
-  std::size_t byte_len = 0;
+  // Persistent requests: the operation MPI_Start re-posts.
+  bool sends = false;      // MPI_Send_init (else MPI_Recv_init)
+  P2pArgs p2p;
 };
 
 /// What a rank recorded when it arrived at a synchronizing operation.
@@ -191,9 +203,10 @@ struct OwnedRange {
 struct ExecCtx {
   RankStatus status = RankStatus::Runnable;
   std::vector<Frame> frames;
-  // Blocked-on descriptors.
+  // Blocked-on descriptors. The wait slots hold the requests of the
+  // latest wait or test call, with their indices in its request array.
   std::uint64_t wait_requests[64] = {};
-  int wait_slots[64] = {};  // original array indices (Waitany/Waitsome)
+  int wait_slots[64] = {};
   int wait_count = 0;
   WaitMode wait_mode = WaitMode::All;
   std::uint64_t wait_array = 0;         // request array base address
@@ -204,6 +217,11 @@ struct ExecCtx {
   std::int32_t probe_src = 0, probe_tag = 0, probe_comm = 0;
   int parent = -1;  // forking context index; -1 for the main thread
   std::vector<int> join_children;
+
+  /// Address of the i-th wait slot's handle in the request array.
+  std::uint64_t wait_slot_addr(int i) const {
+    return wait_array + static_cast<std::uint64_t>(wait_slots[i]) * 8;
+  }
 };
 
 struct RankState {
@@ -375,10 +393,32 @@ class Machine {
                  std::int64_t req);
   void drop_owned(int rank, std::int64_t req);
 
-  void post_send(int rank, Func f, const DInst& inst,
-                 std::int64_t request);
-  void post_recv(int rank, Func f, const DInst& inst,
-                 std::int64_t request);
+  /// The five operands from `first` on: buffer, count, datatype,
+  /// peer and tag.
+  P2pArgs p2p_args(int rank, const DInst& inst, std::size_t first) {
+    P2pArgs a;
+    a.buf = static_cast<std::uint64_t>(arg(rank, inst, first).i);
+    a.count = arg(rank, inst, first + 1).i;
+    a.dtype = static_cast<std::int32_t>(arg(rank, inst, first + 2).i);
+    a.peer = static_cast<std::int32_t>(arg(rank, inst, first + 3).i);
+    a.tag = static_cast<std::int32_t>(arg(rank, inst, first + 4).i);
+    return a;
+  }
+  bool check_p2p(int rank, const P2pArgs* send, const P2pArgs* recv,
+                 std::size_t& send_elem, std::size_t& recv_elem);
+  void post_p2p(int rank, Func f, const DInst& inst, std::int64_t request);
+  bool enqueue_send(int rank, const P2pArgs& a, std::size_t elem,
+                    SendMode mode, std::int64_t request);
+  void enqueue_recv(int rank, const P2pArgs& a, std::size_t elem,
+                    std::int64_t request);
+  std::int64_t new_request(int rank, Func f, const DInst& inst);
+  bool gather_requests(int rank, Func f, const DInst& inst);
+  /// The request in wait slot `i` of `c`; gathered, so it exists.
+  Request& slot_request(const ExecCtx& c, int i) {
+    return requests_.at(static_cast<std::int64_t>(c.wait_requests[i]));
+  }
+  void consume(int rank, Request& rq, std::uint64_t slot);
+  void wait_for(int rank, WaitMode mode);
   /// Extracts and validates the operands of a synchronizing op into `a`;
   /// false when the call is malformed (reported) and becomes a no-op.
   bool parse_collective_args(int rank, Func f, const DInst& inst,
@@ -391,7 +431,6 @@ class Machine {
   void nbc_post(int rank, Func f, const DInst& inst,
                 std::int64_t handle);
   void try_complete_nbc();
-  void exec_sendrecv(int rank, const DInst& inst);
   bool probe_match(int rank, std::int32_t src, std::int32_t tag,
                    std::int32_t comm, int* sources);
   void check_probes();
@@ -411,10 +450,9 @@ class Machine {
     return eval(frame(rank), operand(inst, idx));
   }
 
-  bool run_setup();
+  bool run_slice(int rank, int ctx, std::int64_t slice);
+  bool schedule_slices();
   bool check_end(bool executed);
-  void run_round_robin();
-  void run_random();
 
   const DecodedModule& prog_;
   MachineConfig cfg_;
@@ -873,128 +911,189 @@ void Machine::drop_owned(int rank, std::int64_t req) {
               owned.end());
 }
 
-void Machine::post_send(int rank, Func f, const DInst& inst,
-                        std::int64_t request) {
-  const std::uint64_t buf = static_cast<std::uint64_t>(arg(rank, inst, 0).i);
-  const std::int64_t count = arg(rank, inst, 1).i;
-  const std::int32_t dtype =
-      static_cast<std::int32_t>(arg(rank, inst, 2).i);
-  const std::int32_t dest = static_cast<std::int32_t>(arg(rank, inst, 3).i);
-  const std::int32_t tag = static_cast<std::int32_t>(arg(rank, inst, 4).i);
-  const std::int32_t comm = static_cast<std::int32_t>(arg(rank, inst, 5).i);
-
+/// Checks a point-to-point call with a send half, a receive half or
+/// both (MPI_Sendrecv), reporting every problem in one fixed order:
+/// communicator, count, tags, ranks, datatypes, buffers. Sets each
+/// half's element size. False when the call is malformed and becomes a
+/// no-op.
+bool Machine::check_p2p(int rank, const P2pArgs* send, const P2pArgs* recv,
+                        std::size_t& send_elem, std::size_t& recv_elem) {
+  const std::int32_t comm = (send != nullptr ? send : recv)->comm;
   bool ok = validate_comm(comm, rank);
-  if (count < 0) {
-    report(FindingKind::InvalidParam, rank, "negative send count");
-    ok = false;
-  }
-  if (tag < 0 || tag > mpi::kTagUb) {
+  if ((send != nullptr && send->count < 0) ||
+      (recv != nullptr && recv->count < 0)) {
     report(FindingKind::InvalidParam, rank,
-           "invalid tag on send: " + std::to_string(tag));
+           send == nullptr   ? "negative recv count"
+           : recv == nullptr ? "negative send count"
+                             : "negative sendrecv count");
     ok = false;
   }
-  if (!validate_rank_arg(dest, comm, rank, /*wildcard_ok=*/false)) ok = false;
+  if (send != nullptr && (send->tag < 0 || send->tag > mpi::kTagUb)) {
+    report(FindingKind::InvalidParam, rank,
+           "invalid tag on send: " + std::to_string(send->tag));
+    ok = false;
+  }
+  if (recv != nullptr && recv->tag != mpi::kAnyTag &&
+      (recv->tag < 0 || recv->tag > mpi::kTagUb)) {
+    report(FindingKind::InvalidParam, rank,
+           "invalid tag on recv: " + std::to_string(recv->tag));
+    ok = false;
+  }
+  if (send != nullptr &&
+      !validate_rank_arg(send->peer, comm, rank, /*wildcard_ok=*/false)) {
+    ok = false;
+  }
+  if (recv != nullptr &&
+      !validate_rank_arg(recv->peer, comm, rank, /*wildcard_ok=*/true)) {
+    ok = false;
+  }
   bool dt_ok = true;
-  const std::size_t elem = datatype_bytes(dtype, rank, &dt_ok);
-  ok = ok && dt_ok;
-  if (buf == 0 && count > 0) {
+  if (send != nullptr) {
+    send_elem = datatype_bytes(send->dtype, rank, &dt_ok);
+    ok = ok && dt_ok;
+  }
+  if (recv != nullptr) {
+    recv_elem = datatype_bytes(recv->dtype, rank, &dt_ok);
+    ok = ok && dt_ok;
+  }
+  if (send != nullptr && send->buf == 0 && send->count > 0) {
     report(FindingKind::InvalidParam, rank, "null send buffer");
     ok = false;
   }
-  if (!ok || dest == mpi::kProcNull) return;  // call becomes a no-op
+  if (recv != nullptr && recv->buf == 0 && recv->count > 0) {
+    report(FindingKind::InvalidParam, rank, "null recv buffer");
+    ok = false;
+  }
+  return ok;
+}
 
-  const std::size_t bytes = static_cast<std::size_t>(count) * elem;
+/// MPI_Send, MPI_Ssend, MPI_Recv, MPI_Sendrecv, MPI_Isend and
+/// MPI_Irecv (`request` nonzero for the last two).
+void Machine::post_p2p(int rank, Func f, const DInst& inst,
+                       std::int64_t request) {
+  const bool sendrecv = f == Func::Sendrecv;
+  const bool recv_only = f == Func::Recv || f == Func::Irecv;
+  P2pArgs first = p2p_args(rank, inst, 0);
+  P2pArgs second = sendrecv ? p2p_args(rank, inst, 5) : P2pArgs{};
+  first.comm = second.comm =
+      static_cast<std::int32_t>(arg(rank, inst, sendrecv ? 10 : 5).i);
+  const P2pArgs* send = recv_only ? nullptr : &first;
+  const P2pArgs* recv = recv_only ? &first : sendrecv ? &second : nullptr;
+  std::size_t send_elem = 0, recv_elem = 0;
+  // A malformed call, or a half addressed to MPI_PROC_NULL, posts nothing.
+  if (!check_p2p(rank, send, recv, send_elem, recv_elem)) return;
+  if (send != nullptr && send->peer != mpi::kProcNull) {
+    // MPI_Sendrecv is deadlock-free: the send half buffers as if eager,
+    // regardless of size — the caller only blocks on the receive half.
+    const SendMode mode = f == Func::Ssend ? SendMode::Synchronous
+                          : sendrecv       ? SendMode::Buffered
+                                           : SendMode::Standard;
+    if (!enqueue_send(rank, *send, send_elem, mode, request)) return;
+  }
+  if (recv != nullptr && recv->peer != mpi::kProcNull) {
+    enqueue_recv(rank, *recv, recv_elem, request);
+  }
+}
+
+/// Posts a send of `a.count` elements of `elem` bytes. A nonblocking
+/// send (`request` nonzero) owns its buffer until it completes, at once
+/// when eager; a blocking rendezvous send blocks the context until it is
+/// matched. False when the buffer is unreadable: the rank crashed.
+bool Machine::enqueue_send(int rank, const P2pArgs& a, std::size_t elem,
+                           SendMode mode, std::int64_t request) {
+  const std::size_t bytes =
+      static_cast<std::size_t>(std::max<std::int64_t>(a.count, 0)) * elem;
   PendingSend s;
   s.src = rank;
-  s.dest = dest;
-  s.tag = tag;
-  s.comm = comm;
-  s.dtype = dtype;
-  s.builtin_dtype = mpi::builtin_datatype_size(dtype).has_value();
+  s.dest = a.peer;
+  s.tag = a.tag;
+  s.comm = a.comm;
+  s.dtype = a.dtype;
+  s.builtin_dtype = mpi::builtin_datatype_size(a.dtype).has_value();
   s.elem_bytes = elem;
-  s.count = count;
   // Resolve before sizing the payload: a count far past the arena is a
   // fault, not a multi-gigabyte allocation.
   if (bytes > 0) {
-    const std::uint8_t* p = resolve(buf, bytes, rank);
-    if (p == nullptr) { crash(rank); return; }
+    const std::uint8_t* p = resolve(a.buf, bytes, rank);
+    if (p == nullptr) {
+      crash(rank);
+      return false;
+    }
     s.payload.assign(p, p + bytes);
   }
-  s.synchronous = (f == Func::Ssend) || bytes > kEagerThreshold;
+  const bool synchronous =
+      mode == SendMode::Synchronous ||
+      (mode == SendMode::Standard && bytes > kEagerThreshold);
+  s.synchronous = synchronous;
   s.request = request;
-  s.seq = ++seq_;
-  s.ctx = ranks_[static_cast<std::size_t>(rank)].active;
+  const std::uint64_t seq = ++seq_;
+  s.seq = seq;
+  RankState& r = ranks_[static_cast<std::size_t>(rank)];
+  s.ctx = r.active;
   sends_.push_back(std::move(s));
   matching_dirty_ = true;
 
   if (request != 0) {
-    Request& rq = requests_[request];
-    rq.byte_len = bytes;
-    if (bytes > 0) add_owned(rank, buf, buf + bytes, /*write=*/false, request);
+    if (bytes > 0) {
+      add_owned(rank, a.buf, a.buf + bytes, /*write=*/false, request);
+    }
     // Eager sends complete immediately even when nonblocking.
-    if (!sends_.back().synchronous) complete_request(request);
-  } else if (sends_.back().synchronous) {
-    ExecCtx& c = ranks_[static_cast<std::size_t>(rank)].cur();
-    c.status = RankStatus::BlockedSend;
-    c.blocked_send_seq = sends_.back().seq;
+    if (!synchronous) complete_request(request);
+  } else if (synchronous) {
+    r.cur().status = RankStatus::BlockedSend;
+    r.cur().blocked_send_seq = seq;
   }
+  return true;
 }
 
-void Machine::post_recv(int rank, Func f, const DInst& inst,
-                        std::int64_t request) {
-  (void)f;
-  const std::uint64_t buf = static_cast<std::uint64_t>(arg(rank, inst, 0).i);
-  const std::int64_t count = arg(rank, inst, 1).i;
-  const std::int32_t dtype =
-      static_cast<std::int32_t>(arg(rank, inst, 2).i);
-  const std::int32_t src = static_cast<std::int32_t>(arg(rank, inst, 3).i);
-  const std::int32_t tag = static_cast<std::int32_t>(arg(rank, inst, 4).i);
-  const std::int32_t comm = static_cast<std::int32_t>(arg(rank, inst, 5).i);
-
-  bool ok = validate_comm(comm, rank);
-  if (count < 0) {
-    report(FindingKind::InvalidParam, rank, "negative recv count");
-    ok = false;
-  }
-  if (tag != mpi::kAnyTag && (tag < 0 || tag > mpi::kTagUb)) {
-    report(FindingKind::InvalidParam, rank,
-           "invalid tag on recv: " + std::to_string(tag));
-    ok = false;
-  }
-  if (!validate_rank_arg(src, comm, rank, /*wildcard_ok=*/true)) ok = false;
-  bool dt_ok = true;
-  const std::size_t elem = datatype_bytes(dtype, rank, &dt_ok);
-  ok = ok && dt_ok;
-  if (buf == 0 && count > 0) {
-    report(FindingKind::InvalidParam, rank, "null recv buffer");
-    ok = false;
-  }
-  if (!ok || src == mpi::kProcNull) return;
-
+/// Posts a receive into `a.buf`. A nonblocking receive owns its buffer
+/// until it completes; a blocking one blocks the context until matched.
+void Machine::enqueue_recv(int rank, const P2pArgs& a, std::size_t elem,
+                           std::int64_t request) {
+  RankState& r = ranks_[static_cast<std::size_t>(rank)];
   PendingRecv rv;
   rv.rank = rank;
-  rv.src = src;
-  rv.tag = tag;
-  rv.comm = comm;
-  rv.dtype = dtype;
-  rv.builtin_dtype = mpi::builtin_datatype_size(dtype).has_value();
+  rv.src = a.peer;
+  rv.tag = a.tag;
+  rv.comm = a.comm;
+  rv.dtype = a.dtype;
+  rv.builtin_dtype = mpi::builtin_datatype_size(a.dtype).has_value();
   rv.elem_bytes = elem;
-  rv.count = count;
-  rv.buffer = buf;
+  rv.count = a.count;
+  rv.buffer = a.buf;
   rv.request = request;
   rv.seq = ++seq_;
-  rv.ctx = ranks_[static_cast<std::size_t>(rank)].active;
+  rv.ctx = r.active;
   recvs_.push_back(rv);
   matching_dirty_ = true;
 
-  const std::size_t bytes = static_cast<std::size_t>(count) * elem;
-  if (request != 0) {
-    requests_[request].byte_len = bytes;
-    if (bytes > 0) add_owned(rank, buf, buf + bytes, /*write=*/true, request);
-  } else {
-    ranks_[static_cast<std::size_t>(rank)].cur().status =
-        RankStatus::BlockedRecv;
+  const std::size_t bytes =
+      static_cast<std::size_t>(std::max<std::int64_t>(a.count, 0)) * elem;
+  if (request == 0) {
+    r.cur().status = RankStatus::BlockedRecv;
+  } else if (bytes > 0) {
+    add_owned(rank, a.buf, a.buf + bytes, /*write=*/true, request);
   }
+}
+
+/// Allocates the request of a nonblocking or persistent call and writes
+/// its handle through the call's last operand, the MPI_Request* of
+/// every such signature.
+std::int64_t Machine::new_request(int rank, Func f, const DInst& inst) {
+  const std::uint64_t reqp = static_cast<std::uint64_t>(
+      arg(rank, inst, mpi::signature(f).params.size() - 1).i);
+  const std::int64_t handle = next_request_++;
+  Request& rq = requests_[handle];
+  rq.rank = rank;
+  rq.persistent = f == Func::SendInit || f == Func::RecvInit;
+  rq.active = !rq.persistent;
+  rq.sends = f == Func::SendInit;
+  if (reqp != 0) {
+    mem_write(rank, reqp, &handle, 8);
+  } else {
+    report(FindingKind::InvalidParam, rank, "null request pointer");
+  }
+  return handle;
 }
 
 void Machine::match_messages() {
@@ -1106,6 +1205,74 @@ void Machine::complete_request(std::int64_t handle) {
   finish_wait_if_ready(rq.rank);
 }
 
+/// Reads the request array of MPI_Waitall, MPI_Waitany, MPI_Waitsome or
+/// MPI_Testall (count and array are its first two operands) into the
+/// current context's wait slots: every handle that is neither
+/// MPI_REQUEST_NULL nor an inactive persistent request. Unknown and
+/// freed handles are reported in the call's own words and skipped.
+/// False when the call ends here: a bad count is reported, an unreadable
+/// array crashes the rank.
+bool Machine::gather_requests(int rank, Func f, const DInst& inst) {
+  const char* what = f == Func::Waitall    ? "waitall"
+                     : f == Func::Waitany  ? "waitany"
+                     : f == Func::Waitsome ? "waitsome"
+                                           : "testall";
+  ExecCtx& c = ranks_[static_cast<std::size_t>(rank)].cur();
+  const std::int64_t n = arg(rank, inst, 0).i;
+  c.wait_array = static_cast<std::uint64_t>(arg(rank, inst, 1).i);
+  c.wait_count = 0;
+  if (n < 0 || n > 64) {
+    report(FindingKind::InvalidParam, rank,
+           std::string("bad ") + what + " count");
+    return false;
+  }
+  for (std::int64_t k = 0; k < n; ++k) {
+    std::int64_t handle = 0;
+    if (!mem_read(rank, c.wait_array + static_cast<std::uint64_t>(k) * 8,
+                  &handle, 8)) {
+      crash(rank);
+      return false;
+    }
+    if (handle == mpi::kRequestNull) continue;
+    const auto it = requests_.find(handle);
+    if (it == requests_.end() || it->second.freed) {
+      report(FindingKind::RequestError, rank,
+             std::string(what) + " on invalid request handle");
+      continue;
+    }
+    // A never-started persistent request is ignored, like a null one.
+    if (!it->second.active && !it->second.completed) continue;
+    c.wait_slots[c.wait_count] = static_cast<int>(k);
+    c.wait_requests[c.wait_count++] = static_cast<std::uint64_t>(handle);
+  }
+  return true;
+}
+
+/// A wait or test consumed `rq`: a nonblocking request's handle at
+/// `slot` becomes MPI_REQUEST_NULL; a persistent one stays usable.
+void Machine::consume(int rank, Request& rq, std::uint64_t slot) {
+  rq.waited = true;
+  if (!rq.persistent) {
+    const std::int64_t null_req = mpi::kRequestNull;
+    mem_write(rank, slot, &null_req, 8);
+  }
+}
+
+/// Blocks the current context on the requests in its wait slots. Wait
+/// and Waitall consume every request up front; Waitany and Waitsome
+/// consume only the ones complete when they return (try_finish_wait).
+void Machine::wait_for(int rank, WaitMode mode) {
+  RankState& r = ranks_[static_cast<std::size_t>(rank)];
+  ExecCtx& c = r.cur();
+  c.wait_mode = mode;
+  for (int i = 0; mode == WaitMode::All && i < c.wait_count; ++i) {
+    consume(rank, slot_request(c, i), c.wait_slot_addr(i));
+  }
+  if (c.wait_count == 0) return;
+  c.status = RankStatus::BlockedWait;
+  try_finish_wait(rank, r.active);  // may already be satisfied
+}
+
 void Machine::finish_wait_if_ready(int rank) {
   RankState& r = ranks_[static_cast<std::size_t>(rank)];
   for (std::size_t ci = 0; ci < r.ctxs.size(); ++ci) {
@@ -1134,45 +1301,37 @@ void Machine::try_finish_wait(int rank, int ctx) {
 
   // Waitany / Waitsome: at least one registered request completed.
   // These consume only the completed handles *at completion time* —
-  // unlike Wait/Waitall, which consume everything up front.
-  std::vector<int> ready;
+  // unlike Wait/Waitall, which consume everything up front. The
+  // completed slots move to the front, in order; the rest are dropped
+  // once the call returns.
+  int ready = 0;
   for (int i = 0; i < c.wait_count; ++i) {
     const auto it = requests_.find(static_cast<std::int64_t>(
         c.wait_requests[i]));
-    if (it == requests_.end() || it->second.completed) ready.push_back(i);
+    if (it != requests_.end() && !it->second.completed) continue;
+    c.wait_requests[ready] = c.wait_requests[i];
+    c.wait_slots[ready++] = c.wait_slots[i];
   }
-  if (ready.empty()) return;
-  if (c.wait_mode == WaitMode::Any) {
-    ready.resize(1);  // lowest original index wins, deterministically
-  }
-  for (const int i : ready) {
-    const std::int64_t h =
-        static_cast<std::int64_t>(c.wait_requests[i]);
-    const auto it = requests_.find(h);
-    if (it == requests_.end()) continue;
-    it->second.waited = true;
-    if (!it->second.persistent) {
-      const std::int64_t null_req = mpi::kRequestNull;
-      mem_write(rank,
-                c.wait_array +
-                    static_cast<std::uint64_t>(c.wait_slots[i]) * 8,
-                &null_req, 8);
-    }
+  if (ready == 0) return;
+  // Waitany: the lowest original index wins, deterministically.
+  if (c.wait_mode == WaitMode::Any) ready = 1;
+  for (int i = 0; i < ready; ++i) {
+    const auto it = requests_.find(static_cast<std::int64_t>(
+        c.wait_requests[i]));
+    if (it != requests_.end()) consume(rank, it->second, c.wait_slot_addr(i));
   }
   if (c.wait_mode == WaitMode::Any) {
-    const std::int32_t idx = c.wait_slots[ready.front()];
+    const std::int32_t idx = c.wait_slots[0];
     if (c.wait_index_out != 0) mem_write(rank, c.wait_index_out, &idx, 4);
   } else {
-    const std::int32_t outcount =
-        static_cast<std::int32_t>(ready.size());
+    const std::int32_t outcount = ready;
     if (c.wait_outcount_out != 0) {
       mem_write(rank, c.wait_outcount_out, &outcount, 4);
     }
-    if (c.wait_indices_out != 0) {
-      for (std::size_t j = 0; j < ready.size(); ++j) {
-        const std::int32_t idx = c.wait_slots[ready[j]];
-        mem_write(rank, c.wait_indices_out + j * 4, &idx, 4);
-      }
+    for (int j = 0; c.wait_indices_out != 0 && j < ready; ++j) {
+      const std::int32_t idx = c.wait_slots[j];
+      mem_write(rank, c.wait_indices_out + static_cast<std::uint64_t>(j) * 4,
+                &idx, 4);
     }
   }
   c.status = RankStatus::Runnable;
@@ -1728,7 +1887,6 @@ void Machine::nbc_post(int rank, Func f, const DInst& inst,
       }
       break;
   }
-  requests_[handle].byte_len = bytes;
 }
 
 void Machine::try_complete_nbc() {
@@ -1785,101 +1943,6 @@ void Machine::try_complete_nbc() {
 // ===========================================================================
 // Combined and probing point-to-point
 // ===========================================================================
-
-void Machine::exec_sendrecv(int rank, const DInst& inst) {
-  const std::uint64_t sbuf =
-      static_cast<std::uint64_t>(arg(rank, inst, 0).i);
-  const std::int64_t scount = arg(rank, inst, 1).i;
-  const std::int32_t sdtype =
-      static_cast<std::int32_t>(arg(rank, inst, 2).i);
-  const std::int32_t dest = static_cast<std::int32_t>(arg(rank, inst, 3).i);
-  const std::int32_t stag = static_cast<std::int32_t>(arg(rank, inst, 4).i);
-  const std::uint64_t rbuf =
-      static_cast<std::uint64_t>(arg(rank, inst, 5).i);
-  const std::int64_t rcount = arg(rank, inst, 6).i;
-  const std::int32_t rdtype =
-      static_cast<std::int32_t>(arg(rank, inst, 7).i);
-  const std::int32_t src = static_cast<std::int32_t>(arg(rank, inst, 8).i);
-  const std::int32_t rtag = static_cast<std::int32_t>(arg(rank, inst, 9).i);
-  const std::int32_t comm =
-      static_cast<std::int32_t>(arg(rank, inst, 10).i);
-
-  bool ok = validate_comm(comm, rank);
-  if (scount < 0 || rcount < 0) {
-    report(FindingKind::InvalidParam, rank, "negative sendrecv count");
-    ok = false;
-  }
-  if (stag < 0 || stag > mpi::kTagUb) {
-    report(FindingKind::InvalidParam, rank,
-           "invalid tag on send: " + std::to_string(stag));
-    ok = false;
-  }
-  if (rtag != mpi::kAnyTag && (rtag < 0 || rtag > mpi::kTagUb)) {
-    report(FindingKind::InvalidParam, rank,
-           "invalid tag on recv: " + std::to_string(rtag));
-    ok = false;
-  }
-  if (!validate_rank_arg(dest, comm, rank, /*wildcard_ok=*/false)) ok = false;
-  if (!validate_rank_arg(src, comm, rank, /*wildcard_ok=*/true)) ok = false;
-  bool dt1 = true, dt2 = true;
-  const std::size_t selem = datatype_bytes(sdtype, rank, &dt1);
-  const std::size_t relem = datatype_bytes(rdtype, rank, &dt2);
-  ok = ok && dt1 && dt2;
-  if (sbuf == 0 && scount > 0) {
-    report(FindingKind::InvalidParam, rank, "null send buffer");
-    ok = false;
-  }
-  if (rbuf == 0 && rcount > 0) {
-    report(FindingKind::InvalidParam, rank, "null recv buffer");
-    ok = false;
-  }
-  if (!ok) return;
-
-  RankState& r = ranks_[static_cast<std::size_t>(rank)];
-  if (dest != mpi::kProcNull) {
-    const std::size_t bytes = static_cast<std::size_t>(scount) * selem;
-    PendingSend s;
-    s.src = rank;
-    s.dest = dest;
-    s.tag = stag;
-    s.comm = comm;
-    s.dtype = sdtype;
-    s.builtin_dtype = mpi::builtin_datatype_size(sdtype).has_value();
-    s.elem_bytes = selem;
-    s.count = scount;
-    if (bytes > 0) {
-      const std::uint8_t* p = resolve(sbuf, bytes, rank);
-      if (p == nullptr) { crash(rank); return; }
-      s.payload.assign(p, p + bytes);
-    }
-    // MPI_Sendrecv is deadlock-free: the send half buffers as if eager,
-    // regardless of size — the caller only blocks on the receive half.
-    s.synchronous = false;
-    s.request = 0;
-    s.seq = ++seq_;
-    s.ctx = r.active;
-    sends_.push_back(std::move(s));
-    matching_dirty_ = true;
-  }
-  if (src != mpi::kProcNull) {
-    PendingRecv rv;
-    rv.rank = rank;
-    rv.src = src;
-    rv.tag = rtag;
-    rv.comm = comm;
-    rv.dtype = rdtype;
-    rv.builtin_dtype = mpi::builtin_datatype_size(rdtype).has_value();
-    rv.elem_bytes = relem;
-    rv.count = rcount;
-    rv.buffer = rbuf;
-    rv.request = 0;
-    rv.seq = ++seq_;
-    rv.ctx = r.active;
-    recvs_.push_back(rv);
-    matching_dirty_ = true;
-    r.cur().status = RankStatus::BlockedRecv;
-  }
-}
 
 bool Machine::probe_match(int rank, std::int32_t src, std::int32_t tag,
                           std::int32_t comm, int* sources) {
@@ -2028,61 +2091,26 @@ void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
     }
 
     case Func::Send:
-    case Func::Ssend: {
+    case Func::Ssend:
+    case Func::Recv:
+    case Func::Sendrecv:
       done();  // result visible immediately; rank may still block below
-      post_send(rank, f, inst, /*request=*/0);
+      post_p2p(rank, f, inst, /*request=*/0);
       return;
-    }
-    case Func::Recv: {
-      done();
-      post_recv(rank, f, inst, /*request=*/0);
-      return;
-    }
     case Func::Isend:
     case Func::Irecv: {
-      const std::uint64_t reqp =
-          static_cast<std::uint64_t>(arg(rank, inst, 6).i);
-      const std::int64_t handle = next_request_++;
-      Request rq;
-      rq.kind = (f == Func::Isend) ? Request::Kind::Send : Request::Kind::Recv;
-      rq.rank = rank;
-      rq.active = true;
-      requests_[handle] = rq;
-      if (reqp != 0) {
-        mem_write(rank, reqp, &handle, 8);
-      } else {
-        report(FindingKind::InvalidParam, rank, "null request pointer");
-      }
+      const std::int64_t handle = new_request(rank, f, inst);
       done();
-      if (f == Func::Isend) {
-        post_send(rank, f, inst, handle);
-      } else {
-        post_recv(rank, f, inst, handle);
-      }
+      post_p2p(rank, f, inst, handle);
       return;
     }
     case Func::SendInit:
     case Func::RecvInit: {
-      const std::uint64_t reqp =
-          static_cast<std::uint64_t>(arg(rank, inst, 6).i);
-      const std::int64_t handle = next_request_++;
-      Request rq;
-      rq.kind =
-          (f == Func::SendInit) ? Request::Kind::Send : Request::Kind::Recv;
-      rq.rank = rank;
-      rq.persistent = true;
-      rq.buffer = static_cast<std::uint64_t>(arg(rank, inst, 0).i);
-      rq.count = arg(rank, inst, 1).i;
-      rq.dtype = static_cast<std::int32_t>(arg(rank, inst, 2).i);
-      rq.peer = static_cast<int>(arg(rank, inst, 3).i);
-      rq.tag = static_cast<int>(arg(rank, inst, 4).i);
-      rq.comm = static_cast<std::int32_t>(arg(rank, inst, 5).i);
-      requests_[handle] = rq;
-      if (reqp != 0) {
-        mem_write(rank, reqp, &handle, 8);
-      } else {
-        report(FindingKind::InvalidParam, rank, "null request pointer");
-      }
+      // The arguments are captured unchecked; MPI_Start re-posts them.
+      const std::int64_t handle = new_request(rank, f, inst);
+      P2pArgs& p2p = requests_[handle].p2p;
+      p2p = p2p_args(rank, inst, 0);
+      p2p.comm = static_cast<std::int32_t>(arg(rank, inst, 5).i);
       done();
       return;
     }
@@ -2114,246 +2142,83 @@ void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
       rq.completed = false;
       done();
       // Re-post the persistent operation from the captured parameters.
-      bool ok = true;
-      const std::size_t elem = datatype_bytes(rq.dtype, rank, &ok);
-      const std::size_t bytes =
-          ok ? static_cast<std::size_t>(std::max<std::int64_t>(rq.count, 0)) *
-                   elem
-             : 0;
-      rq.byte_len = bytes;
-      if (rq.kind == Request::Kind::Send) {
-        PendingSend s;
-        s.src = rank;
-        s.dest = rq.peer;
-        s.tag = rq.tag;
-        s.comm = rq.comm;
-        s.dtype = rq.dtype;
-        s.builtin_dtype = mpi::builtin_datatype_size(rq.dtype).has_value();
-        s.elem_bytes = elem;
-        s.count = rq.count;
-        if (bytes > 0) {
-          // An unreadable buffer crashes the rank, as in MPI_Send.
-          const std::uint8_t* p = resolve(rq.buffer, bytes, rank);
-          if (p == nullptr) { crash(rank); return; }
-          s.payload.assign(p, p + bytes);
-        }
-        s.synchronous = bytes > kEagerThreshold;
-        s.request = handle;
-        s.seq = ++seq_;
-        sends_.push_back(std::move(s));
-        if (bytes > 0) {
-          add_owned(rank, rq.buffer, rq.buffer + bytes, false, handle);
-        }
-        if (!sends_.back().synchronous) complete_request(handle);
+      // Only the datatype is resolved again: it may have been committed
+      // or freed since.
+      bool known_dtype = true;
+      const std::size_t elem = datatype_bytes(rq.p2p.dtype, rank, &known_dtype);
+      if (rq.sends) {
+        enqueue_send(rank, rq.p2p, elem, SendMode::Standard, handle);
       } else {
-        PendingRecv rv;
-        rv.rank = rank;
-        rv.src = rq.peer;
-        rv.tag = rq.tag;
-        rv.comm = rq.comm;
-        rv.dtype = rq.dtype;
-        rv.builtin_dtype = mpi::builtin_datatype_size(rq.dtype).has_value();
-        rv.elem_bytes = elem;
-        rv.count = rq.count;
-        rv.buffer = rq.buffer;
-        rv.request = handle;
-        rv.seq = ++seq_;
-        recvs_.push_back(rv);
-        if (bytes > 0) {
-          add_owned(rank, rq.buffer, rq.buffer + bytes, true, handle);
-        }
+        enqueue_recv(rank, rq.p2p, elem, handle);
       }
-      matching_dirty_ = true;
       return;
     }
-    case Func::Wait:
-    case Func::Waitall: {
-      ctx.wait_count = 0;
-      ctx.wait_mode = WaitMode::All;
-      if (f == Func::Wait) {
-        const std::uint64_t reqp =
-            static_cast<std::uint64_t>(arg(rank, inst, 0).i);
-        std::int64_t handle = 0;
-        if (reqp == 0 || !mem_read(rank, reqp, &handle, 8)) {
-          report(FindingKind::RequestError, rank, "wait on bad request ptr");
-          done();
-          return;
-        }
-        if (handle == mpi::kRequestNull) {
-          done();  // waiting on MPI_REQUEST_NULL returns immediately
-          return;
-        }
-        const auto it = requests_.find(handle);
-        if (it == requests_.end() || it->second.freed) {
-          report(FindingKind::RequestError, rank,
-                 "wait on invalid request handle");
-          done();
-          return;
-        }
-        if (!it->second.active && !it->second.completed) {
-          report(FindingKind::RequestError, rank,
-                 "wait on inactive request");
-          done();
-          return;
-        }
-        ctx.wait_slots[ctx.wait_count] = 0;
-        ctx.wait_requests[ctx.wait_count++] =
-            static_cast<std::uint64_t>(handle);
-        it->second.waited = true;
-        // Non-persistent handles are invalidated by a successful wait.
-        if (!it->second.persistent) {
-          const std::int64_t null_req = mpi::kRequestNull;
-          mem_write(rank, reqp, &null_req, 8);
-        }
-      } else {
-        const std::int64_t n = arg(rank, inst, 0).i;
-        const std::uint64_t arrp =
-            static_cast<std::uint64_t>(arg(rank, inst, 1).i);
-        if (n < 0 || n > 64) {
-          report(FindingKind::InvalidParam, rank, "bad waitall count");
-          done();
-          return;
-        }
-        for (std::int64_t k = 0; k < n; ++k) {
-          std::int64_t handle = 0;
-          if (!mem_read(rank, arrp + static_cast<std::uint64_t>(k) * 8,
-                        &handle, 8)) {
-            crash(rank);
-            return;
-          }
-          if (handle == mpi::kRequestNull) continue;
-          const auto it = requests_.find(handle);
-          if (it == requests_.end() || it->second.freed) {
-            report(FindingKind::RequestError, rank,
-                   "waitall on invalid request handle");
-            continue;
-          }
-          ctx.wait_slots[ctx.wait_count] = static_cast<int>(k);
-          ctx.wait_requests[ctx.wait_count++] =
-              static_cast<std::uint64_t>(handle);
-          it->second.waited = true;
-          if (!it->second.persistent) {
-            const std::int64_t null_req = mpi::kRequestNull;
-            mem_write(rank, arrp + static_cast<std::uint64_t>(k) * 8,
-                      &null_req, 8);
-          }
-        }
-      }
+    case Func::Wait: {
       done();
-      if (ctx.wait_count > 0) {
-        ctx.status = RankStatus::BlockedWait;
-        try_finish_wait(rank, r.active);  // may already be satisfied
-      }
-      return;
-    }
-    case Func::Waitany:
-    case Func::Waitsome: {
-      ctx.wait_count = 0;
-      const std::int64_t n = arg(rank, inst, 0).i;
-      const std::uint64_t arrp =
-          static_cast<std::uint64_t>(arg(rank, inst, 1).i);
-      const std::uint64_t outp =
-          static_cast<std::uint64_t>(arg(rank, inst, 2).i);
-      const std::uint64_t idxp =
-          f == Func::Waitsome
-              ? static_cast<std::uint64_t>(arg(rank, inst, 3).i)
-              : 0;
-      if (n < 0 || n > 64) {
-        report(FindingKind::InvalidParam, rank,
-               f == Func::Waitany ? "bad waitany count"
-                                  : "bad waitsome count");
-        done();
+      const std::uint64_t reqp =
+          static_cast<std::uint64_t>(arg(rank, inst, 0).i);
+      std::int64_t handle = 0;
+      if (reqp == 0 || !mem_read(rank, reqp, &handle, 8)) {
+        report(FindingKind::RequestError, rank, "wait on bad request ptr");
         return;
       }
-      for (std::int64_t k = 0; k < n; ++k) {
-        std::int64_t handle = 0;
-        if (!mem_read(rank, arrp + static_cast<std::uint64_t>(k) * 8,
-                      &handle, 8)) {
-          crash(rank);
-          return;
-        }
-        if (handle == mpi::kRequestNull) continue;
-        const auto it = requests_.find(handle);
-        if (it == requests_.end() || it->second.freed) {
-          report(FindingKind::RequestError, rank,
-                 f == Func::Waitany
-                     ? "waitany on invalid request handle"
-                     : "waitsome on invalid request handle");
-          continue;
-        }
-        // Inactive (never-started persistent) requests don't count.
-        if (!it->second.active && !it->second.completed) continue;
-        ctx.wait_slots[ctx.wait_count] = static_cast<int>(k);
-        ctx.wait_requests[ctx.wait_count++] =
-            static_cast<std::uint64_t>(handle);
+      // Waiting on MPI_REQUEST_NULL returns immediately.
+      if (handle == mpi::kRequestNull) return;
+      const auto it = requests_.find(handle);
+      if (it == requests_.end() || it->second.freed) {
+        report(FindingKind::RequestError, rank,
+               "wait on invalid request handle");
+        return;
       }
+      if (!it->second.active && !it->second.completed) {
+        report(FindingKind::RequestError, rank, "wait on inactive request");
+        return;
+      }
+      ctx.wait_array = reqp;
+      ctx.wait_slots[0] = 0;
+      ctx.wait_requests[0] = static_cast<std::uint64_t>(handle);
+      ctx.wait_count = 1;
+      wait_for(rank, WaitMode::All);
+      return;
+    }
+    case Func::Waitall:
+    case Func::Waitany:
+    case Func::Waitsome:
+    case Func::Testall: {
       done();
+      if (!gather_requests(rank, f, inst)) return;
+      if (f == Func::Waitall) {
+        wait_for(rank, WaitMode::All);
+        return;
+      }
+      const std::uint64_t outp =
+          static_cast<std::uint64_t>(arg(rank, inst, 2).i);
+      if (f == Func::Testall) {
+        // All-or-nothing: only a flag=1 Testall consumes the requests.
+        std::int32_t flag = 1;
+        for (int i = 0; i < ctx.wait_count; ++i) {
+          if (!slot_request(ctx, i).completed) flag = 0;
+        }
+        for (int i = 0; flag == 1 && i < ctx.wait_count; ++i) {
+          consume(rank, slot_request(ctx, i), ctx.wait_slot_addr(i));
+        }
+        if (outp != 0) mem_write(rank, outp, &flag, 4);
+        return;
+      }
       if (ctx.wait_count == 0) {
         // Nothing waitable: return MPI_UNDEFINED immediately.
         const std::int32_t undef = mpi::kUndefined;
         if (outp != 0) mem_write(rank, outp, &undef, 4);
         return;
       }
-      ctx.wait_mode = f == Func::Waitany ? WaitMode::Any : WaitMode::Some;
-      ctx.wait_array = arrp;
       if (f == Func::Waitany) {
         ctx.wait_index_out = outp;
       } else {
         ctx.wait_outcount_out = outp;
-        ctx.wait_indices_out = idxp;
+        ctx.wait_indices_out =
+            static_cast<std::uint64_t>(arg(rank, inst, 3).i);
       }
-      ctx.status = RankStatus::BlockedWait;
-      try_finish_wait(rank, r.active);
-      return;
-    }
-    case Func::Testall: {
-      const std::int64_t n = arg(rank, inst, 0).i;
-      const std::uint64_t arrp =
-          static_cast<std::uint64_t>(arg(rank, inst, 1).i);
-      const std::uint64_t flagp =
-          static_cast<std::uint64_t>(arg(rank, inst, 2).i);
-      if (n < 0 || n > 64) {
-        report(FindingKind::InvalidParam, rank, "bad testall count");
-        done();
-        return;
-      }
-      std::int32_t flag = 1;
-      std::vector<std::pair<std::int64_t, std::uint64_t>> completed;
-      for (std::int64_t k = 0; k < n; ++k) {
-        std::int64_t handle = 0;
-        if (!mem_read(rank, arrp + static_cast<std::uint64_t>(k) * 8,
-                      &handle, 8)) {
-          crash(rank);
-          return;
-        }
-        if (handle == mpi::kRequestNull) continue;
-        const auto it = requests_.find(handle);
-        if (it == requests_.end() || it->second.freed) {
-          report(FindingKind::RequestError, rank,
-                 "testall on invalid request handle");
-          continue;
-        }
-        if (it->second.active && !it->second.completed) {
-          flag = 0;
-        } else if (it->second.completed) {
-          completed.emplace_back(
-              handle, arrp + static_cast<std::uint64_t>(k) * 8);
-        }
-      }
-      // All-or-nothing: only a flag=1 Testall consumes the requests.
-      if (flag == 1) {
-        for (const auto& [handle, slotp] : completed) {
-          const auto it = requests_.find(handle);
-          if (it == requests_.end()) continue;
-          it->second.waited = true;
-          if (!it->second.persistent) {
-            const std::int64_t null_req = mpi::kRequestNull;
-            mem_write(rank, slotp, &null_req, 8);
-          }
-        }
-      }
-      if (flagp != 0) mem_write(rank, flagp, &flag, 4);
-      done();
+      wait_for(rank, f == Func::Waitany ? WaitMode::Any : WaitMode::Some);
       return;
     }
     case Func::Test: {
@@ -2367,11 +2232,7 @@ void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
         const auto it = requests_.find(handle);
         if (it != requests_.end() && it->second.completed) {
           flag = 1;
-          it->second.waited = true;
-          if (!it->second.persistent) {
-            const std::int64_t null_req = mpi::kRequestNull;
-            mem_write(rank, reqp, &null_req, 8);
-          }
+          consume(rank, it->second, reqp);
         }
       }
       if (flagp != 0) mem_write(rank, flagp, &flag, 4);
@@ -2426,31 +2287,12 @@ void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
     case Func::Igather:
     case Func::Iscatter:
     case Func::Ialltoall: {
-      // The request handle is the last operand in every NBC signature.
-      const auto& sig = mpi::signature(f);
-      const std::uint64_t reqp = static_cast<std::uint64_t>(
-          arg(rank, inst, sig.params.size() - 1).i);
-      const std::int64_t handle = next_request_++;
-      Request rq;
-      rq.kind = Request::Kind::Coll;
-      rq.rank = rank;
-      rq.active = true;
-      requests_[handle] = rq;
-      if (reqp != 0) {
-        mem_write(rank, reqp, &handle, 8);
-      } else {
-        report(FindingKind::InvalidParam, rank, "null request pointer");
-      }
+      const std::int64_t handle = new_request(rank, f, inst);
       done();
       nbc_post(rank, f, inst, handle);
       return;
     }
 
-    case Func::Sendrecv: {
-      done();  // result visible immediately; the recv half may block
-      exec_sendrecv(rank, inst);
-      return;
-    }
     case Func::Probe:
     case Func::Iprobe: {
       const std::int32_t src =
@@ -2724,20 +2566,6 @@ void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
 // Scheduler
 // ===========================================================================
 
-bool Machine::run_setup() {
-  if (prog_.main == nullptr) {
-    rep_.outcome = Outcome::Crashed;
-    rep_.findings.push_back(
-        Finding{FindingKind::MemoryFault, -1, "no main function"});
-    return false;
-  }
-  for (int rk = 0; rk < cfg_.nprocs; ++rk) {
-    ranks_[static_cast<std::size_t>(rk)].ctxs[0].frames.push_back(
-        enter_function(*prog_.main));
-  }
-  return true;
-}
-
 /// Shared end-of-iteration classification (progress engines have already
 /// run). Returns true when the run is over and `rep_.outcome` is set.
 /// Order matters: a rank set that made no progress over a full
@@ -2772,46 +2600,32 @@ bool Machine::check_end(bool executed) {
   return false;
 }
 
-void Machine::run_round_robin() {
-  while (true) {
-    bool executed = false;
-    for (int rk = 0; rk < cfg_.nprocs; ++rk) {
-      RankState& r = ranks_[static_cast<std::size_t>(rk)];
-      // ctxs.size() is re-read every iteration: contexts forked during
-      // this round get their slice in the same pass, deterministically.
-      for (std::size_t ci = 0; ci < r.ctxs.size(); ++ci) {
-        for (int k = 0;
-             k < kSlice && r.ctxs[ci].status == RankStatus::Runnable;
-             ++k) {
-          step(rk, static_cast<int>(ci));
-          executed = true;
-          if (rep_.steps >= cfg_.max_steps) break;
-        }
-        if (rep_.steps >= cfg_.max_steps) break;
-      }
-      if (rep_.steps >= cfg_.max_steps) break;
-    }
-
-    // Progress engines.
-    if (matching_dirty_) {
-      matching_dirty_ = false;
-      match_messages();
-    }
-    try_complete_collectives();
-    try_complete_nbc();
-    check_probes();
-
-    if (check_end(executed)) return;
+/// Steps context `ctx` of `rank` until it blocks or finishes, `slice`
+/// instructions have run or the step budget is spent. True when it
+/// executed anything.
+bool Machine::run_slice(int rank, int ctx, std::int64_t slice) {
+  // Indexed on every step: a fork may reallocate the context list.
+  RankState& r = ranks_[static_cast<std::size_t>(rank)];
+  bool executed = false;
+  for (std::int64_t k = 0;
+       k < slice &&
+       r.ctxs[static_cast<std::size_t>(ctx)].status == RankStatus::Runnable;
+       ++k) {
+    step(rank, ctx);
+    executed = true;
+    if (rep_.steps >= cfg_.max_steps) break;
   }
+  return executed;
 }
 
-void Machine::run_random() {
-  while (true) {
-    // One decision per iteration: a random runnable rank, a jittered
-    // slice. Progress engines run after every slice, so the points at
-    // which matching happens — not just the rank order — vary by seed.
-    // Schedulable unit = (rank, context): thread contexts compete for
-    // slices exactly like ranks do, so seeds explore interleavings.
+/// One scheduling decision; true when anything executed. The
+/// schedulable unit is (rank, context): thread contexts compete for
+/// slices exactly like ranks do.
+bool Machine::schedule_slices() {
+  bool executed = false;
+  if (random_) {
+    // A random runnable context runs a jittered slice, or a depth-first
+    // burst until it blocks or finishes.
     runnable_.clear();
     for (int rk = 0; rk < cfg_.nprocs; ++rk) {
       const RankState& r = ranks_[static_cast<std::size_t>(rk)];
@@ -2821,24 +2635,43 @@ void Machine::run_random() {
         }
       }
     }
-    bool executed = false;
-    if (!runnable_.empty()) {
-      const auto [rk, ci] = runnable_[rng_.index(runnable_.size())];
-      const bool burst = rng_.chance(kBurstChance);
-      const std::int64_t slice =
-          burst ? std::numeric_limits<std::int64_t>::max()
-                : rng_.uniform_int(kMinSlice, kSlice);
-      RankState& r = ranks_[static_cast<std::size_t>(rk)];
-      for (std::int64_t k = 0;
-           k < slice && r.ctxs[static_cast<std::size_t>(ci)].status ==
-                            RankStatus::Runnable;
-           ++k) {
-        step(rk, ci);
-        executed = true;
-        if (rep_.steps >= cfg_.max_steps) break;
-      }
+    if (runnable_.empty()) return false;
+    const auto [rk, ci] = runnable_[rng_.index(runnable_.size())];
+    const bool burst = rng_.chance(kBurstChance);
+    return run_slice(rk, ci,
+                     burst ? std::numeric_limits<std::int64_t>::max()
+                           : rng_.uniform_int(kMinSlice, kSlice));
+  }
+  // Round-robin: every context of every rank runs a kSlice slice, in
+  // order. ctxs.size() is re-read every iteration: contexts forked
+  // during this round get their slice in the same pass.
+  bool spent = false;
+  for (int rk = 0; rk < cfg_.nprocs && !spent; ++rk) {
+    const RankState& r = ranks_[static_cast<std::size_t>(rk)];
+    for (std::size_t ci = 0; ci < r.ctxs.size() && !spent; ++ci) {
+      executed = run_slice(rk, static_cast<int>(ci), kSlice) || executed;
+      spent = rep_.steps >= cfg_.max_steps;
     }
+  }
+  return executed;
+}
 
+RunReport Machine::run() {
+  if (prog_.main == nullptr) {
+    rep_.outcome = Outcome::Crashed;
+    rep_.findings.push_back(
+        Finding{FindingKind::MemoryFault, -1, "no main function"});
+    return rep_;
+  }
+  for (int rk = 0; rk < cfg_.nprocs; ++rk) {
+    ranks_[static_cast<std::size_t>(rk)].ctxs[0].frames.push_back(
+        enter_function(*prog_.main));
+  }
+  while (true) {
+    const bool executed = schedule_slices();
+    // Progress engines run after every decision, so under the Random
+    // policy the points at which matching happens — not just the rank
+    // order — vary by seed.
     if (matching_dirty_) {
       matching_dirty_ = false;
       match_messages();
@@ -2846,19 +2679,8 @@ void Machine::run_random() {
     try_complete_collectives();
     try_complete_nbc();
     check_probes();
-
-    if (check_end(executed)) return;
+    if (check_end(executed)) return rep_;
   }
-}
-
-RunReport Machine::run() {
-  if (!run_setup()) return rep_;
-  if (random_) {
-    run_random();
-  } else {
-    run_round_robin();
-  }
-  return rep_;
 }
 
 }  // namespace

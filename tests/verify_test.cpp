@@ -5,6 +5,8 @@
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
 #include "datasets/spec.hpp"
+#include "mpisim/sweep.hpp"
+#include "progmodel/lower.hpp"
 #include "support/check.hpp"
 #include "verify/tool.hpp"
 
@@ -132,6 +134,70 @@ TEST(AllTools, CleanOnSimplestCorrectCode) {
     EXPECT_EQ(make_mpichecker_lite()->check(c), Diagnostic::Correct)
         << c.name;
   }
+}
+
+// Rank 0's wildcard receive decides between an out-of-bounds store
+// (the rank crashes) and an endless loop (the step budget runs out):
+// round-robin delivers rank 1's message first, and Random schedules
+// sometimes deliver rank 2's. Ranks 1 and 2 skip MPI_Finalize, so the
+// crash ends the run instead of leaving them blocked in a deadlock.
+datasets::Case crash_or_spin_case() {
+  using progmodel::Arg;
+  using progmodel::Expr;
+  using progmodel::Stmt;
+  constexpr std::int64_t kInt = static_cast<std::int64_t>(mpi::Datatype::Int);
+  datasets::Case c;
+  c.name = "wildcard_crash_or_spin";
+  c.incorrect = true;
+  progmodel::Program& p = c.program;
+  p.nprocs = 3;
+  auto& b = p.main_body;
+  b.push_back(Stmt::decl_int("rank"));
+  b.push_back(Stmt::decl_int("x", Expr::lit(0)));
+  b.push_back(Stmt::decl_int("y", Expr::lit(0)));
+  b.push_back(Stmt::decl_int("i"));
+  b.push_back(Stmt::decl_buf("buf", ir::Type::I32, Expr::lit(4)));
+  b.push_back(Stmt::mpi(mpi::Func::Init, {}));
+  b.push_back(Stmt::mpi(mpi::Func::CommRank,
+                        {Arg::val(mpi::kCommWorld), Arg::addr("rank")}));
+  std::vector<Stmt> crash{
+      Stmt::buf_store("buf", Expr::lit(1 << 24), Expr::lit(7))};
+  std::vector<Stmt> spin{Stmt::for_(
+      "i", Expr::lit(0), Expr::lit(1'000'000'000),
+      {Stmt::assign("y", Expr::add(Expr::ref("y"), Expr::lit(1)))})};
+  std::vector<Stmt> receiver{
+      Stmt::mpi(mpi::Func::Recv,
+                {Arg::addr("x"), Arg::val(1), Arg::val(kInt),
+                 Arg::val(mpi::kAnySource), Arg::val(0),
+                 Arg::val(mpi::kCommWorld), Arg::null()}),
+      Stmt::if_(Expr::eq(Expr::ref("x"), Expr::lit(1)), std::move(crash),
+                std::move(spin))};
+  std::vector<Stmt> senders{
+      Stmt::assign("x", Expr::ref("rank")),
+      Stmt::mpi(mpi::Func::Send,
+                {Arg::addr("x"), Arg::val(1), Arg::val(kInt), Arg::val(0),
+                 Arg::val(0), Arg::val(mpi::kCommWorld)})};
+  b.push_back(Stmt::if_(Expr::eq(Expr::ref("rank"), Expr::lit(0)),
+                        std::move(receiver), std::move(senders)));
+  return c;
+}
+
+// A runtime error under any schedule outranks a timeout under another,
+// whichever comes first in the sweep.
+TEST(DynamicChecker, CrashUnderOneScheduleOutranksTimeoutUnderAnother) {
+  const datasets::Case c = crash_or_spin_case();
+  constexpr int kSchedules = 8;
+  for (const std::uint64_t budget : {3'000ULL, 100'000ULL}) {
+    mpisim::MachineConfig cfg;
+    cfg.nprocs = c.program.nprocs;
+    cfg.max_steps = budget;
+    const mpisim::ScheduleSweepReport sweep = mpisim::sweep_schedules(
+        *progmodel::lower(c.program), cfg, {kSchedules, 1});
+    EXPECT_EQ(sweep.reports.front().outcome, mpisim::Outcome::Crashed);
+    EXPECT_GT(sweep.count(mpisim::Outcome::Timeout), 0) << sweep.summary();
+  }
+  EXPECT_EQ(make_itac_lite(kSchedules, 1)->check(c), Diagnostic::RuntimeErr);
+  EXPECT_EQ(make_must_lite(kSchedules, 1)->check(c), Diagnostic::RuntimeErr);
 }
 
 // Frozen wall for the expert tools: the FNV-1a digest of every verdict
