@@ -70,6 +70,8 @@ expect 1 "--dataset is required"     -- "$MPIGUARD" bench
 expect 1 "unknown flag"              -- "$MPIGUARD" bench --dataset mbi:0.02 --json --batch 4
 expect 1 "perf_gnn"                  -- "$MPIGUARD" bench --json --dataset mbi:0.02
 expect 1 "unknown flag"              -- "$MPIGUARD" bench --dataset mbi:0.02 --json-out /tmp/x.json
+expect 1 "--json is a fuzz option"   -- "$MPIGUARD" eval --detector itac --dataset mbi:0.02 --json
+expect 1 "--json is a fuzz option"   -- "$MPIGUARD" list --json
 expect 1 "requires a value"          -- "$MPIGUARD" eval --detector
 expect 1 "unknown dataset"           -- "$MPIGUARD" eval --detector itac --dataset bogus
 expect 1 "scale is not a number"     -- "$MPIGUARD" eval --detector itac --dataset mbi:abc

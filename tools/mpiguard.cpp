@@ -247,6 +247,11 @@ Args parse_args(int argc, char** argv) {
     else if (f == "--help" || f == "-h") throw CliError("");
     else throw CliError("unknown flag: " + std::string(f));
   }
+  // Only fuzz writes a machine-readable report; cmd_bench names the
+  // GNN perf harness instead.
+  if (a.json && a.subcommand != "fuzz" && a.subcommand != "bench") {
+    throw CliError(a.subcommand + ": --json is a fuzz option only");
+  }
   return a;
 }
 
