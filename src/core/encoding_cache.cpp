@@ -7,27 +7,19 @@
 #include "io/encoding_io.hpp"
 #include "support/check.hpp"
 #include "support/faultpoint.hpp"
+#include "support/rng.hpp"
 
 namespace mpidetect::core {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof v);
+  return fnv1a64(h, &v, sizeof v);
 }
 
 std::uint64_t hash_str(std::uint64_t h, const std::string& s) {
   h = hash_u64(h, s.size());
-  return fnv1a(h, s.data(), s.size());
+  return fnv1a64(h, s.data(), s.size());
 }
 
 // ---- structural program hash ------------------------------------------------
@@ -139,17 +131,17 @@ bool try_save_spill(const std::filesystem::path& path,
 }  // namespace
 
 std::uint64_t EncodingCache::fingerprint(const datasets::Dataset& ds) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv1a(h, ds.name.data(), ds.name.size());
+  std::uint64_t h = kFnvOffsetBasis;
+  h = fnv1a64(h, ds.name.data(), ds.name.size());
   for (const auto& c : ds.cases) {
-    h = fnv1a(h, c.name.data(), c.name.size());
+    h = fnv1a64(h, c.name.data(), c.name.size());
     const unsigned char tag =
         static_cast<unsigned char>(c.incorrect) |
         static_cast<unsigned char>(static_cast<unsigned>(c.suite) << 1) |
         static_cast<unsigned char>(static_cast<unsigned>(c.mbi_label) << 2);
-    h = fnv1a(h, &tag, 1);
+    h = fnv1a64(h, &tag, 1);
     const auto corr = static_cast<unsigned char>(c.corr_label);
-    h = fnv1a(h, &corr, 1);
+    h = fnv1a64(h, &corr, 1);
     // The code itself: two datasets with equal names/labels but
     // different program bodies (corr vs corr+header, generator drift)
     // must never share a cache slot or an on-disk spill file.

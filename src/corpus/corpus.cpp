@@ -162,16 +162,16 @@ void CorpusWriter::add(const datasets::Case& c) {
   e.corr_label = static_cast<std::uint8_t>(c.corr_label);
   e.incorrect = c.incorrect ? 1 : 0;
   e.name_hash = fnv1a64(c.name);
-  e.record_fp = fnv1a64_bytes(kFnvOffsetBasis, rec.data(), rec.size());
+  e.record_fp = fnv1a64(kFnvOffsetBasis, rec.data(), rec.size());
   index_.push_back(e);
 
   out_.write(rec.data(), static_cast<std::streamsize>(rec.size()));
-  content_fp_ = fnv1a64_bytes(content_fp_, rec.data(), rec.size());
+  content_fp_ = fnv1a64(content_fp_, rec.data(), rec.size());
   const std::uint64_t pad = padded - rec.size();
   if (pad > 0) {
     static const std::string kZeros(kSectorSize, '\0');
     out_.write(kZeros.data(), static_cast<std::streamsize>(pad));
-    content_fp_ = fnv1a64_bytes(content_fp_, kZeros.data(), pad);
+    content_fp_ = fnv1a64(content_fp_, kZeros.data(), pad);
   }
   if (!out_ || MPIDETECT_FAULTPOINT("corpus.write.enospc")) {
     fail(tmp_path_, "shard write failed");
@@ -199,7 +199,7 @@ void CorpusWriter::close_shard() {
   }
   out_.write(reinterpret_cast<const char*>(idx.data()),
              static_cast<std::streamsize>(idx.size()));
-  content_fp_ = fnv1a64_bytes(content_fp_, idx.data(), idx.size());
+  content_fp_ = fnv1a64(content_fp_, idx.data(), idx.size());
 
   unsigned char header[kSectorSize] = {};
   std::memcpy(header, kShardMagic.data(), 4);
@@ -212,7 +212,7 @@ void CorpusWriter::close_shard() {
   put_u64(header + 40, idx.size());
   put_u64(header + 48, content_fp_);
   put_u64(header + 56,
-          fnv1a64_bytes(kFnvOffsetBasis, header, kHeaderHashedBytes));
+          fnv1a64(kFnvOffsetBasis, header, kHeaderHashedBytes));
   out_.seekp(0);
   out_.write(reinterpret_cast<const char*>(header), kSectorSize);
   out_.flush();
@@ -279,7 +279,7 @@ std::uint64_t hash_region(int fd, const std::filesystem::path& path,
     const ssize_t got = ::pread(fd, buf.data(), want,
                                 static_cast<off_t>(offset));
     if (got <= 0) fail(path, "read failed while verifying shard");
-    h = fnv1a64_bytes(h, buf.data(), static_cast<std::size_t>(got));
+    h = fnv1a64(h, buf.data(), static_cast<std::size_t>(got));
     offset += static_cast<std::uint64_t>(got);
     len -= static_cast<std::uint64_t>(got);
   }
@@ -338,7 +338,7 @@ CorpusReader::CorpusReader(std::filesystem::path dir, bool sequential)
     }
     if (get_u32(header + 12) != 0) fail(path, "nonzero reserved header field");
     const std::uint64_t header_fp =
-        fnv1a64_bytes(kFnvOffsetBasis, header, kHeaderHashedBytes);
+        fnv1a64(kFnvOffsetBasis, header, kHeaderHashedBytes);
     if (header_fp != get_u64(header + 56)) {
       fail(path, "header checksum mismatch");
     }
@@ -472,7 +472,7 @@ datasets::Case CorpusReader::load_meta(const CaseMeta& m) const {
   ensure_mapped(m.shard);
   const Shard& sh = shards_[m.shard];
   const unsigned char* rec = sh.map + m.offset;
-  if (fnv1a64_bytes(kFnvOffsetBasis, rec, m.length) != m.record_fp) {
+  if (fnv1a64(kFnvOffsetBasis, rec, m.length) != m.record_fp) {
     fail(sh.path, "record checksum mismatch (file changed after open?)");
   }
   datasets::Case c = decode_case(reinterpret_cast<const char*>(rec), m.length,

@@ -277,14 +277,4 @@ datasets::Case decode_case(const char* data, std::size_t size,
   return c;
 }
 
-std::uint64_t fnv1a64_bytes(std::uint64_t h, const void* data,
-                            std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace mpidetect::corpus

@@ -40,12 +40,4 @@ std::vector<char> encode_case(const datasets::Case& c);
 datasets::Case decode_case(const char* data, std::size_t size,
                            const std::string& origin);
 
-/// Incremental FNV-1a 64 over raw bytes (seed with kFnvOffsetBasis).
-/// The shard fingerprints and per-record checksums of the .mpcs format
-/// are built from this, matching the stable fnv1a64(string_view) of
-/// support/rng.hpp byte for byte.
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-std::uint64_t fnv1a64_bytes(std::uint64_t h, const void* data,
-                            std::size_t len);
-
 }  // namespace mpidetect::corpus

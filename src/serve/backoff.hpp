@@ -6,13 +6,15 @@
 // the top `jitter` fraction of each delay randomized so a fleet of
 // clients bounced by the same BUSY does not resubmit in lockstep and
 // re-create the very burst that filled the queue. The jitter stream is
-// a pure function of (seed, attempt) — the same splitmix64 used by
-// support/faultpoint.hpp — so tests can predict a retry schedule
-// exactly and chaos campaigns replay.
+// a pure function of (seed, attempt) — support/rng's splitmix64, as
+// used by support/faultpoint.hpp — so tests can predict a retry
+// schedule exactly and chaos campaigns replay.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+
+#include "support/rng.hpp"
 
 namespace mpidetect::serve {
 
@@ -49,12 +51,10 @@ class Backoff {
   void reset() { attempt_ = 0; }
 
  private:
-  /// Uniform [0, 1), a pure function of (seed, attempt): splitmix64.
+  /// Uniform [0, 1), a pure function of (seed, attempt): the
+  /// attempt-th output of a splitmix64 stream seeded with `seed`.
   double draw(std::uint64_t attempt) const {
-    std::uint64_t x = seed_ + (attempt + 1) * 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
+    const std::uint64_t x = mix64(seed_ + attempt * 0x9e3779b97f4a7c15ull);
     return static_cast<double>(x >> 11) * 0x1.0p-53;
   }
 

@@ -5,27 +5,11 @@
 #include <cstdlib>
 
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace mpidetect::fault {
 
 namespace {
-
-/// splitmix64: the repo's standard cheap bijective mixer (support/rng).
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_name(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 [[noreturn]] void bad_spec(const std::string& token, const std::string& why) {
   throw ContractViolation("fault spec: bad entry '" + token + "': " + why +
@@ -64,7 +48,7 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 double fire_draw(std::uint64_t seed, std::string_view point,
                  std::uint64_t hit) {
-  const std::uint64_t bits = mix(seed ^ mix(hash_name(point) + hit));
+  const std::uint64_t bits = mix64(seed ^ mix64(fnv1a64(point) + hit));
   // 53 high bits -> uniform double in [0, 1).
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }

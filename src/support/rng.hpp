@@ -5,7 +5,9 @@
 // seed reproduces a full experiment bit-for-bit across platforms.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "support/check.hpp"
@@ -82,8 +84,16 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// Continues the FNV-1a 64-bit hash `h` over `len` raw bytes (start from
+/// kFnvOffsetBasis). Stable across platforms: the .mpcs fingerprints and
+/// checksums and the EncodingCache keys are built from it.
+std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t len);
+
 /// FNV-1a 64-bit hash of a string; stable across platforms. Used to key
-/// per-entity seed embeddings.
+/// per-entity seed embeddings and fault points.
 std::uint64_t fnv1a64(std::string_view s);
 
 }  // namespace mpidetect

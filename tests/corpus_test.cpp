@@ -25,6 +25,7 @@
 #include "io/fuzz_io.hpp"
 #include "io/serialize.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace mpidetect {
 namespace {
@@ -88,8 +89,8 @@ void put_u64_le(std::vector<char>& b, std::size_t off, std::uint64_t v) {
 /// tripping the checksum first.
 void reseal_header(std::vector<char>& bytes) {
   ASSERT_GE(bytes.size(), corpus::kSectorSize);
-  const std::uint64_t fp = corpus::fnv1a64_bytes(
-      corpus::kFnvOffsetBasis, bytes.data(), corpus::kHeaderHashedBytes);
+  const std::uint64_t fp =
+      fnv1a64(kFnvOffsetBasis, bytes.data(), corpus::kHeaderHashedBytes);
   put_u64_le(bytes, corpus::kHeaderHashedBytes, fp);
 }
 
