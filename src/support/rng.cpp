@@ -81,15 +81,6 @@ std::size_t Rng::index(std::size_t n) {
 
 Rng Rng::fork() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
 
-std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t fnv1a64(std::string_view s) {
   return fnv1a64(kFnvOffsetBasis, s.data(), s.size());
 }

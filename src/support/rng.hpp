@@ -89,8 +89,17 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 
 /// Continues the FNV-1a 64-bit hash `h` over `len` raw bytes (start from
 /// kFnvOffsetBasis). Stable across platforms: the .mpcs fingerprints and
-/// checksums and the EncodingCache keys are built from it.
-std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t len);
+/// checksums and the EncodingCache keys are built from it. Inline: the
+/// cache's structural program hash calls it once per field.
+inline std::uint64_t fnv1a64(std::uint64_t h, const void* data,
+                             std::size_t len) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// FNV-1a 64-bit hash of a string; stable across platforms. Used to key
 /// per-entity seed embeddings and fault points.
