@@ -1265,8 +1265,10 @@ void Machine::wait_for(int rank, WaitMode mode) {
   RankState& r = ranks_[static_cast<std::size_t>(rank)];
   ExecCtx& c = r.cur();
   c.wait_mode = mode;
-  for (int i = 0; mode == WaitMode::All && i < c.wait_count; ++i) {
-    consume(rank, slot_request(c, i), c.wait_slot_addr(i));
+  if (mode == WaitMode::All) {
+    for (int i = 0; i < c.wait_count; ++i) {
+      consume(rank, slot_request(c, i), c.wait_slot_addr(i));
+    }
   }
   if (c.wait_count == 0) return;
   c.status = RankStatus::BlockedWait;
@@ -1328,10 +1330,13 @@ void Machine::try_finish_wait(int rank, int ctx) {
     if (c.wait_outcount_out != 0) {
       mem_write(rank, c.wait_outcount_out, &outcount, 4);
     }
-    for (int j = 0; c.wait_indices_out != 0 && j < ready; ++j) {
-      const std::int32_t idx = c.wait_slots[j];
-      mem_write(rank, c.wait_indices_out + static_cast<std::uint64_t>(j) * 4,
-                &idx, 4);
+    if (c.wait_indices_out != 0) {
+      for (int j = 0; j < ready; ++j) {
+        const std::int32_t idx = c.wait_slots[j];
+        mem_write(rank,
+                  c.wait_indices_out + static_cast<std::uint64_t>(j) * 4,
+                  &idx, 4);
+      }
     }
   }
   c.status = RankStatus::Runnable;
@@ -2199,8 +2204,10 @@ void Machine::exec_mpi(int rank, Func f, const DInst& inst) {
         for (int i = 0; i < ctx.wait_count; ++i) {
           if (!slot_request(ctx, i).completed) flag = 0;
         }
-        for (int i = 0; flag == 1 && i < ctx.wait_count; ++i) {
-          consume(rank, slot_request(ctx, i), ctx.wait_slot_addr(i));
+        if (flag == 1) {
+          for (int i = 0; i < ctx.wait_count; ++i) {
+            consume(rank, slot_request(ctx, i), ctx.wait_slot_addr(i));
+          }
         }
         if (outp != 0) mem_write(rank, outp, &flag, 4);
         return;
