@@ -413,7 +413,7 @@ class Machine {
                     std::int64_t request);
   std::int64_t new_request(int rank, Func f, const DInst& inst);
   bool gather_requests(int rank, Func f, const DInst& inst);
-  /// The request in wait slot `i` of `c`; gathered, so it exists.
+  /// The request in wait slot `i` of `c`; requests are never erased.
   Request& slot_request(const ExecCtx& c, int i) {
     return requests_.at(static_cast<std::int64_t>(c.wait_requests[i]));
   }
@@ -1289,13 +1289,10 @@ void Machine::try_finish_wait(int rank, int ctx) {
   if (c.status != RankStatus::BlockedWait) return;
 
   if (c.wait_mode == WaitMode::All) {
+    // Gathered requests are active or complete, so one that is not
+    // complete is still pending.
     for (int i = 0; i < c.wait_count; ++i) {
-      const auto it = requests_.find(static_cast<std::int64_t>(
-          c.wait_requests[i]));
-      if (it != requests_.end() && !it->second.completed &&
-          it->second.active) {
-        return;  // still pending
-      }
+      if (!slot_request(c, i).completed) return;
     }
     c.status = RankStatus::Runnable;
     return;
@@ -1308,9 +1305,7 @@ void Machine::try_finish_wait(int rank, int ctx) {
   // once the call returns.
   int ready = 0;
   for (int i = 0; i < c.wait_count; ++i) {
-    const auto it = requests_.find(static_cast<std::int64_t>(
-        c.wait_requests[i]));
-    if (it != requests_.end() && !it->second.completed) continue;
+    if (!slot_request(c, i).completed) continue;
     c.wait_requests[ready] = c.wait_requests[i];
     c.wait_slots[ready++] = c.wait_slots[i];
   }
@@ -1318,9 +1313,7 @@ void Machine::try_finish_wait(int rank, int ctx) {
   // Waitany: the lowest original index wins, deterministically.
   if (c.wait_mode == WaitMode::Any) ready = 1;
   for (int i = 0; i < ready; ++i) {
-    const auto it = requests_.find(static_cast<std::int64_t>(
-        c.wait_requests[i]));
-    if (it != requests_.end()) consume(rank, it->second, c.wait_slot_addr(i));
+    consume(rank, slot_request(c, i), c.wait_slot_addr(i));
   }
   if (c.wait_mode == WaitMode::Any) {
     const std::int32_t idx = c.wait_slots[0];
