@@ -82,6 +82,45 @@ TEST(BlockedKernels, MatmulZeroRowsAndEmptyShapes) {
   EXPECT_EQ(out.cols(), 5u);
 }
 
+TEST(BlockedKernels, ZeroRowsStayPositiveZeroInReusedStorage) {
+  // A product's output rows that all-zero rows of A never reach must be
+  // +0.0 even when the storage handed to the product last held NaN: a
+  // NaN-filled matrix of the output's size is freed right before each
+  // product, so the allocator hands its block back.
+  Rng rng(5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& s : {std::array<std::size_t, 3>{5, 6, 6},
+                        std::array<std::size_t, 3>{13, 21, 17},
+                        std::array<std::size_t, 3>{108, 32, 64}}) {
+    const std::size_t m = s[0], k = s[1], n = s[2];
+    Matrix a = random_matrix(m, k, rng);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{2}, m - 1}) {
+      for (std::size_t c = 0; c < k; ++c) a.at(i, c) = 0.0;
+    }
+    const Matrix b = random_matrix(k, n, rng);
+    const Matrix bt = b.transpose();
+    const Matrix at = a.transpose();
+    const Matrix want = a.matmul_naive(b);
+    (void)a.matmul(b);  // grows the per-thread packing buffers
+    for (int variant = 0; variant < 3; ++variant) {
+      { const Matrix poison(m, n, nan); }
+      const Matrix got = variant == 0   ? a.matmul(b)
+                         : variant == 1 ? a.matmul_nt(bt)
+                                        : at.matmul_tn(b);
+      SCOPED_TRACE("variant=" + std::to_string(variant) +
+                   " m=" + std::to_string(m));
+      for (const std::size_t i : {std::size_t{0}, std::size_t{2}, m - 1}) {
+        for (std::size_t j = 0; j < n; ++j) {
+          std::uint64_t bits;
+          std::memcpy(&bits, got.row(i) + j, sizeof bits);
+          ASSERT_EQ(bits, 0u) << "row " << i << " col " << j;
+        }
+      }
+      expect_bit_identical(got, want);
+    }
+  }
+}
+
 TEST(BlockedKernels, TransposedVariantsMatchNaiveBitForBit) {
   Rng rng(3);
   for (const std::size_t m : {std::size_t{1}, std::size_t{33},

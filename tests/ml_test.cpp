@@ -954,6 +954,78 @@ TEST(Adam, DispatchedStepBitIdenticalToScalar) {
   }
 }
 
+TEST(Adam, TensorsWithoutGradientEqualPerStepUpdates) {
+  // `late` gets an all-zero gradient for three steps and nonzero ones
+  // after; `idle` gets none for five steps and its first on the sixth.
+  // Both must end bit-identical to calling adam_row on every step from
+  // zero moments, and `idle` must keep its value bits (-0.0 included)
+  // until its first gradient arrives.
+  constexpr double kLr = 4e-4, kB1 = 0.9, kB2 = 0.999, kEps = 1e-8;
+  Rng rng(31);
+  Matrix late_init(3, 5), idle_init(2, 7);
+  for (double& x : late_init.data()) x = rng.normal();
+  for (double& x : idle_init.data()) x = rng.normal();
+  idle_init.at(1, 3) = -0.0;
+  Var late = make_param(late_init);
+  Var idle = make_param(idle_init);
+  Adam opt({late, idle}, kLr, kB1, kB2, kEps);
+
+  struct Ref {
+    std::vector<double> p, m, v;
+  };
+  const auto fresh = [](const Matrix& init) {
+    return Ref{std::vector<double>(init.data().begin(), init.data().end()),
+               std::vector<double>(init.size(), 0.0),
+               std::vector<double>(init.size(), 0.0)};
+  };
+  Ref late_ref = fresh(late_init), idle_ref = fresh(idle_init);
+  const auto expect_bits = [](const Matrix& got,
+                              const std::vector<double>& want,
+                              const char* name, int step) {
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(std::memcmp(&got.data()[k], &want[k], sizeof(double)), 0)
+          << name << " step=" << step << " k=" << k;
+    }
+  };
+  for (int step = 1; step <= 6; ++step) {
+    const kernels::AdamCoeffs c{kLr,
+                                kB1,
+                                kB2,
+                                kEps,
+                                1.0 - std::pow(kB1, step),
+                                1.0 - std::pow(kB2, step)};
+    std::vector<double> g_late(late_init.size(), 0.0);
+    if (step > 3) {
+      for (double& x : g_late) x = rng.normal();
+      std::copy(g_late.begin(), g_late.end(),
+                late->ensure_grad().data().begin());
+    }
+    std::vector<double> g_idle(idle_init.size(), 0.0);
+    if (step == 6) {
+      for (double& x : g_idle) x = rng.normal();
+      std::copy(g_idle.begin(), g_idle.end(),
+                idle->ensure_grad().data().begin());
+    }
+    opt.step();
+    kernels::fns().adam_row(late_ref.p.data(), late_ref.m.data(),
+                            late_ref.v.data(), g_late.data(), g_late.size(),
+                            c);
+    kernels::fns().adam_row(idle_ref.p.data(), idle_ref.m.data(),
+                            idle_ref.v.data(), g_idle.data(), g_idle.size(),
+                            c);
+    expect_bits(late->value, late_ref.p, "late", step);
+    expect_bits(idle->value, idle_ref.p, "idle", step);
+    if (step < 6) {
+      expect_bits(idle->value,
+                  {idle_init.data().begin(), idle_init.data().end()}, "idle",
+                  step);
+    }
+    for (const Var& p : {late, idle}) {
+      for (const double g : p->ensure_grad().data()) ASSERT_EQ(g, 0.0);
+    }
+  }
+}
+
 // The paper protocol's training trajectory, pinned bit for bit: a
 // default-config fit (batch_size 1, GATv2 128/64/32) over the O0 graphs
 // of the fixed gnn-kfold corpus, digested over every trained parameter
