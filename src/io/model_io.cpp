@@ -142,7 +142,8 @@ std::unique_ptr<ml::GnnModel> load_gnn_model(Reader& r) {
              "x" + std::to_string(params[i]->cols()));
     }
     ml::Matrix m(rows, cols);
-    m.data() = r.f64_vec();
+    const std::vector<double> stored = r.f64_vec();
+    m.data().assign(stored.begin(), stored.end());
     if (m.data().size() != rows * cols) {
       r.fail("GNN tensor " + std::to_string(i) + " element count mismatch");
     }

@@ -15,6 +15,8 @@ class Adam final {
                 double eps = 1e-8);
 
   /// Applies one update from the accumulated gradients, then zeroes them.
+  /// A tensor that has only ever had all-zero gradients is skipped: its
+  /// moments are still +0.0, so the update would change no bit.
   void step();
 
   double learning_rate() const { return lr_; }
@@ -22,6 +24,7 @@ class Adam final {
  private:
   std::vector<Var> params_;
   std::vector<Matrix> m_, v_;
+  std::vector<char> live_;  // has taken an update (moments may be nonzero)
   double lr_, beta1_, beta2_, eps_;
   std::int64_t t_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <unordered_set>
 
 #include "ml/kernels.hpp"
@@ -79,6 +80,55 @@ void accumulate_grad(VarNode& node, const Matrix& m) {
   }
 }
 
+/// Passes `self`'s gradient on unchanged to each of `to` that needs
+/// one: a copy to all but the last, which takes the buffer itself. No
+/// op reads a node's gradient once that node's backward has run.
+void hand_down_grad(VarNode& self, std::span<const Var> to) {
+  std::size_t last = to.size();
+  while (last > 0 && !to[last - 1]->requires_grad) --last;
+  for (std::size_t t = 0; t + 1 < last; ++t) {
+    if (to[t]->requires_grad) accumulate_grad(*to[t], self.grad);
+  }
+  if (last == 0) return;
+  accumulate_grad(*to[last - 1], std::move(self.grad));
+  self.zero_grad();
+}
+
+/// node.grad[i] += term(i) for every element, allocating the gradient
+/// on first use. A fresh buffer is not zero-filled first: it gets
+/// 0.0 + term(i), the bits += gives on a zeroed buffer.
+template <typename F>
+void accumulate_each(VarNode& node, F term) {
+  const std::size_t n = node.value.size();
+  if (!node.grad.same_shape(node.value)) {
+    node.grad = Matrix::uninit(node.value.rows(), node.value.cols());
+    double* g = node.grad.data().data();
+    for (std::size_t i = 0; i < n; ++i) g[i] = 0.0 + term(i);
+    return;
+  }
+  double* g = node.grad.data().data();
+  for (std::size_t i = 0; i < n; ++i) g[i] += term(i);
+}
+
+/// out[i] = f(a[i]) in one pass over a fresh matrix: the elementwise
+/// ops never copy their input only to overwrite the copy.
+template <typename F>
+Matrix map(const Matrix& a, F f) {
+  Matrix out = Matrix::uninit(a.rows(), a.cols());
+  const double* src = a.data().data();
+  double* dst = out.data().data();
+  for (std::size_t i = 0; i < a.size(); ++i) dst[i] = f(src[i]);
+  return out;
+}
+
+/// out[i] = a[i] + b[i] (same shapes).
+void sum_into(Matrix& out, const Matrix& a, const Matrix& b) {
+  const double* pa = a.data().data();
+  const double* pb = b.data().data();
+  double* dst = out.data().data();
+  for (std::size_t i = 0; i < out.size(); ++i) dst[i] = pa[i] + pb[i];
+}
+
 /// dst[idx[e], :] += src[e, :], entries in order (rows of dst may
 /// repeat in idx).
 void scatter_add_into(Matrix& dst, const Matrix& src,
@@ -141,21 +191,25 @@ Var transpose(const Var& a) {
 
 Var add(const Var& a, const Var& b) {
   MPIDETECT_EXPECTS(a->value.same_shape(b->value));
-  Matrix out = a->value;
-  out.add_in_place(b->value);
-  return make_result(std::move(out), {a, b}, [a, b](VarNode& self) {
-    if (a->requires_grad) accumulate_grad(*a, self.grad);
-    if (b->requires_grad) accumulate_grad(*b, self.grad);
+  Matrix out = Matrix::uninit(a->value.rows(), a->value.cols());
+  sum_into(out, a->value, b->value);
+  return make_result(std::move(out), {a, b}, [](VarNode& self) {
+    hand_down_grad(self, self.parents);
   });
 }
 
 Var add_row_broadcast(const Var& a, const Var& bias) {
   MPIDETECT_EXPECTS(bias->value.rows() == 1);
   MPIDETECT_EXPECTS(bias->value.cols() == a->value.cols());
-  Matrix out = a->value;
-  out.add_row_in_place(bias->value);
+  const std::size_t cols = a->value.cols();
+  const double* b = bias->value.row(0);
+  Matrix out = Matrix::uninit(a->value.rows(), cols);
+  for (std::size_t i = 0; i < out.rows(); ++i) {
+    const double* src = a->value.row(i);
+    double* dst = out.row(i);
+    for (std::size_t j = 0; j < cols; ++j) dst[j] = src[j] + b[j];
+  }
   return make_result(std::move(out), {a, bias}, [a, bias](VarNode& self) {
-    if (a->requires_grad) accumulate_grad(*a, self.grad);
     if (bias->requires_grad) {
       Matrix& g = bias->ensure_grad();
       double* grow = g.row(0);
@@ -164,58 +218,55 @@ Var add_row_broadcast(const Var& a, const Var& bias) {
         for (std::size_t j = 0; j < self.grad.cols(); ++j) grow[j] += src[j];
       }
     }
+    hand_down_grad(self, {&a, 1});
   });
 }
 
 Var add_n(std::vector<Var> terms) {
   MPIDETECT_EXPECTS(!terms.empty());
   if (terms.size() == 1) return terms[0];
-  Matrix out = terms[0]->value;
-  for (std::size_t t = 1; t < terms.size(); ++t) {
-    MPIDETECT_EXPECTS(out.same_shape(terms[t]->value));
+  for (const Var& t : terms) {
+    MPIDETECT_EXPECTS(t->value.same_shape(terms[0]->value));
+  }
+  Matrix out = Matrix::uninit(terms[0]->value.rows(), terms[0]->value.cols());
+  sum_into(out, terms[0]->value, terms[1]->value);
+  for (std::size_t t = 2; t < terms.size(); ++t) {
     out.add_in_place(terms[t]->value);
   }
-  std::vector<Var> parents = terms;
-  return make_result(
-      std::move(out), std::move(parents),
-      [terms = std::move(terms)](VarNode& self) {
-        for (const Var& t : terms) {
-          if (t->requires_grad) accumulate_grad(*t, self.grad);
-        }
-      });
+  return make_result(std::move(out), std::move(terms), [](VarNode& self) {
+    hand_down_grad(self, self.parents);
+  });
 }
 
 Var scale(const Var& a, double s) {
-  Matrix out = a->value;
-  for (double& x : out.data()) x *= s;
+  Matrix out = map(a->value, [s](double x) { return x * s; });
   return make_result(std::move(out), {a}, [a, s](VarNode& self) {
     if (a->requires_grad) a->ensure_grad().axpy_in_place(s, self.grad);
   });
 }
 
 Var leaky_relu(const Var& a, double slope) {
-  Matrix out = a->value;
-  for (double& x : out.data()) x = x > 0 ? x : slope * x;
+  Matrix out =
+      map(a->value, [slope](double x) { return x > 0 ? x : slope * x; });
   return make_result(std::move(out), {a}, [a, slope](VarNode& self) {
     if (!a->requires_grad) return;
-    Matrix& g = a->ensure_grad();
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      g.data()[i] +=
-          self.grad.data()[i] * (a->value.data()[i] > 0 ? 1.0 : slope);
-    }
+    const double* x = a->value.data().data();
+    const double* gy = self.grad.data().data();
+    accumulate_each(*a, [&](std::size_t i) {
+      return gy[i] * (x[i] > 0 ? 1.0 : slope);
+    });
   });
 }
 
 Var elu(const Var& a) {
-  Matrix out = a->value;
-  for (double& x : out.data()) x = x > 0 ? x : std::expm1(x);
+  Matrix out = map(a->value, [](double x) { return x > 0 ? x : std::expm1(x); });
   return make_result(std::move(out), {a}, [a](VarNode& self) {
     if (!a->requires_grad) return;
-    Matrix& g = a->ensure_grad();
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      const double x = a->value.data()[i];
-      g.data()[i] += self.grad.data()[i] * (x > 0 ? 1.0 : std::exp(x));
-    }
+    const double* x = a->value.data().data();
+    const double* gy = self.grad.data().data();
+    accumulate_each(*a, [&](std::size_t i) {
+      return gy[i] * (x[i] > 0 ? 1.0 : std::exp(x[i]));
+    });
   });
 }
 
@@ -240,7 +291,7 @@ Var bias_elu(const Var& a, const Var& bias) {
 Var gather_rows(const Var& a, std::vector<std::uint32_t> idx) {
   const std::size_t cols = a->value.cols();
   for (const std::uint32_t i : idx) MPIDETECT_EXPECTS(i < a->value.rows());
-  Matrix out(idx.size(), cols);
+  Matrix out = Matrix::uninit(idx.size(), cols);
   kernels::OpTimer timer(kernels::Op::GatherRows, 0);
   for (std::size_t e = 0; e < idx.size(); ++e) {
     const double* src = a->value.row(idx[e]);
@@ -267,13 +318,13 @@ Var matmul_rows(const Var& a, const Var& b, std::vector<std::uint32_t> idx) {
       rows.push_back(i);
     }
   }
-  Matrix a_rows(rows.size(), a->value.cols());
+  Matrix a_rows = Matrix::uninit(rows.size(), a->value.cols());
   for (std::size_t u = 0; u < rows.size(); ++u) {
     const double* src = a->value.row(rows[u]);
     std::copy(src, src + a->value.cols(), a_rows.row(u));
   }
   const Matrix product = a_rows.matmul(b->value);
-  Matrix out(idx.size(), cols);
+  Matrix out = Matrix::uninit(idx.size(), cols);
   {
     kernels::OpTimer timer(kernels::Op::GatherRows, 0);
     for (std::size_t e = 0; e < idx.size(); ++e) {
@@ -315,7 +366,7 @@ Var segment_softmax(const Var& scores, std::vector<std::uint32_t> seg,
   for (std::size_t e = 0; e < n; ++e) {
     seg_max[seg[e]] = std::max(seg_max[seg[e]], scores->value.at(e, 0));
   }
-  Matrix out(n, 1);
+  Matrix out = Matrix::uninit(n, 1);
   std::vector<double> seg_sum(n_segments, 0.0);
   for (std::size_t e = 0; e < n; ++e) {
     out.at(e, 0) = std::exp(scores->value.at(e, 0) - seg_max[seg[e]]);
@@ -343,8 +394,14 @@ Var segment_softmax(const Var& scores, std::vector<std::uint32_t> seg,
 Var mul_rowwise(const Var& alpha, const Var& h) {
   MPIDETECT_EXPECTS(alpha->value.cols() == 1);
   MPIDETECT_EXPECTS(alpha->value.rows() == h->value.rows());
-  Matrix out = h->value;
-  out.scale_rows_in_place(alpha->value);
+  const std::size_t cols = h->value.cols();
+  Matrix out = Matrix::uninit(h->value.rows(), cols);
+  for (std::size_t e = 0; e < out.rows(); ++e) {
+    const double a = alpha->value.at(e, 0);
+    const double* src = h->value.row(e);
+    double* dst = out.row(e);
+    for (std::size_t j = 0; j < cols; ++j) dst[j] = src[j] * a;
+  }
   return make_result(std::move(out), {alpha, h}, [alpha, h](VarNode& self) {
     const std::size_t rows = self.value.rows();
     const std::size_t cols = self.value.cols();
@@ -391,7 +448,7 @@ Matrix gatv2_scores_value(const Var& hl, LeftIx li, const Var& hr, RightIx ri,
                           std::size_t e_rows) {
   const std::size_t d = hl->value.cols();
   const double* av = attn->value.data().data();
-  Matrix out(e_rows, 1);
+  Matrix out = Matrix::uninit(e_rows, 1);
   kernels::OpTimer timer(kernels::Op::Gatv2Scores, 4 * e_rows * d);
   const kernels::KernelFns& fns = kernels::fns();
   std::size_t e = 0;

@@ -26,6 +26,7 @@
 #include "ml/gnn.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -119,6 +120,18 @@ Var GnnModel::forward_impl(
   // Token embedding lookup.
   Var x = gather_rows(embedding_, {tokens.begin(), tokens.end()});
 
+  // Each relation's edge endpoints, shared by every layer.
+  std::array<std::vector<std::uint32_t>, programl::kNumEdgeTypes> src, dst;
+  for (std::size_t r = 0; r < programl::kNumEdgeTypes; ++r) {
+    const auto& edges = all_edges[r];
+    src[r].resize(edges.size());
+    dst[r].resize(edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      src[r][e] = edges[e].src;
+      dst[r][e] = edges[e].dst;
+    }
+  }
+
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     // Self path (plays the role of GATv2's self loops), then one GATv2
@@ -126,38 +139,31 @@ Var GnnModel::forward_impl(
     // right, bit-identical to the seed's add chain (HeteroConv).
     std::vector<Var> terms{matmul(x, layer.w_self)};
     for (std::size_t r = 0; r < programl::kNumEdgeTypes; ++r) {
-      const auto& edges = all_edges[r];
-      if (edges.empty()) continue;
-      std::vector<std::uint32_t> src(edges.size());
-      std::vector<std::uint32_t> dst(edges.size());
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        src[e] = edges[e].src;
-        dst[e] = edges[e].dst;
-      }
+      if (src[r].empty()) continue;
       const RelationWeights& w = layer.rel[r];
       // Every path scores and aggregates with the fused GATv2 ops, so
       // no (E,d) pre-activation or message matrix is materialized.
-      if (fast_path && 2 * edges.size() >= n) {
+      if (fast_path && 2 * src[r].size() >= n) {
         // Inference reads the node transforms through the edge indices,
         // so not even the gathered (E,d) copies exist.
         Var h_left = matmul(x, w.w_left);    // (N, d_out)
         Var h_right = matmul(x, w.w_right);  // (N, d_out)
-        Var scores = gatv2_scores_gathered(h_left, dst, h_right, src,
+        Var scores = gatv2_scores_gathered(h_left, dst[r], h_right, src[r],
                                            w.attn);  // (E, 1)
-        Var alpha = segment_softmax(scores, dst, n);
+        Var alpha = segment_softmax(scores, dst[r], n);
         terms.push_back(
-            scatter_add_scaled_gathered(alpha, h_right, src, dst, n));
+            scatter_add_scaled_gathered(alpha, h_right, src[r], dst[r], n));
         continue;
       }
       // (E, d_out): W_l h_t and W_r h_s per edge. The seed's
       // transform-then-gather, computing only the node rows the edges
       // read (sparse relations such as call edges touch few nodes).
-      Var hl_t = matmul_rows(x, w.w_left, dst);
-      Var hr_s = matmul_rows(x, w.w_right, src);
+      Var hl_t = matmul_rows(x, w.w_left, dst[r]);
+      Var hr_s = matmul_rows(x, w.w_right, src[r]);
       // GATv2 scoring: a^T LeakyReLU(W_l h_t + W_r h_s)
       Var scores = gatv2_scores(hl_t, hr_s, w.attn);  // (E, 1)
-      Var alpha = segment_softmax(scores, dst, n);
-      terms.push_back(scatter_add_scaled(alpha, hr_s, dst, n));
+      Var alpha = segment_softmax(scores, dst[r], n);
+      terms.push_back(scatter_add_scaled(alpha, hr_s, dst[r], n));
     }
     // bias_elu has no backward, so training keeps the unfused bias + ELU.
     Var sum = add_n(std::move(terms));

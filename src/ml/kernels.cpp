@@ -35,13 +35,14 @@ ScopedNaiveMatmul::~ScopedNaiveMatmul() { t_naive_matmul = prev_; }
 
 namespace {
 
-bool gemm_tile_scalar(const double* ap, const double* bp, std::size_t K,
-                      double* c, std::size_t ldc) {
+bool gemm_tile_scalar(const double* const* a, std::size_t as,
+                      const double* bp, std::size_t K, double* c,
+                      std::size_t ldc) {
   double acc[kMr][kNr] = {};
-  for (std::size_t k = 0; k < K; ++k, ap += kMr, bp += kNr) {
+  for (std::size_t k = 0; k < K; ++k, bp += kNr) {
     for (std::size_t r = 0; r < kMr; ++r) {
-      const double a = ap[r];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += a * bp[j];
+      const double av = a[r][k * as];
+      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += av * bp[j];
     }
   }
   bool finite = true;

@@ -32,8 +32,8 @@ namespace mpidetect::ml::kernels {
 
 /// Register tile of the packed matmul micro-kernel (KernelFns::gemm_tile):
 /// kMr output rows x kNr output columns accumulate in registers while
-/// the reduction streams through packed panels of both operands. One
-/// tile shape for every dispatch target keeps one packing layout.
+/// the reduction streams through kMr rows of A and a packed panel of B.
+/// One tile shape for every dispatch target keeps one packing layout.
 inline constexpr std::size_t kMr = 4;
 inline constexpr std::size_t kNr = 8;
 
@@ -83,13 +83,16 @@ struct AdamCoeffs {
 /// storage with no 32-byte alignment guarantee (see docs/PERFORMANCE.md,
 /// "Alignment").
 ///
-/// gemm_tile: the matmul micro-kernel. `ap` is a packed A panel
-/// (ap[k*kMr + r] = A[r][k]), `bp` a packed B panel (bp[k*kNr + j] =
-/// B[k][j]); it writes c[r*ldc + j] = sum_k A[r][k]*B[k][j] for the whole
-/// kMr x kNr tile, each element accumulated k-ascending from 0.0 with
-/// separate multiply and add — matmul_naive's order, so bit-identical to
-/// it on finite inputs — and returns whether every element of the tile
-/// is finite. axpy1: o[j] += a*b[j] (the fused aggregation).
+/// gemm_tile: the matmul micro-kernel. `a` holds kMr row pointers read
+/// at k-stride `as` (A[r][k] = a[r][k*as]): rows read in place from a
+/// matrix have its own k-stride (1 for a row-major matrix, its column
+/// count for the columns of a transposed one), and a gathered panel has
+/// a[r] = panel + r and as = kMr. `bp` is a packed B panel
+/// (bp[k*kNr + j] = B[k][j]). It writes c[r*ldc + j] =
+/// sum_k A[r][k]*B[k][j] for the whole kMr x kNr tile, each element
+/// accumulated k-ascending from 0.0 with separate multiply and add —
+/// matmul_naive's order, so bit-identical to it on finite inputs — and
+/// returns whether every element of the tile is finite. axpy1: o[j] += a*b[j] (the fused aggregation).
 /// add1: o[j] += b[j]. bias_elu_row: dst[j] = elu(src[j] + bias[j])
 /// with the scalar std::expm1 on negative lanes. gatv2_scores4: four
 /// edges' attention scores, lanes independent, k-ascending.
@@ -102,8 +105,9 @@ struct AdamCoeffs {
 /// correctly rounded on every target, so lanes match the scalar loop
 /// exactly.
 struct KernelFns {
-  bool (*gemm_tile)(const double* ap, const double* bp, std::size_t K,
-                    double* c, std::size_t ldc);
+  bool (*gemm_tile)(const double* const* a, std::size_t as,
+                    const double* bp, std::size_t K, double* c,
+                    std::size_t ldc);
   void (*axpy1)(double* o, const double* b, double a, std::size_t n);
   void (*add1)(double* o, const double* b, std::size_t n);
   void (*bias_elu_row)(double* dst, const double* src, const double* bias,

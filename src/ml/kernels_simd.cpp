@@ -34,12 +34,12 @@ namespace mpidetect::ml::kernels::detail {
 
 namespace {
 
-__attribute__((target("avx2"))) bool gemm_tile_avx2(const double* ap,
-                                                    const double* bp,
-                                                    std::size_t K, double* c,
-                                                    std::size_t ldc) {
+__attribute__((target("avx2"))) bool gemm_tile_avx2(
+    const double* const* a, std::size_t as, const double* bp, std::size_t K,
+    double* c, std::size_t ldc) {
   // The 4x8 tile lives in eight ymm accumulators: per k, two loads of
-  // the B panel row feed four broadcast A coefficients. Every
+  // the B panel row feed four broadcast A coefficients, one from each
+  // row pointer. Every
   // accumulator lane is one output element's k-ascending chain from
   // 0.0, so the tile equals the scalar reference bit for bit; the eight
   // independent chains hide the adder's latency.
@@ -48,21 +48,23 @@ __attribute__((target("avx2"))) bool gemm_tile_avx2(const double* ap,
   __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
   __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
   __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-  for (std::size_t k = 0; k < K; ++k, ap += kMr, bp += kNr) {
+  const double *a0 = a[0], *a1 = a[1], *a2 = a[2], *a3 = a[3];
+  for (std::size_t k = 0; k < K; ++k, bp += kNr) {
+    const std::size_t ka = k * as;
     const __m256d b0 = _mm256_loadu_pd(bp);
     const __m256d b1 = _mm256_loadu_pd(bp + 4);
-    __m256d a = _mm256_broadcast_sd(ap);
-    c00 = _mm256_add_pd(c00, _mm256_mul_pd(a, b0));
-    c01 = _mm256_add_pd(c01, _mm256_mul_pd(a, b1));
-    a = _mm256_broadcast_sd(ap + 1);
-    c10 = _mm256_add_pd(c10, _mm256_mul_pd(a, b0));
-    c11 = _mm256_add_pd(c11, _mm256_mul_pd(a, b1));
-    a = _mm256_broadcast_sd(ap + 2);
-    c20 = _mm256_add_pd(c20, _mm256_mul_pd(a, b0));
-    c21 = _mm256_add_pd(c21, _mm256_mul_pd(a, b1));
-    a = _mm256_broadcast_sd(ap + 3);
-    c30 = _mm256_add_pd(c30, _mm256_mul_pd(a, b0));
-    c31 = _mm256_add_pd(c31, _mm256_mul_pd(a, b1));
+    __m256d av = _mm256_broadcast_sd(a0 + ka);
+    c00 = _mm256_add_pd(c00, _mm256_mul_pd(av, b0));
+    c01 = _mm256_add_pd(c01, _mm256_mul_pd(av, b1));
+    av = _mm256_broadcast_sd(a1 + ka);
+    c10 = _mm256_add_pd(c10, _mm256_mul_pd(av, b0));
+    c11 = _mm256_add_pd(c11, _mm256_mul_pd(av, b1));
+    av = _mm256_broadcast_sd(a2 + ka);
+    c20 = _mm256_add_pd(c20, _mm256_mul_pd(av, b0));
+    c21 = _mm256_add_pd(c21, _mm256_mul_pd(av, b1));
+    av = _mm256_broadcast_sd(a3 + ka);
+    c30 = _mm256_add_pd(c30, _mm256_mul_pd(av, b0));
+    c31 = _mm256_add_pd(c31, _mm256_mul_pd(av, b1));
   }
   _mm256_storeu_pd(c, c00);
   _mm256_storeu_pd(c + 4, c01);

@@ -25,24 +25,6 @@ void Matrix::axpy_in_place(double s, const Matrix& o) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += s * o.data_[i];
 }
 
-void Matrix::add_row_in_place(const Matrix& bias) {
-  MPIDETECT_EXPECTS(bias.rows_ == 1 && bias.cols_ == cols_);
-  const double* b = bias.data_.data();
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double* r = row(i);
-    for (std::size_t j = 0; j < cols_; ++j) r[j] += b[j];
-  }
-}
-
-void Matrix::scale_rows_in_place(const Matrix& alpha) {
-  MPIDETECT_EXPECTS(alpha.rows_ == rows_ && alpha.cols_ == 1);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double a = alpha.data_[i];
-    double* r = row(i);
-    for (std::size_t j = 0; j < cols_; ++j) r[j] *= a;
-  }
-}
-
 Matrix Matrix::matmul_naive(const Matrix& o) const {
   MPIDETECT_EXPECTS(cols_ == o.rows_);
   Matrix out(rows_, o.cols_);
@@ -91,6 +73,29 @@ std::uint64_t nonfinite_bits(const double* x, std::size_t n,
   return bits;
 }
 
+/// The index of the first of x[0], x[stride], ..., x[(n - 1) * stride]
+/// that is not +-0.0 (a NaN counts as nonzero), or n if there is none.
+/// A contiguous run is tested eight at a time by OR-ing the bits with
+/// the sign shifted out, which the compiler vectorizes; the scan still
+/// stops at the chunk holding the first nonzero.
+std::size_t first_nonzero(const double* x, std::size_t n,
+                          std::size_t stride) {
+  std::size_t i = 0;
+  if (stride == 1) {
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t bits = 0;
+      for (std::size_t j = 0; j < 8; ++j) {
+        std::uint64_t b;
+        std::memcpy(&b, x + i + j, sizeof b);
+        bits |= b << 1;
+      }
+      if (bits != 0) break;
+    }
+  }
+  while (i < n && x[i * stride] == 0.0) ++i;
+  return i;
+}
+
 /// matmul_naive's loop over strided operands: out (M x N) = A * B,
 /// skipping zero A coefficients.
 Matrix naive_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
@@ -108,18 +113,31 @@ Matrix naive_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
   return out;
 }
 
+/// Copies n <= kNr doubles. A full row is a fixed-width loop, which
+/// compiles to a few vector moves where std::copy calls memmove.
+void copy_row(const double* s, double* d, std::size_t n) {
+  if (n == kernels::kNr) {
+    for (std::size_t j = 0; j < kernels::kNr; ++j) d[j] = s[j];
+    return;
+  }
+  for (std::size_t j = 0; j < n; ++j) d[j] = s[j];
+}
+
 /// out (M x N) = A (M x K) * B (K x N) through the packed micro-kernel.
 ///
-/// B is packed once into column panels of kNr; then rows of A are
-/// packed kMr at a time into a row panel and swept across every column
-/// panel, one kMr x kNr register tile at a time. Every output element
-/// accumulates its products k-ascending from 0.0 with separate multiply
-/// and add, like matmul_naive. Two kinds of term are left out, and both
-/// are exact zeros, which cannot change a finite sum that starts at
-/// +0.0: reduction steps whose B row is all zero, and rows of A that
-/// are all zero (their output row stays +0.0, as matmul_naive leaves
-/// it). Backward gradients are mostly such rows — nodes a relation
-/// never reaches — so this skips most of their work.
+/// B is packed once into column panels of kNr; then rows of A are taken
+/// kMr at a time and swept across every column panel, one kMr x kNr
+/// register tile at a time. When every reduction step is kept, the tile
+/// reads A's rows in place through A's own k-stride; a product that
+/// left out a step gathers each row's kept coefficients into a panel
+/// the tile reads at stride kMr. Every output element accumulates its products k-ascending from
+/// 0.0 with separate multiply and add, like matmul_naive. Two kinds of
+/// term are left out, and both are exact zeros, which cannot change a
+/// finite sum that starts at +0.0: reduction steps whose B row is all
+/// zero, and rows of A that are all zero (their output row is written
+/// +0.0, as matmul_naive leaves it). Backward gradients are mostly such
+/// rows — nodes a relation never reaches — so this skips most of their
+/// work.
 ///
 /// Inf and NaN break that argument in two places: an A coefficient met
 /// only by a left-out zero B row (Inf * 0 is NaN in matmul_naive), and
@@ -133,22 +151,18 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
                      Strided b) {
   using kernels::kMr;
   using kernels::kNr;
-  Matrix out(M, N);
   std::vector<std::size_t>& ks = thread_buffer<std::size_t, 0>(K);
   std::size_t kc = 0;
   std::uint64_t dropped_bits = 0;  // A's coefficients at left-out steps
   for (std::size_t k = 0; k < K; ++k) {
-    const double* s = b.p + k * b.rs;
-    std::size_t j = 0;
-    while (j < N && s[j * b.cs] == 0.0) ++j;
-    if (j < N) {
+    if (first_nonzero(b.p + k * b.rs, N, b.cs) < N) {
       ks[kc++] = k;
       continue;
     }
     dropped_bits |= nonfinite_bits(a.p + k * a.cs, M, a.rs);
   }
   if (dropped_bits != 0) return naive_matmul(M, N, K, a, b);
-  if (M == 0 || N == 0 || kc == 0) return out;
+  if (M == 0 || N == 0 || kc == 0) return Matrix(M, N);
 
   const std::size_t col_panels = (N + kNr - 1) / kNr;
   std::vector<double>& bp = thread_buffer<double, 1>(col_panels * kc * kNr);
@@ -159,23 +173,28 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
     for (std::size_t kk = 0; kk < kc; ++kk, d += kNr) {
       const double* s = b.p + ks[kk] * b.rs + j0 * b.cs;
       if (b.cs == 1) {
-        std::copy(s, s + nc, d);
+        copy_row(s, d, nc);
       } else {
         for (std::size_t j = 0; j < nc; ++j) d[j] = s[j * b.cs];
       }
-      std::fill(d + nc, d + kNr, 0.0);
+      for (std::size_t j = nc; j < kNr; ++j) d[j] = 0.0;
     }
   }
 
+  const bool in_place = kc == K;
+  const std::size_t as = in_place ? a.cs : kMr;
+  double* ap = in_place ? nullptr : thread_buffer<double, 2>(kc * kMr).data();
+  Matrix out = Matrix::uninit(M, N);
   const kernels::KernelFns& fns = kernels::fns();
   bool tiles_finite = true;
-  double* ap = thread_buffer<double, 2>(kc * kMr).data();
+  const double* arows[kMr];
   std::size_t rows[kMr] = {};
-  std::size_t mr = 0;  // rows packed into the current panel
+  std::size_t mr = 0;  // rows taken into the current tile
+  std::size_t zeros_from = 0;  // the first row after the last taken one
   const auto flush = [&] {
-    for (std::size_t kk = 0; kk < kc; ++kk) {
-      std::fill(ap + kk * kMr + mr, ap + (kk + 1) * kMr, 0.0);
-    }
+    // A partial tile repeats its first row. The repeats' results are
+    // never copied out, and they are finite exactly when that row's are.
+    for (std::size_t r = mr; r < kMr; ++r) arows[r] = arows[0];
     const bool dense = mr == kMr && rows[kMr - 1] == rows[0] + kMr - 1;
     double tile[kMr * kNr];
     for (std::size_t p = 0; p < col_panels; ++p) {
@@ -183,37 +202,41 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
       const std::size_t nc = std::min(kNr, N - j0);
       const double* panel = bp.data() + p * kc * kNr;
       if (dense && nc == kNr) {
-        tiles_finite &= fns.gemm_tile(ap, panel, kc, out.row(rows[0]) + j0, N);
+        tiles_finite &=
+            fns.gemm_tile(arows, as, panel, kc, out.row(rows[0]) + j0, N);
         continue;
       }
-      tiles_finite &= fns.gemm_tile(ap, panel, kc, tile, kNr);
+      tiles_finite &= fns.gemm_tile(arows, as, panel, kc, tile, kNr);
       for (std::size_t r = 0; r < mr; ++r) {
-        std::copy(tile + r * kNr, tile + r * kNr + nc, out.row(rows[r]) + j0);
+        copy_row(tile + r * kNr, out.row(rows[r]) + j0, nc);
       }
     }
     mr = 0;
   };
   for (std::size_t i = 0; i < M; ++i) {
     const double* s = a.p + i * a.rs;
-    double* d = ap + mr;
-    bool nonzero = false;
-    if (kc == K && a.cs == 1) {  // every k kept, row contiguous
-      for (std::size_t k = 0; k < K; ++k) {
-        d[k * kMr] = s[k];
-        nonzero |= s[k] != 0.0;
-      }
+    std::size_t kk = 0;
+    if (in_place) {
+      kk = first_nonzero(s, kc, a.cs);
     } else {
-      for (std::size_t kk = 0; kk < kc; ++kk) {
-        const double v = s[ks[kk] * a.cs];
-        d[kk * kMr] = v;
-        nonzero |= v != 0.0;
-      }
+      while (kk < kc && s[ks[kk] * a.cs] == 0.0) ++kk;
     }
-    if (!nonzero) continue;  // the next row reuses the slot
+    if (kk == kc) continue;  // no nonzero coefficient: the row is +0.0
+    // Rows since the last taken one were all-zero: zero them in one go.
+    std::fill(out.row(zeros_from), out.row(i), 0.0);
+    zeros_from = i + 1;
+    if (in_place) {
+      arows[mr] = s;
+    } else {
+      double* d = ap + mr;
+      for (kk = 0; kk < kc; ++kk) d[kk * kMr] = s[ks[kk] * a.cs];
+      arows[mr] = d;
+    }
     rows[mr++] = i;
     if (mr == kMr) flush();
   }
   if (mr > 0) flush();
+  std::fill(out.row(zeros_from), out.data().data() + M * N, 0.0);
   if (!tiles_finite) return naive_matmul(M, N, K, a, b);
   return out;
 }
@@ -250,7 +273,7 @@ Matrix Matrix::matmul_tn(const Matrix& o) const {
 }
 
 Matrix Matrix::transpose() const {
-  Matrix out(cols_, rows_);
+  Matrix out = Matrix::uninit(cols_, rows_);
   // Tiled copy: a naive row sweep touches one destination cache line
   // per element; walking 16x16 blocks keeps both source and destination
   // lines hot. Pure data movement, so results are unchanged.

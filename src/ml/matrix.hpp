@@ -4,8 +4,9 @@
 //
 // matmul, matmul_nt and matmul_tn run one packed, register-tiled
 // micro-kernel (KernelFns::gemm_tile, ml/kernels.hpp): B is packed into
-// kNr-column panels, A into kMr-row panels, and each kMr x kNr output
-// tile accumulates in registers. The transposed variants only swap the
+// kNr-column panels, the tile reads kMr rows of A in place (gathered
+// into a panel only when the product leaves out a reduction step), and
+// each kMr x kNr output tile accumulates in registers. The transposed variants only swap the
 // strides the packing reads through, so no transposed temporary is
 // ever materialized. Each output element accumulates k-ascending from
 // 0.0 with separate multiply and add, exactly like the reference
@@ -24,6 +25,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -31,13 +35,46 @@
 
 namespace mpidetect::ml {
 
+/// std::allocator that default-initialises: a vector sized through it
+/// leaves its doubles unwritten where std::vector would zero them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 class Matrix {
  public:
+  using Storage = std::vector<double, DefaultInitAllocator<double>>;
+
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
   static Matrix zeros(std::size_t r, std::size_t c) { return Matrix(r, c); }
+
+  /// A matrix whose elements are left unwritten, for outputs the caller
+  /// fills completely; reading an element before writing it is a bug.
+  static Matrix uninit(std::size_t r, std::size_t c) {
+    Matrix m;
+    m.rows_ = r;
+    m.cols_ = c;
+    m.data_.resize(r * c);
+    return m;
+  }
 
   /// Glorot/Xavier-uniform initialisation (PyTorch Geometric's default
   /// for GATv2 weights).
@@ -59,8 +96,8 @@ class Matrix {
   double* row(std::size_t r) { return data_.data() + r * cols_; }
   const double* row(std::size_t r) const { return data_.data() + r * cols_; }
 
-  std::vector<double>& data() { return data_; }
-  const std::vector<double>& data() const { return data_; }
+  Storage& data() { return data_; }
+  const Storage& data() const { return data_; }
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
@@ -68,12 +105,6 @@ class Matrix {
   void add_in_place(const Matrix& o);
   /// this += s * other (fused scale-and-accumulate; same shape).
   void axpy_in_place(double s, const Matrix& o);
-  /// this[i,:] += bias[0,:] for every row (fused bias broadcast);
-  /// `bias` is (1 x cols).
-  void add_row_in_place(const Matrix& bias);
-  /// this[i,:] *= alpha[i,0] for every row (fused row scaling);
-  /// `alpha` is (rows x 1).
-  void scale_rows_in_place(const Matrix& alpha);
 
   /// \brief this (m x k) times `o` (k x n) -> (m x n).
   ///
@@ -103,7 +134,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  Storage data_;
 };
 
 }  // namespace mpidetect::ml

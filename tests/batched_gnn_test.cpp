@@ -647,36 +647,84 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
   }
 }
 
-TEST(SimdDispatch, GemmTileBitIdenticalAcrossTargetsMisaligned) {
-  // The micro-kernel itself on packed panels: every target against the
-  // scalar tile, written through a misaligned output with an odd
-  // leading dimension.
+TEST(SimdDispatch, GemmTileReadsRowPointersLikeNaive) {
+  // The micro-kernel reading A through kMr row pointers: a matrix's own
+  // rows at stride 1, placed at odd (misaligned) offsets, and a
+  // gathered panel at stride kMr; full tiles and partial ones whose
+  // missing rows point at a zero row; finite, Inf and NaN coefficients.
+  // Under live dispatch and forced scalar, every tile must equal
+  // matmul_naive of the same rows bit for bit, written through a
+  // misaligned output with an odd leading dimension, and report its
+  // finiteness. Where the input holds a NaN, a NaN output only has to
+  // be a NaN: when the input's NaN meets an overflow's default NaN in an
+  // add, which payload survives depends on the operand order the
+  // compiler picked, which is why packed_matmul redoes a non-finite
+  // product through matmul_naive's own loop.
   Rng rng(13);
   constexpr std::size_t kMr = kernels::kMr, kNr = kernels::kNr;
-  const kernels::KernelFns& ref = kernels::fns_for(kernels::Isa::Scalar);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const std::size_t K : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{7}, std::size_t{64},
                               std::size_t{129}}) {
-    std::vector<double> ap(K * kMr + 1), bp(K * kNr + 1);
-    fill_adversarial(ap.data(), ap.size(), rng);
-    fill_adversarial(bp.data(), bp.size(), rng);
-    const std::size_t ldc = kNr + 3;
-    std::vector<double> c_ref(kMr * ldc + 1), c_tgt(kMr * ldc + 1);
-    const bool finite_ref = ref.gemm_tile(ap.data() + 1, bp.data() + 1, K,
-                                          c_ref.data() + 1, ldc);
-    for (const kernels::Isa isa : kAllTargets) {
-      std::fill(c_tgt.begin(), c_tgt.end(), 0.0);
-      EXPECT_EQ(finite_ref,
-                kernels::fns_for(isa).gemm_tile(ap.data() + 1, bp.data() + 1,
-                                                K, c_tgt.data() + 1, ldc))
-          << "gemm_tile finiteness isa=" << kernels::isa_name(isa)
-          << " K=" << K;
-      for (std::size_t r = 0; r < kMr; ++r) {
-        for (std::size_t j = 0; j < kNr; ++j) {
-          ASSERT_EQ(double_bits(c_ref[1 + r * ldc + j]),
-                    double_bits(c_tgt[1 + r * ldc + j]))
-              << "gemm_tile isa=" << kernels::isa_name(isa) << " K=" << K
-              << " r=" << r << " j=" << j;
+    for (const double bad : {0.0, inf, -inf, nan}) {
+      for (const std::size_t mr : {kMr, std::size_t{1}, std::size_t{3}}) {
+        Matrix a(mr, K), b(K, kNr);
+        fill_adversarial(a.data().data(), a.size(), rng);
+        fill_adversarial(b.data().data(), b.size(), rng);
+        if (bad != 0.0 && K > 0) a.at(mr - 1, K / 2) = bad;
+        const Matrix want = a.matmul_naive(b);
+        std::vector<double> bp(K * kNr + 1);
+        std::copy(b.data().begin(), b.data().end(), bp.begin() + 1);
+        // Stride 1: row r starts at 1 + r * (K + 1), never 32-byte
+        // aligned. Stride kMr: panel[k * kMr + r] = A[r][k].
+        std::vector<double> rows_buf(kMr * (K + 1) + 1);
+        std::vector<double> panel(K * kMr + 1);
+        const std::vector<double> zeros(K * kMr + 1, 0.0);
+        const double* by_row[kMr];
+        const double* by_panel[kMr];
+        for (std::size_t r = 0; r < kMr; ++r) {
+          by_row[r] = zeros.data();
+          by_panel[r] = zeros.data();
+          if (r >= mr) continue;
+          double* row = rows_buf.data() + 1 + r * (K + 1);
+          for (std::size_t k = 0; k < K; ++k) {
+            row[k] = a.at(r, k);
+            panel[1 + k * kMr + r] = a.at(r, k);
+          }
+          by_row[r] = row;
+          by_panel[r] = panel.data() + 1 + r;
+        }
+        const std::size_t ldc = kNr + 3;
+        for (const bool scalar : {false, true}) {
+          kernels::ScopedForceScalar force(scalar);
+          for (const std::size_t as : {std::size_t{1}, kMr}) {
+            SCOPED_TRACE(std::string("isa=") +
+                         kernels::isa_name(kernels::active_isa()) +
+                         " K=" + std::to_string(K) +
+                         " mr=" + std::to_string(mr) +
+                         " stride=" + std::to_string(as) +
+                         " bad=" + std::to_string(bad));
+            std::vector<double> c(kMr * ldc + 1, nan);
+            const bool finite = kernels::fns().gemm_tile(
+                as == 1 ? by_row : by_panel, as, bp.data() + 1, K,
+                c.data() + 1, ldc);
+            bool want_finite = true;
+            for (std::size_t r = 0; r < kMr; ++r) {
+              for (std::size_t j = 0; j < kNr; ++j) {
+                const double got = c[1 + r * ldc + j];
+                const double ref = r < mr ? want.at(r, j) : 0.0;
+                if (std::isnan(bad) && std::isnan(ref)) {
+                  ASSERT_TRUE(std::isnan(got)) << "r=" << r << " j=" << j;
+                } else {
+                  ASSERT_EQ(double_bits(got), double_bits(ref))
+                      << "r=" << r << " j=" << j;
+                }
+                want_finite &= std::isfinite(ref);
+              }
+            }
+            EXPECT_EQ(finite, want_finite);
+          }
         }
       }
     }
