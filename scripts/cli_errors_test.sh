@@ -72,6 +72,9 @@ expect 1 "perf_gnn"                  -- "$MPIGUARD" bench --json --dataset mbi:0
 expect 1 "unknown flag"              -- "$MPIGUARD" bench --dataset mbi:0.02 --json-out /tmp/x.json
 expect 1 "--json is a fuzz option"   -- "$MPIGUARD" eval --detector itac --dataset mbi:0.02 --json
 expect 1 "--json is a fuzz option"   -- "$MPIGUARD" list --json
+expect 1 "--runs is a fuzz option"   -- "$MPIGUARD" list --runs 5 --no-shrink
+expect 1 "--repro is a fuzz option"  -- "$MPIGUARD" eval --detector itac --dataset mbi:0.02 --repro x
+expect 1 "--quick is a fuzz option"  -- "$MPIGUARD" corpus build --dataset mbi:0.02 --quick
 expect 1 "requires a value"          -- "$MPIGUARD" eval --detector
 expect 1 "unknown dataset"           -- "$MPIGUARD" eval --detector itac --dataset bogus
 expect 1 "scale is not a number"     -- "$MPIGUARD" eval --detector itac --dataset mbi:abc

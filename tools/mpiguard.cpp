@@ -192,8 +192,18 @@ Args parse_args(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // The first flag given that only cmd_fuzz reads.
+  std::string fuzz_only;
+  const auto fuzz_flag = [&](std::string_view f) {
+    if (fuzz_only.empty()) fuzz_only = f;
+  };
   for (int i = first_flag; i < argc; ++i) {
     const std::string_view f = argv[i];
+    if (f == "--runs" || f == "--schedules" || f == "--max-steps" ||
+        f == "--corpus-dir" || f == "--repro" || f == "--no-shrink" ||
+        f == "--quick") {
+      fuzz_flag(f);
+    }
     if (f == "--detector") a.detector = need_value(i, "--detector");
     else if (f == "--detectors") a.detectors = need_value(i, "--detectors");
     else if (f == "--dataset") a.dataset_spec = need_value(i, "--dataset");
@@ -247,10 +257,12 @@ Args parse_args(int argc, char** argv) {
     else if (f == "--help" || f == "-h") throw CliError("");
     else throw CliError("unknown flag: " + std::string(f));
   }
-  // Only fuzz writes a machine-readable report; cmd_bench names the
-  // GNN perf harness instead.
-  if (a.json && a.subcommand != "fuzz" && a.subcommand != "bench") {
-    throw CliError(a.subcommand + ": --json is a fuzz option only");
+  // Only fuzz reads these, so anywhere else they would be silently
+  // ignored. --json is one of them, but cmd_bench answers it by naming
+  // the GNN perf harness.
+  if (a.json && a.subcommand != "bench") fuzz_flag("--json");
+  if (!fuzz_only.empty() && a.subcommand != "fuzz") {
+    throw CliError(a.subcommand + ": " + fuzz_only + " is a fuzz option only");
   }
   return a;
 }
