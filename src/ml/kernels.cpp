@@ -36,8 +36,7 @@ ScopedNaiveMatmul::~ScopedNaiveMatmul() { t_naive_matmul = prev_; }
 namespace {
 
 bool gemm_tile_scalar(const double* const* a, std::size_t as,
-                      const double* bp, std::size_t K, double* c,
-                      std::size_t ldc) {
+                      const double* bp, std::size_t K, double* const* c) {
   double acc[kMr][kNr] = {};
   for (std::size_t k = 0; k < K; ++k, bp += kNr) {
     for (std::size_t r = 0; r < kMr; ++r) {
@@ -48,7 +47,7 @@ bool gemm_tile_scalar(const double* const* a, std::size_t as,
   bool finite = true;
   for (std::size_t r = 0; r < kMr; ++r) {
     for (std::size_t j = 0; j < kNr; ++j) {
-      c[r * ldc + j] = acc[r][j];
+      c[r][j] = acc[r][j];
       finite &= std::isfinite(acc[r][j]);
     }
   }

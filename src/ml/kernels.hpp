@@ -88,11 +88,11 @@ struct AdamCoeffs {
 /// matrix have its own k-stride (1 for a row-major matrix, its column
 /// count for the columns of a transposed one), and a gathered panel has
 /// a[r] = panel + r and as = kMr. `bp` is a packed B panel
-/// (bp[k*kNr + j] = B[k][j]). It writes c[r*ldc + j] =
-/// sum_k A[r][k]*B[k][j] for the whole kMr x kNr tile, each element
-/// accumulated k-ascending from 0.0 with separate multiply and add —
-/// matmul_naive's order, so bit-identical to it on finite inputs — and
-/// returns whether every element of the tile is finite. axpy1: o[j] += a*b[j] (the fused aggregation).
+/// (bp[k*kNr + j] = B[k][j]). It writes c[r][j] = sum_k A[r][k]*B[k][j]
+/// for the whole kMr x kNr tile through kMr output row pointers, each
+/// element accumulated k-ascending from 0.0 with separate multiply and
+/// add — matmul_naive's order, so bit-identical to it on finite inputs
+/// — and returns whether every element of the tile is finite. axpy1: o[j] += a*b[j] (the fused aggregation).
 /// add1: o[j] += b[j]. bias_elu_row: dst[j] = elu(src[j] + bias[j])
 /// with the scalar std::expm1 on negative lanes. gatv2_scores4: four
 /// edges' attention scores, lanes independent, k-ascending.
@@ -106,8 +106,7 @@ struct AdamCoeffs {
 /// exactly.
 struct KernelFns {
   bool (*gemm_tile)(const double* const* a, std::size_t as,
-                    const double* bp, std::size_t K, double* c,
-                    std::size_t ldc);
+                    const double* bp, std::size_t K, double* const* c);
   void (*axpy1)(double* o, const double* b, double a, std::size_t n);
   void (*add1)(double* o, const double* b, std::size_t n);
   void (*bias_elu_row)(double* dst, const double* src, const double* bias,

@@ -36,7 +36,7 @@ namespace {
 
 __attribute__((target("avx2"))) bool gemm_tile_avx2(
     const double* const* a, std::size_t as, const double* bp, std::size_t K,
-    double* c, std::size_t ldc) {
+    double* const* c) {
   // The 4x8 tile lives in eight ymm accumulators: per k, two loads of
   // the B panel row feed four broadcast A coefficients, one from each
   // row pointer. Every
@@ -66,14 +66,14 @@ __attribute__((target("avx2"))) bool gemm_tile_avx2(
     c30 = _mm256_add_pd(c30, _mm256_mul_pd(av, b0));
     c31 = _mm256_add_pd(c31, _mm256_mul_pd(av, b1));
   }
-  _mm256_storeu_pd(c, c00);
-  _mm256_storeu_pd(c + 4, c01);
-  _mm256_storeu_pd(c + ldc, c10);
-  _mm256_storeu_pd(c + ldc + 4, c11);
-  _mm256_storeu_pd(c + 2 * ldc, c20);
-  _mm256_storeu_pd(c + 2 * ldc + 4, c21);
-  _mm256_storeu_pd(c + 3 * ldc, c30);
-  _mm256_storeu_pd(c + 3 * ldc + 4, c31);
+  _mm256_storeu_pd(c[0], c00);
+  _mm256_storeu_pd(c[0] + 4, c01);
+  _mm256_storeu_pd(c[1], c10);
+  _mm256_storeu_pd(c[1] + 4, c11);
+  _mm256_storeu_pd(c[2], c20);
+  _mm256_storeu_pd(c[2] + 4, c21);
+  _mm256_storeu_pd(c[3], c30);
+  _mm256_storeu_pd(c[3] + 4, c31);
   // x - x is +0.0 for every finite x and NaN otherwise.
   const __m256d r0 = _mm256_or_pd(_mm256_sub_pd(c00, c00),
                                   _mm256_sub_pd(c01, c01));

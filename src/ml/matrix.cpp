@@ -60,15 +60,21 @@ std::vector<T>& thread_buffer(std::size_t n) {
 }
 
 /// Zero exactly when every x[i * stride], i < n, is finite: x - x is
-/// +0.0 for a finite x and NaN for an Inf or a NaN.
+/// +0.0 for a finite x and NaN for an Inf or a NaN. A contiguous run
+/// takes its own loop, which the compiler vectorizes.
 std::uint64_t nonfinite_bits(const double* x, std::size_t n,
                              std::size_t stride) {
-  std::uint64_t bits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double z = x[i * stride] - x[i * stride];
+  const auto bits_of = [](double v) {
+    const double z = v - v;
     std::uint64_t b;
     std::memcpy(&b, &z, sizeof b);
-    bits |= b;
+    return b;
+  };
+  std::uint64_t bits = 0;
+  if (stride == 1) {
+    for (std::size_t i = 0; i < n; ++i) bits |= bits_of(x[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) bits |= bits_of(x[i * stride]);
   }
   return bits;
 }
@@ -192,21 +198,30 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
   std::size_t mr = 0;  // rows taken into the current tile
   std::size_t zeros_from = 0;  // the first row after the last taken one
   const auto flush = [&] {
+    if (!in_place) {  // gather the kept coefficients, step by step
+      for (std::size_t kk = 0; kk < kc; ++kk) {
+        const std::size_t off = ks[kk] * a.cs;
+        for (std::size_t r = 0; r < mr; ++r) ap[kk * kMr + r] = arows[r][off];
+      }
+      for (std::size_t r = 0; r < mr; ++r) arows[r] = ap + r;
+    }
     // A partial tile repeats its first row. The repeats' results are
     // never copied out, and they are finite exactly when that row's are.
     for (std::size_t r = mr; r < kMr; ++r) arows[r] = arows[0];
-    const bool dense = mr == kMr && rows[kMr - 1] == rows[0] + kMr - 1;
+    // A full panel writes straight into the output rows. A partial one
+    // writes into `tile`, and so do a partial tile's repeated rows.
     double tile[kMr * kNr];
+    double* crows[kMr];
     for (std::size_t p = 0; p < col_panels; ++p) {
       const std::size_t j0 = p * kNr;
       const std::size_t nc = std::min(kNr, N - j0);
-      const double* panel = bp.data() + p * kc * kNr;
-      if (dense && nc == kNr) {
-        tiles_finite &=
-            fns.gemm_tile(arows, as, panel, kc, out.row(rows[0]) + j0, N);
-        continue;
+      for (std::size_t r = 0; r < kMr; ++r) {
+        crows[r] =
+            r < mr && nc == kNr ? out.row(rows[r]) + j0 : tile + r * kNr;
       }
-      tiles_finite &= fns.gemm_tile(arows, as, panel, kc, tile, kNr);
+      tiles_finite &=
+          fns.gemm_tile(arows, as, bp.data() + p * kc * kNr, kc, crows);
+      if (nc == kNr) continue;
       for (std::size_t r = 0; r < mr; ++r) {
         copy_row(tile + r * kNr, out.row(rows[r]) + j0, nc);
       }
@@ -225,13 +240,7 @@ Matrix packed_matmul(std::size_t M, std::size_t N, std::size_t K, Strided a,
     // Rows since the last taken one were all-zero: zero them in one go.
     std::fill(out.row(zeros_from), out.row(i), 0.0);
     zeros_from = i + 1;
-    if (in_place) {
-      arows[mr] = s;
-    } else {
-      double* d = ap + mr;
-      for (kk = 0; kk < kc; ++kk) d[kk * kMr] = s[ks[kk] * a.cs];
-      arows[mr] = d;
-    }
+    arows[mr] = s;
     rows[mr++] = i;
     if (mr == kMr) flush();
   }

@@ -653,13 +653,13 @@ TEST(SimdDispatch, GemmTileReadsRowPointersLikeNaive) {
   // gathered panel at stride kMr; full tiles and partial ones whose
   // missing rows point at a zero row; finite, Inf and NaN coefficients.
   // Under live dispatch and forced scalar, every tile must equal
-  // matmul_naive of the same rows bit for bit, written through a
-  // misaligned output with an odd leading dimension, and report its
-  // finiteness. Where the input holds a NaN, a NaN output only has to
-  // be a NaN: when the input's NaN meets an overflow's default NaN in an
-  // add, which payload survives depends on the operand order the
-  // compiler picked, which is why packed_matmul redoes a non-finite
-  // product through matmul_naive's own loop.
+  // matmul_naive of the same rows bit for bit, written through output
+  // row pointers that are misaligned and an odd stride apart, and
+  // report its finiteness. Where the input holds a NaN, a NaN output
+  // only has to be a NaN: when the input's NaN meets an overflow's
+  // default NaN in an add, which payload survives depends on the
+  // operand order the compiler picked, which is why packed_matmul
+  // redoes a non-finite product through matmul_naive's own loop.
   Rng rng(13);
   constexpr std::size_t kMr = kernels::kMr, kNr = kernels::kNr;
   const double inf = std::numeric_limits<double>::infinity();
@@ -706,9 +706,12 @@ TEST(SimdDispatch, GemmTileReadsRowPointersLikeNaive) {
                          " stride=" + std::to_string(as) +
                          " bad=" + std::to_string(bad));
             std::vector<double> c(kMr * ldc + 1, nan);
+            double* c_rows[kMr];
+            for (std::size_t r = 0; r < kMr; ++r) {
+              c_rows[r] = c.data() + 1 + r * ldc;
+            }
             const bool finite = kernels::fns().gemm_tile(
-                as == 1 ? by_row : by_panel, as, bp.data() + 1, K,
-                c.data() + 1, ldc);
+                as == 1 ? by_row : by_panel, as, bp.data() + 1, K, c_rows);
             bool want_finite = true;
             for (std::size_t r = 0; r < kMr; ++r) {
               for (std::size_t j = 0; j < kNr; ++j) {
