@@ -259,7 +259,8 @@ Var leaky_relu(const Var& a, double slope) {
 }
 
 Var elu(const Var& a) {
-  Matrix out = map(a->value, [](double x) { return x > 0 ? x : std::expm1(x); });
+  Matrix out =
+      map(a->value, [](double x) { return x > 0 ? x : std::expm1(x); });
   return make_result(std::move(out), {a}, [a](VarNode& self) {
     if (!a->requires_grad) return;
     const double* x = a->value.data().data();

@@ -79,8 +79,8 @@ struct AdamCoeffs {
 
 /// \brief The dispatched inner-kernel table. Every function preserves
 /// the scalar reference's per-output-element operation order and uses
-/// unaligned loads/stores — Matrix buffers are std::vector<double>
-/// storage with no 32-byte alignment guarantee (see docs/PERFORMANCE.md,
+/// unaligned loads/stores — Matrix buffers are std::vector storage with
+/// no 32-byte alignment guarantee (see docs/PERFORMANCE.md,
 /// "Alignment").
 ///
 /// gemm_tile: the matmul micro-kernel. `a` holds kMr row pointers read
@@ -92,10 +92,11 @@ struct AdamCoeffs {
 /// for the whole kMr x kNr tile through kMr output row pointers, each
 /// element accumulated k-ascending from 0.0 with separate multiply and
 /// add — matmul_naive's order, so bit-identical to it on finite inputs
-/// — and returns whether every element of the tile is finite. axpy1: o[j] += a*b[j] (the fused aggregation).
-/// add1: o[j] += b[j]. bias_elu_row: dst[j] = elu(src[j] + bias[j])
-/// with the scalar std::expm1 on negative lanes. gatv2_scores4: four
-/// edges' attention scores, lanes independent, k-ascending.
+/// — and returns whether every element of the tile is finite.
+/// axpy1: o[j] += a*b[j] (the fused aggregation). add1: o[j] += b[j].
+/// bias_elu_row: dst[j] = elu(src[j] + bias[j]) with the scalar
+/// std::expm1 on negative lanes. gatv2_scores4: four edges' attention
+/// scores, lanes independent, k-ascending.
 /// gatv2_backward_row: one edge's share of the score backward over its
 /// d features, gl[k] += dt and gr[k] += dt with dt = ge*av[k]*lrelu'(t),
 /// ga[k] += lrelu(t)*ge for t = l[k] + r[k]; gl and gr may be the same

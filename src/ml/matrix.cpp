@@ -81,9 +81,9 @@ std::uint64_t nonfinite_bits(const double* x, std::size_t n,
 
 /// The index of the first of x[0], x[stride], ..., x[(n - 1) * stride]
 /// that is not +-0.0 (a NaN counts as nonzero), or n if there is none.
-/// A contiguous run is tested eight at a time by OR-ing the bits with
-/// the sign shifted out, which the compiler vectorizes; the scan still
-/// stops at the chunk holding the first nonzero.
+/// A contiguous run is tested eight at a time, OR-ing their bits with
+/// the sign shifted out, so it takes one branch per eight values; the
+/// scan still stops at the chunk holding the first nonzero.
 std::size_t first_nonzero(const double* x, std::size_t n,
                           std::size_t stride) {
   std::size_t i = 0;
@@ -136,14 +136,14 @@ void copy_row(const double* s, double* d, std::size_t n) {
 /// register tile at a time. When every reduction step is kept, the tile
 /// reads A's rows in place through A's own k-stride; a product that
 /// left out a step gathers each row's kept coefficients into a panel
-/// the tile reads at stride kMr. Every output element accumulates its products k-ascending from
-/// 0.0 with separate multiply and add, like matmul_naive. Two kinds of
-/// term are left out, and both are exact zeros, which cannot change a
-/// finite sum that starts at +0.0: reduction steps whose B row is all
-/// zero, and rows of A that are all zero (their output row is written
-/// +0.0, as matmul_naive leaves it). Backward gradients are mostly such
-/// rows — nodes a relation never reaches — so this skips most of their
-/// work.
+/// the tile reads at stride kMr. Every output element accumulates its
+/// products k-ascending from 0.0 with separate multiply and add, like
+/// matmul_naive. Two kinds of term are left out, and both are exact
+/// zeros, which cannot change a finite sum that starts at +0.0:
+/// reduction steps whose B row is all zero, and rows of A that are all
+/// zero (their output row is written +0.0, as matmul_naive leaves it).
+/// Backward gradients are mostly such rows — nodes a relation never
+/// reaches — so this skips most of their work.
 ///
 /// Inf and NaN break that argument in two places: an A coefficient met
 /// only by a left-out zero B row (Inf * 0 is NaN in matmul_naive), and

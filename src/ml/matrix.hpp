@@ -6,10 +6,11 @@
 // micro-kernel (KernelFns::gemm_tile, ml/kernels.hpp): B is packed into
 // kNr-column panels, the tile reads kMr rows of A in place (gathered
 // into a panel only when the product leaves out a reduction step), and
-// each kMr x kNr output tile accumulates in registers. The transposed variants only swap the
-// strides the packing reads through, so no transposed temporary is
-// ever materialized. Each output element accumulates k-ascending from
-// 0.0 with separate multiply and add, exactly like the reference
+// each kMr x kNr output tile accumulates in registers. The transposed
+// variants only swap the strides the operands are read through, so no
+// transposed temporary is ever materialized. Each output element
+// accumulates k-ascending from 0.0 with separate multiply and add,
+// exactly like the reference
 // triple loop (matmul_naive, kept for tests and the perf-bench
 // baseline), so the kernel is bit-identical to it on finite inputs on
 // every dispatch target; a product that meets an Inf or a NaN is redone
