@@ -23,8 +23,8 @@ bool all_positive_zero(const Matrix& g) {
 }
 
 /// Whether adam_row leaves a parameter whose moments and gradient are
-/// +0.0 exactly as it was (true for any finite lr and eps > 0). Probed
-/// on p = -0.0, which every step other than +0.0 would move.
+/// +0.0 exactly as it was (it does for any finite lr >= 0 and eps > 0).
+/// Probed on p = -0.0, which every step other than +0.0 would move.
 bool zero_gradient_is_identity(const kernels::KernelFns& fns,
                                const kernels::AdamCoeffs& c) {
   double p = -0.0, m = 0.0, v = 0.0, g = 0.0;
