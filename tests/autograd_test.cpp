@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "ml/adam.hpp"
 #include "ml/autograd.hpp"
@@ -78,6 +83,56 @@ TEST(Autograd, EluGradient) {
   Rng rng(5);
   Var a = make_param(random_matrix(3, 3, rng));
   gradcheck(a, [&] { return sum_all(elu(a)); });
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+TEST(Autograd, EluMatchesLiteralFormulaBitForBit) {
+  // elu's forward must be x > 0 ? x : expm1(x) and its backward
+  // g + gy * (x > 0 ? 1.0 : exp(x)) exactly, element by element, into a
+  // fresh gradient (g = 0.0) and into an existing one: signed zeros,
+  // NaN, infinities, denormals and mixed signs at every position.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0,     -0.0,    nan,      inf,     -inf,
+                             4.9e-324, -4.9e-324, 2.2e-308, -2.2e-308,
+                             -745.2,  -30.0,   1e300,    -1e-17,  710.0};
+  Rng rng(15);
+  for (const std::size_t cols : {std::size_t{1}, std::size_t{5},
+                                 std::size_t{8}, std::size_t{33}}) {
+    Matrix x(7, cols), gy(7, cols), g0(7, cols);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = i % 3 == 0
+                        ? specials[(i / 3) % std::size(specials)]
+                        : rng.normal() * (i % 2 == 0 ? 1.0 : 40.0);
+      gy.data()[i] = i % 4 == 0 ? -0.0 : rng.normal();
+      g0.data()[i] = i % 5 == 0 ? 0.0 : rng.normal();
+    }
+    for (const bool fresh : {true, false}) {
+      SCOPED_TRACE("cols=" + std::to_string(cols) +
+                   (fresh ? " fresh" : " accumulating"));
+      Var a = make_param(x);
+      if (!fresh) a->grad = g0;
+      Var y = elu(a);
+      y->grad = gy;
+      y->backward_fn(*y);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const double xi = x.data()[i];
+        const double want_y = xi > 0 ? xi : std::expm1(xi);
+        const double want_g =
+            (fresh ? 0.0 : g0.data()[i]) +
+            gy.data()[i] * (xi > 0 ? 1.0 : std::exp(xi));
+        ASSERT_EQ(bits_of(y->value.data()[i]), bits_of(want_y))
+            << "forward i=" << i << " x=" << xi;
+        ASSERT_EQ(bits_of(a->grad.data()[i]), bits_of(want_g))
+            << "backward i=" << i << " x=" << xi;
+      }
+    }
+  }
 }
 
 TEST(Autograd, GatherRowsGradient) {
