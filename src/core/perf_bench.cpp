@@ -120,7 +120,7 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
       // (E,d) intermediates, so this baseline is faster than the seed
       // pipeline was.
       ml::kernels::ScopedNaiveMatmul naive(true);
-      ml::kernels::ScopedForceScalar scalar(true);
+      ml::kernels::ScopedIsa scalar(ml::kernels::Isa::Scalar);
       const auto t0 = Clock::now();
       ml::GnnModel baseline_model(cfg);
       baseline_model.fit(graphs, labels);
@@ -148,7 +148,7 @@ GnnPerfReport run_gnn_perf(const datasets::Dataset& ds,
       // Seed path again: naive matmul AND scalar dispatch (see the
       // train_baseline comment).
       ml::kernels::ScopedNaiveMatmul naive(true);
-      ml::kernels::ScopedForceScalar scalar(true);
+      ml::kernels::ScopedIsa scalar(ml::kernels::Isa::Scalar);
       const auto t0 = Clock::now();
       for (std::size_t g = 0; g < gs.size(); ++g) {
         // The pre-optimization inference path: a full forward with the

@@ -11,7 +11,9 @@ namespace mpidetect::ml::kernels {
 namespace {
 
 thread_local bool t_naive_matmul = false;
-thread_local bool t_force_scalar = false;
+// The ScopedIsa override: its table, or nullptr for the detected one.
+thread_local const KernelFns* t_fns = nullptr;
+thread_local Isa t_isa = Isa::Scalar;
 
 }  // namespace
 
@@ -150,32 +152,38 @@ const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::Scalar: return "scalar";
     case Isa::Avx2: return "avx2";
+    case Isa::Avx512: return "avx512";
   }
   MPIDETECT_UNREACHABLE("bad Isa");
 }
 
-Isa detected_isa() { return detect().isa; }
-
-Isa active_isa() { return t_force_scalar ? Isa::Scalar : detect().isa; }
-
-bool force_scalar() { return t_force_scalar; }
-
-void set_force_scalar(bool on) { t_force_scalar = on; }
-
-ScopedForceScalar::ScopedForceScalar(bool on) : prev_(t_force_scalar) {
-  t_force_scalar = on;
+bool cpu_supports(Isa isa) {
+  return isa == Isa::Scalar || detail::simd_table_for(isa) != nullptr;
 }
 
-ScopedForceScalar::~ScopedForceScalar() { t_force_scalar = prev_; }
+Isa detected_isa() { return detect().isa; }
+
+Isa active_isa() { return t_fns != nullptr ? t_isa : detect().isa; }
+
+ScopedIsa::ScopedIsa(Isa isa) : prev_isa_(t_isa), prev_fns_(t_fns) {
+  t_fns = &fns_for(isa);
+  t_isa = isa;
+}
+
+ScopedIsa::~ScopedIsa() {
+  t_fns = prev_fns_;
+  t_isa = prev_isa_;
+}
 
 const KernelFns& fns() {
-  return t_force_scalar ? detail::kScalarFns : *detect().fns;
+  return t_fns != nullptr ? *t_fns : *detect().fns;
 }
 
 const KernelFns& fns_for(Isa isa) {
   if (isa == Isa::Scalar) return detail::kScalarFns;
-  if (const KernelFns* t = detail::simd_table_for(isa)) return *t;
-  return detail::kScalarFns;
+  const KernelFns* t = detail::simd_table_for(isa);
+  MPIDETECT_EXPECTS(t != nullptr);
+  return *t;
 }
 
 // ---- per-op profiling counters ----------------------------------------------

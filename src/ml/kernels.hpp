@@ -3,7 +3,8 @@
 // shape, the baseline switch that routes Matrix::matmul through the
 // seed's naive triple loop for before/after measurements
 // (bench/perf_gnn), the runtime SIMD dispatch table (AVX2 inner kernels
-// with a scalar fallback), and the per-op profiling counters surfaced by
+// and an AVX-512 matmul tile, with a scalar fallback), and the per-op
+// profiling counters surfaced by
 // bench/perf_gnn and the daemon's STATS frame.
 //
 // Every kernel runs on the thread that calls it. Parallelism lives one
@@ -33,18 +34,23 @@ namespace mpidetect::ml::kernels {
 /// Register tile of the packed matmul micro-kernel (KernelFns::gemm_tile):
 /// kMr output rows x kNr output columns accumulate in registers while
 /// the reduction streams through kMr rows of A and a packed panel of B.
-/// One tile shape for every dispatch target keeps one packing layout.
+/// One tile shape for every dispatch target keeps one packing layout:
+/// AVX-512 holds a tile row in two zmm registers, AVX2 sweeps the panel
+/// as two 8-wide halves.
 inline constexpr std::size_t kMr = 4;
-inline constexpr std::size_t kNr = 8;
+inline constexpr std::size_t kNr = 16;
 
 // ---- runtime SIMD dispatch --------------------------------------------------
 
 /// The instruction-set target a kernel call runs on. Detected once per
 /// process; Scalar is always available and is what every other target
 /// is tested against for bit-identity.
-enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1 };
+enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 
 const char* isa_name(Isa isa);
+
+/// Whether this build and the running CPU can run `isa` (Scalar always).
+bool cpu_supports(Isa isa);
 
 /// The CPU's best supported target, probed once (cached). The
 /// MPIDETECT_FORCE_SCALAR=1 environment variable pins this to Scalar
@@ -52,23 +58,25 @@ const char* isa_name(Isa isa);
 Isa detected_isa();
 
 /// The target kernel calls on THIS thread dispatch to right now:
-/// detected_isa() unless a ScopedForceScalar override is active.
+/// detected_isa() unless a ScopedIsa override is active.
 Isa active_isa();
 
-/// Thread-local programmatic scalar override (tests compare dispatch
-/// targets inside one process with this).
-bool force_scalar();
-void set_force_scalar(bool on);
-
-class ScopedForceScalar {
+/// Thread-local override of the dispatch target: while it lives, kernel
+/// calls on the constructing thread run `isa`'s table. The perf
+/// harness times the scalar baseline with it, and tests run one input
+/// under every target inside one process. `isa` must be supported
+/// (cpu_supports).
+struct KernelFns;
+class ScopedIsa {
  public:
-  explicit ScopedForceScalar(bool on);
-  ~ScopedForceScalar();
-  ScopedForceScalar(const ScopedForceScalar&) = delete;
-  ScopedForceScalar& operator=(const ScopedForceScalar&) = delete;
+  explicit ScopedIsa(Isa isa);
+  ~ScopedIsa();
+  ScopedIsa(const ScopedIsa&) = delete;
+  ScopedIsa& operator=(const ScopedIsa&) = delete;
 
  private:
-  bool prev_;
+  Isa prev_isa_;
+  const KernelFns* prev_fns_;
 };
 
 /// The per-step scalars of one Adam update (ml/adam.hpp): bc1/bc2 are
@@ -80,7 +88,7 @@ struct AdamCoeffs {
 /// \brief The dispatched inner-kernel table. Every function preserves
 /// the scalar reference's per-output-element operation order and uses
 /// unaligned loads/stores — Matrix buffers are std::vector storage with
-/// no 32-byte alignment guarantee (see docs/PERFORMANCE.md,
+/// no 32- or 64-byte alignment guarantee (see docs/PERFORMANCE.md,
 /// "Alignment").
 ///
 /// gemm_tile: the matmul micro-kernel. `a` holds kMr row pointers read
@@ -123,17 +131,17 @@ struct KernelFns {
                    std::size_t n, const AdamCoeffs& c);
 };
 
-/// The kernel table for active_isa() (honors force-scalar overrides).
+/// The kernel table for active_isa() (honors ScopedIsa overrides).
 const KernelFns& fns();
 
-/// The table for a specific target; a target this build/CPU cannot run
-/// falls back to the scalar table (tests iterate targets explicitly).
+/// The table for a specific target, which must be supported
+/// (cpu_supports); tests iterate targets explicitly with it.
 const KernelFns& fns_for(Isa isa);
 
 namespace detail {
-/// The best SIMD table this build carries for the running CPU (AVX2 on
-/// x86-64 with CPU support), or nullptr when only the scalar path is
-/// available. Implemented in kernels_simd.cpp.
+/// The best SIMD table this build carries for the running CPU (AVX-512
+/// or AVX2 on x86-64 with CPU support), or nullptr when only the scalar
+/// path is available. Implemented in kernels_simd.cpp.
 const KernelFns* simd_table(Isa* isa);
 /// The table for one specific SIMD target, or nullptr when this
 /// build/CPU cannot run it (fns_for's lookup).

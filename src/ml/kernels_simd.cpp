@@ -1,8 +1,9 @@
 // The SIMD kernel tables behind kernels::fns(). Compiled in every
-// build without -mavx2: the x86 kernels carry
-// __attribute__((target("avx2"))) so only these functions use VEX
-// encodings, and the table is handed out only after
-// __builtin_cpu_supports("avx2") says the running CPU has them.
+// build without -mavx2 or -mavx512f: the x86 kernels carry
+// __attribute__((target("avx2"))) or target("avx512f") so only these
+// functions use VEX or EVEX encodings, and a table is handed out only
+// after __builtin_cpu_supports says the running CPU has its
+// instructions.
 //
 // Bit-identity discipline (the contract tests/batched_gnn_test.cpp
 // enforces): every kernel vectorizes ONLY across independent output
@@ -15,9 +16,9 @@
 // -ffp-contract=off (CMakeLists.txt), so no compiler, target attribute
 // or future kernel can contract a mul+add pair into an FMA. All memory
 // accesses are unaligned (loadu/storeu): Matrix data lives in
-// std::vector<double> storage with 16-byte, not 32-byte, alignment, and
-// callers may hand arbitrarily offset row slices (docs/PERFORMANCE.md,
-// "Alignment").
+// std::vector<double> storage with 16-byte, not 32- or 64-byte,
+// alignment, and callers may hand arbitrarily offset row slices
+// (docs/PERFORMANCE.md, "Alignment").
 //
 // Every other target, aarch64 included, runs the scalar reference table.
 #include "ml/kernels.hpp"
@@ -34,21 +35,24 @@ namespace mpidetect::ml::kernels::detail {
 
 namespace {
 
-__attribute__((target("avx2"))) bool gemm_tile_avx2(
+/// One 8-wide half of the AVX2 tile: the kMr x 8 block at columns
+/// [0, 8) of the panel `bp` (row stride kNr) and of the output rows
+/// `c`. Returns whether all 32 results are finite.
+__attribute__((target("avx2"))) bool gemm_half_avx2(
     const double* const* a, std::size_t as, const double* bp, std::size_t K,
-    double* const* c) {
-  // The 4x8 tile lives in eight ymm accumulators: per k, two loads of
+    double* const* c, std::size_t j0) {
+  // The 4x8 block lives in eight ymm accumulators: per k, two loads of
   // the B panel row feed four broadcast A coefficients, one from each
-  // row pointer. Every
-  // accumulator lane is one output element's k-ascending chain from
-  // 0.0, so the tile equals the scalar reference bit for bit; the eight
-  // independent chains hide the adder's latency.
-  static_assert(kMr == 4 && kNr == 8, "gemm_tile_avx2 is a 4x8 tile");
+  // row pointer. Every accumulator lane is one output element's
+  // k-ascending chain from 0.0, so the block equals the scalar
+  // reference bit for bit; the eight independent chains hide the
+  // adder's latency.
   __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
   __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
   __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
   __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
   const double *a0 = a[0], *a1 = a[1], *a2 = a[2], *a3 = a[3];
+  bp += j0;
   for (std::size_t k = 0; k < K; ++k, bp += kNr) {
     const std::size_t ka = k * as;
     const __m256d b0 = _mm256_loadu_pd(bp);
@@ -66,14 +70,14 @@ __attribute__((target("avx2"))) bool gemm_tile_avx2(
     c30 = _mm256_add_pd(c30, _mm256_mul_pd(av, b0));
     c31 = _mm256_add_pd(c31, _mm256_mul_pd(av, b1));
   }
-  _mm256_storeu_pd(c[0], c00);
-  _mm256_storeu_pd(c[0] + 4, c01);
-  _mm256_storeu_pd(c[1], c10);
-  _mm256_storeu_pd(c[1] + 4, c11);
-  _mm256_storeu_pd(c[2], c20);
-  _mm256_storeu_pd(c[2] + 4, c21);
-  _mm256_storeu_pd(c[3], c30);
-  _mm256_storeu_pd(c[3] + 4, c31);
+  _mm256_storeu_pd(c[0] + j0, c00);
+  _mm256_storeu_pd(c[0] + j0 + 4, c01);
+  _mm256_storeu_pd(c[1] + j0, c10);
+  _mm256_storeu_pd(c[1] + j0 + 4, c11);
+  _mm256_storeu_pd(c[2] + j0, c20);
+  _mm256_storeu_pd(c[2] + j0 + 4, c21);
+  _mm256_storeu_pd(c[3] + j0, c30);
+  _mm256_storeu_pd(c[3] + j0 + 4, c31);
   // x - x is +0.0 for every finite x and NaN otherwise.
   const __m256d r0 = _mm256_or_pd(_mm256_sub_pd(c00, c00),
                                   _mm256_sub_pd(c01, c01));
@@ -86,6 +90,65 @@ __attribute__((target("avx2"))) bool gemm_tile_avx2(
   const __m256i bits = _mm256_castpd_si256(
       _mm256_or_pd(_mm256_or_pd(r0, r1), _mm256_or_pd(r2, r3)));
   return _mm256_testz_si256(bits, bits) != 0;
+}
+
+__attribute__((target("avx2"))) bool gemm_tile_avx2(
+    const double* const* a, std::size_t as, const double* bp, std::size_t K,
+    double* const* c) {
+  // Sixteen ymm accumulators would leave no register for B, so the 4x16
+  // tile runs as two 4x8 halves, each streaming the A rows once.
+  static_assert(kMr == 4 && kNr == 16, "gemm_tile_avx2 is a 4x16 tile");
+  const bool lo = gemm_half_avx2(a, as, bp, K, c, 0);
+  const bool hi = gemm_half_avx2(a, as, bp, K, c, 8);
+  return lo && hi;
+}
+
+__attribute__((target("avx512f"))) bool gemm_tile_avx512(
+    const double* const* a, std::size_t as, const double* bp, std::size_t K,
+    double* const* c) {
+  // The 4x16 tile in eight zmm accumulators, the AVX2 half's scheme at
+  // twice the width: per k, two loads of the B panel row and four
+  // broadcast A coefficients; separate multiply and add, each lane one
+  // output element's k-ascending chain from 0.0.
+  static_assert(kMr == 4 && kNr == 16, "gemm_tile_avx512 is a 4x16 tile");
+  __m512d c00 = _mm512_setzero_pd(), c01 = _mm512_setzero_pd();
+  __m512d c10 = _mm512_setzero_pd(), c11 = _mm512_setzero_pd();
+  __m512d c20 = _mm512_setzero_pd(), c21 = _mm512_setzero_pd();
+  __m512d c30 = _mm512_setzero_pd(), c31 = _mm512_setzero_pd();
+  const double *a0 = a[0], *a1 = a[1], *a2 = a[2], *a3 = a[3];
+  for (std::size_t k = 0; k < K; ++k, bp += kNr) {
+    const std::size_t ka = k * as;
+    const __m512d b0 = _mm512_loadu_pd(bp);
+    const __m512d b1 = _mm512_loadu_pd(bp + 8);
+    __m512d av = _mm512_set1_pd(a0[ka]);
+    c00 = _mm512_add_pd(c00, _mm512_mul_pd(av, b0));
+    c01 = _mm512_add_pd(c01, _mm512_mul_pd(av, b1));
+    av = _mm512_set1_pd(a1[ka]);
+    c10 = _mm512_add_pd(c10, _mm512_mul_pd(av, b0));
+    c11 = _mm512_add_pd(c11, _mm512_mul_pd(av, b1));
+    av = _mm512_set1_pd(a2[ka]);
+    c20 = _mm512_add_pd(c20, _mm512_mul_pd(av, b0));
+    c21 = _mm512_add_pd(c21, _mm512_mul_pd(av, b1));
+    av = _mm512_set1_pd(a3[ka]);
+    c30 = _mm512_add_pd(c30, _mm512_mul_pd(av, b0));
+    c31 = _mm512_add_pd(c31, _mm512_mul_pd(av, b1));
+  }
+  _mm512_storeu_pd(c[0], c00);
+  _mm512_storeu_pd(c[0] + 8, c01);
+  _mm512_storeu_pd(c[1], c10);
+  _mm512_storeu_pd(c[1] + 8, c11);
+  _mm512_storeu_pd(c[2], c20);
+  _mm512_storeu_pd(c[2] + 8, c21);
+  _mm512_storeu_pd(c[3], c30);
+  _mm512_storeu_pd(c[3] + 8, c31);
+  // x - x is +0.0 for every finite x and NaN otherwise. The ORs run on
+  // the integer view: AVX-512F has that form, the pd one needs DQ.
+  const __m512d d[8] = {c00, c01, c10, c11, c20, c21, c30, c31};
+  __m512i bits = _mm512_setzero_si512();
+  for (__m512d x : d) {
+    bits = _mm512_or_si512(bits, _mm512_castpd_si512(_mm512_sub_pd(x, x)));
+  }
+  return _mm512_test_epi64_mask(bits, bits) == 0;
 }
 
 __attribute__((target("avx2"))) void axpy1_avx2(double* o, const double* b,
@@ -223,16 +286,32 @@ constexpr KernelFns kAvx2Fns = {
     gatv2_backward_row_avx2, adam_row_avx2,
 };
 
+// AVX2's table with the zmm tile: the row kernels stay 256-bit.
+constexpr KernelFns kAvx512Fns = {
+    gemm_tile_avx512,        axpy1_avx2,    add1_avx2,
+    bias_elu_row_avx2,       gatv2_scores4_avx2,
+    gatv2_backward_row_avx2, adam_row_avx2,
+};
+
 }  // namespace
 
-const KernelFns* simd_table(Isa* isa) {
-  if (!__builtin_cpu_supports("avx2")) return nullptr;
-  *isa = Isa::Avx2;
-  return &kAvx2Fns;
+const KernelFns* simd_table_for(Isa isa) {
+  // The AVX-512 table runs AVX2 kernels too, so it needs both.
+  const bool avx2 = __builtin_cpu_supports("avx2");
+  if (isa == Isa::Avx2 && avx2) return &kAvx2Fns;
+  if (isa == Isa::Avx512 && avx2 && __builtin_cpu_supports("avx512f")) {
+    return &kAvx512Fns;
+  }
+  return nullptr;
 }
 
-const KernelFns* simd_table_for(Isa isa) {
-  if (isa == Isa::Avx2 && __builtin_cpu_supports("avx2")) return &kAvx2Fns;
+const KernelFns* simd_table(Isa* isa) {
+  for (const Isa best : {Isa::Avx512, Isa::Avx2}) {
+    if (const KernelFns* t = simd_table_for(best)) {
+      *isa = best;
+      return t;
+    }
+  }
   return nullptr;
 }
 

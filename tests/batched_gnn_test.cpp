@@ -522,11 +522,36 @@ std::uint64_t double_bits(double x) {
   return b;
 }
 
-/// The targets worth comparing on this machine: scalar plus whatever
-/// fns_for resolves the others to (unsupported targets fall back to the
-/// scalar table, which makes the comparison trivially true, not wrong).
-const std::array<kernels::Isa, 2> kAllTargets = {
-    kernels::Isa::Scalar, kernels::Isa::Avx2};
+/// Every dispatch target. A test over targets skips, naming it, any
+/// target the CPU lacks.
+const std::array<kernels::Isa, 3> kAllTargets = {
+    kernels::Isa::Scalar, kernels::Isa::Avx2, kernels::Isa::Avx512};
+
+/// The targets this CPU runs, scalar first.
+std::vector<kernels::Isa> supported_targets() {
+  std::vector<kernels::Isa> out;
+  for (const kernels::Isa isa : kAllTargets) {
+    if (kernels::cpu_supports(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+/// A test run once per dispatch target (the parameter); SetUp skips a
+/// target this CPU lacks.
+class SimdTarget : public ::testing::TestWithParam<kernels::Isa> {
+ protected:
+  void SetUp() override {
+    if (!kernels::cpu_supports(GetParam())) {
+      GTEST_SKIP() << "this CPU lacks " << kernels::isa_name(GetParam());
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTargets, SimdTarget, ::testing::ValuesIn(kAllTargets),
+    [](const ::testing::TestParamInfo<kernels::Isa>& info) {
+      return std::string(kernels::isa_name(info.param));
+    });
 
 /// Fills `n` doubles with a mix of ordinary, denormal, tiny and huge
 /// magnitudes — the inputs where a reassociated or FMA-contracted
@@ -543,9 +568,11 @@ void fill_adversarial(double* p, std::size_t n, Rng& rng) {
   }
 }
 
-TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
+TEST_P(SimdTarget, RowKernelsBitIdenticalToScalarMisaligned) {
   Rng rng(11);
+  const kernels::Isa isa = GetParam();
   const kernels::KernelFns& ref = kernels::fns_for(kernels::Isa::Scalar);
+  const kernels::KernelFns& fns = kernels::fns_for(isa);
   // +1 element, then use data()+1: 8-byte aligned but guaranteed NOT
   // 16/32-byte aligned — a kernel using aligned loads would fault or
   // (worse) silently read the wrong lanes.
@@ -563,96 +590,92 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
     }
     fill_adversarial(coef.data(), coef.size(), rng);
     fill_adversarial(bias_buf.data() + 1, n, rng);
-    for (const kernels::Isa isa : kAllTargets) {
-      const kernels::KernelFns& fns = kernels::fns_for(isa);
-
-      const auto reset = [&] {
-        Rng r2(23);
-        fill_adversarial(out_ref.data() + 1, n, r2);
-        std::copy(out_ref.begin(), out_ref.end(), out_tgt.begin());
-      };
-      const auto compare = [&](const char* what) {
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(double_bits(out_ref[j + 1]), double_bits(out_tgt[j + 1]))
-              << what << " isa=" << kernels::isa_name(isa) << " n=" << n
-              << " j=" << j;
-        }
-      };
-
-      reset();
-      ref.axpy1(out_ref.data() + 1, rows[0], coef[0], n);
-      fns.axpy1(out_tgt.data() + 1, rows[0], coef[0], n);
-      compare("axpy1");
-
-      reset();
-      ref.add1(out_ref.data() + 1, rows[1], n);
-      fns.add1(out_tgt.data() + 1, rows[1], n);
-      compare("add1");
-
-      reset();
-      ref.bias_elu_row(out_ref.data() + 1, rows[2], bias_buf.data() + 1, n);
-      fns.bias_elu_row(out_tgt.data() + 1, rows[2], bias_buf.data() + 1, n);
-      compare("bias_elu_row");
-
-      // gatv2_scores4: four reductions over misaligned K-length rows.
-      std::array<const double*, 4> quad{rows[0], rows[1], rows[2], rows[3]};
-      std::array<const double*, 4> quad_r{rows[4], rows[5], rows[6], rows[7]};
-      std::array<double, 4> dr{}, dt{};
-      ref.gatv2_scores4(quad.data(), quad_r.data(), bias_buf.data() + 1, 0.2,
-                        n, dr.data());
-      fns.gatv2_scores4(quad.data(), quad_r.data(), bias_buf.data() + 1, 0.2,
-                        n, dt.data());
-      for (std::size_t c = 0; c < 4; ++c) {
-        ASSERT_EQ(double_bits(dr[c]), double_bits(dt[c]))
-            << "gatv2_scores4 isa=" << kernels::isa_name(isa) << " n=" << n;
+    const auto reset = [&] {
+      Rng r2(23);
+      fill_adversarial(out_ref.data() + 1, n, r2);
+      std::copy(out_ref.begin(), out_ref.end(), out_tgt.begin());
+    };
+    const auto compare = [&](const char* what) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(double_bits(out_ref[j + 1]), double_bits(out_tgt[j + 1]))
+            << what << " isa=" << kernels::isa_name(isa) << " n=" << n
+            << " j=" << j;
       }
+    };
 
-      // gatv2_backward_row: three accumulators updated in place; the
-      // reference runs on copies of the same starting values.
-      std::vector<double> g_ref(3 * (n + 1)), g_tgt;
-      {
-        Rng r4(31);
-        fill_adversarial(g_ref.data(), g_ref.size(), r4);
-        g_tgt = g_ref;
-      }
-      const auto backward_row = [&](const kernels::KernelFns& k,
-                                    std::vector<double>& g) {
-        k.gatv2_backward_row(rows[5], rows[6], bias_buf.data() + 1, coef[1],
-                             0.2, n, g.data() + 1, g.data() + n + 2,
-                             g.data() + 2 * n + 3);
-      };
-      backward_row(ref, g_ref);
-      backward_row(fns, g_tgt);
-      for (std::size_t j = 0; j < g_ref.size(); ++j) {
-        ASSERT_EQ(double_bits(g_ref[j]), double_bits(g_tgt[j]))
-            << "gatv2_backward_row isa=" << kernels::isa_name(isa)
-            << " n=" << n << " j=" << j;
-      }
-      // gl and gr the same row (an edge from a node to itself when both
-      // sides read one matrix): dt lands twice, in order.
-      const auto shared_row = [&](const kernels::KernelFns& k,
+    reset();
+    ref.axpy1(out_ref.data() + 1, rows[0], coef[0], n);
+    fns.axpy1(out_tgt.data() + 1, rows[0], coef[0], n);
+    compare("axpy1");
+
+    reset();
+    ref.add1(out_ref.data() + 1, rows[1], n);
+    fns.add1(out_tgt.data() + 1, rows[1], n);
+    compare("add1");
+
+    reset();
+    ref.bias_elu_row(out_ref.data() + 1, rows[2], bias_buf.data() + 1, n);
+    fns.bias_elu_row(out_tgt.data() + 1, rows[2], bias_buf.data() + 1, n);
+    compare("bias_elu_row");
+
+    // gatv2_scores4: four reductions over misaligned K-length rows.
+    std::array<const double*, 4> quad{rows[0], rows[1], rows[2], rows[3]};
+    std::array<const double*, 4> quad_r{rows[4], rows[5], rows[6], rows[7]};
+    std::array<double, 4> dr{}, dt{};
+    ref.gatv2_scores4(quad.data(), quad_r.data(), bias_buf.data() + 1, 0.2,
+                      n, dr.data());
+    fns.gatv2_scores4(quad.data(), quad_r.data(), bias_buf.data() + 1, 0.2,
+                      n, dt.data());
+    for (std::size_t c = 0; c < 4; ++c) {
+      ASSERT_EQ(double_bits(dr[c]), double_bits(dt[c]))
+          << "gatv2_scores4 isa=" << kernels::isa_name(isa) << " n=" << n;
+    }
+
+    // gatv2_backward_row: three accumulators updated in place; the
+    // reference runs on copies of the same starting values.
+    std::vector<double> g_ref(3 * (n + 1)), g_tgt;
+    {
+      Rng r4(31);
+      fill_adversarial(g_ref.data(), g_ref.size(), r4);
+      g_tgt = g_ref;
+    }
+    const auto backward_row = [&](const kernels::KernelFns& k,
                                   std::vector<double>& g) {
-        k.gatv2_backward_row(rows[5], rows[6], bias_buf.data() + 1, coef[1],
-                             0.2, n, g.data() + 1, g.data() + 1,
-                             g.data() + n + 2);
-      };
-      shared_row(ref, g_ref);
-      shared_row(fns, g_tgt);
-      for (std::size_t j = 0; j < g_ref.size(); ++j) {
-        ASSERT_EQ(double_bits(g_ref[j]), double_bits(g_tgt[j]))
-            << "gatv2_backward_row shared isa=" << kernels::isa_name(isa)
-            << " n=" << n << " j=" << j;
-      }
+      k.gatv2_backward_row(rows[5], rows[6], bias_buf.data() + 1, coef[1],
+                           0.2, n, g.data() + 1, g.data() + n + 2,
+                           g.data() + 2 * n + 3);
+    };
+    backward_row(ref, g_ref);
+    backward_row(fns, g_tgt);
+    for (std::size_t j = 0; j < g_ref.size(); ++j) {
+      ASSERT_EQ(double_bits(g_ref[j]), double_bits(g_tgt[j]))
+          << "gatv2_backward_row isa=" << kernels::isa_name(isa)
+          << " n=" << n << " j=" << j;
+    }
+    // gl and gr the same row (an edge from a node to itself when both
+    // sides read one matrix): dt lands twice, in order.
+    const auto shared_row = [&](const kernels::KernelFns& k,
+                                std::vector<double>& g) {
+      k.gatv2_backward_row(rows[5], rows[6], bias_buf.data() + 1, coef[1],
+                           0.2, n, g.data() + 1, g.data() + 1,
+                           g.data() + n + 2);
+    };
+    shared_row(ref, g_ref);
+    shared_row(fns, g_tgt);
+    for (std::size_t j = 0; j < g_ref.size(); ++j) {
+      ASSERT_EQ(double_bits(g_ref[j]), double_bits(g_tgt[j]))
+          << "gatv2_backward_row shared isa=" << kernels::isa_name(isa)
+          << " n=" << n << " j=" << j;
     }
   }
 }
 
-TEST(SimdDispatch, GemmTileReadsRowPointersLikeNaive) {
+TEST_P(SimdTarget, GemmTileReadsRowPointersLikeNaive) {
   // The micro-kernel reading A through kMr row pointers: a matrix's own
   // rows at stride 1, placed at odd (misaligned) offsets, and a
   // gathered panel at stride kMr; full tiles and partial ones whose
   // missing rows point at a zero row; finite, Inf and NaN coefficients.
-  // Under live dispatch and forced scalar, every tile must equal
+  // On the target under test, every tile must equal
   // matmul_naive of the same rows bit for bit, written through output
   // row pointers that are misaligned and an odd stride apart, and
   // report its finiteness. Where the input holds a NaN, a NaN output
@@ -696,38 +719,34 @@ TEST(SimdDispatch, GemmTileReadsRowPointersLikeNaive) {
           by_panel[r] = panel.data() + 1 + r;
         }
         const std::size_t ldc = kNr + 3;
-        for (const bool scalar : {false, true}) {
-          kernels::ScopedForceScalar force(scalar);
-          for (const std::size_t as : {std::size_t{1}, kMr}) {
-            SCOPED_TRACE(std::string("isa=") +
-                         kernels::isa_name(kernels::active_isa()) +
-                         " K=" + std::to_string(K) +
-                         " mr=" + std::to_string(mr) +
-                         " stride=" + std::to_string(as) +
-                         " bad=" + std::to_string(bad));
-            std::vector<double> c(kMr * ldc + 1, nan);
-            double* c_rows[kMr];
-            for (std::size_t r = 0; r < kMr; ++r) {
-              c_rows[r] = c.data() + 1 + r * ldc;
-            }
-            const bool finite = kernels::fns().gemm_tile(
-                as == 1 ? by_row : by_panel, as, bp.data() + 1, K, c_rows);
-            bool want_finite = true;
-            for (std::size_t r = 0; r < kMr; ++r) {
-              for (std::size_t j = 0; j < kNr; ++j) {
-                const double got = c[1 + r * ldc + j];
-                const double ref = r < mr ? want.at(r, j) : 0.0;
-                if (std::isnan(bad) && std::isnan(ref)) {
-                  ASSERT_TRUE(std::isnan(got)) << "r=" << r << " j=" << j;
-                } else {
-                  ASSERT_EQ(double_bits(got), double_bits(ref))
-                      << "r=" << r << " j=" << j;
-                }
-                want_finite &= std::isfinite(ref);
-              }
-            }
-            EXPECT_EQ(finite, want_finite);
+        const kernels::KernelFns& fns = kernels::fns_for(GetParam());
+        for (const std::size_t as : {std::size_t{1}, kMr}) {
+          SCOPED_TRACE(std::string("K=") + std::to_string(K) +
+                       " mr=" + std::to_string(mr) +
+                       " stride=" + std::to_string(as) +
+                       " bad=" + std::to_string(bad));
+          std::vector<double> c(kMr * ldc + 1, nan);
+          double* c_rows[kMr];
+          for (std::size_t r = 0; r < kMr; ++r) {
+            c_rows[r] = c.data() + 1 + r * ldc;
           }
+          const bool finite = fns.gemm_tile(
+              as == 1 ? by_row : by_panel, as, bp.data() + 1, K, c_rows);
+          bool want_finite = true;
+          for (std::size_t r = 0; r < kMr; ++r) {
+            for (std::size_t j = 0; j < kNr; ++j) {
+              const double got = c[1 + r * ldc + j];
+              const double ref = r < mr ? want.at(r, j) : 0.0;
+              if (std::isnan(bad) && std::isnan(ref)) {
+                ASSERT_TRUE(std::isnan(got)) << "r=" << r << " j=" << j;
+              } else {
+                ASSERT_EQ(double_bits(got), double_bits(ref))
+                    << "r=" << r << " j=" << j;
+              }
+              want_finite &= std::isfinite(ref);
+            }
+          }
+          EXPECT_EQ(finite, want_finite);
         }
       }
     }
@@ -735,16 +754,15 @@ TEST(SimdDispatch, GemmTileReadsRowPointersLikeNaive) {
 }
 
 /// nn, nt and tn products of `a` (m x k) with a right operand built from
-/// `b` (k x n) equal matmul_naive bit for bit, on the live target and
-/// under forced scalar.
+/// `b` (k x n) equal matmul_naive bit for bit, on every target the CPU
+/// runs.
 void expect_packed_products_match_naive(const Matrix& a, const Matrix& b) {
   const Matrix nn = a.matmul_naive(b);
   const Matrix bt = b.transpose();  // (n x k): nt's right operand
   const Matrix at = a.transpose();  // (k x m): tn's left operand
-  for (const bool scalar : {false, true}) {
-    kernels::ScopedForceScalar force(scalar);
-    SCOPED_TRACE(std::string("isa=") +
-                 kernels::isa_name(kernels::active_isa()) + " m=" +
+  for (const kernels::Isa isa : supported_targets()) {
+    kernels::ScopedIsa target(isa);
+    SCOPED_TRACE(std::string("isa=") + kernels::isa_name(isa) + " m=" +
                  std::to_string(a.rows()) + " k=" + std::to_string(a.cols()) +
                  " n=" + std::to_string(b.cols()));
     expect_bit_identical(a.matmul(b), nn);
@@ -754,7 +772,7 @@ void expect_packed_products_match_naive(const Matrix& a, const Matrix& b) {
 }
 
 TEST(SimdDispatch, PackedMatmulEdgeTilesMatchNaive) {
-  // M and N off the 4x8 tile, K = 1 and N = 1; adversarial magnitudes.
+  // M and N off the 4x16 tile, K = 1 and N = 1; adversarial magnitudes.
   Rng rng(17);
   for (const std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{4},
                               std::size_t{5}, std::size_t{11}}) {
@@ -762,7 +780,8 @@ TEST(SimdDispatch, PackedMatmulEdgeTilesMatchNaive) {
                                 std::size_t{9}, std::size_t{33}}) {
       for (const std::size_t n : {std::size_t{1}, std::size_t{7},
                                   std::size_t{8}, std::size_t{9},
-                                  std::size_t{19}}) {
+                                  std::size_t{15}, std::size_t{16},
+                                  std::size_t{17}, std::size_t{35}}) {
         Matrix a(m, k), b(k, n);
         fill_adversarial(a.data().data(), a.size(), rng);
         fill_adversarial(b.data().data(), b.size(), rng);
@@ -836,10 +855,10 @@ TEST(SimdDispatch, PackedMatmulMisalignedRowsMatchNaive) {
   }
 }
 
-TEST(SimdDispatch, ForcedScalarFullModelBitIdentical) {
-  // The whole-model wall: predict_proba under the live dispatch target
-  // must equal the forced-scalar run bit for bit (not NEAR — the SIMD
-  // kernels preserve accumulation order exactly).
+TEST_P(SimdTarget, FullModelBitIdenticalToScalar) {
+  // The whole-model wall: predict_proba on the target under test must
+  // equal the scalar run bit for bit (not NEAR — the SIMD kernels
+  // preserve accumulation order exactly).
   GnnModel model(tiny_config());
   std::vector<programl::ProgramGraph> graphs;
   for (int i = 0; i < 6; ++i) {
@@ -847,16 +866,18 @@ TEST(SimdDispatch, ForcedScalarFullModelBitIdentical) {
                                 static_cast<std::uint32_t>(3 * i + 1),
                                 i % 2 == 0));
   }
-  const auto live =
-      model.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  kernels::ScopedForceScalar scalar(true);
-  ASSERT_EQ(kernels::active_isa(), kernels::Isa::Scalar);
-  const auto forced =
-      model.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  ASSERT_EQ(live.size(), forced.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    for (std::size_t j = 0; j < live[i].size(); ++j) {
-      ASSERT_EQ(double_bits(live[i][j]), double_bits(forced[i][j]))
+  const auto predict = [&](kernels::Isa isa) {
+    kernels::ScopedIsa target(isa);
+    EXPECT_EQ(kernels::active_isa(), isa);
+    return model.predict_proba(
+        std::span<const programl::ProgramGraph>(graphs));
+  };
+  const auto got = predict(GetParam());
+  const auto scalar = predict(kernels::Isa::Scalar);
+  ASSERT_EQ(got.size(), scalar.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    for (std::size_t j = 0; j < got[i].size(); ++j) {
+      ASSERT_EQ(double_bits(got[i][j]), double_bits(scalar[i][j]))
           << "graph " << i << " class " << j;
     }
   }

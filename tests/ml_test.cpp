@@ -940,7 +940,7 @@ TEST(Adam, DispatchedStepBitIdenticalToScalar) {
       scalar->ensure_grad() = g;
       live_opt.step();
       {
-        kernels::ScopedForceScalar force(true);
+        kernels::ScopedIsa scalar_isa(kernels::Isa::Scalar);
         scalar_opt.step();
       }
       for (std::size_t k = 0; k < n; ++k) {
@@ -1074,11 +1074,18 @@ std::string hex(std::uint64_t v) {
 }
 
 TEST(Gnn, PaperProtocolFitMatchesRecordedDigest) {
-  EXPECT_EQ(hex(paper_protocol_fit_digest()), hex(kPaperProtocolFitDigest))
-      << "isa=" << kernels::isa_name(kernels::active_isa());
-  kernels::ScopedForceScalar scalar(true);
-  EXPECT_EQ(hex(paper_protocol_fit_digest()), hex(kPaperProtocolFitDigest))
-      << "isa=scalar";
+  // Every dispatch target the CPU has trains the same parameters.
+  for (const kernels::Isa isa :
+       {kernels::Isa::Scalar, kernels::Isa::Avx2, kernels::Isa::Avx512}) {
+    if (!kernels::cpu_supports(isa)) {
+      std::printf("[  SKIPPED ] isa=%s: this CPU lacks it\n",
+                  kernels::isa_name(isa));
+      continue;
+    }
+    kernels::ScopedIsa target(isa);
+    EXPECT_EQ(hex(paper_protocol_fit_digest()), hex(kPaperProtocolFitDigest))
+        << "isa=" << kernels::isa_name(isa);
+  }
 }
 
 }  // namespace
