@@ -121,6 +121,15 @@ Matrix map(const Matrix& a, F f) {
   return out;
 }
 
+/// A per-thread buffer of at least n Ts, grown on demand and reused by
+/// the next call for the same T (elu's two passes).
+template <typename T>
+T* thread_buffer(std::size_t n) {
+  thread_local std::vector<T> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
 /// out[i] = a[i] + b[i] (same shapes).
 void sum_into(Matrix& out, const Matrix& a, const Matrix& b) {
   const double* pa = a.data().data();
@@ -258,16 +267,51 @@ Var leaky_relu(const Var& a, double slope) {
   });
 }
 
+// ELU takes no branch on a sign. A first pass over every element does
+// the x > 0 side's work unconditionally and appends each index with
+// !(x > 0) (the exp side, NaN included) to a list: every index is
+// written, and the count moves past it only on that side. A second
+// pass makes the libm call for the listed elements alone. Each element
+// still takes exactly the operations of x > 0 ? x : expm1(x) forward
+// and g + gy * (x > 0 ? 1.0 : exp(x)) backward.
 Var elu(const Var& a) {
-  Matrix out =
-      map(a->value, [](double x) { return x > 0 ? x : std::expm1(x); });
+  const std::size_t n = a->value.size();
+  const double* x = a->value.data().data();
+  Matrix out = Matrix::uninit(a->value.rows(), a->value.cols());
+  double* y = out.data().data();
+  std::size_t* neg = thread_buffer<std::size_t>(n);
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = x[i];
+    neg[m] = i;
+    m += !(x[i] > 0);
+  }
+  for (std::size_t j = 0; j < m; ++j) y[neg[j]] = std::expm1(x[neg[j]]);
   return make_result(std::move(out), {a}, [a](VarNode& self) {
     if (!a->requires_grad) return;
+    const std::size_t n = a->value.size();
     const double* x = a->value.data().data();
     const double* gy = self.grad.data().data();
-    accumulate_each(*a, [&](std::size_t i) {
-      return gy[i] * (x[i] > 0 ? 1.0 : std::exp(x[i]));
-    });
+    // A fresh gradient is not zero-filled: its old value reads as 0.0,
+    // the bits += gives on zeros. The first pass overwrites the exp
+    // side too, so it keeps those elements' old values beside the list.
+    const bool fresh = !a->grad.same_shape(a->value);
+    if (fresh) a->grad = Matrix::uninit(a->value.rows(), a->value.cols());
+    double* g = a->grad.data().data();
+    std::size_t* neg = thread_buffer<std::size_t>(n);
+    double* old = thread_buffer<double>(n);
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double gi = fresh ? 0.0 : g[i];
+      g[i] = gi + gy[i] * 1.0;
+      old[m] = gi;
+      neg[m] = i;
+      m += !(x[i] > 0);
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t i = neg[j];
+      g[i] = old[j] + gy[i] * std::exp(x[i]);
+    }
   });
 }
 
