@@ -1,7 +1,9 @@
 #include "ml/autograd.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <unordered_set>
@@ -121,13 +123,21 @@ Matrix map(const Matrix& a, F f) {
   return out;
 }
 
-/// A per-thread buffer of at least n Ts, grown on demand and reused by
-/// the next call for the same T (elu's two passes).
-template <typename T>
-T* thread_buffer(std::size_t n) {
-  thread_local std::vector<T> buf;
+/// A per-thread index buffer of at least n entries, grown on demand and
+/// reused by the next call. Growing it leaves the new entries unwritten,
+/// so only the entries a caller writes take memory.
+std::size_t* index_buffer(std::size_t n) {
+  thread_local std::vector<std::size_t, DefaultInitAllocator<std::size_t>>
+      buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
+}
+
+/// x > 0 ? a : b, picked by a mask on the bits instead of a branch.
+double select_positive(double x, double a, double b) {
+  const std::uint64_t keep = -static_cast<std::uint64_t>(x > 0);
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & keep) |
+                               (std::bit_cast<std::uint64_t>(b) & ~keep));
 }
 
 /// out[i] = a[i] + b[i] (same shapes).
@@ -268,18 +278,19 @@ Var leaky_relu(const Var& a, double slope) {
 }
 
 // ELU takes no branch on a sign. A first pass over every element does
-// the x > 0 side's work unconditionally and appends each index with
-// !(x > 0) (the exp side, NaN included) to a list: every index is
-// written, and the count moves past it only on that side. A second
-// pass makes the libm call for the listed elements alone. Each element
-// still takes exactly the operations of x > 0 ? x : expm1(x) forward
-// and g + gy * (x > 0 ? 1.0 : exp(x)) backward.
+// the x > 0 side's work, as a copy forward and as a bit-mask select
+// backward, and appends each index with !(x > 0) (the exp side, NaN
+// included) to a list: every index is written, and the count moves
+// past it only on that side. A second pass makes the libm call for the
+// listed elements alone. Each element still takes exactly the
+// operations of x > 0 ? x : expm1(x) forward and of
+// g + gy * (x > 0 ? 1.0 : exp(x)) backward.
 Var elu(const Var& a) {
   const std::size_t n = a->value.size();
   const double* x = a->value.data().data();
   Matrix out = Matrix::uninit(a->value.rows(), a->value.cols());
   double* y = out.data().data();
-  std::size_t* neg = thread_buffer<std::size_t>(n);
+  std::size_t* neg = index_buffer(n);
   std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = x[i];
@@ -292,25 +303,22 @@ Var elu(const Var& a) {
     const std::size_t n = a->value.size();
     const double* x = a->value.data().data();
     const double* gy = self.grad.data().data();
-    // A fresh gradient is not zero-filled: its old value reads as 0.0,
-    // the bits += gives on zeros. The first pass overwrites the exp
-    // side too, so it keeps those elements' old values beside the list.
+    // A fresh gradient is not zero-filled: the first pass reads its old
+    // value as 0.0, so it gets 0.0 + term, the bits += gives on zeros.
     const bool fresh = !a->grad.same_shape(a->value);
     if (fresh) a->grad = Matrix::uninit(a->value.rows(), a->value.cols());
     double* g = a->grad.data().data();
-    std::size_t* neg = thread_buffer<std::size_t>(n);
-    double* old = thread_buffer<double>(n);
+    std::size_t* neg = index_buffer(n);
     std::size_t m = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const double gi = fresh ? 0.0 : g[i];
-      g[i] = gi + gy[i] * 1.0;
-      old[m] = gi;
+      g[i] = select_positive(x[i], gi + gy[i] * 1.0, gi);
       neg[m] = i;
       m += !(x[i] > 0);
     }
     for (std::size_t j = 0; j < m; ++j) {
       const std::size_t i = neg[j];
-      g[i] = old[j] + gy[i] * std::exp(x[i]);
+      g[i] += gy[i] * std::exp(x[i]);
     }
   });
 }
