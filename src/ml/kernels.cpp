@@ -30,7 +30,7 @@ ScopedNaiveMatmul::~ScopedNaiveMatmul() { t_naive_matmul = prev_; }
 // ---- scalar reference kernels -----------------------------------------------
 //
 // The SIMD tables are tested against these for bit-identity
-// (tests/batched_gnn_test.cpp, "SimdDispatch"). They are plain loops
+// (tests/batched_gnn_test.cpp, "SimdTarget"). They are plain loops
 // over independent outputs, so GCC vectorizes them for the baseline ISA
 // without changing a bit; -ffp-contract=off (CMakeLists.txt) keeps it
 // from fusing any multiply-add on targets with FMA.
