@@ -136,10 +136,12 @@ const Detected& detect() {
     Detected out;
     const char* env = std::getenv("MPIDETECT_FORCE_SCALAR");
     if (env != nullptr && env[0] == '1') return out;
-    Isa isa = Isa::Scalar;
-    if (const KernelFns* simd = detail::simd_table(&isa)) {
-      out.isa = isa;
-      out.fns = simd;
+    for (const Isa best : {Isa::Avx512, Isa::Avx2}) {
+      if (const KernelFns* simd = detail::simd_table_for(best)) {
+        out.isa = best;
+        out.fns = simd;
+        break;
+      }
     }
     return out;
   }();

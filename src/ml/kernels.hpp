@@ -4,8 +4,8 @@
 // seed's naive triple loop for before/after measurements
 // (bench/perf_gnn), the runtime SIMD dispatch table (AVX2 inner kernels
 // and an AVX-512 matmul tile, with a scalar fallback), and the per-op
-// profiling counters surfaced by
-// bench/perf_gnn and the daemon's STATS frame.
+// profiling counters surfaced by bench/perf_gnn and the daemon's STATS
+// frame.
 //
 // Every kernel runs on the thread that calls it. Parallelism lives one
 // level up — CV folds and cases on EvalEngine's pool, encoding on a
@@ -61,12 +61,13 @@ Isa detected_isa();
 /// detected_isa() unless a ScopedIsa override is active.
 Isa active_isa();
 
+struct KernelFns;
+
 /// Thread-local override of the dispatch target: while it lives, kernel
 /// calls on the constructing thread run `isa`'s table. The perf
 /// harness times the scalar baseline with it, and tests run one input
 /// under every target inside one process. `isa` must be supported
 /// (cpu_supports).
-struct KernelFns;
 class ScopedIsa {
  public:
   explicit ScopedIsa(Isa isa);
@@ -139,12 +140,8 @@ const KernelFns& fns();
 const KernelFns& fns_for(Isa isa);
 
 namespace detail {
-/// The best SIMD table this build carries for the running CPU (AVX-512
-/// or AVX2 on x86-64 with CPU support), or nullptr when only the scalar
-/// path is available. Implemented in kernels_simd.cpp.
-const KernelFns* simd_table(Isa* isa);
-/// The table for one specific SIMD target, or nullptr when this
-/// build/CPU cannot run it (fns_for's lookup).
+/// The table for one SIMD target, or nullptr when this build/CPU cannot
+/// run it (implemented in kernels_simd.cpp).
 const KernelFns* simd_table_for(Isa isa);
 /// The scalar reference table (implemented in kernels.cpp); SIMD tables
 /// borrow its entries where a target has no kernel of its own.

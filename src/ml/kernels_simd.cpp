@@ -305,19 +305,7 @@ const KernelFns* simd_table_for(Isa isa) {
   return nullptr;
 }
 
-const KernelFns* simd_table(Isa* isa) {
-  for (const Isa best : {Isa::Avx512, Isa::Avx2}) {
-    if (const KernelFns* t = simd_table_for(best)) {
-      *isa = best;
-      return t;
-    }
-  }
-  return nullptr;
-}
-
 #else
-
-const KernelFns* simd_table(Isa*) { return nullptr; }
 
 const KernelFns* simd_table_for(Isa) { return nullptr; }
 
