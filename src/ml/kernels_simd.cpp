@@ -36,8 +36,8 @@ namespace mpidetect::ml::kernels::detail {
 namespace {
 
 /// One 8-wide half of the AVX2 tile: the kMr x 8 block at columns
-/// [0, 8) of the panel `bp` (row stride kNr) and of the output rows
-/// `c`. Returns whether all 32 results are finite.
+/// [j0, j0 + 8) of the panel `bp` (row stride kNr) and of the output
+/// rows `c`. Returns whether all 32 results are finite.
 __attribute__((target("avx2"))) bool gemm_half_avx2(
     const double* const* a, std::size_t as, const double* bp, std::size_t K,
     double* const* c, std::size_t j0) {
